@@ -181,11 +181,10 @@ def fdr_solve(prob, gamma=None, relaxation=1.0, a_errors=None, b_errors=None,
     status = MAX_ITERS
     iterations = 0
     residual = float("inf")
-    x = V(z)
-    y = (x - z) / gamma
     prev_x = None
     prev_y = None
 
+    # z starts finite, so iteration 0 always sets x and y
     for n in range(max_iters + 1):
         if not np.all(np.isfinite(z)):
             status = DIVERGED

@@ -46,14 +46,18 @@ class ResolventFamily:
     defined for every ``gamma > 0`` and every finite ``x`` (full domain) and
     be firmly nonexpansive in ``x`` for each ``gamma``.  Evaluation must be
     reentrant: no mutable shared state across calls.
+
+    Built-in families whose resolvent is an elementwise formula also carry it
+    as ``_kernel = (kernel, params)``; see :func:`_row_kernel_family`.
     """
 
-    __slots__ = ("_resolve", "dim", "label")
+    __slots__ = ("_resolve", "dim", "label", "_kernel")
 
     def __init__(self, resolve, dim, label=""):
         self._resolve = resolve
         self.dim = int(dim)
         self.label = label
+        self._kernel = None
 
     def resolve(self, gamma, x):
         if not gamma > 0:
@@ -257,19 +261,40 @@ def normal_cone_of_subspace(P):
                            label=f"normal-cone({P.label or 'subspace'})")
 
 
+def _row_kernel_family(kernel, params, dim, label):
+    """Family whose resolvent is ``kernel(gamma, x, *params)``.
+
+    The kernel is elementwise, so it broadcasts over a leading block axis:
+    given ``x`` of shape ``(k, dim)``, ``gamma`` of shape ``(k, 1)`` and each
+    parameter stacked to ``(k, dim)``, one call resolves k blocks with the
+    same float64 operations as k single-vector calls.  The pair is kept as
+    ``_kernel`` so that product-space solvers can stack runs of such blocks.
+    """
+    family = ResolventFamily(lambda gamma, x: kernel(gamma, x, *params), dim,
+                             label=label)
+    family._kernel = (kernel, params)
+    return family
+
+
+def _soft_threshold(gamma, x):
+    return np.sign(x) * np.maximum(np.abs(x) - gamma, 0.0)
+
+
+def _soft_threshold_centered(gamma, x, c):
+    d = x - c
+    return c + np.sign(d) * np.maximum(np.abs(d) - gamma, 0.0)
+
+
+def _clamp(gamma, x, lo, hi):
+    return np.clip(x, lo, hi)
+
+
 def subdifferential_abs(dim, center=None):
     """Coordinatewise subdifferential of ``|. - center|``; resolvent = soft threshold."""
     if center is None:
-        def res(gamma, x):
-            return np.sign(x) * np.maximum(np.abs(x) - gamma, 0.0)
-    else:
-        c = as_vector(center, dim)
-
-        def res(gamma, x):
-            d = x - c
-            return c + np.sign(d) * np.maximum(np.abs(d) - gamma, 0.0)
-
-    return ResolventFamily(res, dim, label="abs-subdifferential")
+        return _row_kernel_family(_soft_threshold, (), dim, "abs-subdifferential")
+    return _row_kernel_family(_soft_threshold_centered, (as_vector(center, dim),),
+                              dim, "abs-subdifferential")
 
 
 def normal_cone_box(lo, hi):
@@ -284,8 +309,7 @@ def normal_cone_box(lo, hi):
         raise ValueError("box bounds must not be NaN")
     if np.any(lo > hi):
         raise ValueError("empty box: lo > hi in some coordinate")
-    return ResolventFamily(lambda gamma, x: np.clip(x, lo, hi), lo.shape[0],
-                           label="box-normal-cone")
+    return _row_kernel_family(_clamp, (lo, hi), lo.shape[0], "box-normal-cone")
 
 
 class _CachedAffineSolve:

@@ -7,12 +7,20 @@ subspace: the lifted operator resolves blockwise with per-block parameters
 consensus projector replaces each block by the weighted mean.  The module
 runs both the thin lifted adapters onto the base solvers and the direct
 parallel loops; the two paths are cross-checked by the test surface.
+
+The direct loops resolve all blocks through
+:meth:`ProductProblem.resolve_blocks`, which evaluates each run of
+consecutive built-in blocks sharing a row kernel (boxes, soft thresholds)
+in one stacked call and any other block on its own.  The lifted adapters
+keep resolving block by block, so they stay the per-block reference the
+tests compare against.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -204,17 +212,42 @@ def consensus_projector(weights, m, base_dim):
     return ProductSpace(m, base_dim, weights).consensus_projector()
 
 
+def _block_plan(blocks):
+    """Runs ``(start, stop, kernel, params)`` covering the blocks in order.
+
+    Consecutive blocks that carry the same row kernel form one run, each
+    parameter stacked over the run; every other block is a run of one with
+    ``kernel`` None.  Kernels are looked up by attribute, so wrappers that
+    forward attribute access resolve through the stacked path too.
+    """
+    specs = [getattr(A, "_kernel", None) for A in blocks]
+    plan = []
+    start = 0
+    for kernel, run in groupby(specs, key=lambda s: None if s is None else s[0]):
+        run = list(run)
+        stop = start + len(run)
+        if kernel is None:
+            plan += [(i, i + 1, None, ()) for i in range(start, stop)]
+        else:
+            params = tuple(np.stack(col) for col in zip(*(s[1] for s in run)))
+            plan.append((start, stop, kernel, params))
+        start = stop
+    return plan
+
+
 class ProductProblem:
     """Data for ``0 in sum_i A_i x + B x`` with block weights.
 
     ``B`` defaults to the zero map with ``beta = 1``; weights default to the
-    uniform ``1/m``.
+    uniform ``1/m``.  The blocks are held as a tuple: the plan of
+    :meth:`resolve_blocks` is cached on first use.
     """
 
-    __slots__ = ("blocks", "B", "space")
+    __slots__ = ("blocks", "B", "space", "_plan")
 
     def __init__(self, blocks, B=None, weights=None):
-        self.blocks = list(blocks)
+        self.blocks = tuple(blocks)
+        self._plan = None
         if not self.blocks:
             raise ValueError("at least one operator block is required")
         base_dim = self.blocks[0].dim
@@ -241,6 +274,27 @@ class ProductProblem:
     @property
     def beta(self):
         return self.B.beta
+
+    def resolve_blocks(self, gammas, S):
+        """Rows ``J_{gammas[i] A_i} S[i]`` for all blocks, as an ``(m, d)`` array.
+
+        A run of consecutive blocks sharing a row kernel is resolved in one
+        stacked call, bit-identical to resolving its rows one by one; other
+        blocks go through their own ``resolve``.  ``gammas`` must be positive
+        and ``S`` of shape ``(m, d)``: the callers check both once per solve.
+        """
+        plan = self._plan
+        if plan is None:
+            # concurrent first calls build equal plans; either may be kept
+            plan = self._plan = _block_plan(self.blocks)
+        P = np.empty_like(S)
+        for start, stop, kernel, params in plan:
+            if kernel is None:
+                P[start] = self.blocks[start].resolve(gammas[start], S[start])
+            else:
+                P[start:stop] = kernel(gammas[start:stop, None], S[start:stop],
+                                       *params)
+        return P
 
     def lifted(self):
         """The equivalent subspace inclusion on the weighted product space."""
@@ -269,16 +323,32 @@ class ProductSolveResult:
     trace: list | None = None
 
 
-def _certificate_from_blocks(prob, x, U):
-    """Certificate pieces from block elements ``U[i] in A_i(p_i ~ x)``:
-    per-block resolvent residuals ``||x - J_{A_i}(x + U_i)||`` and the sum
-    residual ``||sum_i U_i + B x||``."""
-    block_res = np.array([
-        float(np.linalg.norm(x - A.resolve(1.0, x + U[i])))
-        for i, A in enumerate(prob.blocks)
-    ])
-    sum_res = float(np.linalg.norm(U.sum(axis=0) + prob.B(x)))
-    return block_res, sum_res
+def _as_blocks(v, m, d):
+    """Per-block points as a finite ``(m, d)`` array (a flat ``m * d`` vector
+    is accepted too); the copy is the caller's to update in place."""
+    V = np.asarray(v, dtype=float)
+    if V.shape not in ((m, d), (m * d,)):
+        raise ValueError(f"dimension mismatch: expected {m} blocks of length {d}, "
+                         f"got shape {V.shape}")
+    return as_vector(V.reshape(-1)).reshape(m, d).copy()
+
+
+def _certificate(prob, x, Bx, gamma, S):
+    """Certificate fields of a final, error-free block step ``P_i = J_{(gamma/w_i) A_i} S_i``.
+
+    ``U_i = w_i (S_i - P_i) / gamma`` lies in ``A_i P_i``; the per-block
+    resolvent residuals ``||x - J_{A_i}(x + U_i)||`` and the sum residual
+    ``||sum_i U_i + B x||`` vanish exactly when ``x`` solves the inclusion.
+    """
+    w = prob.weights
+    P = prob.resolve_blocks(gamma / w, S)
+    U = w[:, None] * (S - P) / gamma
+    block_res = np.linalg.norm(x - prob.resolve_blocks(np.ones(prob.m), x + U),
+                               axis=1)
+    sum_res = float(np.linalg.norm(U.sum(axis=0) + Bx))
+    return dict(certificate_residual=max(float(block_res.max()), sum_res),
+                block_residuals=block_res, sum_residual=sum_res,
+                spread=float(np.linalg.norm(P - x, axis=1).max()))
 
 
 def sum_splitting_solve(prob, gamma=None, relaxation=1.0, a_errors=None,
@@ -302,7 +372,6 @@ def sum_splitting_solve(prob, gamma=None, relaxation=1.0, a_errors=None,
     certificate assembles the block inclusions ``w_i q_i in A_i x`` and their
     sum against ``-B x``.
     """
-    space = prob.space
     m, d, w = prob.m, prob.base_dim, prob.weights
     beta = prob.beta
     gamma = beta if gamma is None else float(gamma)
@@ -333,11 +402,9 @@ def sum_splitting_solve(prob, gamma=None, relaxation=1.0, a_errors=None,
     if log_every < 1:
         raise ValueError("log_every must be at least 1")
 
-    if z0 is None:
-        Z = np.zeros((m, d))
-    else:
-        Z = np.asarray(z0, dtype=float).reshape(m, d).copy()
+    Z = np.zeros((m, d)) if z0 is None else _as_blocks(z0, m, d)
     _warn_scaled_gamma(gamma, w)
+    gammas = gamma / w
 
     rows = []
     zt = [] if trace else None
@@ -357,15 +424,10 @@ def sum_splitting_solve(prob, gamma=None, relaxation=1.0, a_errors=None,
         a_active = a_errors is not None and a_errors.active(n)
         forward = Bx + a_errors(n) if a_active else Bx
         base = 2.0 * x - gamma * forward
-        P = np.empty((m, d))
-        for i in range(m):
-            P[i] = prob.blocks[i].resolve(gamma / w[i], base - Z[i])
+        P = prob.resolve_blocks(gammas, base - Z)
         b_active = any(e is not None and e.active(n) for e in b_errors)
         if a_active or b_active:
-            base_clean = 2.0 * x - gamma * Bx
-            P_clean = np.empty((m, d))
-            for i in range(m):
-                P_clean[i] = prob.blocks[i].resolve(gamma / w[i], base_clean - Z[i])
+            P_clean = prob.resolve_blocks(gammas, 2.0 * x - gamma * Bx - Z)
         else:
             P_clean = P
         P_err = P.copy() if b_active else P
@@ -400,20 +462,10 @@ def sum_splitting_solve(prob, gamma=None, relaxation=1.0, a_errors=None,
 
     # assemble the final certificate from an exact (error-free) block step
     Bx = prob.B(x)
-    base_clean = 2.0 * x - gamma * Bx
-    U = np.empty((m, d))
-    spread = 0.0
-    for i in range(m):
-        s_i = base_clean - Z[i]
-        p_i = prob.blocks[i].resolve(gamma / w[i], s_i)
-        U[i] = w[i] * (s_i - p_i) / gamma
-        spread = max(spread, float(np.linalg.norm(p_i - x)))
-    block_res, sum_res = _certificate_from_blocks(prob, x, U)
-    cert = max(float(block_res.max()) if m else 0.0, sum_res)
     return ProductSolveResult(final=x, status=status, iterations=iterations,
-                              history=rows, certificate_residual=cert,
-                              block_residuals=block_res, sum_residual=sum_res,
-                              spread=spread, trace=zt)
+                              history=rows, trace=zt,
+                              **_certificate(prob, x, Bx, gamma,
+                                             2.0 * x - gamma * Bx - Z))
 
 
 def sum_splitting_via_fdr(prob, gamma=None, relaxation=1.0, a_errors=None,
@@ -430,10 +482,7 @@ def sum_splitting_via_fdr(prob, gamma=None, relaxation=1.0, a_errors=None,
     lifted = prob.lifted()
     a_lift = space.lift_error_schedule(a_errors)
     b_lift = space.stack_error_schedules(b_errors)
-    if z0 is None:
-        z0_flat = None
-    else:
-        z0_flat = np.asarray(z0, dtype=float).reshape(space.m, space.base_dim).reshape(-1)
+    z0_flat = None if z0 is None else _as_blocks(z0, space.m, space.base_dim).reshape(-1)
     obj_lift = None
     if objective is not None:
         obj_lift = lambda X: objective(space.weighted_mean(X))
@@ -451,21 +500,10 @@ def sum_splitting_via_fdr(prob, gamma=None, relaxation=1.0, a_errors=None,
     g = prob.beta if gamma is None else float(gamma)
     Z = space.split(res.x - g * res.y)
     Bx = prob.B(x)
-    base_clean = 2.0 * x - g * Bx
-    U = np.empty((space.m, space.base_dim))
-    spread = 0.0
-    for i in range(space.m):
-        s_i = base_clean - Z[i]
-        p_i = prob.blocks[i].resolve(g / prob.weights[i], s_i)
-        U[i] = prob.weights[i] * (s_i - p_i) / g
-        spread = max(spread, float(np.linalg.norm(p_i - x)))
-    block_res, sum_res = _certificate_from_blocks(prob, x, U)
-    cert = max(float(block_res.max()), sum_res)
     return ProductSolveResult(final=x, status=res.status,
                               iterations=res.iterations, history=res.history,
-                              certificate_residual=cert,
-                              block_residuals=block_res, sum_residual=sum_res,
-                              spread=spread, trace=zt)
+                              trace=zt,
+                              **_certificate(prob, x, Bx, g, 2.0 * x - g * Bx - Z))
 
 
 def parallel_dr2(A1, A2, gamma=1.0, relaxation=1.0, b1_errors=None,
@@ -613,7 +651,7 @@ def sum_splitting_pi(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
     if y0 is None:
         Y = np.zeros((m, d))
     else:
-        Y = np.asarray(y0, dtype=float).reshape(m, d).copy()
+        Y = _as_blocks(y0, m, d)
         drift = float(np.linalg.norm(w @ Y))
         if drift > 1e-9 * (1.0 + float(np.abs(Y).max())):
             raise ValueError(
@@ -621,6 +659,7 @@ def sum_splitting_pi(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
                 f"(violation {drift:.3e})"
             )
     _warn_scaled_gamma(gamma, w)
+    gammas = gamma / w
 
     rows = []
     zt = [] if trace else None
@@ -636,9 +675,7 @@ def sum_splitting_pi(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
             break
         Bx = prob.B(x)
         drive = x - gamma * Bx
-        P = np.empty((m, d))
-        for i in range(m):
-            P[i] = prob.blocks[i].resolve(gamma / w[i], drive + gamma * Y[i])
+        P = prob.resolve_blocks(gammas, drive + gamma * Y)
         pbar = w @ P
         residual = float(np.sqrt(np.dot(pbar - x, pbar - x)
                                  + np.sum(w * np.sum((pbar - P) ** 2, axis=1))))
@@ -668,20 +705,10 @@ def sum_splitting_pi(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
 
     # certificate from the final block decomposition
     Bx = prob.B(x)
-    drive = x - gamma * Bx
-    U = np.empty((m, d))
-    spread = 0.0
-    for i in range(m):
-        s_i = drive + gamma * Y[i]
-        p_i = prob.blocks[i].resolve(gamma / w[i], s_i)
-        U[i] = w[i] * (s_i - p_i) / gamma
-        spread = max(spread, float(np.linalg.norm(p_i - x)))
-    block_res, sum_res = _certificate_from_blocks(prob, x, U)
-    cert = max(float(block_res.max()), sum_res)
     return ProductSolveResult(final=x, status=status, iterations=iterations,
-                              history=rows, certificate_residual=cert,
-                              block_residuals=block_res, sum_residual=sum_res,
-                              spread=spread, duals=Y, trace=zt)
+                              history=rows, duals=Y, trace=zt,
+                              **_certificate(prob, x, Bx, gamma,
+                                             x - gamma * Bx + gamma * Y))
 
 
 def sum_splitting_pi_via_fpi(prob, gamma=None, relaxation=1.0, x0=None,
@@ -694,9 +721,7 @@ def sum_splitting_pi_via_fpi(prob, gamma=None, relaxation=1.0, x0=None,
     space = prob.space
     lifted = prob.lifted()
     x0_l = None if x0 is None else space.lift(x0)
-    y0_l = None
-    if y0 is not None:
-        y0_l = np.asarray(y0, dtype=float).reshape(space.m, space.base_dim).reshape(-1)
+    y0_l = None if y0 is None else _as_blocks(y0, space.m, space.base_dim).reshape(-1)
     obj_lift = None
     if objective is not None:
         obj_lift = lambda X: objective(space.weighted_mean(X))
@@ -712,18 +737,7 @@ def sum_splitting_pi_via_fpi(prob, gamma=None, relaxation=1.0, x0=None,
               for xl, yl in res.trace]
     g = prob.beta if gamma is None else float(gamma)
     Bx = prob.B(x)
-    drive = x - g * Bx
-    U = np.empty((space.m, space.base_dim))
-    spread = 0.0
-    for i in range(space.m):
-        s_i = drive + g * Y[i]
-        p_i = prob.blocks[i].resolve(g / prob.weights[i], s_i)
-        U[i] = prob.weights[i] * (s_i - p_i) / g
-        spread = max(spread, float(np.linalg.norm(p_i - x)))
-    block_res, sum_res = _certificate_from_blocks(prob, x, U)
-    cert = max(float(block_res.max()), sum_res)
     return ProductSolveResult(final=x, status=res.status,
                               iterations=res.iterations, history=res.history,
-                              certificate_residual=cert,
-                              block_residuals=block_res, sum_residual=sum_res,
-                              spread=spread, duals=Y, trace=zt)
+                              duals=Y, trace=zt,
+                              **_certificate(prob, x, Bx, g, x - g * Bx + g * Y))

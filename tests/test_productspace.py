@@ -3,7 +3,7 @@ import pytest
 
 import monosplit as ms
 from monosplit import (InclusionProblem, ProductProblem, ProductSpace,
-                       affine_gradient, audit_projector, consensus_projector,
+                       ResolventFamily, affine_gradient, audit_projector, consensus_projector,
                        fdr_solve, identity_projector, lift, linear_monotone,
                        normal_cone_box, parallel_dr2, subdifferential_abs,
                        sum_splitting_pi, sum_splitting_pi_via_fpi,
@@ -79,6 +79,79 @@ def test_block_resolvent_rule(rng):
                 atol=1e-14)
 
 
+class _CountingBlock:
+    """Forwards attribute access to a block and counts its ``resolve`` calls."""
+
+    def __init__(self, target):
+        self.target = target
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.target, name)
+
+    def resolve(self, gamma, x):
+        self.calls += 1
+        return self.target.resolve(gamma, x)
+
+
+KERNEL_KINDS = ("box", "abs", "abs_c")
+
+
+def _block_of_kind(rng, kind, d):
+    if kind == "box":
+        lo = rng.uniform(-2.0, 0.0, d)
+        return normal_cone_box(lo, lo + rng.uniform(0.5, 3.0, d))
+    if kind == "abs":
+        return subdifferential_abs(d)
+    if kind == "abs_c":
+        return subdifferential_abs(d, center=rng.standard_normal(d))
+    if kind == "linear":
+        return linear_monotone(np.diag(rng.uniform(0.5, 2.0, d)),
+                               b=rng.standard_normal(d))
+    if kind == "translated":
+        return translate_operator(subdifferential_abs(d), rng.standard_normal(d))
+    return ResolventFamily(lambda gamma, x: x / (1.0 + gamma), d, label="user")
+
+
+_MIXED_50 = (["box"] * 20 + ["abs"] * 8 + ["abs_c"] * 10 + ["linear"] * 5
+             + ["translated"] * 4 + ["user"] * 3)
+BLOCK_LAYOUTS = {
+    "m1-box": ["box"],
+    "m1-abs": ["abs"],
+    "m1-abs_c": ["abs_c"],
+    "m1-linear": ["linear"],
+    "m3-consecutive": ["box", "box", "abs_c"],
+    "m3-interleaved": ["abs", "box", "abs"],
+    "m3-kernel-less": ["user", "linear", "translated"],
+    "m3-mixed": ["abs_c", "translated", "abs_c"],
+    "m50-consecutive": _MIXED_50,
+    "m50-interleaved": [k for pair in zip(_MIXED_50[:25], _MIXED_50[25:])
+                        for k in pair],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(BLOCK_LAYOUTS))
+def test_resolve_blocks_matches_per_block(layout, rng):
+    # runs of built-in blocks are resolved in one stacked call that must agree
+    # exactly with resolving every block on its own at gamma / w_i
+    kinds = BLOCK_LAYOUTS[layout]
+    m, d = len(kinds), 3
+    blocks = [_block_of_kind(rng, k, d) for k in kinds]
+    w = rng.dirichlet(np.ones(m)) if m > 1 else np.ones(1)
+    prob = ProductProblem([_CountingBlock(A) for A in blocks], weights=w)
+    draws = 5
+    for _ in range(draws):
+        gamma = rng.uniform(0.1, 2.0)
+        S = 3.0 * rng.standard_normal((m, d))
+        want = np.array([A.resolve(gamma / w[i], S[i])
+                         for i, A in enumerate(blocks)])
+        assert np.array_equal(prob.resolve_blocks(gamma / prob.weights, S), want)
+    # built-in blocks are found through the wrapper and never resolved one
+    # by one; every other block is
+    for kind, A in zip(kinds, prob.blocks):
+        assert A.calls == (0 if kind in KERNEL_KINDS else draws), kind
+
+
 def test_lifted_forward_map_preserves_diagonal(rng):
     # applying the lifted map to a lifted point lifts the base image, so the
     # diagonal is invariant and the cocoercivity constant carries over
@@ -107,21 +180,38 @@ def test_single_block_collapses_to_fdr(rng):
         np.testing.assert_allclose(x_d, x_f, atol=1e-12)
 
 
+def _box_abs_problem(m, d, seed):
+    """m - 2 boxes around a common point and two centred soft thresholds,
+    random weights and a diagonal forward map."""
+    rng = np.random.default_rng(seed)
+    mid = rng.standard_normal(d)
+    blocks = [normal_cone_box(mid - rng.uniform(1.0, 3.0, d),
+                              mid + rng.uniform(1.0, 3.0, d))
+              for _ in range(m - 2)]
+    blocks += [subdifferential_abs(d, center=rng.standard_normal(d))
+               for _ in range(2)]
+    B = affine_gradient(np.diag(rng.uniform(0.5, 1.5, d)), rng.standard_normal(d))
+    return ProductProblem(blocks, B, weights=rng.dirichlet(np.ones(m)))
+
+
 def test_adapter_matches_direct_loop(rng):
     blocks = [subdifferential_abs(2),
               translate_operator(normal_cone_box([-2.0, -2.0], [2.0, 2.0]), [0.5, 0.5]),
               linear_monotone(np.diag([1.0, 3.0]), b=[0.5, -0.5])]
     B = affine_gradient(np.diag([1.0, 2.0]), np.array([1.0, 1.0]))
-    prob = ProductProblem(blocks, B, weights=[0.25, 0.25, 0.5])
-    Z0 = rng.standard_normal((3, 2))
-    kw = dict(gamma=0.4, relaxation=0.8, z0=Z0, tol=-1.0, max_iters=200,
-              trace=True)
-    direct = sum_splitting_solve(prob, **kw)
-    adapter = sum_splitting_via_fdr(prob, **kw)
-    assert len(direct.trace) == len(adapter.trace)
-    for (x_d, Z_d), (x_a, Z_a) in zip(direct.trace, adapter.trace):
-        np.testing.assert_allclose(x_d, x_a, atol=1e-12)
-        np.testing.assert_allclose(Z_d, Z_a, atol=1e-12)
+    small = ProductProblem(blocks, B, weights=[0.25, 0.25, 0.5])
+    # the adapter resolves block by block, the direct loop stacks runs of
+    # built-in blocks (all 50 of the second problem)
+    for prob in (small, _box_abs_problem(50, 2, seed=50)):
+        Z0 = rng.standard_normal((prob.m, prob.base_dim))
+        kw = dict(gamma=0.4, relaxation=0.8, z0=Z0, tol=-1.0, max_iters=200,
+                  trace=True)
+        direct = sum_splitting_solve(prob, **kw)
+        adapter = sum_splitting_via_fdr(prob, **kw)
+        assert len(direct.trace) == len(adapter.trace)
+        for (x_d, Z_d), (x_a, Z_a) in zip(direct.trace, adapter.trace):
+            np.testing.assert_allclose(x_d, x_a, atol=1e-12)
+            np.testing.assert_allclose(Z_d, Z_a, atol=1e-12)
 
 
 def test_adapter_matches_direct_with_errors(rng):
@@ -274,15 +364,17 @@ def test_pi_sum_two_block_antisymmetric_duals():
 
 def test_pi_sum_adapter_matches_direct(rng):
     blocks = [subdifferential_abs(2), linear_monotone(np.diag([2.0, 1.0]))]
-    prob = ProductProblem(blocks, affine_gradient(np.eye(2)), weights=[0.4, 0.6])
-    x0 = rng.standard_normal(2)
-    kw = dict(gamma=0.5, relaxation=0.85, x0=x0, tol=-1.0, max_iters=150,
-              trace=True)
-    direct = sum_splitting_pi(prob, **kw)
-    adapter = sum_splitting_pi_via_fpi(prob, **kw)
-    for (x_d, Y_d), (x_a, Y_a) in zip(direct.trace, adapter.trace):
-        np.testing.assert_allclose(x_d, x_a, atol=1e-11)
-        np.testing.assert_allclose(Y_d, Y_a, atol=1e-11)
+    small = ProductProblem(blocks, affine_gradient(np.eye(2)), weights=[0.4, 0.6])
+    for prob in (small, _box_abs_problem(50, 2, seed=51)):
+        x0 = rng.standard_normal(2)
+        kw = dict(gamma=0.5, relaxation=0.85, x0=x0, tol=-1.0, max_iters=150,
+                  trace=True)
+        direct = sum_splitting_pi(prob, **kw)
+        adapter = sum_splitting_pi_via_fpi(prob, **kw)
+        assert len(direct.trace) == len(adapter.trace)
+        for (x_d, Y_d), (x_a, Y_a) in zip(direct.trace, adapter.trace):
+            np.testing.assert_allclose(x_d, x_a, atol=1e-11)
+            np.testing.assert_allclose(Y_d, Y_a, atol=1e-11)
 
 
 def test_solution_transfer_from_lifted_run():
@@ -300,6 +392,27 @@ def test_scaled_gamma_cap_warning():
                           weights=[1e-13, 1.0 - 1e-13])
     with pytest.warns(RuntimeWarning, match="cap"):
         sum_splitting_solve(prob, gamma=1.0, max_iters=1)
+
+
+def test_sum_splitting_rejects_bad_start():
+    prob = ProductProblem([zero_operator(2), zero_operator(2)])
+    for solve in (sum_splitting_solve, sum_splitting_via_fdr):
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(prob, z0=[[np.nan, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solve(prob, z0=np.zeros(3))
+        # blocks given flat are accepted
+        assert solve(prob, z0=np.ones(4), tol=1e-10).status == ms.CONVERGED
+
+
+def test_pi_sum_rejects_bad_start():
+    prob = ProductProblem([zero_operator(2), zero_operator(2)])
+    for solve in (sum_splitting_pi, sum_splitting_pi_via_fpi):
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(prob, y0=[[np.inf, 0.0], [-np.inf, 0.0]])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solve(prob, y0=np.zeros((2, 3)))
+        assert solve(prob, y0=[1.0, 0.0, -1.0, 0.0], tol=1e-10).status == ms.CONVERGED
 
 
 def test_gamma_range_validation():
