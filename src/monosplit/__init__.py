@@ -11,16 +11,14 @@ and a convex-optimization front end covers ``min f + g`` over a subspace.
 
 from .spaces import (InnerProduct, SubspaceProjector, as_vector,
                      audit_projector, identity_projector, matrix_projector,
-                     project, project_complement, reflect_subspace,
                      span_projector, zero_mean_projector, zero_projector)
 from .operators import (AveragedOperator, CocoerciveMap, ResolventFamily,
                         affine_gradient, audit_cocoercivity,
                         audit_firm_nonexpansiveness,
                         certify_averaged, linear_monotone, normal_cone_box,
                         normal_cone_of_subspace, partial_inverse_resolvent,
-                        partial_inverse_residual, reflected_resolvent,
-                        subdifferential_abs, translate_operator,
-                        zero_cocoercive, zero_operator)
+                        partial_inverse_residual, subdifferential_abs,
+                        translate_operator, zero_cocoercive, zero_operator)
 from .km import (CONVERGED, DIVERGED, MAX_ITERS, ErrorSchedule, IterationRow,
                  RelaxationSchedule, SolveResult, composed_alpha,
                  constant_relaxation, geometric_errors, harmonic_errors,

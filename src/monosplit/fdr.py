@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .km import (CONVERGED, DIVERGED, MAX_ITERS, DEFAULT_MAX_ITERS,
-                 DEFAULT_TOL, IterationRow, as_relaxation)
+from .km import DEFAULT_MAX_ITERS, DEFAULT_TOL, _iterate, as_relaxation
 from .operators import AveragedOperator
 from .spaces import as_vector
 
@@ -113,6 +112,38 @@ class PrimalDualResult:
     trace: list | None = None
 
 
+class _RowLog:
+    """Logged-row bookkeeping of the primal-dual solvers.
+
+    On each logged row it keeps ``P_V B x_n`` for ``forward_gap`` and the
+    worst relative distance of ``x_n`` to V and of ``y_n`` to its complement;
+    :meth:`result` finishes the run into a :class:`PrimalDualResult`.
+    """
+
+    def __init__(self, V):
+        self.V = V
+        self.forward = []
+        self.membership = 0.0
+
+    def __call__(self, x, y, PBx):
+        V, inner = self.V, self.V.inner
+        self.forward.append(PBx.copy())
+        vx = inner.norm(x - V(x)) / (1.0 + inner.norm(x))
+        vy = inner.norm(V(y)) / (1.0 + inner.norm(y))
+        self.membership = max(self.membership, vx, vy)
+
+    def result(self, B, run):
+        V, inner = self.V, self.V.inner
+        fw_final = V(B(run.x))
+        return PrimalDualResult(x=run.x, y=run.y, status=run.status,
+                                iterations=run.iterations, history=run.history,
+                                inclusion_residual=run.residual,
+                                forward_gap=[inner.norm(v - fw_final)
+                                             for v in self.forward],
+                                membership_violation=self.membership,
+                                trace=run.trace)
+
+
 def fdr_solve(prob, gamma=None, relaxation=1.0, a_errors=None, b_errors=None,
               z0=None, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS,
               log_every=1, trace=False, objective=None):
@@ -160,90 +191,32 @@ def fdr_solve(prob, gamma=None, relaxation=1.0, a_errors=None, b_errors=None,
     inner = V.inner
     gamma = prob.beta if gamma is None else float(gamma)
     prob.check_gamma(gamma)
-    alpha = prob.alpha(gamma)
-    relax = as_relaxation(relaxation)
-    relax.validate_open(alpha)
+    lam_at = as_relaxation(relaxation).validate_open(prob.alpha(gamma))
     for errs in (a_errors, b_errors):
         if errs is not None:
             if errs.dim != dim:
                 raise ValueError("error schedule dimension mismatch")
             errs.validate(norm=inner.norm)
-    if max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
-    if log_every < 1:
-        raise ValueError("log_every must be at least 1")
 
-    z = np.zeros(dim) if z0 is None else as_vector(z0, dim).copy()
-    rows = []
-    fw_vectors = []
-    xy_trace = [] if trace else None
-    membership = 0.0
-    status = MAX_ITERS
-    iterations = 0
-    residual = float("inf")
-    prev_x = None
-    prev_y = None
-
-    # z starts finite, so iteration 0 always sets x and y
-    for n in range(max_iters + 1):
-        if not np.all(np.isfinite(z)):
-            status = DIVERGED
-            iterations = n
-            if prev_x is not None:
-                x, y = prev_x, prev_y
-            break
+    def step(n, z):
         x = V(z)
         y = (x - z) / gamma
-        Bx = B(x)
-        PBx = V(Bx)
-
-        a_active = a_errors is not None and a_errors.active(n)
-        b_active = b_errors is not None and b_errors.active(n)
+        PBx = V(B(x))
         s_clean = x - gamma * PBx + gamma * y
-        if a_active:
-            s = s_clean - gamma * V(a_errors(n))
-            p = A.resolve(gamma, s)
+        if a_errors is not None and a_errors.active(n):
+            p = A.resolve(gamma, s_clean - gamma * V(a_errors(n)))
             p_clean = A.resolve(gamma, s_clean)
         else:
-            p = A.resolve(gamma, s_clean)
-            p_clean = p
-        p_err = p + b_errors(n) if b_active else p
+            p = p_clean = A.resolve(gamma, s_clean)
+        if b_errors is not None and b_errors.active(n):
+            p = p + b_errors(n)
+        return inner.norm(p_clean - x), x, y, PBx, lambda lam: z + lam * (p - x)
 
-        residual = inner.norm(p_clean - x)
-        lam = relax(n)
-        converged = np.isfinite(residual) and residual <= tol
-        terminal = converged or n == max_iters or not np.isfinite(residual)
-        if trace:
-            xy_trace.append((x.copy(), y.copy()))
-        if n % log_every == 0 or terminal:
-            dx = inner.norm(x - prev_x) if prev_x is not None else 0.0
-            dy = inner.norm(y - prev_y) if prev_y is not None else 0.0
-            obj = float(objective(x)) if objective is not None else None
-            rows.append(IterationRow(n, lam, residual, dx, dy, obj))
-            fw_vectors.append(PBx.copy())
-            vx = inner.norm(x - V(x)) / (1.0 + inner.norm(x))
-            vy = inner.norm(V(y)) / (1.0 + inner.norm(y))
-            membership = max(membership, vx, vy)
-        if not np.isfinite(residual):
-            status = DIVERGED
-            iterations = n
-            break
-        if converged:
-            status = CONVERGED
-            iterations = n
-            break
-        if n == max_iters:
-            iterations = n
-            break
-        prev_x, prev_y = x, y
-        z = z + lam * (p_err - x)
-
-    fw_final = V(B(x))
-    forward_gap = [inner.norm(v - fw_final) for v in fw_vectors]
-    return PrimalDualResult(x=x, y=y, status=status, iterations=iterations,
-                            history=rows, inclusion_residual=residual,
-                            forward_gap=forward_gap,
-                            membership_violation=membership, trace=xy_trace)
+    z = np.zeros(dim) if z0 is None else as_vector(z0, dim).copy()
+    log = _RowLog(V)
+    return log.result(B, _iterate(z, step, lam_at, tol, max_iters, log_every,
+                                  trace, inner.norm, objective, log_dy=True,
+                                  on_row=log))
 
 
 @dataclass(frozen=True)

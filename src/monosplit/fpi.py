@@ -9,12 +9,12 @@ The general routine finds, per iteration, a pair ``(p_n, q_n)`` with
 
 and then relaxes ``x_{n+1} = x_n + lambda_n (P_V p_n - x_n)``,
 ``y_{n+1} = y_n + lambda_n ((Id-P_V) q_n - y_n)``.  Solving that subproblem
-is not explicit in general; a user oracle covers varying ``delta_n``, and the
-library ships the closed form for ``delta_n = 1`` where the pair is produced
-by the resolvent of ``A`` itself.  On the auxiliary variable
-``r_n = x_n + gamma y_n`` the routine is exactly a forward-backward step on
-the partial inverse, which the implementation asserts per iteration on the
-closed-form path.
+is not explicit in general; a user oracle covers varying ``delta_n``.  For
+``delta_n = 1`` the pair is produced by the resolvent of ``A`` itself, and
+that unit-step path is :func:`fpi_explicit_solve`.  On the auxiliary
+variable ``r_n = x_n + gamma y_n`` the routine is exactly a forward-backward
+step on the partial inverse; the test surface checks that identity on the
+traces of :func:`fpi_explicit_solve`.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .km import (CONVERGED, DIVERGED, MAX_ITERS, DEFAULT_MAX_ITERS,
-                 DEFAULT_TOL, IterationRow, as_relaxation)
-from .fdr import PrimalDualResult, fdr_solve
+from .km import DEFAULT_MAX_ITERS, DEFAULT_TOL, _iterate, as_relaxation
+from .fdr import _RowLog, fdr_solve
 from .spaces import as_vector
 
 __all__ = [
@@ -53,8 +52,8 @@ class StepSchedule:
     """Sequence of proximal scalings ``delta_n`` for the partial-inverse step.
 
     Admissible values lie in ``[epsilon, 2*beta/gamma - epsilon]`` for some
-    ``epsilon in ]0, max(1, beta/gamma)[``; the bounds are audited on a prefix
-    once ``gamma`` and ``beta`` are known.
+    ``epsilon in ]0, max(1, beta/gamma)[``; once ``gamma`` and ``beta`` are
+    known the bounds are audited on a prefix and then checked on every term.
     """
 
     __slots__ = ("generator", "epsilon", "constant_value", "label")
@@ -80,13 +79,19 @@ class StepSchedule:
             raise ValueError(
                 f"empty step range: [epsilon, 2*beta/gamma - epsilon] = [{eps}, {hi}]"
             )
-        for n in range(prefix):
+
+        def delta_at(n):
             d = self(n)
             if not eps <= d <= hi:
                 raise ValueError(
                     f"step value {d} at n={n} outside admissible range "
                     f"[epsilon, 2*beta/gamma - epsilon] = [{eps}, {hi}]"
                 )
+            return d
+
+        for n in range(prefix):
+            delta_at(n)
+        return delta_at
 
 
 def constant_steps(value, epsilon=DEFAULT_EPSILON):
@@ -147,7 +152,7 @@ def _check_memberships(V, x0, y0, tol=1e-9):
 def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
               x0=None, y0=None, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS,
               epsilon=DEFAULT_EPSILON, oracle_tol=1e-9, log_every=1,
-              trace=False, objective=None, check_fb_identity=True):
+              trace=False, objective=None):
     """Solve the inclusion by the forward-partial-inverse routine.
 
     Parameters
@@ -157,8 +162,9 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
         Any positive proximal parameter (defaults to ``beta``); the step
         schedule must fit inside ``[epsilon, 2*beta/gamma - epsilon]``.
     steps : float or StepSchedule
-        Scalings ``delta_n``.  The built-in Step-1 closed form requires
-        ``delta_n = 1``; any other schedule needs a user ``oracle``.
+        Scalings ``delta_n``.  Without an ``oracle`` they must be the
+        constant 1, and the run is :func:`fpi_explicit_solve`; any other
+        schedule needs a user ``oracle``.
     relaxation : float or RelaxationSchedule
         Relaxations ``lambda_n`` in ``[epsilon, 1]``.
     oracle : ScaledResolventOracle, optional
@@ -170,135 +176,54 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
         Starting points; ``x0`` must lie in the subspace and ``y0`` in its
         orthogonal complement (both default to the origin).
     tol, max_iters, log_every, trace, objective : see ``fdr_solve``.
-    check_fb_identity : bool
-        On the closed-form path, assert per iteration that
-        ``r_n = x_n + gamma y_n`` follows the forward-backward recursion on
-        the partial inverse (a bookkeeping identity of the routine, used as
-        a cross-check, not as an alternative code path).
 
     Returns
     -------
     PrimalDualResult
     """
     A, B, V = prob.A, prob.B, prob.V
-    dim = prob.dim
     inner = V.inner
     beta = prob.beta
     gamma = beta if gamma is None else float(gamma)
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     step_sched = as_steps(steps, epsilon)
-    step_sched.validate(gamma, beta)
-    relax = as_relaxation(relaxation)
-    relax.validate_closed(step_sched.epsilon, 1.0)
-    if max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
-    if log_every < 1:
-        raise ValueError("log_every must be at least 1")
-
-    user_oracle = oracle is not None
-    if not user_oracle:
-        if step_sched.constant_value is None or step_sched.constant_value != 1.0:
+    delta_at = step_sched.validate(gamma, beta)
+    if oracle is None:
+        if step_sched.constant_value != 1.0:
             raise ValueError(
                 "varying or non-unit step schedules require a user "
                 "ScaledResolventOracle; the built-in closed form covers delta = 1 only"
             )
-        oracle = closed_form_oracle(prob)
+        return fpi_explicit_solve(prob, gamma=gamma, relaxation=relaxation,
+                                  x0=x0, y0=y0, tol=tol, max_iters=max_iters,
+                                  epsilon=step_sched.epsilon, log_every=log_every,
+                                  trace=trace, objective=objective)
+    lam_at = as_relaxation(relaxation).validate_closed(step_sched.epsilon, 1.0)
 
-    x = np.zeros(dim) if x0 is None else as_vector(x0, dim).copy()
-    y = np.zeros(dim) if y0 is None else as_vector(y0, dim).copy()
-    _check_memberships(V, x, y)
-
-    rows = []
-    fw_vectors = []
-    xy_trace = [] if trace else None
-    membership = 0.0
-    status = MAX_ITERS
-    iterations = 0
-    residual = float("inf")
-    prev_x = None
-    prev_y = None
-
-    for n in range(max_iters + 1):
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            status = DIVERGED
-            iterations = n
-            if prev_x is not None:
-                x, y = prev_x, prev_y
-            break
-        delta = step_sched(n)
-        Bx = B(x)
-        PBx = V(Bx)
+    def step(n, state):
+        x, y = state
+        delta = delta_at(n)
+        PBx = V(B(x))
         target = x - delta * gamma * PBx + gamma * y
-        if user_oracle:
-            p, q = oracle.solve_step1(x, y, delta, gamma)
-            sum_gap = inner.norm(target - (p + gamma * q))
-            u = V(p) + V.complement(p) / delta
-            w = V(q) / delta + V.complement(q)
-            inclusion_gap = inner.norm(u - A.resolve(1.0, u + w))
-            if (sum_gap > oracle_tol * (1.0 + inner.norm(target))
-                    or inclusion_gap > oracle_tol * (1.0 + inner.norm(u))):
-                raise OracleError(
-                    f"Step 1 oracle residuals too large at iteration {n}: "
-                    f"sum identity {sum_gap:.3e}, scaled inclusion {inclusion_gap:.3e}"
-                )
-        else:
-            # delta = 1 here; target is exactly the closed form's argument
-            p = A.resolve(gamma, target)
-            q = (target - p) / gamma
-        Pp = V(p)
-        q_perp = q - V(q)
-        rx = Pp - x
-        ry = q_perp - y
+        p, q = oracle.solve_step1(x, y, delta, gamma)
+        sum_gap = inner.norm(target - (p + gamma * q))
+        u = V(p) + V.complement(p) / delta
+        w = V(q) / delta + V.complement(q)
+        inclusion_gap = inner.norm(u - A.resolve(1.0, u + w))
+        if (sum_gap > oracle_tol * (1.0 + inner.norm(target))
+                or inclusion_gap > oracle_tol * (1.0 + inner.norm(u))):
+            raise OracleError(
+                f"Step 1 oracle residuals too large at iteration {n}: "
+                f"sum identity {sum_gap:.3e}, scaled inclusion {inclusion_gap:.3e}"
+            )
+        rx = V(p) - x
+        ry = q - V(q) - y
         residual = float(np.sqrt(inner.norm(rx) ** 2 + (gamma * inner.norm(ry)) ** 2))
+        return residual, x, y, PBx, lambda lam: (x + lam * rx, y + lam * ry)
 
-        lam = relax(n)
-        converged = np.isfinite(residual) and residual <= tol
-        terminal = converged or n == max_iters or not np.isfinite(residual)
-        if trace:
-            xy_trace.append((x.copy(), y.copy()))
-        if n % log_every == 0 or terminal:
-            dx = inner.norm(x - prev_x) if prev_x is not None else 0.0
-            dy = inner.norm(y - prev_y) if prev_y is not None else 0.0
-            obj = float(objective(x)) if objective is not None else None
-            rows.append(IterationRow(n, lam, residual, dx, dy, obj))
-            fw_vectors.append(PBx.copy())
-            vx = inner.norm(x - V(x)) / (1.0 + inner.norm(x))
-            vy = inner.norm(V(y)) / (1.0 + inner.norm(y))
-            membership = max(membership, vx, vy)
-        if not np.isfinite(residual):
-            status = DIVERGED
-            iterations = n
-            break
-        if converged:
-            status = CONVERGED
-            iterations = n
-            break
-        if n == max_iters:
-            iterations = n
-            break
-        prev_x, prev_y = x, y
-        x_next = x + lam * rx
-        y_next = y + lam * ry
-        if check_fb_identity and not user_oracle:
-            # forward-backward view on r = x + gamma*y; p is J_{gamma A}(target)
-            r = x + gamma * y
-            fb_point = Pp + V.complement(target - p)
-            r_next = r + lam * (fb_point - r)
-            drift = inner.norm((x_next + gamma * y_next) - r_next)
-            if drift > 1e-9 * (1.0 + inner.norm(r)):
-                raise RuntimeError(
-                    f"internal forward-backward identity violated at n={n}: "
-                    f"drift {drift:.3e}"
-                )
-        x, y = x_next, y_next
-
-    fw_final = V(B(x))
-    forward_gap = [inner.norm(v - fw_final) for v in fw_vectors]
-    return PrimalDualResult(x=x, y=y, status=status, iterations=iterations,
-                            history=rows, inclusion_residual=residual,
-                            forward_gap=forward_gap,
-                            membership_violation=membership, trace=xy_trace)
+    return _primal_dual_run(prob, step, lam_at, x0, y0, tol, max_iters,
+                            log_every, trace, objective)
 
 
 def fpi_explicit_solve(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
@@ -319,82 +244,37 @@ def fpi_explicit_solve(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
     ``x_{n+1} = x_n + lambda_n (J_{gamma A}(x_n - gamma B x_n) - x_n)``.
     """
     A, B, V = prob.A, prob.B, prob.V
-    dim = prob.dim
     inner = V.inner
     gamma = prob.beta if gamma is None else float(gamma)
     prob.check_gamma(gamma)
-    relax = as_relaxation(relaxation)
-    relax.validate_closed(epsilon, 1.0)
-    if max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
-    if log_every < 1:
-        raise ValueError("log_every must be at least 1")
+    lam_at = as_relaxation(relaxation).validate_closed(epsilon, 1.0)
 
-    x = np.zeros(dim) if x0 is None else as_vector(x0, dim).copy()
-    y = np.zeros(dim) if y0 is None else as_vector(y0, dim).copy()
-    _check_memberships(V, x, y)
-
-    rows = []
-    fw_vectors = []
-    xy_trace = [] if trace else None
-    membership = 0.0
-    status = MAX_ITERS
-    iterations = 0
-    residual = float("inf")
-    prev_x = None
-    prev_y = None
-
-    for n in range(max_iters + 1):
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            status = DIVERGED
-            iterations = n
-            if prev_x is not None:
-                x, y = prev_x, prev_y
-            break
-        Bx = B(x)
-        PBx = V(Bx)
-        s = x - gamma * PBx + gamma * y
-        p = A.resolve(gamma, s)
+    def step(n, state):
+        x, y = state
+        PBx = V(B(x))
+        p = A.resolve(gamma, x - gamma * PBx + gamma * y)
         Pp = V(p)
         rx = Pp - x
         rp = Pp - p
         residual = float(np.sqrt(inner.norm(rx) ** 2 + inner.norm(rp) ** 2))
+        return residual, x, y, PBx, lambda lam: (x + lam * rx, y + (lam / gamma) * rp)
 
-        lam = relax(n)
-        converged = np.isfinite(residual) and residual <= tol
-        terminal = converged or n == max_iters or not np.isfinite(residual)
-        if trace:
-            xy_trace.append((x.copy(), y.copy()))
-        if n % log_every == 0 or terminal:
-            dx = inner.norm(x - prev_x) if prev_x is not None else 0.0
-            dy = inner.norm(y - prev_y) if prev_y is not None else 0.0
-            obj = float(objective(x)) if objective is not None else None
-            rows.append(IterationRow(n, lam, residual, dx, dy, obj))
-            fw_vectors.append(PBx.copy())
-            vx = inner.norm(x - V(x)) / (1.0 + inner.norm(x))
-            vy = inner.norm(V(y)) / (1.0 + inner.norm(y))
-            membership = max(membership, vx, vy)
-        if not np.isfinite(residual):
-            status = DIVERGED
-            iterations = n
-            break
-        if converged:
-            status = CONVERGED
-            iterations = n
-            break
-        if n == max_iters:
-            iterations = n
-            break
-        prev_x, prev_y = x, y
-        y = y + (lam / gamma) * rp
-        x = x + lam * rx
+    return _primal_dual_run(prob, step, lam_at, x0, y0, tol, max_iters,
+                            log_every, trace, objective)
 
-    fw_final = V(B(x))
-    forward_gap = [inner.norm(v - fw_final) for v in fw_vectors]
-    return PrimalDualResult(x=x, y=y, status=status, iterations=iterations,
-                            history=rows, inclusion_residual=residual,
-                            forward_gap=forward_gap,
-                            membership_violation=membership, trace=xy_trace)
+
+def _primal_dual_run(prob, step, lam_at, x0, y0, tol, max_iters, log_every,
+                     trace, objective):
+    """Run a partial-inverse ``step`` from ``(x0, y0)``, checked to lie in
+    V and its complement, and finish the result."""
+    V, dim = prob.V, prob.dim
+    x = np.zeros(dim) if x0 is None else as_vector(x0, dim).copy()
+    y = np.zeros(dim) if y0 is None else as_vector(y0, dim).copy()
+    _check_memberships(V, x, y)
+    log = _RowLog(V)
+    return log.result(prob.B, _iterate((x, y), step, lam_at, tol, max_iters,
+                                       log_every, trace, V.inner.norm, objective,
+                                       log_dy=True, on_row=log))
 
 
 @dataclass(frozen=True)

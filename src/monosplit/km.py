@@ -9,7 +9,9 @@ diverges and the errors are summable against the relaxations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +71,9 @@ class RelaxationSchedule:
 
     ``divergent_sum`` certifies ``sum_n lambda_n (1 - alpha lambda_n) = +inf``
     for every admissible ``alpha``; the built-in constructors set it from the
-    closed form of the schedule.  Prefix admissibility is audited against the
-    concrete ``alpha`` bound before a solver iterates.
+    closed form of the schedule.  Admissibility is audited on a prefix against
+    the concrete ``alpha`` bound before a solver iterates, and checked on every
+    later term as the solver reaches it.
     """
 
     __slots__ = ("generator", "alpha_bound", "divergent_sum", "label")
@@ -87,7 +90,11 @@ class RelaxationSchedule:
     def validate_open(self, alpha, prefix=VALIDATION_PREFIX):
         """Reject unless ``lambda_n in ]0, 1/alpha[`` on the prefix and the
         divergence certificate holds; audits that the partial sums of
-        ``lambda_n (1 - alpha lambda_n)`` are nondecreasing."""
+        ``lambda_n (1 - alpha lambda_n)`` are nondecreasing.
+
+        Returns ``n -> lambda_n`` checked against the same range on every
+        later term, for the solver to iterate with.
+        """
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie in ]0, 1[, got {alpha}")
         hi = 1.0 / alpha
@@ -96,28 +103,37 @@ class RelaxationSchedule:
                 f"relaxation schedule '{self.label or 'custom'}' declares a convergent "
                 "sum; sum_n lambda_n*(1 - alpha*lambda_n) must diverge"
             )
-        partial = 0.0
-        for n in range(prefix):
+
+        def lam_at(n):
             lam = self(n)
             if not 0.0 < lam < hi:
                 raise ValueError(
                     f"relaxation value {lam} at n={n} outside admissible range "
                     f"]0, 1/alpha[ = ]0, {hi}["
                 )
-            term = lam * (1.0 - alpha * lam)
-            if term < 0.0:
+            return lam
+
+        for n in range(prefix):
+            lam = lam_at(n)
+            if lam * (1.0 - alpha * lam) < 0.0:
                 raise ValueError(f"negative divergence term at n={n}")
-            partial += term
+        return lam_at
 
     def validate_closed(self, lo, hi, prefix=VALIDATION_PREFIX):
-        """Reject unless ``lambda_n in [lo, hi]`` on the prefix."""
-        for n in range(prefix):
+        """Reject unless ``lambda_n in [lo, hi]`` on the prefix; returns
+        ``n -> lambda_n`` checked against the same range on every term."""
+        def lam_at(n):
             lam = self(n)
             if not lo <= lam <= hi:
                 raise ValueError(
                     f"relaxation value {lam} at n={n} outside admissible range "
                     f"[{lo}, {hi}]"
                 )
+            return lam
+
+        for n in range(prefix):
+            lam_at(n)
+        return lam_at
 
 
 def constant_relaxation(value):
@@ -261,6 +277,79 @@ class SolveResult:
     trace: list | None = None
 
 
+class _Run(NamedTuple):
+    status: str
+    iterations: int
+    history: list
+    trace: list | None
+    residual: float     # at the last reported iterate
+    x: np.ndarray       # last reported (finite) point
+    y: object           # second reported point, or None
+
+
+def _finite(state):
+    if isinstance(state, tuple):
+        return all(np.all(np.isfinite(s)) for s in state)
+    return np.all(np.isfinite(state))
+
+
+def _iterate(state, step, lam_at, tol, max_iters, log_every, trace, norm,
+             objective=None, log_dy=False, on_row=None):
+    """The relaxed fixed-point loop shared by every solver.
+
+    ``state`` is an array or a tuple of arrays, finite at the start.
+    ``step(n, state)`` returns ``(residual, x, y, aux, advance)``: the
+    error-free fixed-point gap at ``state``, the point ``x`` to report (and a
+    second point ``y``, or None), whatever ``on_row`` needs, and
+    ``advance(lam)``, the next state.  ``lam_at(n)`` is the checked
+    relaxation schedule.
+
+    Iteration n first checks that the state is finite; otherwise the run
+    stops as diverged at the last reported point.  It then takes the step and
+    stops when the residual is at most ``tol`` (converged), is not finite
+    (diverged) or when ``n == max_iters``.  Rows ``(n, lambda_n, residual, dx,
+    dy, objective)`` are logged every ``log_every`` iterations and at the
+    stop; ``dx`` (and ``dy`` with ``log_dy``) is the ``norm`` of the change
+    from the previous point, ``objective`` is taken at ``x``, and
+    ``on_row(x, y, aux)`` runs on each logged row.  ``trace`` records ``x``
+    (or ``(x, y)``) at every iteration.
+    """
+    if max_iters < 0:
+        raise ValueError("max_iters must be nonnegative")
+    if log_every < 1:
+        raise ValueError("log_every must be at least 1")
+    rows = []
+    points = [] if trace else None
+    residual = float("inf")
+    x = y = None
+    for n in range(max_iters + 1):
+        if not _finite(state):
+            status = DIVERGED
+            break
+        prev_x, prev_y = x, y
+        residual, x, y, aux, advance = step(n, state)
+        lam = lam_at(n)
+        finite = math.isfinite(residual)
+        converged = finite and residual <= tol
+        terminal = converged or n == max_iters or not finite
+        if trace:
+            points.append(x.copy() if y is None else (x.copy(), y.copy()))
+        if n % log_every == 0 or terminal:
+            dx = 0.0 if prev_x is None else float(norm(x - prev_x))
+            dy = None
+            if log_dy:
+                dy = 0.0 if prev_y is None else float(norm(y - prev_y))
+            obj = None if objective is None else float(objective(x))
+            rows.append(IterationRow(n, lam, residual, dx, dy, obj))
+            if on_row is not None:
+                on_row(x, y, aux)
+        if terminal:
+            status = CONVERGED if converged else MAX_ITERS if finite else DIVERGED
+            break
+        state = advance(lam)
+    return _Run(status, n, rows, points, residual, x, y)
+
+
 def km_solve(ops, relaxation=1.0, errors=None, z0=None, tol=DEFAULT_TOL,
              max_iters=DEFAULT_MAX_ITERS, log_every=1, trace=False, inner=None):
     """Run the errored relaxed fixed-point iteration on a composition.
@@ -304,14 +393,9 @@ def km_solve(ops, relaxation=1.0, errors=None, z0=None, tol=DEFAULT_TOL,
         if T.dim != dim:
             raise ValueError("all operators must share the same dimension")
     m = len(ops)
-    if max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
-    if log_every < 1:
-        raise ValueError("log_every must be at least 1")
 
     alpha = composed_alpha([T.alpha for T in ops])
-    relax = as_relaxation(relaxation)
-    relax.validate_open(alpha)
+    lam_at = as_relaxation(relaxation).validate_open(alpha)
 
     if errors is None:
         errors = [None] * m
@@ -326,59 +410,24 @@ def km_solve(ops, relaxation=1.0, errors=None, z0=None, tol=DEFAULT_TOL,
                 raise ValueError("error schedule dimension mismatch")
             e.validate(norm=inner.norm)
 
-    z = np.zeros(dim) if z0 is None else as_vector(z0, dim).copy()
-    rows = []
-    zs = [] if trace else None
-    status = MAX_ITERS
-    iterations = 0
-    prev_z = z
-
-    for n in range(max_iters + 1):
-        if not np.all(np.isfinite(z)):
-            status = DIVERGED
-            z = prev_z
-            iterations = n
-            break
-        if trace:
-            zs.append(z.copy())
-
-        active = any(e is not None and e.active(n) for e in errors)
-        u = z
+    def chain(z, n=None):
+        # T_1(...T_m z), with the errors of iteration n when n is given
         for i in range(m - 1, -1, -1):
-            u = ops[i](u)
+            z = ops[i](z)
             e = errors[i]
-            if e is not None and e.active(n):
-                u = u + e(n)
-        if active:
-            v = z
-            for i in range(m - 1, -1, -1):
-                v = ops[i](v)
-        else:
-            v = u
+            if n is not None and e is not None and e.active(n):
+                z = z + e(n)
+        return z
 
-        residual = inner.norm(v - z)
-        lam = relax(n)
-        step = inner.norm(z - prev_z) if n > 0 else 0.0
-        converged = np.isfinite(residual) and residual <= tol
-        terminal = converged or n == max_iters or not np.isfinite(residual)
-        if n % log_every == 0 or terminal:
-            rows.append(IterationRow(n, lam, residual, step))
-        if not np.isfinite(residual):
-            status = DIVERGED
-            iterations = n
-            break
-        if converged:
-            status = CONVERGED
-            iterations = n
-            break
-        if n == max_iters:
-            iterations = n
-            break
-        prev_z = z
-        z = z + lam * (u - z)
+    def step(n, z):
+        u = chain(z, n)
+        v = chain(z) if any(e is not None and e.active(n) for e in errors) else u
+        return inner.norm(v - z), z, None, None, lambda lam: z + lam * (u - z)
 
-    return SolveResult(final=z, status=status, iterations=iterations,
-                       history=rows, trace=zs)
+    z = np.zeros(dim) if z0 is None else as_vector(z0, dim).copy()
+    run = _iterate(z, step, lam_at, tol, max_iters, log_every, trace, inner.norm)
+    return SolveResult(final=run.x, status=run.status, iterations=run.iterations,
+                       history=run.history, trace=run.trace)
 
 
 def per_operator_decay_diagnostic(ops, result, relaxation=1.0, reference=None):

@@ -22,7 +22,6 @@ __all__ = [
     "CocoerciveMap",
     "AveragedOperator",
     "SampleAudit",
-    "reflected_resolvent",
     "partial_inverse_resolvent",
     "partial_inverse_residual",
     "certify_averaged",
@@ -133,11 +132,6 @@ class AveragedOperator:
     def __repr__(self):
         tag = f" '{self.label}'" if self.label else ""
         return f"AveragedOperator(dim={self.dim}, alpha={self.alpha}{tag})"
-
-
-def reflected_resolvent(A, gamma, x):
-    """``2 J_{gamma A} x - x``; nonexpansive for maximally monotone A."""
-    return A.reflected(gamma, x)
 
 
 def partial_inverse_resolvent(A, P, gamma, s):

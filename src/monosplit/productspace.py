@@ -26,8 +26,8 @@ import numpy as np
 
 from .fdr import InclusionProblem, fdr_solve
 from .fpi import DEFAULT_EPSILON, fpi_explicit_solve
-from .km import (CONVERGED, DIVERGED, MAX_ITERS, DEFAULT_MAX_ITERS,
-                 DEFAULT_TOL, ErrorSchedule, IterationRow, as_relaxation)
+from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, ErrorSchedule, _iterate,
+                 as_relaxation)
 from .operators import CocoerciveMap, ResolventFamily, zero_cocoercive
 from .spaces import InnerProduct, SubspaceProjector, as_vector
 
@@ -380,8 +380,7 @@ def sum_splitting_solve(prob, gamma=None, relaxation=1.0, a_errors=None,
             f"gamma must lie in ]0, 2*beta[ = ]0, {2.0 * beta}[; got {gamma}"
         )
     alpha = max(2.0 / 3.0, 2.0 * gamma / (gamma + 2.0 * beta))
-    relax = as_relaxation(relaxation)
-    relax.validate_open(alpha)
+    lam_at = as_relaxation(relaxation).validate_open(alpha)
     if a_errors is not None:
         if a_errors.dim != d:
             raise ValueError("a_errors must live in the base space")
@@ -397,73 +396,36 @@ def sum_splitting_solve(prob, gamma=None, relaxation=1.0, a_errors=None,
                 e.validate()
     else:
         b_errors = [None] * m
-    if max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
-    if log_every < 1:
-        raise ValueError("log_every must be at least 1")
 
     Z = np.zeros((m, d)) if z0 is None else _as_blocks(z0, m, d)
     _warn_scaled_gamma(gamma, w)
     gammas = gamma / w
 
-    rows = []
-    zt = [] if trace else None
-    status = MAX_ITERS
-    iterations = 0
-    residual = float("inf")
-    x = w @ Z
-    prev_x = None
-
-    for n in range(max_iters + 1):
-        if not np.all(np.isfinite(Z)):
-            status = DIVERGED
-            iterations = n
-            break
+    def step(n, Z):
         x = w @ Z
         Bx = prob.B(x)
         a_active = a_errors is not None and a_errors.active(n)
         forward = Bx + a_errors(n) if a_active else Bx
-        base = 2.0 * x - gamma * forward
-        P = prob.resolve_blocks(gammas, base - Z)
+        P = prob.resolve_blocks(gammas, 2.0 * x - gamma * forward - Z)
         b_active = any(e is not None and e.active(n) for e in b_errors)
+        P_clean = P
         if a_active or b_active:
             P_clean = prob.resolve_blocks(gammas, 2.0 * x - gamma * Bx - Z)
-        else:
-            P_clean = P
-        P_err = P.copy() if b_active else P
         if b_active:
+            P = P.copy()
             for i, e in enumerate(b_errors):
                 if e is not None and e.active(n):
-                    P_err[i] = P_err[i] + e(n)
-
+                    P[i] = P[i] + e(n)
         residual = float(np.sqrt(np.sum(w * np.sum((P_clean - x) ** 2, axis=1))))
-        lam = relax(n)
-        converged = np.isfinite(residual) and residual <= tol
-        terminal = converged or n == max_iters or not np.isfinite(residual)
-        if trace:
-            zt.append((x.copy(), Z.copy()))
-        if n % log_every == 0 or terminal:
-            dx = float(np.linalg.norm(x - prev_x)) if prev_x is not None else 0.0
-            obj = float(objective(x)) if objective is not None else None
-            rows.append(IterationRow(n, lam, residual, dx, None, obj))
-        if not np.isfinite(residual):
-            status = DIVERGED
-            iterations = n
-            break
-        if converged:
-            status = CONVERGED
-            iterations = n
-            break
-        if n == max_iters:
-            iterations = n
-            break
-        prev_x = x
-        Z = Z + lam * (P_err - x)
+        return residual, x, Z, None, lambda lam: Z + lam * (P - x)
 
+    run = _iterate(Z, step, lam_at, tol, max_iters, log_every, trace,
+                   np.linalg.norm, objective)
     # assemble the final certificate from an exact (error-free) block step
+    x, Z = run.x, run.y
     Bx = prob.B(x)
-    return ProductSolveResult(final=x, status=status, iterations=iterations,
-                              history=rows, trace=zt,
+    return ProductSolveResult(final=x, status=run.status, iterations=run.iterations,
+                              history=run.history, trace=run.trace,
                               **_certificate(prob, x, Bx, gamma,
                                              2.0 * x - gamma * Bx - Z))
 
@@ -526,78 +488,34 @@ def parallel_dr2(A1, A2, gamma=1.0, relaxation=1.0, b1_errors=None,
     d = A1.dim
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    relax = as_relaxation(relaxation)
     # alpha = 2/3 here, so the open range ]0, 1/alpha[ is exactly ]0, 3/2[
-    try:
-        relax.validate_open(2.0 / 3.0)
-    except ValueError as e:
-        raise ValueError(f"{e} (two-operator parallel splitting requires "
-                         f"relaxations in ]0, 3/2[)") from None
+    lam_open = _dr2_range(as_relaxation(relaxation).validate_open, 2.0 / 3.0)
     for e in (b1_errors, b2_errors):
         if e is not None:
             if e.dim != d:
                 raise ValueError("error schedule dimension mismatch")
             e.validate()
-    if max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
-    if log_every < 1:
-        raise ValueError("log_every must be at least 1")
 
-    if z0 is None:
-        z1 = np.zeros(d)
-        z2 = np.zeros(d)
-    else:
-        z1 = as_vector(z0[0], d).copy()
-        z2 = as_vector(z0[1], d).copy()
+    def step(n, Z):
+        x = 0.5 * (Z[0] + Z[1])
+        P = np.empty_like(Z)
+        P[0] = A1.resolve(2.0 * gamma, Z[1])
+        P[1] = A2.resolve(2.0 * gamma, Z[0])
+        residual = float(np.sqrt(0.5 * np.dot(P[0] - x, P[0] - x)
+                                 + 0.5 * np.dot(P[1] - x, P[1] - x)))
+        for i, e in enumerate((b1_errors, b2_errors)):
+            if e is not None and e.active(n):
+                P[i] = P[i] + e(n)
+        return residual, x, Z, None, lambda lam: Z + lam * (P - x)
 
-    rows = []
-    zt = [] if trace else None
-    status = MAX_ITERS
-    iterations = 0
-    residual = float("inf")
-    x = 0.5 * (z1 + z2)
-    prev_x = None
-
-    for n in range(max_iters + 1):
-        if not (np.all(np.isfinite(z1)) and np.all(np.isfinite(z2))):
-            status = DIVERGED
-            iterations = n
-            break
-        x = 0.5 * (z1 + z2)
-        p1 = A1.resolve(2.0 * gamma, z2)
-        p2 = A2.resolve(2.0 * gamma, z1)
-        b1_active = b1_errors is not None and b1_errors.active(n)
-        b2_active = b2_errors is not None and b2_errors.active(n)
-        p1_err = p1 + b1_errors(n) if b1_active else p1
-        p2_err = p2 + b2_errors(n) if b2_active else p2
-
-        residual = float(np.sqrt(0.5 * np.dot(p1 - x, p1 - x)
-                                 + 0.5 * np.dot(p2 - x, p2 - x)))
-        lam = relax(n)
-        converged = np.isfinite(residual) and residual <= tol
-        terminal = converged or n == max_iters or not np.isfinite(residual)
-        if trace:
-            zt.append((x.copy(), np.stack([z1, z2]).copy()))
-        if n % log_every == 0 or terminal:
-            dx = float(np.linalg.norm(x - prev_x)) if prev_x is not None else 0.0
-            rows.append(IterationRow(n, lam, residual, dx, None, None))
-        if not np.isfinite(residual):
-            status = DIVERGED
-            iterations = n
-            break
-        if converged:
-            status = CONVERGED
-            iterations = n
-            break
-        if n == max_iters:
-            iterations = n
-            break
-        prev_x = x
-        z1 = z1 + lam * (p1_err - x)
-        z2 = z2 + lam * (p2_err - x)
+    Z = np.zeros((2, d)) if z0 is None else np.stack([as_vector(z0[0], d),
+                                                      as_vector(z0[1], d)])
+    run = _iterate(Z, step, lambda n: _dr2_range(lam_open, n), tol, max_iters,
+                   log_every, trace, np.linalg.norm)
 
     # certificate: u_i = (s_i - p_i)/(2 gamma) lies in A_i p_i with s_1 = z_2,
     # s_2 = z_1; at a solution the u_i sum to zero
+    x, (z1, z2) = run.x, run.y
     p1 = A1.resolve(2.0 * gamma, z2)
     p2 = A2.resolve(2.0 * gamma, z1)
     u1 = (z2 - p1) / (2.0 * gamma)
@@ -609,10 +527,19 @@ def parallel_dr2(A1, A2, gamma=1.0, relaxation=1.0, b1_errors=None,
     sum_res = float(np.linalg.norm(u1 + u2))
     spread = max(float(np.linalg.norm(p1 - x)), float(np.linalg.norm(p2 - x)))
     cert = max(float(block_res.max()), sum_res)
-    return ProductSolveResult(final=x, status=status, iterations=iterations,
-                              history=rows, certificate_residual=cert,
+    return ProductSolveResult(final=x, status=run.status, iterations=run.iterations,
+                              history=run.history, certificate_residual=cert,
                               block_residuals=block_res, sum_residual=sum_res,
-                              spread=spread, trace=zt)
+                              spread=spread, trace=run.trace)
+
+
+def _dr2_range(fn, *args):
+    """``fn(*args)``, its range errors naming the relaxation range of dr2."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        raise ValueError(f"{e} (two-operator parallel splitting requires "
+                         f"relaxations in ]0, 3/2[)") from None
 
 
 def sum_splitting_pi(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
@@ -640,12 +567,7 @@ def sum_splitting_pi(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
         raise ValueError(
             f"gamma must lie in ]0, 2*beta[ = ]0, {2.0 * beta}[; got {gamma}"
         )
-    relax = as_relaxation(relaxation)
-    relax.validate_closed(epsilon, 1.0)
-    if max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
-    if log_every < 1:
-        raise ValueError("log_every must be at least 1")
+    lam_at = as_relaxation(relaxation).validate_closed(epsilon, 1.0)
 
     x = np.zeros(d) if x0 is None else as_vector(x0, d).copy()
     if y0 is None:
@@ -661,52 +583,23 @@ def sum_splitting_pi(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
     _warn_scaled_gamma(gamma, w)
     gammas = gamma / w
 
-    rows = []
-    zt = [] if trace else None
-    status = MAX_ITERS
-    iterations = 0
-    residual = float("inf")
-    prev_x = None
-
-    for n in range(max_iters + 1):
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(Y))):
-            status = DIVERGED
-            iterations = n
-            break
+    def step(n, state):
+        x, Y = state
         Bx = prob.B(x)
-        drive = x - gamma * Bx
-        P = prob.resolve_blocks(gammas, drive + gamma * Y)
+        P = prob.resolve_blocks(gammas, x - gamma * Bx + gamma * Y)
         pbar = w @ P
         residual = float(np.sqrt(np.dot(pbar - x, pbar - x)
                                  + np.sum(w * np.sum((pbar - P) ** 2, axis=1))))
-        lam = relax(n)
-        converged = np.isfinite(residual) and residual <= tol
-        terminal = converged or n == max_iters or not np.isfinite(residual)
-        if trace:
-            zt.append((x.copy(), Y.copy()))
-        if n % log_every == 0 or terminal:
-            dx = float(np.linalg.norm(x - prev_x)) if prev_x is not None else 0.0
-            obj = float(objective(x)) if objective is not None else None
-            rows.append(IterationRow(n, lam, residual, dx, None, obj))
-        if not np.isfinite(residual):
-            status = DIVERGED
-            iterations = n
-            break
-        if converged:
-            status = CONVERGED
-            iterations = n
-            break
-        if n == max_iters:
-            iterations = n
-            break
-        prev_x = x
-        Y = Y + (lam / gamma) * (pbar - P)
-        x = x + lam * (pbar - x)
+        return residual, x, Y, None, lambda lam: (x + lam * (pbar - x),
+                                                  Y + (lam / gamma) * (pbar - P))
 
+    run = _iterate((x, Y), step, lam_at, tol, max_iters, log_every, trace,
+                   np.linalg.norm, objective)
     # certificate from the final block decomposition
+    x, Y = run.x, run.y
     Bx = prob.B(x)
-    return ProductSolveResult(final=x, status=status, iterations=iterations,
-                              history=rows, duals=Y, trace=zt,
+    return ProductSolveResult(final=x, status=run.status, iterations=run.iterations,
+                              history=run.history, duals=Y, trace=run.trace,
                               **_certificate(prob, x, Bx, gamma,
                                              x - gamma * Bx + gamma * Y))
 

@@ -24,9 +24,6 @@ __all__ = [
     "zero_mean_projector",
     "span_projector",
     "matrix_projector",
-    "project",
-    "project_complement",
-    "reflect_subspace",
     "audit_projector",
 ]
 
@@ -131,21 +128,6 @@ class SubspaceProjector:
     def __repr__(self):
         tag = f" '{self.label}'" if self.label else ""
         return f"SubspaceProjector(dim={self.dim}{tag})"
-
-
-def project(P, x):
-    """Nearest point of the subspace of ``P`` to ``x``."""
-    return P(x)
-
-
-def project_complement(P, x):
-    """Component of ``x`` orthogonal to the subspace of ``P``."""
-    return P.complement(x)
-
-
-def reflect_subspace(P, x):
-    """Reflection of ``x`` through the subspace of ``P`` (an involution)."""
-    return P.reflect(x)
 
 
 def identity_projector(dim, inner=None):

@@ -59,6 +59,28 @@ def test_fpi_user_oracle_matches_builtin_path():
         np.testing.assert_allclose(y1, y2, atol=1e-12)
 
 
+def test_fpi_explicit_is_forward_backward_on_partial_inverse(rng):
+    # r_n = x_n + gamma y_n follows r_{n+1} = r_n + lambda (J(s_n) - r_n) with
+    # J(s) = P_V p + (Id - P_V)(s - p), p = J_{gamma A} s, the resolvent of the
+    # partial inverse of gamma A
+    V = random_subspace_projector(rng, 4, rank=2)
+    A = subdifferential_abs(4)
+    B = affine_gradient(random_spd(rng, 4))
+    prob = InclusionProblem(A, B, V)
+    gamma, lam = 0.8 * B.beta, 0.7
+    x0 = V(rng.standard_normal(4))
+    y0 = V.complement(rng.standard_normal(4))
+    res = fpi_explicit_solve(prob, gamma=gamma, relaxation=lam, x0=x0, y0=y0,
+                             tol=-1.0, max_iters=60, trace=True)
+    for (x, y), (x_next, y_next) in zip(res.trace, res.trace[1:]):
+        s = x - gamma * V(B(x)) + gamma * y
+        p = A.resolve(gamma, s)
+        r = x + gamma * y
+        expected = r + lam * (V(p) + V.complement(s - p) - r)
+        drift = np.linalg.norm(x_next + gamma * y_next - expected)
+        assert drift <= 1e-9 * (1.0 + np.linalg.norm(r))
+
+
 def test_fpi_bad_oracle_aborts():
     prob = box_identity_problem()
 

@@ -7,8 +7,8 @@ from monosplit import (AveragedOperator, CocoerciveMap, affine_gradient,
                        audit_firm_nonexpansiveness, certify_averaged,
                        identity_projector, linear_monotone, normal_cone_box,
                        normal_cone_of_subspace, partial_inverse_resolvent,
-                       partial_inverse_residual, reflected_resolvent,
-                       span_projector, subdifferential_abs, translate_operator,
+                       partial_inverse_residual, span_projector,
+                       subdifferential_abs, translate_operator,
                        zero_cocoercive, zero_operator, zero_projector)
 from conftest import random_subspace_projector
 
@@ -16,7 +16,7 @@ from conftest import random_subspace_projector
 def test_reflected_resolvent_zero_operator(rng):
     A = zero_operator(3)
     x = rng.standard_normal(3)
-    np.testing.assert_allclose(reflected_resolvent(A, 1.0, x), x)
+    np.testing.assert_allclose(A.reflected(1.0, x), x)
 
 
 def test_reflected_resolvent_normal_cone_is_subspace_reflection(rng):
@@ -24,13 +24,13 @@ def test_reflected_resolvent_normal_cone_is_subspace_reflection(rng):
     A = normal_cone_of_subspace(P)
     for gamma in (0.5, 1.0, 3.0):
         x = rng.standard_normal(4)
-        np.testing.assert_allclose(reflected_resolvent(A, gamma, x), P.reflect(x))
+        np.testing.assert_allclose(A.reflected(gamma, x), P.reflect(x))
 
 
 def test_reflected_resolvent_soft_threshold():
     A = subdifferential_abs(1)
     # J(3) = 2 at gamma 1, so the reflection is 2*2 - 3 = 1
-    np.testing.assert_allclose(reflected_resolvent(A, 1.0, [3.0]), [1.0])
+    np.testing.assert_allclose(A.reflected(1.0, [3.0]), [1.0])
 
 
 def test_resolvent_validation():

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from monosplit import (InnerProduct, as_vector, audit_projector,
-                       identity_projector, matrix_projector, project,
-                       project_complement, reflect_subspace, span_projector,
+                       identity_projector, matrix_projector, span_projector,
                        zero_mean_projector, zero_projector)
 from conftest import random_subspace_matrix, random_subspace_projector
 
@@ -40,51 +39,51 @@ def test_inner_product_bilinear_symmetric_positive(rng):
 
 def test_project_identity():
     P = identity_projector(2)
-    np.testing.assert_allclose(project(P, [3.0, -1.0]), [3.0, -1.0])
+    np.testing.assert_allclose(P([3.0, -1.0]), [3.0, -1.0])
 
 
 def test_project_span_diagonal():
     P = span_projector([1.0, 1.0])
-    np.testing.assert_allclose(project(P, [3.0, -1.0]), [1.0, 1.0])
+    np.testing.assert_allclose(P([3.0, -1.0]), [1.0, 1.0])
 
 
 def test_project_zero_mean():
     P = zero_mean_projector(3)
-    np.testing.assert_allclose(project(P, [1.0, 2.0, 3.0]), [-1.0, 0.0, 1.0])
+    np.testing.assert_allclose(P([1.0, 2.0, 3.0]), [-1.0, 0.0, 1.0])
 
 
 def test_project_complement_examples():
     Pz = zero_mean_projector(3)
-    np.testing.assert_allclose(project_complement(Pz, [1.0, 2.0, 3.0]),
+    np.testing.assert_allclose(Pz.complement([1.0, 2.0, 3.0]),
                                [2.0, 2.0, 2.0])
-    np.testing.assert_allclose(project_complement(identity_projector(2), [1.0, 2.0]),
+    np.testing.assert_allclose(identity_projector(2).complement([1.0, 2.0]),
                                [0.0, 0.0])
-    np.testing.assert_allclose(project_complement(zero_projector(2), [1.0, 2.0]),
+    np.testing.assert_allclose(zero_projector(2).complement([1.0, 2.0]),
                                [1.0, 2.0])
 
 
 def test_reflect_examples():
     x = np.array([1.0, 2.0])
-    np.testing.assert_allclose(reflect_subspace(identity_projector(2), x), x)
-    np.testing.assert_allclose(reflect_subspace(zero_projector(2), x), [-1.0, -2.0])
+    np.testing.assert_allclose(identity_projector(2).reflect(x), x)
+    np.testing.assert_allclose(zero_projector(2).reflect(x), [-1.0, -2.0])
     # 2*(-1, 0, 1) - (1, 2, 3)
     np.testing.assert_allclose(
-        reflect_subspace(zero_mean_projector(3), [1.0, 2.0, 3.0]),
+        zero_mean_projector(3).reflect([1.0, 2.0, 3.0]),
         [-3.0, -2.0, -1.0])
 
 
 def test_projection_idempotent_on_result(rng):
     P = random_subspace_projector(rng, 6)
     for _ in range(10):
-        r = project(P, rng.standard_normal(6))
-        assert np.linalg.norm(project(P, r) - r) <= 1e-12 * (1 + np.linalg.norm(r))
+        r = P(rng.standard_normal(6))
+        assert np.linalg.norm(P(r) - r) <= 1e-12 * (1 + np.linalg.norm(r))
 
 
 def test_complement_annihilated_by_projection(rng):
     P = random_subspace_projector(rng, 5)
     for _ in range(10):
-        c = project_complement(P, rng.standard_normal(5))
-        assert np.linalg.norm(project(P, c)) <= 1e-12 * (1 + np.linalg.norm(c))
+        c = P.complement(rng.standard_normal(5))
+        assert np.linalg.norm(P(c)) <= 1e-12 * (1 + np.linalg.norm(c))
 
 
 def test_pythagoras(rng):
@@ -134,7 +133,7 @@ def test_dimension_mismatch_raises():
     with pytest.raises(ValueError, match="dimension mismatch"):
         P(np.zeros(4))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        reflect_subspace(P, np.zeros(2))
+        P.reflect(np.zeros(2))
 
 
 def test_audit_passes_structured_projectors(rng):
