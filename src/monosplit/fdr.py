@@ -100,7 +100,9 @@ def build_S(B, V, gamma):
 class PrimalDualResult:
     """Primal point in V, dual point in the orthogonal complement, and the
     logged run: residuals are the error-free fixed-point gaps, which double
-    as the resolvent-based inclusion certificate."""
+    as the resolvent-based inclusion certificate.  ``membership_violation``
+    is ``max(||x - P_V x|| / (1 + ||x||), ||P_V y|| / (1 + ||y||))`` at the
+    returned pair."""
     x: np.ndarray
     y: np.ndarray
     status: str
@@ -115,32 +117,31 @@ class PrimalDualResult:
 class _RowLog:
     """Logged-row bookkeeping of the primal-dual solvers.
 
-    On each logged row it keeps ``P_V B x_n`` for ``forward_gap`` and the
-    worst relative distance of ``x_n`` to V and of ``y_n`` to its complement;
-    :meth:`result` finishes the run into a :class:`PrimalDualResult`.
+    On each logged row it keeps ``P_V B x_n`` for ``forward_gap``;
+    :meth:`result` finishes the run into a :class:`PrimalDualResult`, with
+    the step's own ``P_V B x`` as the final forward term and the relative
+    distances of the returned ``x`` to V and ``y`` to its complement as
+    ``membership_violation``.
     """
 
     def __init__(self, V):
         self.V = V
         self.forward = []
-        self.membership = 0.0
 
     def __call__(self, x, y, PBx):
-        V, inner = self.V, self.V.inner
         self.forward.append(PBx.copy())
-        vx = inner.norm(x - V(x)) / (1.0 + inner.norm(x))
-        vy = inner.norm(V(y)) / (1.0 + inner.norm(y))
-        self.membership = max(self.membership, vx, vy)
 
-    def result(self, B, run):
+    def result(self, run):
         V, inner = self.V, self.V.inner
-        fw_final = V(B(run.x))
-        return PrimalDualResult(x=run.x, y=run.y, status=run.status,
+        x, y, fw_final = run.x, run.y, run.aux
+        membership = max(inner.norm(x - V(x)) / (1.0 + inner.norm(x)),
+                         inner.norm(V(y)) / (1.0 + inner.norm(y)))
+        return PrimalDualResult(x=x, y=y, status=run.status,
                                 iterations=run.iterations, history=run.history,
                                 inclusion_residual=run.residual,
                                 forward_gap=[inner.norm(v - fw_final)
                                              for v in self.forward],
-                                membership_violation=self.membership,
+                                membership_violation=membership,
                                 trace=run.trace)
 
 
@@ -183,8 +184,10 @@ def fdr_solve(prob, gamma=None, relaxation=1.0, a_errors=None, b_errors=None,
     PrimalDualResult
         On convergence ``x`` solves the inclusion with the residual
         certificate at ``tol`` and ``y`` is the associated dual point; the
-        history rows carry (n, lambda_n, residual, dx, dy, objective) and
-        ``forward_gap`` the retro-computed ``||P_V B x_n - P_V B x_final||``.
+        history rows carry (n, lambda_n, residual, dx, dy, objective),
+        ``forward_gap`` the retro-computed ``||P_V B x_n - P_V B x_final||``
+        and ``membership_violation`` the relative distances of the returned
+        ``x`` to V and ``y`` to its complement.
     """
     A, B, V = prob.A, prob.B, prob.V
     dim = prob.dim
@@ -214,9 +217,9 @@ def fdr_solve(prob, gamma=None, relaxation=1.0, a_errors=None, b_errors=None,
 
     z = np.zeros(dim) if z0 is None else as_vector(z0, dim).copy()
     log = _RowLog(V)
-    return log.result(B, _iterate(z, step, lam_at, tol, max_iters, log_every,
-                                  trace, inner.norm, objective, log_dy=True,
-                                  on_row=log))
+    return log.result(_iterate(z, step, lam_at, tol, max_iters, log_every,
+                               trace, inner.norm, objective, log_dy=True,
+                               on_row=log))
 
 
 @dataclass(frozen=True)

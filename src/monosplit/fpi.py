@@ -140,13 +140,17 @@ def closed_form_oracle(prob):
 
 
 def _check_memberships(V, x0, y0, tol=1e-9):
+    """Reject a given start ``x0`` outside V or ``y0`` outside its complement;
+    None stands for the origin, which lies in both."""
     inner = V.inner
-    vx = inner.norm(x0 - V(x0))
-    if vx > tol * (1.0 + inner.norm(x0)):
-        raise ValueError(f"x0 must lie in the subspace (violation {vx:.3e})")
-    vy = inner.norm(V(y0))
-    if vy > tol * (1.0 + inner.norm(y0)):
-        raise ValueError(f"y0 must lie in the orthogonal complement (violation {vy:.3e})")
+    if x0 is not None:
+        vx = inner.norm(x0 - V(x0))
+        if vx > tol * (1.0 + inner.norm(x0)):
+            raise ValueError(f"x0 must lie in the subspace (violation {vx:.3e})")
+    if y0 is not None:
+        vy = inner.norm(V(y0))
+        if vy > tol * (1.0 + inner.norm(y0)):
+            raise ValueError(f"y0 must lie in the orthogonal complement (violation {vy:.3e})")
 
 
 def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
@@ -208,8 +212,9 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
         target = x - delta * gamma * PBx + gamma * y
         p, q = oracle.solve_step1(x, y, delta, gamma)
         sum_gap = inner.norm(target - (p + gamma * q))
-        u = V(p) + V.complement(p) / delta
-        w = V(q) / delta + V.complement(q)
+        Pp, Pq = V(p), V(q)
+        u = Pp + (p - Pp) / delta
+        w = Pq / delta + (q - Pq)
         inclusion_gap = inner.norm(u - A.resolve(1.0, u + w))
         if (sum_gap > oracle_tol * (1.0 + inner.norm(target))
                 or inclusion_gap > oracle_tol * (1.0 + inner.norm(u))):
@@ -217,8 +222,8 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
                 f"Step 1 oracle residuals too large at iteration {n}: "
                 f"sum identity {sum_gap:.3e}, scaled inclusion {inclusion_gap:.3e}"
             )
-        rx = V(p) - x
-        ry = q - V(q) - y
+        rx = Pp - x
+        ry = q - Pq - y
         residual = float(np.sqrt(inner.norm(rx) ** 2 + (gamma * inner.norm(ry)) ** 2))
         return residual, x, y, PBx, lambda lam: (x + lam * rx, y + lam * ry)
 
@@ -266,15 +271,15 @@ def fpi_explicit_solve(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
 def _primal_dual_run(prob, step, lam_at, x0, y0, tol, max_iters, log_every,
                      trace, objective):
     """Run a partial-inverse ``step`` from ``(x0, y0)``, checked to lie in
-    V and its complement, and finish the result."""
+    V and its complement when given, and finish the result."""
     V, dim = prob.V, prob.dim
     x = np.zeros(dim) if x0 is None else as_vector(x0, dim).copy()
     y = np.zeros(dim) if y0 is None else as_vector(y0, dim).copy()
-    _check_memberships(V, x, y)
+    _check_memberships(V, None if x0 is None else x, None if y0 is None else y)
     log = _RowLog(V)
-    return log.result(prob.B, _iterate((x, y), step, lam_at, tol, max_iters,
-                                       log_every, trace, V.inner.norm, objective,
-                                       log_dy=True, on_row=log))
+    return log.result(_iterate((x, y), step, lam_at, tol, max_iters, log_every,
+                               trace, V.inner.norm, objective, log_dy=True,
+                               on_row=log))
 
 
 @dataclass(frozen=True)

@@ -285,6 +285,7 @@ class _Run(NamedTuple):
     residual: float     # at the last reported iterate
     x: np.ndarray       # last reported (finite) point
     y: object           # second reported point, or None
+    aux: object         # aux of the step that reported x and y
 
 
 def _finite(state):
@@ -301,7 +302,8 @@ def _iterate(state, step, lam_at, tol, max_iters, log_every, trace, norm,
     ``step(n, state)`` returns ``(residual, x, y, aux, advance)``: the
     error-free fixed-point gap at ``state``, the point ``x`` to report (and a
     second point ``y``, or None), whatever ``on_row`` needs, and
-    ``advance(lam)``, the next state.  ``lam_at(n)`` is the checked
+    ``advance(lam)``, the next state; the run returns the ``aux`` of the step
+    that reported its final ``x`` and ``y``.  ``lam_at(n)`` is the checked
     relaxation schedule.
 
     Iteration n first checks that the state is finite; otherwise the run
@@ -321,7 +323,7 @@ def _iterate(state, step, lam_at, tol, max_iters, log_every, trace, norm,
     rows = []
     points = [] if trace else None
     residual = float("inf")
-    x = y = None
+    x = y = aux = None
     for n in range(max_iters + 1):
         if not _finite(state):
             status = DIVERGED
@@ -347,7 +349,7 @@ def _iterate(state, step, lam_at, tol, max_iters, log_every, trace, norm,
             status = CONVERGED if converged else MAX_ITERS if finite else DIVERGED
             break
         state = advance(lam)
-    return _Run(status, n, rows, points, residual, x, y)
+    return _Run(status, n, rows, points, residual, x, y, aux)
 
 
 def km_solve(ops, relaxation=1.0, errors=None, z0=None, tol=DEFAULT_TOL,

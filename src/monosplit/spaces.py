@@ -142,7 +142,7 @@ def zero_projector(dim, inner=None):
 
 def zero_mean_projector(dim):
     """Projector onto {x : sum_k x_k = 0} under the uniform inner product."""
-    return SubspaceProjector(lambda x: x - x.mean(), dim, label="zero-mean")
+    return SubspaceProjector(lambda x: x - x.sum() / dim, dim, label="zero-mean")
 
 
 def span_projector(v, inner=None):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from monosplit import matrix_projector
+from monosplit import (CocoerciveMap, InclusionProblem, SubspaceProjector,
+                       matrix_projector)
 
 
 @pytest.fixture
@@ -41,3 +42,29 @@ def kkt_solution(Q, b, P):
     Z = U[:, w > 0.5]
     t = np.linalg.solve(Z.T @ Q @ Z, Z.T @ b)
     return Z @ t
+
+
+def relative_memberships(V, x, y):
+    """Relative distances ``||x - P_V x|| / (1 + ||x||)`` of x to V and
+    ``||P_V y|| / (1 + ||y||)`` of y to its orthogonal complement."""
+    inner = V.inner
+    return (inner.norm(x - V(x)) / (1.0 + inner.norm(x)),
+            inner.norm(V(y)) / (1.0 + inner.norm(y)))
+
+
+def counting_problem(prob):
+    """The same problem with ``P_V`` and ``B`` wrapped to count their calls;
+    returns the wrapped problem and the live ``{"V": ..., "B": ...}`` counts."""
+    V, B = prob.V, prob.B
+    counts = {"V": 0, "B": 0}
+
+    def project(x):
+        counts["V"] += 1
+        return V(x)
+
+    def forward(x):
+        counts["B"] += 1
+        return B(x)
+
+    return InclusionProblem(prob.A, CocoerciveMap(forward, B.beta, B.dim),
+                            SubspaceProjector(project, V.dim, V.inner)), counts

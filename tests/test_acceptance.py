@@ -22,7 +22,8 @@ from monosplit import (InclusionProblem, ProductProblem, affine_gradient,
                        sum_splitting_via_fdr, zero_mean_projector,
                        zero_operator)
 from monosplit.cli import EXIT_INVALID, main
-from conftest import kkt_solution, random_spd, random_subspace_projector
+from conftest import (kkt_solution, random_spd, random_subspace_projector,
+                      relative_memberships)
 
 
 def _report(criterion, name, ok, detail=""):
@@ -281,19 +282,28 @@ def test_criterion_9_membership_invariants():
     rng = np.random.default_rng(909)
     worst = 0.0
     statuses = []
+    diagnostic_at_pair = True
     for _ in range(4):
         prob = _random_problem(rng, max_dim=8)
-        r1 = fdr_solve(prob, tol=1e-9, z0=rng.standard_normal(prob.dim))
+        r1 = fdr_solve(prob, tol=1e-9, z0=rng.standard_normal(prob.dim),
+                       trace=True)
         r2 = fpi_explicit_solve(prob, tol=1e-9,
                                 x0=prob.V(rng.standard_normal(prob.dim)),
-                                y0=prob.V.complement(rng.standard_normal(prob.dim)))
-        r3 = ms.fpi_solve(prob, tol=1e-9)
+                                y0=prob.V.complement(rng.standard_normal(prob.dim)),
+                                trace=True)
+        r3 = ms.fpi_solve(prob, tol=1e-9, trace=True)
         for r in (r1, r2, r3):
             statuses.append(r.status)
-            worst = max(worst, r.membership_violation)
-    ok = worst <= 1e-12 and all(s == ms.CONVERGED for s in statuses)
+            # every iterate, so every logged step too
+            for x, y in r.trace:
+                worst = max(worst, *relative_memberships(prob.V, x, y))
+            diagnostic_at_pair &= r.membership_violation == max(
+                relative_memberships(prob.V, r.x, r.y))
+    ok = (worst <= 1e-12 and diagnostic_at_pair
+          and all(s == ms.CONVERGED for s in statuses))
     _report(9, "primal stays in V, dual in its complement, at every logged step",
-            ok, f"worst relative violation {worst:.3e} over {len(statuses)} runs")
+            ok, f"worst relative violation {worst:.3e} over {len(statuses)} runs, "
+                f"diagnostic taken at the returned pair: {diagnostic_at_pair}")
 
 
 def test_criterion_10_cli_determinism_and_validation(tmp_path, capsys):

@@ -156,20 +156,43 @@ def test_fdr_nonsummable_errors_rejected_before_iterating():
 def test_fdr_memberships_and_sequence_changes(rng):
     # a smooth strongly monotone problem converges asymptotically, so the
     # iterate changes shrink with the residual
-    from conftest import random_spd, random_subspace_projector
+    from conftest import random_spd, random_subspace_projector, relative_memberships
     Qf = random_spd(rng, 4)
     Qg = random_spd(rng, 4)
     prob = InclusionProblem(ms.linear_monotone(Qf, b=-rng.standard_normal(4)),
                             affine_gradient(Qg, rng.standard_normal(4)),
                             random_subspace_projector(rng, 4, rank=2))
-    res = fdr_solve(prob, z0=rng.standard_normal(4), tol=1e-10)
+    res = fdr_solve(prob, z0=rng.standard_normal(4), tol=1e-10, trace=True)
     assert res.status == ms.CONVERGED
-    assert res.membership_violation <= 1e-12
+    # every iterate: x_n in V, y_n in its complement
+    for x, y in res.trace:
+        assert max(relative_memberships(prob.V, x, y)) <= 1e-12
+    assert res.membership_violation == max(relative_memberships(prob.V, res.x, res.y))
     assert res.history[-1].dx <= 1e-6
     assert res.history[-1].dy <= 1e-6
     # forward term stabilizes: the last two checkpoints essentially agree
     assert res.forward_gap[-1] <= 1e-12
     assert res.forward_gap[-2] <= 1e-6
+
+
+def test_fdr_projector_and_forward_call_counts(rng):
+    # two projections and one forward evaluation per step, plus the two
+    # membership projections of the returned pair
+    from conftest import (counting_problem, random_spd,
+                          random_subspace_projector)
+    base = InclusionProblem(ms.linear_monotone(random_spd(rng, 4)),
+                            affine_gradient(random_spd(rng, 4),
+                                            rng.standard_normal(4)),
+                            random_subspace_projector(rng, 4, rank=2))
+    prob, counts = counting_problem(base)
+    res = fdr_solve(prob, z0=rng.standard_normal(4), tol=-1.0, max_iters=9,
+                    trace=True)
+    assert res.iterations == 9 and len(res.trace) == 10
+    assert counts == {"V": 2 * 10 + 2, "B": 10}
+    # forward_gap reuses the last step's P_V B x, exactly
+    V, B = base.V, base.B
+    final = V(B(res.x))
+    assert res.forward_gap == [V.inner.norm(V(B(x)) - final) for x, _ in res.trace]
 
 
 def test_fdr_matches_km_engine_error_free():

@@ -8,7 +8,8 @@ from monosplit import (InclusionProblem, OracleError, ScaledResolventOracle,
                        identity_projector, normal_cone_box, span_projector,
                        subdifferential_abs, zero_cocoercive, zero_mean_projector,
                        zero_operator)
-from conftest import random_spd, random_subspace_projector
+from conftest import (counting_problem, random_spd, random_subspace_projector,
+                      relative_memberships)
 
 
 def box_identity_problem():
@@ -198,11 +199,39 @@ def test_fpi_memberships_along_run(rng):
     prob = InclusionProblem(ms.linear_monotone(Qf, b=rng.standard_normal(5)),
                             affine_gradient(Qg, rng.standard_normal(5)),
                             random_subspace_projector(rng, 5, rank=3))
-    res = fpi_solve(prob, tol=1e-10)
+    res = fpi_solve(prob, tol=1e-10, trace=True)
     assert res.status == ms.CONVERGED
-    assert res.membership_violation <= 1e-12
+    # every iterate: x_n in V, y_n in its complement
+    for x, y in res.trace:
+        assert max(relative_memberships(prob.V, x, y)) <= 1e-12
+    assert res.membership_violation == max(relative_memberships(prob.V, res.x, res.y))
     # the forward term stabilizes at the end of the run
     assert res.forward_gap[-2] <= 1e-6
+
+
+def test_fpi_projector_and_forward_call_counts(rng):
+    # per step: P_V B x and P_V p on the explicit path; on the oracle path
+    # also the oracle's own P_V B x and P_V q.  The default start needs no
+    # membership check; the returned pair costs two projections.
+    base = InclusionProblem(ms.linear_monotone(random_spd(rng, 5)),
+                            affine_gradient(random_spd(rng, 5),
+                                            rng.standard_normal(5)),
+                            random_subspace_projector(rng, 5, rank=3))
+    for solve, n_proj, n_fwd in (
+            (lambda p: fpi_explicit_solve(p, tol=-1.0, max_iters=9, trace=True),
+             2 * 10 + 2, 10),
+            (lambda p: fpi_solve(p, oracle=closed_form_oracle(p), tol=-1.0,
+                                 max_iters=9, trace=True),
+             4 * 10 + 2, 2 * 10)):
+        prob, counts = counting_problem(base)
+        res = solve(prob)
+        assert res.iterations == 9 and len(res.trace) == 10
+        assert counts == {"V": n_proj, "B": n_fwd}
+        # forward_gap reuses the last step's P_V B x, exactly
+        V, B = base.V, base.B
+        final = V(B(res.x))
+        assert res.forward_gap == [V.inner.norm(V(B(x)) - final)
+                                   for x, _ in res.trace]
 
 
 def test_fpi_step1_certificate_property(rng):

@@ -52,6 +52,15 @@ def test_project_zero_mean():
     np.testing.assert_allclose(P([1.0, 2.0, 3.0]), [-1.0, 0.0, 1.0])
 
 
+def test_zero_mean_projector_matches_mean_subtraction(rng):
+    # subtracting sum/dim is bit-identical to subtracting the mean
+    for dim in (1, 2, 8, 33, 1000, 4097):
+        P = zero_mean_projector(dim)
+        for scale in (1e-5, 1.0, 1e5):
+            x = scale * rng.standard_normal(dim)
+            assert np.array_equal(P(x), x - x.mean())
+
+
 def test_project_complement_examples():
     Pz = zero_mean_projector(3)
     np.testing.assert_allclose(Pz.complement([1.0, 2.0, 3.0]),
