@@ -3,9 +3,12 @@
 The input is a JSON document with ``schema_version: 1`` selecting one of the
 algorithms {fdr, fpi, fpi-explicit, km, product, dr2, variational, pi-sum}
 and describing the operators, schedules, initialization and stopping rule
-from the built-in constructors (field-by-field schema in the README).  All
-validation errors are collected and reported together, each citing the
-admissible range it violates, before any iteration runs.
+from the built-in constructors (field-by-field schema in the README).  Every
+descriptor is read through one vocabulary table (family -> kind ->
+constructor and fields), and every admissible range is checked by the
+library's own validators.  All validation errors are collected and reported
+together, each citing the admissible range it violates, before any
+iteration runs.
 
 Output: a CSV with the fixed columns ``n,lambda,residual,dx,dy,objective``
 (one row per logged iteration) and a summary line on stdout.  Sequential
@@ -24,6 +27,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -87,7 +91,7 @@ class RunRecord:
 
 
 # ---------------------------------------------------------------------------
-# descriptor readers (collect all errors, never raise until the end)
+# field readers (collect all errors, never raise until the end)
 # ---------------------------------------------------------------------------
 
 def _num(data, key, errors, path, default=None, required=False):
@@ -146,671 +150,418 @@ def _mat(value, dim, errors, path):
     return M
 
 
-def _desc(data, key, errors, path, default=None, required=False):
-    if key not in data:
-        if required:
-            errors.append(f"{path}{key}: required field is missing")
-        return default
-    v = data[key]
-    if not isinstance(v, dict):
-        errors.append(f"{path}{key}: expected an object with a 'kind' field")
-        return default
-    return v
-
-
-_SUBSPACE_KINDS = ("identity", "zero", "zero_mean", "span", "matrix")
-
-
-def _build_subspace(desc, dim, errors, path):
-    kind = desc.get("kind")
-    if kind == "identity":
-        return spaces.identity_projector(dim)
-    if kind == "zero":
-        return spaces.zero_projector(dim)
-    if kind == "zero_mean":
-        return spaces.zero_mean_projector(dim)
-    if kind == "span":
-        v = _vec(desc.get("vector"), dim, errors, f"{path}.vector")
-        if v is None:
-            return None
-        try:
-            return spaces.span_projector(v)
-        except ValueError as e:
-            errors.append(f"{path}: {e}")
-            return None
-    if kind == "matrix":
-        M = _mat(desc.get("rows"), dim, errors, f"{path}.rows")
-        if M is None:
-            return None
-        try:
-            return spaces.matrix_projector(M)
-        except ValueError as e:
-            errors.append(f"{path}: {e}")
-            return None
-    errors.append(f"{path}.kind: unknown subspace kind {kind!r}; "
-                  f"known kinds: {', '.join(_SUBSPACE_KINDS)}")
-    return None
-
-
-_RESOLVENT_KINDS = ("zero", "abs", "box", "linear", "normal_cone", "unstable")
-
-
-def _build_resolvent(desc, dim, errors, path):
-    kind = desc.get("kind")
-    if kind == "zero":
-        return operators.zero_operator(dim)
-    if kind == "abs":
-        center = None
-        if "center" in desc:
-            center = _vec(desc["center"], dim, errors, f"{path}.center")
-            if center is None:
-                return None
-        return operators.subdifferential_abs(dim, center=center)
-    if kind == "box":
-        lo = _vec(desc.get("lo"), dim, errors, f"{path}.lo")
-        hi = _vec(desc.get("hi"), dim, errors, f"{path}.hi")
-        if lo is None or hi is None:
-            return None
-        try:
-            return operators.normal_cone_box(lo, hi)
-        except ValueError as e:
-            errors.append(f"{path}: {e}")
-            return None
-    if kind == "linear":
-        M = _mat(desc.get("M"), dim, errors, f"{path}.M")
-        if M is None:
-            return None
-        b = None
-        if "b" in desc:
-            b = _vec(desc["b"], dim, errors, f"{path}.b")
-            if b is None:
-                return None
-        try:
-            return operators.linear_monotone(M, b)
-        except ValueError as e:
-            errors.append(f"{path}: {e}")
-            return None
-    if kind == "normal_cone":
-        sub = _desc(desc, "subspace", errors, f"{path}.", required=True)
-        if sub is None:
-            return None
-        P = _build_subspace(sub, dim, errors, f"{path}.subspace")
-        if P is None:
-            return None
-        return operators.normal_cone_of_subspace(P)
-    if kind == "unstable":
-        # fault-injection hook: an expansive pseudo-resolvent that violates
-        # nonexpansiveness so runs blow up and exercise divergence handling
-        factor = _num(desc, "factor", errors, f"{path}.", default=1e6)
-        return operators.ResolventFamily(lambda gamma, x: factor * x, dim,
-                                         label="unstable")
-    errors.append(f"{path}.kind: unknown operator kind {kind!r}; "
-                  f"known kinds: {', '.join(_RESOLVENT_KINDS)}")
-    return None
-
-
-_COCOERCIVE_KINDS = ("zero", "identity", "affine_gradient")
-
-
-def _build_cocoercive(desc, dim, errors, path):
-    kind = desc.get("kind")
-    if kind == "zero":
-        beta = _num(desc, "beta", errors, f"{path}.", default=1.0)
-        if beta is None or beta <= 0:
-            errors.append(f"{path}.beta: must be positive")
-            return None
-        return operators.zero_cocoercive(dim, beta=beta)
-    if kind == "identity":
-        return operators.CocoerciveMap(lambda x: x.copy(), 1.0, dim, label="identity")
-    if kind == "affine_gradient":
-        Q = _mat(desc.get("Q"), dim, errors, f"{path}.Q")
-        if Q is None:
-            return None
-        b = None
-        if "b" in desc:
-            b = _vec(desc["b"], dim, errors, f"{path}.b")
-            if b is None:
-                return None
-        try:
-            return operators.affine_gradient(Q, b)
-        except ValueError as e:
-            errors.append(f"{path}: {e}")
-            return None
-    errors.append(f"{path}.kind: unknown forward-map kind {kind!r}; "
-                  f"known kinds: {', '.join(_COCOERCIVE_KINDS)}")
-    return None
-
-
-_PROX_KINDS = ("l1", "box", "quadratic", "zero")
-
-
-def _build_prox(desc, dim, errors, path):
-    kind = desc.get("kind")
-    if kind == "l1":
-        return variational.l1_function(dim)
-    if kind == "box":
-        lo = _vec(desc.get("lo"), dim, errors, f"{path}.lo")
-        hi = _vec(desc.get("hi"), dim, errors, f"{path}.hi")
-        if lo is None or hi is None:
-            return None
-        try:
-            return variational.box_function(lo, hi)
-        except ValueError as e:
-            errors.append(f"{path}: {e}")
-            return None
-    if kind == "quadratic":
-        Q = _mat(desc.get("Q"), dim, errors, f"{path}.Q")
-        if Q is None:
-            return None
-        b = None
-        if "b" in desc:
-            b = _vec(desc["b"], dim, errors, f"{path}.b")
-            if b is None:
-                return None
-        try:
-            return variational.quadratic_function(Q, b)
-        except ValueError as e:
-            errors.append(f"{path}: {e}")
-            return None
-    if kind == "zero":
-        return variational.zero_function(dim)
-    errors.append(f"{path}.kind: unknown prox kind {kind!r}; "
-                  f"known kinds: {', '.join(_PROX_KINDS)}")
-    return None
-
-
-_SMOOTH_KINDS = ("quadratic", "zero")
-
-
-def _build_smooth(desc, dim, errors, path):
-    kind = desc.get("kind")
-    if kind == "quadratic":
-        Q = _mat(desc.get("Q"), dim, errors, f"{path}.Q")
-        if Q is None:
-            return None
-        b = None
-        if "b" in desc:
-            b = _vec(desc["b"], dim, errors, f"{path}.b")
-            if b is None:
-                return None
-        try:
-            return variational.quadratic_smooth(Q, b)
-        except ValueError as e:
-            errors.append(f"{path}: {e}")
-            return None
-    if kind == "zero":
-        lip = _num(desc, "lipschitz", errors, f"{path}.", default=1.0)
-        try:
-            return variational.zero_smooth(dim, lipschitz=lip)
-        except ValueError as e:
-            errors.append(f"{path}: {e}")
-            return None
-    errors.append(f"{path}.kind: unknown smooth kind {kind!r}; "
-                  f"known kinds: {', '.join(_SMOOTH_KINDS)}")
-    return None
-
-
-def _build_relaxation(desc, errors, path):
-    if desc is None:
-        return km.constant_relaxation(1.0)
-    kind = desc.get("kind")
-    if kind == "constant":
-        value = _num(desc, "value", errors, f"{path}.", required=True)
-        if value is None:
-            return None
-        return km.constant_relaxation(value)
-    if kind == "polynomial":
-        c = _num(desc, "c", errors, f"{path}.", required=True)
-        p = _num(desc, "p", errors, f"{path}.", required=True)
-        if c is None or p is None:
-            return None
-        return km.polynomial_relaxation(c, p)
-    errors.append(f"{path}.kind: unknown relaxation kind {kind!r}; "
-                  "known kinds: constant, polynomial")
-    return None
-
-
-def _build_steps(desc, errors, path):
-    if desc is None:
-        return fpi.constant_steps(1.0)
-    kind = desc.get("kind")
-    if kind == "constant":
-        value = _num(desc, "value", errors, f"{path}.", required=True)
-        if value is None:
-            return None
-        return fpi.constant_steps(value)
-    errors.append(f"{path}.kind: unknown step kind {kind!r}; known kinds: constant")
-    return None
-
-
-def _build_error_schedule(desc, dim, errors, path):
-    if desc is None:
-        return None
-    kind = desc.get("kind")
-    if kind == "zero":
-        return km.no_errors(dim)
-    if kind == "geometric":
-        magnitude = _num(desc, "magnitude", errors, f"{path}.", required=True)
-        rate = _num(desc, "rate", errors, f"{path}.", required=True)
-        direction = None
-        if "direction" in desc:
-            direction = _vec(desc["direction"], dim, errors, f"{path}.direction")
-        if magnitude is None or rate is None:
-            return None
-        try:
-            return km.geometric_errors(dim, magnitude, rate, direction)
-        except ValueError as e:
-            errors.append(f"{path}: {e}")
-            return None
-    if kind == "harmonic":
-        magnitude = _num(desc, "magnitude", errors, f"{path}.", required=True)
-        direction = None
-        if "direction" in desc:
-            direction = _vec(desc["direction"], dim, errors, f"{path}.direction")
-        if magnitude is None:
-            return None
-        return km.harmonic_errors(dim, magnitude, direction)
-    errors.append(f"{path}.kind: unknown error-schedule kind {kind!r}; "
-                  "known kinds: zero, geometric, harmonic")
-    return None
-
-
-def _check_schedule(callable_, errors, what):
-    """Run a library schedule validator, downgrading its exception to a
-    collected message."""
+def _check(errors, path, fn, *args):
+    """``fn(*args)``, a library constructor or range check; its ``ValueError``
+    (or an overflow or division by zero while checking) is recorded under
+    ``path`` and gives None."""
     try:
-        callable_()
-    except ValueError as e:
-        errors.append(f"{what}: {e}")
+        return fn(*args)
+    except (ValueError, ArithmeticError) as e:
+        errors.append(f"{path}: {e}")
+        return None
 
 
-def _init_vector(desc, dim, errors, path, key="z"):
-    """Returns a closure rng -> ndarray for a single-vector initialization."""
-    if desc is None:
-        return lambda rng: np.zeros(dim)
+def _is_object(value, errors, path, what="an object with a 'kind' field"):
+    if isinstance(value, dict):
+        return True
+    errors.append(f"{path}: expected {what}")
+    return False
+
+
+def _section(data, key, errors):
+    """The object ``data[key]`` of named fields; absent or empty reads as {}."""
+    value = data.get(key) or {}
+    return value if _is_object(value, errors, key, "an object") else {}
+
+
+# ---------------------------------------------------------------------------
+# descriptor vocabularies: family -> kind -> (constructor, fields)
+# ---------------------------------------------------------------------------
+
+def _unstable(dim, factor):
+    # fault-injection hook: an expansive pseudo-resolvent that violates
+    # nonexpansiveness so runs blow up and exercise divergence handling
+    return operators.ResolventFamily(lambda gamma, x: factor * x, dim,
+                                     label="unstable")
+
+
+def _identity_map(dim):
+    return operators.CocoerciveMap(lambda x: x.copy(), 1.0, dim, label="identity")
+
+
+# A field is ``(key, how)``; the constructor receives the fields in order.
+# ``how`` is "dim" (the spec's dimension), "vec" or "mat" (a vector or square
+# matrix of that dimension), "vec?" (a vector, None when the key is absent),
+# "num" (a required number), a float (a number defaulting to it) or a family
+# name (a nested descriptor).
+_DIM = (None, "dim")
+
+_VOCABULARY = {
+    "subspace": {
+        "identity": (spaces.identity_projector, [_DIM]),
+        "zero": (spaces.zero_projector, [_DIM]),
+        "zero_mean": (spaces.zero_mean_projector, [_DIM]),
+        "span": (spaces.span_projector, [("vector", "vec")]),
+        "matrix": (spaces.matrix_projector, [("rows", "mat")]),
+    },
+    "operator": {
+        "zero": (operators.zero_operator, [_DIM]),
+        "abs": (operators.subdifferential_abs, [_DIM, ("center", "vec?")]),
+        "box": (operators.normal_cone_box, [("lo", "vec"), ("hi", "vec")]),
+        "linear": (operators.linear_monotone, [("M", "mat"), ("b", "vec?")]),
+        "normal_cone": (operators.normal_cone_of_subspace, [("subspace", "subspace")]),
+        "unstable": (_unstable, [_DIM, ("factor", 1e6)]),
+    },
+    "forward-map": {
+        "zero": (operators.zero_cocoercive, [_DIM, ("beta", 1.0)]),
+        "identity": (_identity_map, [_DIM]),
+        "affine_gradient": (operators.affine_gradient, [("Q", "mat"), ("b", "vec?")]),
+    },
+    "prox": {
+        "l1": (variational.l1_function, [_DIM]),
+        "box": (variational.box_function, [("lo", "vec"), ("hi", "vec")]),
+        "quadratic": (variational.quadratic_function, [("Q", "mat"), ("b", "vec?")]),
+        "zero": (variational.zero_function, [_DIM]),
+    },
+    "smooth": {
+        "quadratic": (variational.quadratic_smooth, [("Q", "mat"), ("b", "vec?")]),
+        "zero": (variational.zero_smooth, [_DIM, ("lipschitz", 1.0)]),
+    },
+    "relaxation": {
+        "constant": (km.constant_relaxation, [("value", "num")]),
+        "polynomial": (km.polynomial_relaxation, [("c", "num"), ("p", "num")]),
+    },
+    "step": {
+        "constant": (fpi.constant_steps, [("value", "num")]),
+    },
+    "error-schedule": {
+        "zero": (km.no_errors, [_DIM]),
+        "geometric": (km.geometric_errors, [_DIM, ("magnitude", "num"),
+                                            ("rate", "num"), ("direction", "vec?")]),
+        "harmonic": (km.harmonic_errors, [_DIM, ("magnitude", "num"),
+                                          ("direction", "vec?")]),
+    },
+}
+
+_ZERO_B = {"kind": "zero", "beta": 1.0}
+_UNIT_LAMBDA = km.constant_relaxation(1.0)
+_UNIT_DELTA = fpi.constant_steps(1.0)
+
+
+def _field(desc, key, how, dim, errors, path):
+    if how == "dim":
+        return dim
+    if how == "vec?":
+        return _vec(desc[key], dim, errors, f"{path}.{key}") if key in desc else None
+    if how == "vec":
+        return _vec(desc.get(key), dim, errors, f"{path}.{key}")
+    if how == "mat":
+        return _mat(desc.get(key), dim, errors, f"{path}.{key}")
+    if how == "num":
+        return _num(desc, key, errors, f"{path}.", required=True)
+    if isinstance(how, float):
+        return _num(desc, key, errors, f"{path}.", default=how)
+    return _required(desc, key, how, dim, errors, f"{path}.{key}")
+
+
+def _build(family, desc, dim, errors, path):
+    """Construct the ``family`` descriptor ``desc`` found at ``path``.
+
+    Reads the fields its kind declares, then calls the kind's constructor;
+    None once any problem with the descriptor is recorded in ``errors``.
+    """
+    if not _is_object(desc, errors, path):
+        return None
+    kinds = _VOCABULARY[family]
     kind = desc.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        errors.append(f"{path}.kind: unknown {family} kind {kind!r}; "
+                      f"known kinds: {', '.join(kinds)}")
+        return None
+    make, fields = kinds[kind]
+    before = len(errors)
+    args = [_field(desc, key, how, dim, errors, path) for key, how in fields]
+    if len(errors) > before:
+        return None
+    return _check(errors, path, make, *args)
+
+
+def _required(data, key, family, dim, errors, path=None):
+    path = key if path is None else path
+    if key not in data:
+        errors.append(f"{path}: required field is missing")
+        return None
+    return _build(family, data[key], dim, errors, path)
+
+
+def _optional(data, key, family, errors, default):
+    """``data[key]`` built as a ``family`` descriptor; missing or null is ``default``."""
+    desc = data.get(key)
+    return default if desc is None else _build(family, desc, None, errors, key)
+
+
+def _schedule(desc, dim, errors, path):
+    """Error schedule (None when absent), audited for summability."""
+    if desc is None:
+        return None
+    sched = _build("error-schedule", desc, dim, errors, path)
+    if sched is not None:
+        _check(errors, path, sched.validate)
+    return sched
+
+
+def _schedules(descs, n, dim, errors, path):
+    """One error schedule (or null) per operator block."""
+    if not isinstance(descs, list) or len(descs) != n:
+        errors.append(f"{path}: expected a list of {n} schedules")
+        return None
+    return [_schedule(d, dim, errors, f"{path}[{i}]") for i, d in enumerate(descs)]
+
+
+def _init(desc, shape, keys, errors, default_kind=None):
+    """Start point ``rng -> array`` of ``shape`` from an ``init`` descriptor.
+
+    Kinds: ``zeros`` (also for an absent descriptor); ``random``, ``scale``
+    times standard normals; ``value``, the vectors under ``keys`` stacked,
+    or, for one key and a two-dimensional ``shape``, any array of that many
+    numbers.  A descriptor without ``kind`` reads as ``default_kind``.
+    """
+    if desc is None:
+        return lambda rng: np.zeros(shape)
+    if not _is_object(desc, errors, "init"):
+        return None
+    kind = desc.get("kind", default_kind)
     if kind == "zeros":
-        return lambda rng: np.zeros(dim)
+        return lambda rng: np.zeros(shape)
     if kind == "random":
-        scale = _num(desc, "scale", errors, f"{path}.", default=1.0)
-        return lambda rng: scale * rng.standard_normal(dim)
-    if kind == "value":
-        v = _vec(desc.get(key), dim, errors, f"{path}.{key}")
-        if v is None:
+        scale = _num(desc, "scale", errors, "init.", default=1.0)
+        return lambda rng: scale * rng.standard_normal(shape)
+    if kind != "value":
+        errors.append(f"init.kind: unknown init kind {kind!r}; "
+                      "known kinds: zeros, random, value")
+        return None
+    if len(keys) == 1 and len(shape) == 2:
+        try:
+            v = np.asarray(desc.get(keys[0]), dtype=float).reshape(shape)
+        except (TypeError, ValueError):
+            errors.append(f"init.{keys[0]}: expected {shape[0]} vectors "
+                          f"of length {shape[1]}")
             return None
-        return lambda rng: v.copy()
-    errors.append(f"{path}.kind: unknown init kind {kind!r}; "
-                  "known kinds: zeros, random, value")
-    return None
-
-
-# ---------------------------------------------------------------------------
-# per-algorithm builders: validate everything, return a launcher closure
-# ---------------------------------------------------------------------------
-
-def _build_fdr(data, errors, variational_mode=False):
-    dim = _intval(data, "dim", errors, "", required=True, minimum=1)
-    if dim is None:
-        return None
-    sub = _desc(data, "subspace", errors, "", required=True)
-    V = _build_subspace(sub, dim, errors, "subspace") if sub else None
-
-    if variational_mode:
-        fdesc = _desc(data, "f", errors, "", required=True)
-        gdesc = _desc(data, "g", errors, "", required=True)
-        fobj = _build_prox(fdesc, dim, errors, "f") if fdesc else None
-        gobj = _build_smooth(gdesc, dim, errors, "g") if gdesc else None
-        A = fobj.as_resolvent() if fobj else None
-        B = gobj.as_cocoercive() if gobj else None
-        objective = None
-        if fobj is not None and gobj is not None and fobj.value and gobj.value:
-            objective = lambda x: float(fobj.value(x)) + float(gobj.value(x))
     else:
-        adesc = _desc(data, "A", errors, "", required=True)
-        bdesc = _desc(data, "B", errors, "", default={"kind": "zero", "beta": 1.0})
-        A = _build_resolvent(adesc, dim, errors, "A") if adesc else None
-        B = _build_cocoercive(bdesc, dim, errors, "B") if bdesc else None
-        objective = None
+        rows = [_vec(desc.get(k), shape[-1], errors, f"init.{k}") for k in keys]
+        if any(r is None for r in rows):
+            return None
+        v = np.array(rows).reshape(shape)
+    return lambda rng: v.copy()
 
+
+def _positive(value, errors, path):
+    if value is not None and value <= 0:
+        errors.append(f"{path}: must be positive, got {value}")
+        return False
+    return True
+
+
+def _forward_ranges(B, gamma, relax, errors, closed=False):
+    """``gamma`` in ]0, 2 beta[ (default beta), then the relaxations in
+    ]0, 1/alpha[, or in [epsilon, 1] for the partial-inverse forms."""
+    if B is None:
+        return
+    g = B.beta if gamma is None else gamma
+    if _check(errors, "gamma", fdr.check_gamma, g, B.beta) is None or relax is None:
+        return
+    if closed:
+        _check(errors, "lambda", relax.validate_closed, fpi.DEFAULT_EPSILON, 1.0)
+    else:
+        _check(errors, "lambda", relax.validate_open, fdr.averagedness(g, B.beta))
+
+
+# ---------------------------------------------------------------------------
+# per-algorithm builders: fields, range check and solver call
+# ---------------------------------------------------------------------------
+
+def _build_fdr(data, dim, errors, variational_mode=False):
+    V = _required(data, "subspace", "subspace", dim, errors)
+    if variational_mode:
+        f = _required(data, "f", "prox", dim, errors)
+        g = _required(data, "g", "smooth", dim, errors)
+        B = None if g is None else _check(errors, "g", g.as_cocoercive)
+    else:
+        A = _required(data, "A", "operator", dim, errors)
+        B = _build("forward-map", data.get("B", _ZERO_B), dim, errors, "B")
     gamma = _num(data, "gamma", errors, "")
-    relax = _build_relaxation(data.get("lambda"), errors, "lambda")
-    errs = data.get("errors") or {}
-    a_errors = _build_error_schedule(errs.get("a"), dim, errors, "errors.a")
-    b_errors = _build_error_schedule(errs.get("b"), dim, errors, "errors.b")
-    init = _init_vector(data.get("init"), dim, errors, "init", key="z")
-
-    if B is not None:
-        beta = B.beta
-        if gamma is not None and not 0.0 < gamma < 2.0 * beta:
-            errors.append(f"gamma: must lie in ]0, 2*beta[ = ]0, {2.0 * beta}[; "
-                          f"got {gamma}")
-        elif relax is not None:
-            g = beta if gamma is None else gamma
-            alpha = max(2.0 / 3.0, 2.0 * g / (g + 2.0 * beta))
-            _check_schedule(lambda: relax.validate_open(alpha), errors, "lambda")
-    for name, e in (("errors.a", a_errors), ("errors.b", b_errors)):
-        if e is not None:
-            _check_schedule(e.validate, errors, name)
-    if errors or A is None or B is None or V is None or relax is None or init is None:
+    relax = _optional(data, "lambda", "relaxation", errors, _UNIT_LAMBDA)
+    errs = _section(data, "errors", errors)
+    a_errors = _schedule(errs.get("a"), dim, errors, "errors.a")
+    b_errors = _schedule(errs.get("b"), dim, errors, "errors.b")
+    start = _init(data.get("init"), (dim,), ("z",), errors)
+    _forward_ranges(B, gamma, relax, errors)
+    if errors:
         return None
-
-    prob = fdr.InclusionProblem(A, B, V)
-
-    def launch(rng, tol, max_iters, log_every):
-        return fdr.fdr_solve(prob, gamma=gamma, relaxation=relax,
-                             a_errors=a_errors, b_errors=b_errors,
-                             z0=init(rng), tol=tol, max_iters=max_iters,
-                             log_every=log_every, objective=objective)
-
-    return launch
+    if variational_mode:
+        solve = partial(variational.min_over_subspace, f, g, V)
+    else:
+        solve = partial(fdr.fdr_solve, fdr.InclusionProblem(A, B, V))
+    return lambda rng, tol, max_iters, log_every: solve(
+        gamma=gamma, relaxation=relax, a_errors=a_errors, b_errors=b_errors,
+        z0=start(rng), tol=tol, max_iters=max_iters, log_every=log_every)
 
 
-def _build_fpi(data, errors, explicit=False):
-    dim = _intval(data, "dim", errors, "", required=True, minimum=1)
-    if dim is None:
-        return None
-    sub = _desc(data, "subspace", errors, "", required=True)
-    V = _build_subspace(sub, dim, errors, "subspace") if sub else None
-    adesc = _desc(data, "A", errors, "", required=True)
-    bdesc = _desc(data, "B", errors, "", default={"kind": "zero", "beta": 1.0})
-    A = _build_resolvent(adesc, dim, errors, "A") if adesc else None
-    B = _build_cocoercive(bdesc, dim, errors, "B") if bdesc else None
+def _build_fpi(data, dim, errors, explicit=False):
+    V = _required(data, "subspace", "subspace", dim, errors)
+    A = _required(data, "A", "operator", dim, errors)
+    B = _build("forward-map", data.get("B", _ZERO_B), dim, errors, "B")
     gamma = _num(data, "gamma", errors, "")
-    relax = _build_relaxation(data.get("lambda"), errors, "lambda")
-    steps = _build_steps(data.get("delta"), errors, "delta") if not explicit else None
-    init = data.get("init") or {}
-    x_init = _init_vector(init or None, dim, errors, "init", key="x")
-    if x_init is not None and V is not None and init.get("kind") == "random":
-        # a random start must still lie in the subspace
-        raw_init = x_init
-        x_init = lambda rng: V(raw_init(rng))
-    y_init = lambda rng: np.zeros(dim)
-    if init.get("kind") == "value" and "y" in init:
-        yv = _vec(init.get("y"), dim, errors, "init.y")
-        if yv is not None:
-            y_init = lambda rng: yv.copy()
-    if init.get("kind") == "value" and V is not None:
-        xv = init.get("x")
-        if xv is not None:
-            xv = np.asarray(xv, dtype=float)
-            if xv.shape == (dim,) and \
-                    np.linalg.norm(xv - V(xv)) > 1e-9 * (1 + np.linalg.norm(xv)):
-                errors.append("init.x: must lie in the subspace")
-        yv = init.get("y")
-        if yv is not None:
-            yv = np.asarray(yv, dtype=float)
-            if yv.shape == (dim,) and \
-                    np.linalg.norm(V(yv)) > 1e-9 * (1 + np.linalg.norm(yv)):
-                errors.append("init.y: must lie in the orthogonal complement "
-                              "of the subspace")
-
-    gamma_ok = True
-    if B is not None and gamma is not None:
-        beta = B.beta
-        if explicit and not 0.0 < gamma < 2.0 * beta:
-            errors.append(f"gamma: must lie in ]0, 2*beta[ = ]0, {2.0 * beta}[; "
-                          f"got {gamma}")
-            gamma_ok = False
-        if not explicit and gamma <= 0:
-            errors.append(f"gamma: must be positive, got {gamma}")
-            gamma_ok = False
-    eps = fpi.DEFAULT_EPSILON
-    if relax is not None:
-        _check_schedule(lambda: relax.validate_closed(eps, 1.0), errors, "lambda")
-    if not explicit and steps is not None and B is not None and gamma_ok:
-        g = B.beta if gamma is None else gamma
-        _check_schedule(lambda: steps.validate(g, B.beta), errors, "delta")
-        if steps.constant_value != 1.0:
-            errors.append("delta: the harness only runs the built-in delta = 1 "
-                          "closed form; varying steps need the library oracle API")
-    if errors or A is None or B is None or V is None or relax is None or x_init is None:
-        return None
-
-    prob = fdr.InclusionProblem(A, B, V)
+    relax = _optional(data, "lambda", "relaxation", errors, _UNIT_LAMBDA)
+    steps = None if explicit else _optional(data, "delta", "step", errors, _UNIT_DELTA)
+    init = data.get("init") or None
+    x_start = _init(init, (dim,), ("x",), errors)
+    kind = init.get("kind") if isinstance(init, dict) else None
+    y0 = np.zeros(dim)
+    if kind == "value" and "y" in init:
+        y0 = _vec(init["y"], dim, errors, "init.y")
+    if kind == "random" and V is not None and x_start is not None:
+        draw = x_start  # a random start must still lie in the subspace
+        x_start = lambda rng: V(draw(rng))
+    if kind == "value" and V is not None:
+        x0 = None if x_start is None else x_start(None)  # a value ignores the rng
+        for key, v, gap, where in (
+                ("x", x0, lambda v: v - V(v), "the subspace"),
+                ("y", y0, V, "the orthogonal complement of the subspace")):
+            # only a start given as a full vector is held to its subspace
+            if v is not None and np.ndim(init.get(key)) == 1 and \
+                    np.linalg.norm(gap(v)) > 1e-9 * (1 + np.linalg.norm(v)):
+                errors.append(f"init.{key}: must lie in {where}")
 
     if explicit:
-        def launch(rng, tol, max_iters, log_every):
-            return fpi.fpi_explicit_solve(prob, gamma=gamma, relaxation=relax,
-                                          x0=x_init(rng), y0=y_init(rng),
-                                          tol=tol, max_iters=max_iters,
-                                          log_every=log_every)
+        _forward_ranges(B, gamma, relax, errors, closed=True)
     else:
-        def launch(rng, tol, max_iters, log_every):
-            return fpi.fpi_solve(prob, gamma=gamma, steps=steps, relaxation=relax,
-                                 x0=x_init(rng), y0=y_init(rng), tol=tol,
-                                 max_iters=max_iters, log_every=log_every)
-
-    return launch
-
-
-def _build_km(data, errors):
-    dim = _intval(data, "dim", errors, "", required=True, minimum=1)
-    if dim is None:
+        gamma_ok = _positive(gamma, errors, "gamma")
+        if relax is not None:
+            _check(errors, "lambda", relax.validate_closed, fpi.DEFAULT_EPSILON, 1.0)
+        if steps is not None and B is not None and gamma_ok:
+            g = B.beta if gamma is None else gamma
+            _check(errors, "delta", steps.validate, g, B.beta)
+            if steps.constant_value != 1.0:
+                errors.append("delta: the harness only runs the built-in delta = 1 "
+                              "closed form; varying steps need the library oracle API")
+    if errors:
         return None
-    ops_desc = data.get("ops")
-    if not isinstance(ops_desc, list) or not ops_desc:
+    prob = fdr.InclusionProblem(A, B, V)
+    solve = (partial(fpi.fpi_explicit_solve, prob) if explicit
+             else partial(fpi.fpi_solve, prob, steps=steps))
+    return lambda rng, tol, max_iters, log_every: solve(
+        gamma=gamma, relaxation=relax, x0=x_start(rng), y0=y0, tol=tol,
+        max_iters=max_iters, log_every=log_every)
+
+
+def _build_km(data, dim, errors):
+    descs = data.get("ops")
+    if not isinstance(descs, list) or not descs:
         errors.append("ops: expected a nonempty list of operator descriptors")
         return None
     ops = []
-    for i, desc in enumerate(ops_desc):
-        if not isinstance(desc, dict):
-            errors.append(f"ops[{i}]: expected an object")
+    for i, desc in enumerate(descs):
+        path = f"ops[{i}]"
+        if not _is_object(desc, errors, path):
             continue
         ref = desc.get("type")
         if ref == "projector":
-            P = _build_subspace(desc, dim, errors, f"ops[{i}]")
+            P = _build("subspace", desc, dim, errors, path)
             if P is not None:
                 ops.append(operators.AveragedOperator(P, 0.5, dim, label="projection"))
         elif ref == "resolvent":
-            g = _num(desc, "gamma", errors, f"ops[{i}].", default=1.0)
-            A = _build_resolvent(desc, dim, errors, f"ops[{i}]")
-            if A is not None and g is not None:
-                if g <= 0:
-                    errors.append(f"ops[{i}].gamma: must be positive, got {g}")
-                else:
-                    ops.append(operators.AveragedOperator(
-                        lambda x, A=A, g=g: A.resolve(g, x), 0.5, dim,
-                        label="resolvent"))
+            g = _num(desc, "gamma", errors, f"{path}.", default=1.0)
+            A = _build("operator", desc, dim, errors, path)
+            if A is not None and _positive(g, errors, f"{path}.gamma"):
+                ops.append(operators.AveragedOperator(
+                    lambda x, A=A, g=g: A.resolve(g, x), 0.5, dim,
+                    label="resolvent"))
         else:
-            errors.append(f"ops[{i}].type: unknown operator type {ref!r}; "
+            errors.append(f"{path}.type: unknown operator type {ref!r}; "
                           "known types: projector, resolvent")
-    relax = _build_relaxation(data.get("lambda"), errors, "lambda")
-    err_descs = data.get("errors")
-    err_schedules = None
-    if err_descs is not None:
-        if not isinstance(err_descs, list) or len(err_descs) != len(ops_desc):
-            errors.append(f"errors: expected a list of {len(ops_desc)} schedules")
-        else:
-            err_schedules = [
-                _build_error_schedule(d, dim, errors, f"errors[{i}]")
-                for i, d in enumerate(err_descs)
-            ]
-    init = _init_vector(data.get("init"), dim, errors, "init", key="z")
-    if len(ops) == len(ops_desc) and relax is not None:
+    relax = _optional(data, "lambda", "relaxation", errors, _UNIT_LAMBDA)
+    schedules = None
+    if data.get("errors") is not None:
+        schedules = _schedules(data["errors"], len(descs), dim, errors, "errors")
+    start = _init(data.get("init"), (dim,), ("z",), errors)
+    if len(ops) == len(descs) and relax is not None:
         alpha = km.composed_alpha([T.alpha for T in ops])
-        _check_schedule(lambda: relax.validate_open(alpha), errors, "lambda")
-    if err_schedules:
-        for i, e in enumerate(err_schedules):
-            if e is not None:
-                _check_schedule(e.validate, errors, f"errors[{i}]")
-    if errors or len(ops) != len(ops_desc) or relax is None or init is None:
+        _check(errors, "lambda", relax.validate_open, alpha)
+    if errors:
         return None
-
-    def launch(rng, tol, max_iters, log_every):
-        return km.km_solve(ops, relaxation=relax, errors=err_schedules,
-                           z0=init(rng), tol=tol, max_iters=max_iters,
-                           log_every=log_every)
-
-    return launch
+    return lambda rng, tol, max_iters, log_every: km.km_solve(
+        ops, relaxation=relax, errors=schedules, z0=start(rng), tol=tol,
+        max_iters=max_iters, log_every=log_every)
 
 
-def _build_product(data, errors, pi_form=False):
-    dim = _intval(data, "dim", errors, "", required=True, minimum=1)
-    if dim is None:
-        return None
-    blocks_desc = data.get("blocks")
-    if not isinstance(blocks_desc, list) or not blocks_desc:
+def _build_product(data, dim, errors, pi_form=False):
+    descs = data.get("blocks")
+    if not isinstance(descs, list) or not descs:
         errors.append("blocks: expected a nonempty list of operator descriptors")
         return None
-    blocks = []
-    for i, desc in enumerate(blocks_desc):
-        if not isinstance(desc, dict):
-            errors.append(f"blocks[{i}]: expected an object")
-            continue
-        A = _build_resolvent(desc, dim, errors, f"blocks[{i}]")
-        if A is not None:
-            blocks.append(A)
-    bdesc = _desc(data, "B", errors, "", default={"kind": "zero", "beta": 1.0})
-    B = _build_cocoercive(bdesc, dim, errors, "B") if bdesc else None
-    weights = None
-    if "weights" in data:
-        weights = _vec(data["weights"], len(blocks_desc), errors, "weights")
+    m = len(descs)
+    blocks = [_build("operator", d, dim, errors, f"blocks[{i}]")
+              for i, d in enumerate(descs)]
+    B = _build("forward-map", data.get("B", _ZERO_B), dim, errors, "B")
+    weights = _vec(data["weights"], m, errors, "weights") if "weights" in data else None
     gamma = _num(data, "gamma", errors, "")
-    relax = _build_relaxation(data.get("lambda"), errors, "lambda")
-    m = len(blocks_desc)
-
-    errs = data.get("errors") or {}
-    a_errors = _build_error_schedule(errs.get("a"), dim, errors, "errors.a")
-    b_list = None
-    if "b" in errs and errs["b"] is not None:
-        if not isinstance(errs["b"], list) or len(errs["b"]) != m:
-            errors.append(f"errors.b: expected a list of {m} schedules")
-        else:
-            b_list = [_build_error_schedule(d, dim, errors, f"errors.b[{i}]")
-                      for i, d in enumerate(errs["b"])]
-
-    if B is not None:
-        beta = B.beta
-        if gamma is not None and not 0.0 < gamma < 2.0 * beta:
-            errors.append(f"gamma: must lie in ]0, 2*beta[ = ]0, {2.0 * beta}[; "
-                          f"got {gamma}")
-        elif relax is not None:
-            g = beta if gamma is None else gamma
-            if pi_form:
-                _check_schedule(lambda: relax.validate_closed(fpi.DEFAULT_EPSILON, 1.0),
-                                errors, "lambda")
-            else:
-                alpha = max(2.0 / 3.0, 2.0 * g / (g + 2.0 * beta))
-                _check_schedule(lambda: relax.validate_open(alpha), errors, "lambda")
-    if a_errors is not None:
-        _check_schedule(a_errors.validate, errors, "errors.a")
-    if b_list:
-        for i, e in enumerate(b_list):
-            if e is not None:
-                _check_schedule(e.validate, errors, f"errors.b[{i}]")
-    if errors or len(blocks) != m or B is None or relax is None:
-        return None
-    try:
-        prob = productspace.ProductProblem(blocks, B, weights)
-    except ValueError as e:
-        errors.append(f"weights: {e}")
-        return None
-
-    init = data.get("init") or {}
+    relax = _optional(data, "lambda", "relaxation", errors, _UNIT_LAMBDA)
+    errs = _section(data, "errors", errors)
+    a_errors = _schedule(errs.get("a"), dim, errors, "errors.a")
+    b_errors = None
+    if errs.get("b") is not None:
+        b_errors = _schedules(errs["b"], m, dim, errors, "errors.b")
+    _forward_ranges(B, gamma, relax, errors, closed=pi_form)
     if pi_form:
-        x_init = _init_vector(init or None, dim, errors, "init", key="x")
-        if errors or x_init is None:
-            return None
-
-        def launch(rng, tol, max_iters, log_every):
-            return productspace.sum_splitting_pi(prob, gamma=gamma,
-                                                 relaxation=relax,
-                                                 x0=x_init(rng), tol=tol,
-                                                 max_iters=max_iters,
-                                                 log_every=log_every)
+        start = _init(data.get("init") or None, (dim,), ("x",), errors)
     else:
-        kind = init.get("kind", "zeros") if init else "zeros"
-        if kind == "zeros":
-            z_init = lambda rng: np.zeros((m, dim))
-        elif kind == "random":
-            scale = _num(init, "scale", errors, "init.", default=1.0)
-            z_init = lambda rng: scale * rng.standard_normal((m, dim))
-        elif kind == "value":
-            zval = init.get("z")
-            try:
-                Z = np.asarray(zval, dtype=float).reshape(m, dim)
-            except (TypeError, ValueError):
-                errors.append(f"init.z: expected {m} vectors of length {dim}")
-                return None
-            z_init = lambda rng: Z.copy()
-        else:
-            errors.append(f"init.kind: unknown init kind {kind!r}")
-            return None
-        if errors:
-            return None
-
-        def launch(rng, tol, max_iters, log_every):
-            return productspace.sum_splitting_solve(prob, gamma=gamma,
-                                                    relaxation=relax,
-                                                    a_errors=a_errors,
-                                                    b_errors=b_list,
-                                                    z0=z_init(rng), tol=tol,
-                                                    max_iters=max_iters,
-                                                    log_every=log_every)
-
-    return launch
-
-
-def _build_dr2(data, errors):
-    dim = _intval(data, "dim", errors, "", required=True, minimum=1)
-    if dim is None:
+        start = _init(data.get("init") or None, (m, dim), ("z",), errors,
+                      default_kind="zeros")
+    if errors:
         return None
-    a1 = _desc(data, "A1", errors, "", required=True)
-    a2 = _desc(data, "A2", errors, "", required=True)
-    A1 = _build_resolvent(a1, dim, errors, "A1") if a1 else None
-    A2 = _build_resolvent(a2, dim, errors, "A2") if a2 else None
+    prob = _check(errors, "weights", productspace.ProductProblem, blocks, B, weights)
+    if prob is None:
+        return None
+    if pi_form:
+        return lambda rng, tol, max_iters, log_every: productspace.sum_splitting_pi(
+            prob, gamma=gamma, relaxation=relax, x0=start(rng), tol=tol,
+            max_iters=max_iters, log_every=log_every)
+    return lambda rng, tol, max_iters, log_every: productspace.sum_splitting_solve(
+        prob, gamma=gamma, relaxation=relax, a_errors=a_errors, b_errors=b_errors,
+        z0=start(rng), tol=tol, max_iters=max_iters, log_every=log_every)
+
+
+def _build_dr2(data, dim, errors):
+    A1 = _required(data, "A1", "operator", dim, errors)
+    A2 = _required(data, "A2", "operator", dim, errors)
     gamma = _num(data, "gamma", errors, "", default=1.0)
-    relax = _build_relaxation(data.get("lambda"), errors, "lambda")
-    errs = data.get("errors") or {}
-    b1 = _build_error_schedule(errs.get("b1"), dim, errors, "errors.b1")
-    b2 = _build_error_schedule(errs.get("b2"), dim, errors, "errors.b2")
-    if gamma is not None and gamma <= 0:
-        errors.append(f"gamma: must be positive, got {gamma}")
-    # relaxations for the two-operator parallel splitting live in ]0, 3/2[
+    relax = _optional(data, "lambda", "relaxation", errors, _UNIT_LAMBDA)
+    errs = _section(data, "errors", errors)
+    b1 = _schedule(errs.get("b1"), dim, errors, "errors.b1")
+    b2 = _schedule(errs.get("b2"), dim, errors, "errors.b2")
+    init = data.get("init") or None
+    if isinstance(init, dict) and init.get("kind") not in ("random", "value"):
+        init = None  # any other kind starts both blocks at the origin
+    start = _init(init, (2, dim), ("z1", "z2"), errors)
+    _positive(gamma, errors, "gamma")
     if relax is not None:
-        try:
-            relax.validate_open(2.0 / 3.0)
-        except ValueError as e:
-            errors.append(f"lambda: must lie in ]0, 3/2[ for the two-operator "
-                          f"parallel splitting ({e})")
-    for name, e in (("errors.b1", b1), ("errors.b2", b2)):
-        if e is not None:
-            _check_schedule(e.validate, errors, name)
-    if errors or A1 is None or A2 is None or relax is None:
+        _check(errors, "lambda", productspace.dr2_relaxation, relax)
+    if errors:
         return None
-
-    init = data.get("init") or {}
-    if init.get("kind") == "value":
-        z1 = _vec(init.get("z1"), dim, errors, "init.z1")
-        z2 = _vec(init.get("z2"), dim, errors, "init.z2")
-        if errors or z1 is None or z2 is None:
-            return None
-        z_init = lambda rng: (z1.copy(), z2.copy())
-    elif init.get("kind") == "random":
-        scale = _num(init, "scale", errors, "init.", default=1.0)
-        z_init = lambda rng: (scale * rng.standard_normal(dim),
-                              scale * rng.standard_normal(dim))
-    else:
-        z_init = lambda rng: (np.zeros(dim), np.zeros(dim))
-
-    def launch(rng, tol, max_iters, log_every):
-        return productspace.parallel_dr2(A1, A2, gamma=gamma, relaxation=relax,
-                                         b1_errors=b1, b2_errors=b2,
-                                         z0=z_init(rng), tol=tol,
-                                         max_iters=max_iters,
-                                         log_every=log_every)
-
-    return launch
+    return lambda rng, tol, max_iters, log_every: productspace.parallel_dr2(
+        A1, A2, gamma=gamma, relaxation=relax, b1_errors=b1, b2_errors=b2,
+        z0=start(rng), tol=tol, max_iters=max_iters, log_every=log_every)
 
 
 _BUILDERS = {
-    "fdr": lambda d, e: _build_fdr(d, e),
-    "variational": lambda d, e: _build_fdr(d, e, variational_mode=True),
-    "fpi": lambda d, e: _build_fpi(d, e),
-    "fpi-explicit": lambda d, e: _build_fpi(d, e, explicit=True),
+    "fdr": _build_fdr,
+    "variational": partial(_build_fdr, variational_mode=True),
+    "fpi": _build_fpi,
+    "fpi-explicit": partial(_build_fpi, explicit=True),
     "km": _build_km,
-    "product": lambda d, e: _build_product(d, e),
-    "pi-sum": lambda d, e: _build_product(d, e, pi_form=True),
+    "product": _build_product,
+    "pi-sum": partial(_build_product, pi_form=True),
     "dr2": _build_dr2,
 }
 
@@ -836,9 +587,9 @@ def parse_spec(text, overrides=None):
             if value is None:
                 continue
             if key in ("tol", "max_iters"):
-                stop = dict(data.get("stop") or {})
-                stop[key] = value
-                data["stop"] = stop
+                stop = data.get("stop") or {}
+                if isinstance(stop, dict):
+                    data["stop"] = {**stop, key: value}
             else:
                 data[key] = value
 
@@ -851,17 +602,16 @@ def parse_spec(text, overrides=None):
                       f"known algorithms: {', '.join(ALGORITHMS)}")
         raise SpecValidationError(errors)
 
-    stop = data.get("stop") or {}
+    stop = _section(data, "stop", errors)
     tol = _num(stop, "tol", errors, "stop.", default=km.DEFAULT_TOL)
     max_iters = _intval(stop, "max_iters", errors, "stop.",
                         default=km.DEFAULT_MAX_ITERS, minimum=0)
     seed = _intval(data, "seed", errors, "", default=0)
     log_every = _intval(data, "log_every", errors, "", default=1, minimum=1)
+    dim = _intval(data, "dim", errors, "", required=True, minimum=1)
 
-    launch = _BUILDERS[algorithm](data, errors)
-    if errors or launch is None:
-        if not errors:
-            errors.append("spec could not be validated")
+    launch = None if dim is None else _BUILDERS[algorithm](data, dim, errors)
+    if errors:
         raise SpecValidationError(errors)
     return ProblemSpec(algorithm=algorithm, tol=tol, max_iters=max_iters,
                        seed=seed, log_every=log_every, launch=launch, raw=data)
@@ -880,10 +630,6 @@ def run(spec):
         "residual": result.history[-1].residual if result.history else float("nan"),
         "wall_time": wall,
     }
-    for attr in ("inclusion_residual", "certificate_residual",
-                 "membership_violation"):
-        if hasattr(result, attr):
-            summary[attr] = getattr(result, attr)
     return RunRecord(rows=list(result.history), summary=summary)
 
 

@@ -23,6 +23,8 @@ from .operators import AveragedOperator
 from .spaces import as_vector
 
 __all__ = [
+    "check_gamma",
+    "averagedness",
     "InclusionProblem",
     "PrimalDualResult",
     "CharacterizationReport",
@@ -31,6 +33,22 @@ __all__ = [
     "fdr_solve",
     "characterization_check",
 ]
+
+
+def check_gamma(gamma, beta):
+    """``gamma`` as a float, checked to lie in ``]0, 2*beta[`` for a
+    ``beta``-cocoercive forward map."""
+    if not 0.0 < gamma < 2.0 * beta:
+        raise ValueError(
+            f"gamma must lie in ]0, 2*beta[ = ]0, {2.0 * beta}[; got {gamma}"
+        )
+    return float(gamma)
+
+
+def averagedness(gamma, beta):
+    """Averagedness constant ``max(2/3, 2 gamma/(gamma + 2 beta))`` of
+    ``T_gamma o S_gamma``; relaxations range over ``]0, 1/alpha[``."""
+    return max(2.0 / 3.0, 2.0 * gamma / (gamma + 2.0 * beta))
 
 
 @dataclass(frozen=True)
@@ -62,14 +80,10 @@ class InclusionProblem:
 
     def alpha(self, gamma):
         """Averagedness constant of ``T_gamma o S_gamma``."""
-        return max(2.0 / 3.0, 2.0 * gamma / (gamma + 2.0 * self.beta))
+        return averagedness(gamma, self.beta)
 
     def check_gamma(self, gamma):
-        if not 0.0 < gamma < 2.0 * self.beta:
-            raise ValueError(
-                f"gamma must lie in ]0, 2*beta[ = ]0, {2.0 * self.beta}[; got {gamma}"
-            )
-        return float(gamma)
+        return check_gamma(gamma, self.beta)
 
 
 def build_T(A, V, gamma):
@@ -85,10 +99,7 @@ def build_T(A, V, gamma):
 
 def build_S(B, V, gamma):
     """Forward operator ``Id - gamma P_V o B o P_V``; gamma/(2 beta)-averaged."""
-    if not 0.0 < gamma < 2.0 * B.beta:
-        raise ValueError(
-            f"gamma must lie in ]0, 2*beta[ = ]0, {2.0 * B.beta}[; got {gamma}"
-        )
+    check_gamma(gamma, B.beta)
 
     def apply(z):
         return z - gamma * V(B(V(z)))

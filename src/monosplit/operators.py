@@ -271,6 +271,7 @@ def _row_kernel_family(kernel, params, dim, label):
 
 
 def _soft_threshold(gamma, x):
+    """Soft threshold: coordinatewise shrink toward zero by ``gamma``."""
     return np.sign(x) * np.maximum(np.abs(x) - gamma, 0.0)
 
 
@@ -291,10 +292,8 @@ def subdifferential_abs(dim, center=None):
                               dim, "abs-subdifferential")
 
 
-def normal_cone_box(lo, hi):
-    """Normal cone to the box ``[lo, hi]``; resolvent = clamp, gamma-independent.
-
-    Infinite bounds are allowed (half-lines and rays)."""
+def _box_bounds(lo, hi):
+    """Bounds of a nonempty box as float vectors; infinite bounds are allowed."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     if lo.ndim != 1 or hi.shape != lo.shape:
@@ -303,6 +302,14 @@ def normal_cone_box(lo, hi):
         raise ValueError("box bounds must not be NaN")
     if np.any(lo > hi):
         raise ValueError("empty box: lo > hi in some coordinate")
+    return lo, hi
+
+
+def normal_cone_box(lo, hi):
+    """Normal cone to the box ``[lo, hi]``; resolvent = clamp, gamma-independent.
+
+    Infinite bounds are allowed (half-lines and rays)."""
+    lo, hi = _box_bounds(lo, hi)
     return _row_kernel_family(_clamp, (lo, hi), lo.shape[0], "box-normal-cone")
 
 
@@ -358,21 +365,28 @@ def linear_monotone(M, b=None, tol=1e-10):
     return ResolventFamily(res, dim, label="affine-monotone")
 
 
-def affine_gradient(Q, b=None, tol=1e-10):
-    """Cocoercive map ``x -> Q x - b`` for symmetric PSD ``Q``.
-
-    The certified constant is ``beta = 1 / lambda_max(Q)``.
-    """
+def _symmetric_psd(Q, tol):
+    """``Q`` as a float matrix checked square, symmetric and positive
+    semidefinite (relative to its largest entry), with its eigenvalues."""
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError(f"Q must be square, got shape {Q.shape}")
-    dim = Q.shape[0]
     scale = max(1.0, float(np.abs(Q).max()))
     if float(np.abs(Q - Q.T).max()) > tol * scale:
         raise ValueError("Q must be symmetric")
     eigs = np.linalg.eigvalsh(Q)
     if float(eigs.min()) < -tol * scale:
         raise ValueError(f"Q must be positive semidefinite (min eigenvalue {eigs.min():.3e})")
+    return Q, eigs
+
+
+def affine_gradient(Q, b=None, tol=1e-10):
+    """Cocoercive map ``x -> Q x - b`` for symmetric PSD ``Q``.
+
+    The certified constant is ``beta = 1 / lambda_max(Q)``.
+    """
+    Q, eigs = _symmetric_psd(Q, tol)
+    dim = Q.shape[0]
     lam_max = float(eigs.max())
     if lam_max <= 0.0:
         raise ValueError("Q must have a positive largest eigenvalue; "

@@ -24,7 +24,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .fdr import InclusionProblem, fdr_solve
+from .fdr import InclusionProblem, averagedness, check_gamma, fdr_solve
 from .fpi import DEFAULT_EPSILON, fpi_explicit_solve
 from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, ErrorSchedule, _iterate,
                  as_relaxation)
@@ -43,6 +43,7 @@ __all__ = [
     "sum_splitting_pi",
     "sum_splitting_pi_via_fpi",
     "parallel_dr2",
+    "dr2_relaxation",
 ]
 
 DEFAULT_SCALED_GAMMA_CAP = 1e12
@@ -374,13 +375,8 @@ def sum_splitting_solve(prob, gamma=None, relaxation=1.0, a_errors=None,
     """
     m, d, w = prob.m, prob.base_dim, prob.weights
     beta = prob.beta
-    gamma = beta if gamma is None else float(gamma)
-    if not 0.0 < gamma < 2.0 * beta:
-        raise ValueError(
-            f"gamma must lie in ]0, 2*beta[ = ]0, {2.0 * beta}[; got {gamma}"
-        )
-    alpha = max(2.0 / 3.0, 2.0 * gamma / (gamma + 2.0 * beta))
-    lam_at = as_relaxation(relaxation).validate_open(alpha)
+    gamma = check_gamma(beta if gamma is None else float(gamma), beta)
+    lam_at = as_relaxation(relaxation).validate_open(averagedness(gamma, beta))
     if a_errors is not None:
         if a_errors.dim != d:
             raise ValueError("a_errors must live in the base space")
@@ -488,8 +484,7 @@ def parallel_dr2(A1, A2, gamma=1.0, relaxation=1.0, b1_errors=None,
     d = A1.dim
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    # alpha = 2/3 here, so the open range ]0, 1/alpha[ is exactly ]0, 3/2[
-    lam_open = _dr2_range(as_relaxation(relaxation).validate_open, 2.0 / 3.0)
+    lam_at = dr2_relaxation(relaxation)
     for e in (b1_errors, b2_errors):
         if e is not None:
             if e.dim != d:
@@ -510,8 +505,8 @@ def parallel_dr2(A1, A2, gamma=1.0, relaxation=1.0, b1_errors=None,
 
     Z = np.zeros((2, d)) if z0 is None else np.stack([as_vector(z0[0], d),
                                                       as_vector(z0[1], d)])
-    run = _iterate(Z, step, lambda n: _dr2_range(lam_open, n), tol, max_iters,
-                   log_every, trace, np.linalg.norm)
+    run = _iterate(Z, step, lam_at, tol, max_iters, log_every, trace,
+                   np.linalg.norm)
 
     # certificate: u_i = (s_i - p_i)/(2 gamma) lies in A_i p_i with s_1 = z_2,
     # s_2 = z_1; at a solution the u_i sum to zero
@@ -533,13 +528,22 @@ def parallel_dr2(A1, A2, gamma=1.0, relaxation=1.0, b1_errors=None,
                               spread=spread, trace=run.trace)
 
 
-def _dr2_range(fn, *args):
-    """``fn(*args)``, its range errors naming the relaxation range of dr2."""
-    try:
-        return fn(*args)
-    except ValueError as e:
-        raise ValueError(f"{e} (two-operator parallel splitting requires "
-                         f"relaxations in ]0, 3/2[)") from None
+def dr2_relaxation(relaxation):
+    """Relaxations of :func:`parallel_dr2` as a checked ``n -> lambda_n``.
+
+    The averagedness constant is 2/3, so the open range ``]0, 1/alpha[`` is
+    exactly ``]0, 3/2[``; the prefix is audited here and every later term
+    when the solver reaches it, each error naming that range.
+    """
+    def named(fn, *args):
+        try:
+            return fn(*args)
+        except ValueError as e:
+            raise ValueError(f"{e} (two-operator parallel splitting requires "
+                             f"relaxations in ]0, 3/2[)") from None
+
+    lam_open = named(as_relaxation(relaxation).validate_open, 2.0 / 3.0)
+    return lambda n: named(lam_open, n)
 
 
 def sum_splitting_pi(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
@@ -562,11 +566,7 @@ def sum_splitting_pi(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
     """
     m, d, w = prob.m, prob.base_dim, prob.weights
     beta = prob.beta
-    gamma = beta if gamma is None else float(gamma)
-    if not 0.0 < gamma < 2.0 * beta:
-        raise ValueError(
-            f"gamma must lie in ]0, 2*beta[ = ]0, {2.0 * beta}[; got {gamma}"
-        )
+    gamma = check_gamma(beta if gamma is None else float(gamma), beta)
     lam_at = as_relaxation(relaxation).validate_closed(epsilon, 1.0)
 
     x = np.zeros(d) if x0 is None else as_vector(x0, d).copy()

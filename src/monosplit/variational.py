@@ -17,7 +17,8 @@ import numpy as np
 
 from .fdr import InclusionProblem, fdr_solve
 from .km import DEFAULT_MAX_ITERS, DEFAULT_TOL
-from .operators import CocoerciveMap, ResolventFamily, _CachedAffineSolve
+from .operators import (CocoerciveMap, ResolventFamily, _box_bounds,
+                        _CachedAffineSolve, _soft_threshold, _symmetric_psd)
 from .spaces import as_vector
 
 __all__ = [
@@ -96,10 +97,7 @@ class SmoothFunction:
                              label=f"gradient({self.label or 'g'})")
 
 
-def prox_l1(gamma, x):
-    """Soft threshold: coordinatewise shrink toward zero by ``gamma``."""
-    x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.maximum(np.abs(x) - gamma, 0.0)
+prox_l1 = _soft_threshold
 
 
 def prox_indicator_box(lo, hi, gamma, x):
@@ -111,20 +109,13 @@ def prox_indicator_box(lo, hi, gamma, x):
 
 def l1_function(dim):
     """``f(x) = ||x||_1``."""
-    return ProxFunction(lambda gamma, x: prox_l1(gamma, x), dim,
+    return ProxFunction(prox_l1, dim,
                         value=lambda x: float(np.abs(x).sum()), label="l1")
 
 
 def box_function(lo, hi):
     """Indicator of the box ``[lo, hi]``; infinite bounds are allowed."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    if lo.ndim != 1 or hi.shape != lo.shape:
-        raise ValueError(f"bound shapes differ: {lo.shape} vs {hi.shape}")
-    if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-        raise ValueError("box bounds must not be NaN")
-    if np.any(lo > hi):
-        raise ValueError("empty box: lo > hi in some coordinate")
+    lo, hi = _box_bounds(lo, hi)
 
     def value(x):
         return 0.0 if np.all((x >= lo - 1e-12) & (x <= hi + 1e-12)) else float("inf")
@@ -136,15 +127,8 @@ def box_function(lo, hi):
 def quadratic_function(Q, b=None, tol=1e-10):
     """``f(x) = x'Qx/2 - b'x`` for symmetric PSD ``Q``; prox solves
     ``(Id + gamma Q) z = x + gamma b`` with a factorization cached per gamma."""
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ValueError(f"Q must be square, got shape {Q.shape}")
+    Q, _ = _symmetric_psd(Q, tol)
     dim = Q.shape[0]
-    scale = max(1.0, float(np.abs(Q).max()))
-    if float(np.abs(Q - Q.T).max()) > tol * scale:
-        raise ValueError("Q must be symmetric")
-    if float(np.linalg.eigvalsh(Q).min()) < -tol * scale:
-        raise ValueError("Q must be positive semidefinite")
     b = np.zeros(dim) if b is None else as_vector(b, dim)
     cache = _CachedAffineSolve(Q)
 
@@ -163,16 +147,8 @@ def zero_function(dim):
 
 def quadratic_smooth(Q, b=None, tol=1e-10):
     """``g(x) = x'Qx/2 - b'x`` with gradient ``Qx - b`` and ``L = lambda_max(Q)``."""
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ValueError(f"Q must be square, got shape {Q.shape}")
+    Q, eigs = _symmetric_psd(Q, tol)
     dim = Q.shape[0]
-    scale = max(1.0, float(np.abs(Q).max()))
-    if float(np.abs(Q - Q.T).max()) > tol * scale:
-        raise ValueError("Q must be symmetric")
-    eigs = np.linalg.eigvalsh(Q)
-    if float(eigs.min()) < -tol * scale:
-        raise ValueError("Q must be positive semidefinite")
     lam_max = float(eigs.max())
     if lam_max <= 0.0:
         raise ValueError("Q must have a positive largest eigenvalue; "

@@ -1,7 +1,10 @@
+import copy
 import json
+from pathlib import Path
 
 import pytest
 
+from monosplit import cli, fdr, productspace
 from monosplit.cli import (EXIT_DIVERGED, EXIT_INVALID, EXIT_MAX_ITERS,
                            SpecValidationError, emit_csv, main, parse_spec,
                            run)
@@ -274,58 +277,60 @@ def test_shipped_sample_specs_run(tmp_path):
         assert float(out.read_text().splitlines()[-1].split(",")[2]) <= 1e-9
 
 
+ALL_ALGORITHM_SPECS = {
+    "fdr": fdr_spec(),
+    "fpi": {
+        "schema_version": 1, "algorithm": "fpi", "dim": 2, "gamma": 1.0,
+        "subspace": {"kind": "span", "vector": [1, 1]},
+        "A": {"kind": "box", "lo": [1, 1], "hi": [2, 2]},
+        "B": {"kind": "identity"},
+        "delta": {"kind": "constant", "value": 1.0},
+    },
+    "fpi-explicit": {
+        "schema_version": 1, "algorithm": "fpi-explicit", "dim": 2,
+        "gamma": 1.0,
+        "subspace": {"kind": "zero_mean"},
+        "A": {"kind": "abs"},
+        "B": {"kind": "identity"},
+    },
+    "km": {
+        "schema_version": 1, "algorithm": "km", "dim": 2,
+        "ops": [{"type": "projector", "kind": "span", "vector": [1, 1]},
+                {"type": "projector", "kind": "span", "vector": [1, 0]}],
+        "init": {"kind": "value", "z": [0.0, 2.0]},
+    },
+    "product": {
+        "schema_version": 1, "algorithm": "product", "dim": 1,
+        "gamma": 1.0,
+        "blocks": [{"kind": "abs", "center": [0.0]},
+                   {"kind": "abs", "center": [1.0]},
+                   {"kind": "abs", "center": [2.0]}],
+        "B": {"kind": "zero", "beta": 1.0},
+    },
+    "pi-sum": {
+        "schema_version": 1, "algorithm": "pi-sum", "dim": 1,
+        "gamma": 1.0,
+        "blocks": [{"kind": "abs", "center": [0.0]},
+                   {"kind": "abs", "center": [1.0]},
+                   {"kind": "abs", "center": [2.0]}],
+        "B": {"kind": "zero", "beta": 1.0},
+    },
+    "dr2": {
+        "schema_version": 1, "algorithm": "dr2", "dim": 1, "gamma": 1.0,
+        "A1": {"kind": "linear", "M": [[1.0]], "b": [-4.0]},
+        "A2": {"kind": "linear", "M": [[1.0]], "b": [2.0]},
+    },
+    "variational": {
+        "schema_version": 1, "algorithm": "variational", "dim": 2,
+        "subspace": {"kind": "zero_mean"},
+        "f": {"kind": "l1"},
+        "g": {"kind": "quadratic", "Q": [[1, 0], [0, 1]], "b": [3, -3]},
+    },
+}
+
+
 def test_all_algorithms_run_end_to_end(tmp_path):
-    specs = {
-        "fdr": fdr_spec(),
-        "fpi": {
-            "schema_version": 1, "algorithm": "fpi", "dim": 2, "gamma": 1.0,
-            "subspace": {"kind": "span", "vector": [1, 1]},
-            "A": {"kind": "box", "lo": [1, 1], "hi": [2, 2]},
-            "B": {"kind": "identity"},
-            "delta": {"kind": "constant", "value": 1.0},
-        },
-        "fpi-explicit": {
-            "schema_version": 1, "algorithm": "fpi-explicit", "dim": 2,
-            "gamma": 1.0,
-            "subspace": {"kind": "zero_mean"},
-            "A": {"kind": "abs"},
-            "B": {"kind": "identity"},
-        },
-        "km": {
-            "schema_version": 1, "algorithm": "km", "dim": 2,
-            "ops": [{"type": "projector", "kind": "span", "vector": [1, 1]},
-                    {"type": "projector", "kind": "span", "vector": [1, 0]}],
-            "init": {"kind": "value", "z": [0.0, 2.0]},
-        },
-        "product": {
-            "schema_version": 1, "algorithm": "product", "dim": 1,
-            "gamma": 1.0,
-            "blocks": [{"kind": "abs", "center": [0.0]},
-                       {"kind": "abs", "center": [1.0]},
-                       {"kind": "abs", "center": [2.0]}],
-            "B": {"kind": "zero", "beta": 1.0},
-        },
-        "pi-sum": {
-            "schema_version": 1, "algorithm": "pi-sum", "dim": 1,
-            "gamma": 1.0,
-            "blocks": [{"kind": "abs", "center": [0.0]},
-                       {"kind": "abs", "center": [1.0]},
-                       {"kind": "abs", "center": [2.0]}],
-            "B": {"kind": "zero", "beta": 1.0},
-        },
-        "dr2": {
-            "schema_version": 1, "algorithm": "dr2", "dim": 1, "gamma": 1.0,
-            "A1": {"kind": "linear", "M": [[1.0]], "b": [-4.0]},
-            "A2": {"kind": "linear", "M": [[1.0]], "b": [2.0]},
-        },
-        "variational": {
-            "schema_version": 1, "algorithm": "variational", "dim": 2,
-            "subspace": {"kind": "zero_mean"},
-            "f": {"kind": "l1"},
-            "g": {"kind": "quadratic", "Q": [[1, 0], [0, 1]], "b": [3, -3]},
-        },
-    }
-    for name, spec in specs.items():
+    for name, spec in ALL_ALGORITHM_SPECS.items():
         p = write_spec(tmp_path, spec, f"{name}.json")
         out = tmp_path / f"{name}.csv"
         code = main([str(p), "-o", str(out)])
@@ -333,3 +338,92 @@ def test_all_algorithms_run_end_to_end(tmp_path):
         assert out.exists(), name
         final = out.read_text().splitlines()[-1].split(",")
         assert float(final[2]) <= 1e-8, name
+
+
+MALFORMED = (None, "s", 0.5, [1], {}, {"kind": [1]}, True)
+
+
+def _depth2_paths(spec):
+    """Key paths of depth 1 and 2; list entries count as fields."""
+    for key, value in spec.items():
+        yield (key,)
+        if isinstance(value, dict):
+            yield from ((key, sub) for sub in value)
+        elif isinstance(value, list):
+            yield from ((key, i) for i in range(len(value)))
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALL_ALGORITHM_SPECS))
+def test_parse_malformed_fields_never_crash(algorithm):
+    spec = ALL_ALGORITHM_SPECS[algorithm]
+    crashes = []
+    for path in _depth2_paths(spec):
+        for value in MALFORMED + ("<deleted>",):
+            bad = copy.deepcopy(spec)
+            parent = bad if len(path) == 1 else bad[path[0]]
+            if value == "<deleted>":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(value)
+            try:
+                parse_spec(json.dumps(bad))
+            except SpecValidationError:
+                pass
+            except Exception as e:  # noqa: BLE001 - every other exception is a crash
+                crashes.append(f"{path} = {value!r}: {type(e).__name__}: {e}")
+    assert not crashes
+
+
+@pytest.mark.parametrize("algorithm, fields, path", [
+    ("fdr", {"lambda": 0.5}, "lambda"),
+    ("fpi", {"delta": 0.5}, "delta"),
+    ("fdr", {"init": 0.5}, "init"),
+    ("fpi", {"init": "s"}, "init"),
+    ("fdr", {"errors": "s"}, "errors"),
+    ("fdr", {"errors": {"a": 0.5}}, "errors.a"),
+    ("product", {"errors": {"b": [None, 0.5, None]}}, "errors.b[1]"),
+    ("km", {"errors": [0.5, None]}, "errors[0]"),
+    ("fdr", {"stop": 3}, "stop"),
+    ("fpi", {"init": {"kind": "value", "x": "s"}}, "init.x"),
+    ("fpi-explicit", {"init": {"kind": "value", "x": [1.0, 1.0], "y": "s"}}, "init.y"),
+])
+def test_parse_names_malformed_descriptor(algorithm, fields, path):
+    spec = dict(ALL_ALGORITHM_SPECS[algorithm], **fields)
+    with pytest.raises(SpecValidationError) as e:
+        parse_spec(json.dumps(spec))
+    assert any(msg.startswith(f"{path}: expected") for msg in e.value.errors)
+
+
+def test_cli_batch_survives_malformed_spec(tmp_path, capsys):
+    bad = write_spec(tmp_path, fdr_spec(**{"lambda": 0.5}), "bad.json")
+    ok = write_spec(tmp_path, fdr_spec(), "ok.json")
+    outdir = tmp_path / "out"
+    assert main([str(bad), str(ok), "-o", str(outdir)]) == EXIT_INVALID
+    assert (outdir / "ok.csv").exists()
+    assert not (outdir / "bad.csv").exists()
+    assert "lambda: expected an object" in capsys.readouterr().err
+
+
+def test_cli_range_messages_come_from_the_library():
+    with pytest.raises(SpecValidationError) as e:
+        parse_spec(json.dumps(fdr_spec(gamma=2.0)))
+    with pytest.raises(ValueError) as lib:
+        fdr.check_gamma(2.0, 1.0)
+    assert e.value.errors == [f"gamma: {lib.value}"]
+
+    dr2 = dict(ALL_ALGORITHM_SPECS["dr2"], **{"lambda": {"kind": "constant", "value": 1.6}})
+    with pytest.raises(SpecValidationError) as e:
+        parse_spec(json.dumps(dr2))
+    with pytest.raises(ValueError) as lib:
+        productspace.dr2_relaxation(1.6)
+    assert e.value.errors == [f"lambda: {lib.value}"]
+
+
+def test_readme_lists_every_descriptor_kind():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    vocab = readme.split("Descriptor vocabularies")[1].split("Per-algorithm fields:")[0]
+    bullets = {b.split("`")[1]: b for b in vocab.split("\n- ")[1:]}
+    for family, kinds in cli._VOCABULARY.items():
+        assert family in bullets, family
+        for kind in kinds:
+            assert f'"{kind}"' in bullets[family], (family, kind)

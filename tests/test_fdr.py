@@ -9,7 +9,10 @@ from monosplit import (ErrorSchedule, InclusionProblem,
                        normal_cone_box, normal_cone_of_subspace,
                        span_projector, zero_cocoercive, zero_operator,
                        zero_projector)
+from monosplit.fdr import averagedness, check_gamma
 from monosplit.operators import ResolventFamily
+from monosplit.productspace import (ProductProblem, sum_splitting_pi,
+                                    sum_splitting_solve)
 
 
 def box_identity_problem():
@@ -101,6 +104,24 @@ def test_alpha_bound_formula():
         assert prob.alpha(gamma) == pytest.approx(expected)
         assert prob.alpha(gamma) == pytest.approx(
             ms.composed_alpha([0.5, gamma / 2.0]))
+
+
+def test_gamma_range_and_alpha_defined_once():
+    with pytest.raises(ValueError) as ref:
+        check_gamma(2.0, 1.0)
+    prob = box_identity_problem()
+    product = ProductProblem([zero_operator(2)], prob.B)
+    for call in (lambda: prob.check_gamma(2.0),
+                 lambda: build_S(prob.B, prob.V, 2.0),
+                 lambda: fdr_solve(prob, gamma=2.0),
+                 lambda: sum_splitting_solve(product, gamma=2.0),
+                 lambda: sum_splitting_pi(product, gamma=2.0)):
+        with pytest.raises(ValueError) as e:
+            call()
+        assert str(e.value) == str(ref.value)
+    assert check_gamma(1, 1.0) == 1.0
+    for gamma in (0.2, 1.0, 1.9):
+        assert prob.alpha(gamma) == averagedness(gamma, prob.beta)
 
 
 def test_fdr_trivial_everything_zero(rng):
