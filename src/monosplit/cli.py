@@ -318,6 +318,13 @@ def _schedules(descs, n, dim, errors, path):
     return [_schedule(d, dim, errors, f"{path}[{i}]") for i, d in enumerate(descs)]
 
 
+def _no_errors(data, algorithm, errors):
+    """Reject ``errors`` on an algorithm whose solver takes no error schedules,
+    rather than run without them."""
+    if data.get("errors") is not None:
+        errors.append(f"errors: algorithm {algorithm!r} takes no error schedules")
+
+
 def _init(desc, shape, keys, errors, default_kind=None):
     """Start point ``rng -> array`` of ``shape`` from an ``init`` descriptor.
 
@@ -414,6 +421,7 @@ def _build_fpi(data, dim, errors, explicit=False):
     gamma = _num(data, "gamma", errors, "")
     relax = _optional(data, "lambda", "relaxation", errors, _UNIT_LAMBDA)
     steps = None if explicit else _optional(data, "delta", "step", errors, _UNIT_DELTA)
+    _no_errors(data, "fpi-explicit" if explicit else "fpi", errors)
     init = data.get("init") or None
     x_start = _init(init, (dim,), ("x",), errors)
     kind = init.get("kind") if isinstance(init, dict) else None
@@ -507,11 +515,14 @@ def _build_product(data, dim, errors, pi_form=False):
     weights = _vec(data["weights"], m, errors, "weights") if "weights" in data else None
     gamma = _num(data, "gamma", errors, "")
     relax = _optional(data, "lambda", "relaxation", errors, _UNIT_LAMBDA)
-    errs = _section(data, "errors", errors)
-    a_errors = _schedule(errs.get("a"), dim, errors, "errors.a")
-    b_errors = None
-    if errs.get("b") is not None:
-        b_errors = _schedules(errs["b"], m, dim, errors, "errors.b")
+    a_errors = b_errors = None
+    if pi_form:
+        _no_errors(data, "pi-sum", errors)
+    else:
+        errs = _section(data, "errors", errors)
+        a_errors = _schedule(errs.get("a"), dim, errors, "errors.a")
+        if errs.get("b") is not None:
+            b_errors = _schedules(errs["b"], m, dim, errors, "errors.b")
     _forward_ranges(B, gamma, relax, errors, closed=pi_form)
     if pi_form:
         start = _init(data.get("init") or None, (dim,), ("x",), errors)
@@ -540,10 +551,7 @@ def _build_dr2(data, dim, errors):
     errs = _section(data, "errors", errors)
     b1 = _schedule(errs.get("b1"), dim, errors, "errors.b1")
     b2 = _schedule(errs.get("b2"), dim, errors, "errors.b2")
-    init = data.get("init") or None
-    if isinstance(init, dict) and init.get("kind") not in ("random", "value"):
-        init = None  # any other kind starts both blocks at the origin
-    start = _init(init, (2, dim), ("z1", "z2"), errors)
+    start = _init(data.get("init") or None, (2, dim), ("z1", "z2"), errors)
     _positive(gamma, errors, "gamma")
     if relax is not None:
         _check(errors, "lambda", productspace.dr2_relaxation, relax)

@@ -73,19 +73,31 @@ class RelaxationSchedule:
     for every admissible ``alpha``; the built-in constructors set it from the
     closed form of the schedule.  Admissibility is audited on a prefix against
     the concrete ``alpha`` bound before a solver iterates, and checked on every
-    later term as the solver reaches it.
+    later term as the solver reaches it.  A schedule made by
+    :func:`constant_relaxation` is audited on its single value instead.
     """
 
-    __slots__ = ("generator", "alpha_bound", "divergent_sum", "label")
+    __slots__ = ("generator", "alpha_bound", "divergent_sum", "label", "_constant")
 
     def __init__(self, generator, alpha_bound=None, divergent_sum=True, label=""):
         self.generator = generator
         self.alpha_bound = alpha_bound
         self.divergent_sum = bool(divergent_sum)
         self.label = label
+        self._constant = False
 
     def __call__(self, n):
         return float(self.generator(n))
+
+    def _audited(self, audit, lam_at, prefix):
+        """``lam_at`` once ``audit`` passes on the prefix; a constant schedule
+        is audited on its one value, which then serves every term."""
+        if self._constant:
+            lam = audit(0)
+            return lambda n: lam
+        for n in range(prefix):
+            audit(n)
+        return lam_at
 
     def validate_open(self, alpha, prefix=VALIDATION_PREFIX):
         """Reject unless ``lambda_n in ]0, 1/alpha[`` on the prefix and the
@@ -113,11 +125,13 @@ class RelaxationSchedule:
                 )
             return lam
 
-        for n in range(prefix):
+        def audit(n):
             lam = lam_at(n)
             if lam * (1.0 - alpha * lam) < 0.0:
                 raise ValueError(f"negative divergence term at n={n}")
-        return lam_at
+            return lam
+
+        return self._audited(audit, lam_at, prefix)
 
     def validate_closed(self, lo, hi, prefix=VALIDATION_PREFIX):
         """Reject unless ``lambda_n in [lo, hi]`` on the prefix; returns
@@ -131,23 +145,36 @@ class RelaxationSchedule:
                 )
             return lam
 
-        for n in range(prefix):
-            lam_at(n)
-        return lam_at
+        return self._audited(lam_at, lam_at, prefix)
 
 
 def constant_relaxation(value):
     """Constant schedule ``lambda_n = value``."""
     value = float(value)
-    return RelaxationSchedule(lambda n: value, divergent_sum=True,
-                              label=f"constant({value})")
+    schedule = RelaxationSchedule(lambda n: value, divergent_sum=True,
+                                  label=f"constant({value})")
+    schedule._constant = True
+    return schedule
 
 
 def polynomial_relaxation(c, p):
-    """Schedule ``lambda_n = c / (n + 1)^p``; the relaxation sum diverges iff p <= 1."""
+    """Schedule ``lambda_n = c / (n + 1)^p``; the relaxation sum diverges iff p <= 1.
+
+    Where ``(n + 1)^p`` leaves the float range the term is the IEEE quotient
+    (``c/inf`` or ``c/0``), which the range checks then reject.
+    """
     c = float(c)
     p = float(p)
-    return RelaxationSchedule(lambda n: c / (n + 1) ** p, divergent_sum=(p <= 1.0),
+
+    def term(n):
+        try:
+            return c / (n + 1) ** p
+        except OverflowError:
+            return 0.0 * c
+        except ZeroDivisionError:
+            return math.inf * c
+
+    return RelaxationSchedule(term, divergent_sum=(p <= 1.0),
                               label=f"polynomial(c={c}, p={p})")
 
 
@@ -290,8 +317,11 @@ class _Run(NamedTuple):
 
 def _finite(state):
     if isinstance(state, tuple):
-        return all(np.all(np.isfinite(s)) for s in state)
-    return np.all(np.isfinite(state))
+        for s in state:
+            if not np.isfinite(s).all():
+                return False
+        return True
+    return np.isfinite(state).all()
 
 
 def _iterate(state, step, lam_at, tol, max_iters, log_every, trace, norm,
@@ -421,9 +451,11 @@ def km_solve(ops, relaxation=1.0, errors=None, z0=None, tol=DEFAULT_TOL,
                 z = z + e(n)
         return z
 
+    perturbed = [e for e in errors if e is not None]
+
     def step(n, z):
         u = chain(z, n)
-        v = chain(z) if any(e is not None and e.active(n) for e in errors) else u
+        v = chain(z) if perturbed and any(e.active(n) for e in perturbed) else u
         return inner.norm(v - z), z, None, None, lambda lam: z + lam * (u - z)
 
     z = np.zeros(dim) if z0 is None else as_vector(z0, dim).copy()

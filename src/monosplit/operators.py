@@ -281,7 +281,8 @@ def _soft_threshold_centered(gamma, x, c):
 
 
 def _clamp(gamma, x, lo, hi):
-    return np.clip(x, lo, hi)
+    """Clamp onto ``[lo, hi]``; the bits of ``np.clip`` with array bounds."""
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 def subdifferential_abs(dim, center=None):
@@ -317,15 +318,18 @@ class _CachedAffineSolve:
     """Solves ``(Id + gamma M) z = rhs`` with an LU factorization cached per gamma.
 
     The cache is guarded so concurrent callers observe a consistent value;
-    a factorization is immutable once stored.
+    a factorization is immutable once stored.  Solves call LAPACK ``getrs``
+    directly, which returns the bits of ``scipy.linalg.lu_solve`` without
+    its per-call wrapper cost; the finiteness check on ``rhs`` is kept.
     """
 
-    __slots__ = ("M", "_cache", "_lock")
+    __slots__ = ("M", "_cache", "_lock", "_getrs")
 
     def __init__(self, M):
         self.M = np.asarray(M, dtype=float)
         self._cache = {}
         self._lock = threading.Lock()
+        self._getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (self.M,))
 
     def solve(self, gamma, rhs):
         key = float(gamma)
@@ -337,7 +341,12 @@ class _CachedAffineSolve:
                     n = self.M.shape[0]
                     lu = scipy.linalg.lu_factor(np.eye(n) + key * self.M)
                     self._cache[key] = lu
-        return scipy.linalg.lu_solve(lu, rhs)
+        if not np.isfinite(rhs).all():
+            raise ValueError("array must not contain infs or NaNs")
+        z, info = self._getrs(lu[0], lu[1], rhs)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of getrs")
+        return z
 
 
 def linear_monotone(M, b=None, tol=1e-10):

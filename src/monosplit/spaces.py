@@ -81,6 +81,8 @@ class InnerProduct:
         return float(np.dot(self.weights * x, y))
 
     def norm(self, x):
+        if self.weights is None:
+            return math.sqrt(np.dot(x, x))
         return math.sqrt(max(self.dot(x, x), 0.0))
 
     def __repr__(self):

@@ -18,7 +18,8 @@ import numpy as np
 from .fdr import InclusionProblem, fdr_solve
 from .km import DEFAULT_MAX_ITERS, DEFAULT_TOL
 from .operators import (CocoerciveMap, ResolventFamily, _box_bounds,
-                        _CachedAffineSolve, _soft_threshold, _symmetric_psd)
+                        _CachedAffineSolve, _clamp, _soft_threshold,
+                        _symmetric_psd)
 from .spaces import as_vector
 
 __all__ = [
@@ -104,7 +105,7 @@ def prox_indicator_box(lo, hi, gamma, x):
     """Clamp onto the box ``[lo, hi]``; independent of ``gamma``."""
     if not gamma > 0:
         raise ValueError(f"prox parameter must be positive, got {gamma}")
-    return np.clip(np.asarray(x, dtype=float), lo, hi)
+    return _clamp(gamma, np.asarray(x, dtype=float), lo, hi)
 
 
 def l1_function(dim):
@@ -120,7 +121,7 @@ def box_function(lo, hi):
     def value(x):
         return 0.0 if np.all((x >= lo - 1e-12) & (x <= hi + 1e-12)) else float("inf")
 
-    return ProxFunction(lambda gamma, x: np.clip(x, lo, hi), lo.shape[0],
+    return ProxFunction(lambda gamma, x: _clamp(gamma, x, lo, hi), lo.shape[0],
                         value=value, label="box-indicator")
 
 

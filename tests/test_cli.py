@@ -427,3 +427,32 @@ def test_readme_lists_every_descriptor_kind():
         assert family in bullets, family
         for kind in kinds:
             assert f'"{kind}"' in bullets[family], (family, kind)
+
+
+@pytest.mark.parametrize("algorithm", ["fpi", "fpi-explicit", "pi-sum"])
+def test_errors_rejected_where_the_solver_takes_none(tmp_path, algorithm):
+    spec = dict(ALL_ALGORITHM_SPECS[algorithm],
+                errors={"a": {"kind": "geometric", "magnitude": 0.1, "rate": 0.5}})
+    with pytest.raises(SpecValidationError) as e:
+        parse_spec(json.dumps(spec))
+    assert e.value.errors == [f"errors: algorithm {algorithm!r} takes no error schedules"]
+    assert main([str(write_spec(tmp_path, spec))]) == EXIT_INVALID
+
+
+@pytest.mark.parametrize("init", [{"kind": "ones"}, {"scale": 2.0}])
+def test_dr2_rejects_unknown_init_kind(tmp_path, init):
+    spec = dict(ALL_ALGORITHM_SPECS["dr2"], init=init)
+    with pytest.raises(SpecValidationError) as e:
+        parse_spec(json.dumps(spec))
+    assert e.value.errors == [f"init.kind: unknown init kind {init.get('kind')!r}; "
+                              "known kinds: zeros, random, value"]
+    assert main([str(write_spec(tmp_path, spec))]) == EXIT_INVALID
+
+
+def test_huge_relaxation_exponent_gets_the_range_message():
+    spec = dict(ALL_ALGORITHM_SPECS["fpi-explicit"],
+                **{"lambda": {"kind": "polynomial", "c": 1.0, "p": 1e300}})
+    with pytest.raises(SpecValidationError) as e:
+        parse_spec(json.dumps(spec))
+    assert e.value.errors == ["lambda: relaxation value 0.0 at n=1 outside "
+                              "admissible range [0.001, 1.0]"]

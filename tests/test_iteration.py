@@ -8,8 +8,12 @@ import monosplit as ms
 from monosplit import (InclusionProblem, ProductProblem, RelaxationSchedule,
                        StepSchedule, affine_gradient, build_S, build_T,
                        closed_form_oracle, fdr_solve, fpi_explicit_solve,
-                       fpi_solve, km_solve, normal_cone_box, parallel_dr2,
-                       span_projector, sum_splitting_pi, sum_splitting_solve)
+                       fpi_solve, geometric_errors, km_solve, l1_function,
+                       linear_monotone, min_over_subspace, normal_cone_box,
+                       parallel_dr2, quadratic_function, quadratic_smooth,
+                       span_projector, sum_splitting_pi, sum_splitting_solve,
+                       zero_mean_projector)
+from monosplit.km import _iterate
 from monosplit.operators import ResolventFamily
 
 
@@ -118,3 +122,140 @@ def test_oracle_steps_checked_on_every_iteration():
     with pytest.raises(ValueError, match="step value 5.0 at n=100"):
         fpi_solve(prob, steps=steps, oracle=closed_form_oracle(prob), tol=-1.0,
                   max_iters=300)
+
+
+def test_state_checked_where_the_residual_cannot_see_it():
+    # y turns NaN at n = 3 while x and the residual stay finite: only the
+    # per-iteration state check stops the run, at the last finite pair
+    def step(n, state):
+        x, y = state
+        y_next = np.full(2, np.nan) if n == 3 else y + 1.0
+        return 1.0, x, y, None, lambda lam: (x + lam, y_next)
+
+    run = _iterate((np.zeros(2), np.zeros(2)), step, lambda n: 1.0, -1.0, 50,
+                   1, False, np.linalg.norm, log_dy=True)
+    assert run.status == ms.DIVERGED
+    assert run.iterations == 4
+    np.testing.assert_array_equal(run.x, [3.0, 3.0])
+    np.testing.assert_array_equal(run.y, [3.0, 3.0])
+    assert [r.n for r in run.history] == [0, 1, 2, 3]
+
+
+class StrictResolvent:
+    """The public face of a resolvent family, with no attribute forwarding."""
+
+    __slots__ = ("dim", "_A")
+
+    def __init__(self, A):
+        self.dim, self._A = A.dim, A
+
+    def resolve(self, gamma, x):
+        return self._A.resolve(gamma, x)
+
+    def reflected(self, gamma, x):
+        return self._A.reflected(gamma, x)
+
+
+class StrictForward:
+    __slots__ = ("dim", "beta", "_B")
+
+    def __init__(self, B):
+        self.dim, self.beta, self._B = B.dim, B.beta, B
+
+    def __call__(self, x):
+        return self._B(x)
+
+
+class StrictInner:
+    __slots__ = ("_inner",)
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def norm(self, x):
+        return self._inner.norm(x)
+
+
+class StrictProjector:
+    __slots__ = ("dim", "inner", "_V")
+
+    def __init__(self, V):
+        self.dim, self.inner, self._V = V.dim, StrictInner(V.inner), V
+
+    def __call__(self, x):
+        return self._V(x)
+
+    def complement(self, x):
+        return self._V.complement(x)
+
+    def reflect(self, x):
+        return self._V.reflect(x)
+
+
+class StrictProx:
+    """``f`` or ``g`` of the variational front end, handing out strict maps."""
+
+    __slots__ = ("value", "_f")
+
+    def __init__(self, f):
+        self.value, self._f = f.value, f
+
+    def as_resolvent(self):
+        return StrictResolvent(self._f.as_resolvent())
+
+    def as_cocoercive(self):
+        return StrictForward(self._f.as_cocoercive())
+
+
+def assert_same_result(a, b):
+    assert type(a) is type(b)
+    for name, value in vars(a).items():
+        other = getattr(b, name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, other), name
+        else:
+            assert value == other, name
+
+
+def contract_problems():
+    rng = np.random.default_rng(3)
+    G = rng.standard_normal((4, 4))
+    Q = G @ G.T + np.eye(4)
+    yield InclusionProblem(normal_cone_box([1.0, 1.0], [2.0, 2.0]), forward(),
+                           span_projector([1.0, 1.0]))
+    yield InclusionProblem(linear_monotone(np.eye(4) + G - G.T, rng.standard_normal(4)),
+                           affine_gradient(Q, rng.standard_normal(4)),
+                           zero_mean_projector(4))
+
+
+@pytest.mark.parametrize("prob", list(contract_problems()), ids=["box", "linear"])
+def test_solvers_reach_operators_only_through_public_calls(prob):
+    # the benchmark's traced run counts calls through proxies of A, B, V and
+    # V.inner; a solver that reached past the public methods would make those
+    # counts read low, and here it would fail on a missing attribute
+    strict = InclusionProblem(StrictResolvent(prob.A), StrictForward(prob.B),
+                              StrictProjector(prob.V))
+    errs = geometric_errors(prob.dim, 0.1, 0.5)
+    runs = [
+        lambda p: fdr_solve(p, max_iters=300),
+        lambda p: fdr_solve(p, a_errors=errs, b_errors=errs, max_iters=300),
+        lambda p: fpi_solve(p, max_iters=300),
+        lambda p: fpi_solve(p, oracle=closed_form_oracle(p), max_iters=300),
+        lambda p: fpi_explicit_solve(p, relaxation=0.9, max_iters=300),
+        lambda p: km_solve([build_T(p.A, p.V, p.beta), build_S(p.B, p.V, p.beta)],
+                           inner=p.V.inner, max_iters=300),
+    ]
+    for solve in runs:
+        assert_same_result(solve(strict), solve(prob))
+
+    d = prob.dim
+    f, g = l1_function(d), quadratic_smooth(np.diag(np.arange(1.0, d + 1)), np.ones(d))
+    assert_same_result(
+        min_over_subspace(StrictProx(f), StrictProx(g), StrictProjector(prob.V),
+                          max_iters=300),
+        min_over_subspace(f, g, prob.V, max_iters=300))
+    h = quadratic_function(np.eye(d), np.ones(d))
+    assert_same_result(
+        min_over_subspace(StrictProx(h), StrictProx(g), StrictProjector(prob.V),
+                          max_iters=300),
+        min_over_subspace(h, g, prob.V, max_iters=300))

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import monosplit as ms
-from monosplit import (AveragedOperator, ErrorSchedule, composed_alpha,
-                       constant_relaxation, geometric_errors, harmonic_errors,
-                       km_solve, linear_monotone,
+from monosplit import (AveragedOperator, ErrorSchedule, RelaxationSchedule,
+                       composed_alpha, constant_relaxation, geometric_errors,
+                       harmonic_errors, km_solve, linear_monotone,
                        polynomial_relaxation, span_projector)
 from monosplit.km import per_operator_decay_diagnostic
 
@@ -73,6 +73,42 @@ def test_relaxation_closed_range():
     constant_relaxation(1.0).validate_closed(1e-3, 1.0)
     with pytest.raises(ValueError, match="\\[0.001, 1.0\\]"):
         constant_relaxation(1.2).validate_closed(1e-3, 1.0)
+
+
+def test_constant_relaxation_audited_on_its_value():
+    with pytest.raises(ValueError) as e:
+        constant_relaxation(1.5).validate_open(2.0 / 3.0)
+    assert str(e.value) == ("relaxation value 1.5 at n=0 outside admissible "
+                            "range ]0, 1/alpha[ = ]0, 1.5[")
+    with pytest.raises(ValueError) as e:
+        constant_relaxation(1.2).validate_closed(1e-3, 1.0)
+    assert str(e.value) == ("relaxation value 1.2 at n=0 outside admissible "
+                            "range [0.001, 1.0]")
+    lam_at = constant_relaxation(1.25).validate_open(0.5)
+    assert [lam_at(n) for n in (0, 1, 10**9)] == [1.25] * 3
+
+
+def test_custom_relaxation_keeps_prefix_audit():
+    # the same values as a hand-built schedule are audited term by term
+    late = RelaxationSchedule(lambda n: 1.0 if n < 63 else 5.0)
+    with pytest.raises(ValueError, match="5.0 at n=63"):
+        late.validate_open(0.5)
+    with pytest.raises(ValueError, match="5.0 at n=63"):
+        late.validate_closed(1e-3, 1.0)
+    lam_at = RelaxationSchedule(lambda n: 1.0 if n < 64 else 5.0).validate_open(0.5)
+    with pytest.raises(ValueError, match="5.0 at n=64"):
+        lam_at(64)
+
+
+@pytest.mark.parametrize("p, value", [(1e300, "0.0"), (-1e300, "inf")])
+def test_polynomial_relaxation_out_of_float_range(p, value):
+    sched = polynomial_relaxation(1.0, p)
+    assert sched(0) == 1.0
+    with pytest.raises(ValueError, match=f"relaxation value {value} at n=1 "
+                                         "outside admissible range"):
+        sched.validate_closed(1e-3, 1.0)
+    assert [polynomial_relaxation(0.9, 0.5)(n) for n in range(3)] == \
+        [0.9 / (n + 1) ** 0.5 for n in range(3)]
 
 
 def test_error_schedule_summable_certificate():

@@ -2,6 +2,7 @@ import concurrent.futures
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from monosplit import (AveragedOperator, CocoerciveMap, affine_gradient,
                        audit_firm_nonexpansiveness, certify_averaged,
@@ -10,6 +11,7 @@ from monosplit import (AveragedOperator, CocoerciveMap, affine_gradient,
                        partial_inverse_residual, span_projector,
                        subdifferential_abs, translate_operator,
                        zero_cocoercive, zero_operator, zero_projector)
+from monosplit.operators import _CachedAffineSolve, _clamp
 from conftest import random_subspace_projector
 
 
@@ -188,6 +190,40 @@ def test_linear_monotone_threadsafe_cache(rng):
         results = list(pool.map(lambda _: A.resolve(0.7, x), range(32)))
     for r in results:
         np.testing.assert_array_equal(r, expected)
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 32, 200])
+def test_cached_affine_solve_matches_lu_solve(rng, d):
+    M = rng.standard_normal((d, d))
+    solver = _CachedAffineSolve(M)
+    for gamma in (0.3, 1.0, 0.3):  # the second 0.3 reads the cached factors
+        lu = scipy.linalg.lu_factor(np.eye(d) + gamma * M)
+        for _ in range(5):
+            rhs = 10.0 * rng.standard_normal(d)
+            assert np.array_equal(solver.solve(gamma, rhs),
+                                  scipy.linalg.lu_solve(lu, rhs))
+    for bad in (np.nan, np.inf, -np.inf):
+        rhs = np.ones(d)
+        rhs[-1] = bad
+        with pytest.raises(ValueError) as ours:
+            solver.solve(1.0, rhs)
+        with pytest.raises(ValueError) as ref:
+            scipy.linalg.lu_solve(lu, rhs)
+        assert str(ours.value) == str(ref.value)
+
+
+def test_clamp_matches_clip_bytes():
+    special = [np.nan, -np.inf, np.inf, -0.0, 0.0, -1.5, 1.5, 2.0, 5e-324]
+    bounds = [-np.inf, np.inf, -0.0, 0.0, -1.0, 1.0, 2.0]
+    grid = np.array([(x, lo, hi) for x in special for lo in bounds
+                     for hi in bounds if not lo > hi])
+    x, lo, hi = grid.T
+    assert _clamp(1.0, x, lo, hi).tobytes() == np.clip(x, lo, hi).tobytes()
+    # stacked blocks: bounds of shape (k, d) against points of shape (k, d)
+    k = 4
+    X = np.resize(x, (k, x.size))
+    L, H = np.resize(lo, (k, lo.size)), np.resize(hi, (k, hi.size))
+    assert _clamp(1.0, X, L, H).tobytes() == np.clip(X, L, H).tobytes()
 
 
 def test_affine_gradient_beta(rng):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,20 @@ def test_inner_product_weights_validation():
     w = InnerProduct(2, [2.0, 3.0])
     assert w.dot([1.0, 1.0], [1.0, 1.0]) == pytest.approx(5.0)
     assert InnerProduct(2).is_uniform
+
+
+def test_uniform_norm_bits(rng):
+    inner = InnerProduct(3)
+    points = [rng.standard_normal(3), np.zeros(3), np.array([-0.0, 0.0, -0.0]),
+              np.array([5e-324, -5e-324, 1e-160]), np.array([1e200, 1.0, 0.0]),
+              np.array([np.nan, 1.0, 0.0]), np.array([-np.inf, 1.0, 0.0])]
+    points += list(1e3 * rng.standard_normal((20, 3)))
+    for x in points:
+        with np.errstate(over="ignore"):
+            expected = math.sqrt(max(float(np.dot(x, x)), 0.0))
+            got = inner.norm(x)
+        assert type(got) is float
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 
 def test_inner_product_bilinear_symmetric_positive(rng):
