@@ -27,7 +27,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -695,7 +695,10 @@ def _process(spec_path, args, multiple):
     return _STATUS_CODES.get(s["status"], EXIT_ERROR)
 
 
-def main(argv=None):
+@cache
+def _parser():
+    """The command-line parser, built once per process: each
+    ``add_argument`` call formats help text, which reads the terminal size."""
     parser = argparse.ArgumentParser(
         prog="monosplit",
         description="Run a splitting solver from a JSON problem spec and "
@@ -715,7 +718,11 @@ def main(argv=None):
                              ".csv suffix")
     parser.add_argument("--jobs", type=int, default=1,
                         help="run independent specs concurrently")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     multiple = len(args.specs) > 1
     if multiple and args.output:

@@ -54,15 +54,18 @@ class StepSchedule:
     Admissible values lie in ``[epsilon, 2*beta/gamma - epsilon]`` for some
     ``epsilon in ]0, max(1, beta/gamma)[``; once ``gamma`` and ``beta`` are
     known the bounds are audited on a prefix and then checked on every term.
+    A schedule made by :func:`constant_steps` is audited on its single value
+    instead.
     """
 
-    __slots__ = ("generator", "epsilon", "constant_value", "label")
+    __slots__ = ("generator", "epsilon", "constant_value", "label", "_constant")
 
     def __init__(self, generator, epsilon=DEFAULT_EPSILON, constant_value=None, label=""):
         self.generator = generator
         self.epsilon = float(epsilon)
         self.constant_value = constant_value
         self.label = label
+        self._constant = False
 
     def __call__(self, n):
         return float(self.generator(n))
@@ -89,6 +92,9 @@ class StepSchedule:
                 )
             return d
 
+        if self._constant:
+            delta = delta_at(0)
+            return lambda n: delta
         for n in range(prefix):
             delta_at(n)
         return delta_at
@@ -97,8 +103,10 @@ class StepSchedule:
 def constant_steps(value, epsilon=DEFAULT_EPSILON):
     """Constant schedule ``delta_n = value``."""
     value = float(value)
-    return StepSchedule(lambda n: value, epsilon=epsilon, constant_value=value,
-                        label=f"constant({value})")
+    schedule = StepSchedule(lambda n: value, epsilon=epsilon, constant_value=value,
+                            label=f"constant({value})")
+    schedule._constant = True
+    return schedule
 
 
 def as_steps(value, epsilon=DEFAULT_EPSILON):

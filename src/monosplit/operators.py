@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .spaces import InnerProduct, as_vector
+from .spaces import InnerProduct, _matvec, as_vector
 
 __all__ = [
     "ResolventFamily",
@@ -376,32 +376,38 @@ def linear_monotone(M, b=None, tol=1e-10):
 
 def _symmetric_psd(Q, tol):
     """``Q`` as a float matrix checked square, symmetric and positive
-    semidefinite (relative to its largest entry), with its eigenvalues."""
+    semidefinite (relative to its largest entry), with its eigenvalues and
+    whether it is exactly symmetric."""
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError(f"Q must be square, got shape {Q.shape}")
     scale = max(1.0, float(np.abs(Q).max()))
-    if float(np.abs(Q - Q.T).max()) > tol * scale:
+    asymmetry = float(np.abs(Q - Q.T).max())
+    if asymmetry > tol * scale:
         raise ValueError("Q must be symmetric")
     eigs = np.linalg.eigvalsh(Q)
     if float(eigs.min()) < -tol * scale:
         raise ValueError(f"Q must be positive semidefinite (min eigenvalue {eigs.min():.3e})")
-    return Q, eigs
+    return Q, eigs, asymmetry == 0.0
 
 
 def affine_gradient(Q, b=None, tol=1e-10):
     """Cocoercive map ``x -> Q x - b`` for symmetric PSD ``Q``.
 
-    The certified constant is ``beta = 1 / lambda_max(Q)``.
+    The certified constant is ``beta = 1 / lambda_max(Q)``.  An exactly
+    symmetric ``Q`` is applied with a one-triangle BLAS kernel (see
+    :func:`monosplit.spaces._matvec`); a ``Q`` symmetric only within ``tol``
+    is applied as given, ``Q @ x - b``.
     """
-    Q, eigs = _symmetric_psd(Q, tol)
+    Q, eigs, symmetric = _symmetric_psd(Q, tol)
     dim = Q.shape[0]
     lam_max = float(eigs.max())
     if lam_max <= 0.0:
         raise ValueError("Q must have a positive largest eigenvalue; "
                          "use zero_cocoercive for a vanishing forward map")
     b = np.zeros(dim) if b is None else as_vector(b, dim)
-    return CocoerciveMap(lambda x: Q @ x - b, 1.0 / lam_max, dim, label="affine-gradient")
+    return CocoerciveMap(_matvec(Q, symmetric, b), 1.0 / lam_max, dim,
+                         label="affine-gradient")
 
 
 def zero_cocoercive(dim, beta=1.0):

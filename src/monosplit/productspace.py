@@ -416,7 +416,7 @@ def sum_splitting_solve(prob, gamma=None, relaxation=1.0, a_errors=None,
         return residual, x, Z, None, lambda lam: Z + lam * (P - x)
 
     run = _iterate(Z, step, lam_at, tol, max_iters, log_every, trace,
-                   np.linalg.norm, objective)
+                   InnerProduct(d).norm, objective)
     # assemble the final certificate from an exact (error-free) block step
     x, Z = run.x, run.y
     Bx = prob.B(x)
@@ -506,7 +506,7 @@ def parallel_dr2(A1, A2, gamma=1.0, relaxation=1.0, b1_errors=None,
     Z = np.zeros((2, d)) if z0 is None else np.stack([as_vector(z0[0], d),
                                                       as_vector(z0[1], d)])
     run = _iterate(Z, step, lam_at, tol, max_iters, log_every, trace,
-                   np.linalg.norm)
+                   InnerProduct(d).norm)
 
     # certificate: u_i = (s_i - p_i)/(2 gamma) lies in A_i p_i with s_1 = z_2,
     # s_2 = z_1; at a solution the u_i sum to zero
@@ -594,7 +594,7 @@ def sum_splitting_pi(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
                                                   Y + (lam / gamma) * (pbar - P))
 
     run = _iterate((x, Y), step, lam_at, tol, max_iters, log_every, trace,
-                   np.linalg.norm, objective)
+                   InnerProduct(d).norm, objective)
     # certificate from the final block decomposition
     x, Y = run.x, run.y
     Bx = prob.B(x)

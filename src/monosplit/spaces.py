@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dsymv
 
 __all__ = [
     "InnerProduct",
@@ -161,17 +162,42 @@ def span_projector(v, inner=None):
     return SubspaceProjector(apply, v.shape[0], inner, label="span")
 
 
+def _matvec(M, symmetric, b=None):
+    """``x -> M @ x``, or ``x -> M @ x - b``, for a square float matrix ``M``.
+
+    An exactly ``symmetric`` ``M`` is applied by BLAS ``dsymv``, which reads
+    one triangle and so moves half the bytes of ``M @ x``; its results can
+    differ from ``M @ x`` in the last bits.  ``dsymv`` copies a matrix that is
+    not Fortran-contiguous on every call, so one such view is kept: ``M``
+    itself, ``M.T`` (the same matrix) for a C-contiguous ``M``, or a copy made
+    here.  ``b`` is copied into each result and never written.  Any other
+    ``M`` is applied as ``M @ x``.  Callers check the length of ``x``:
+    ``dsymv`` reads the first n entries of a longer vector.
+    """
+    if not symmetric:
+        if b is None:
+            return lambda x: M @ x
+        return lambda x: M @ x - b
+    F = M if M.flags.f_contiguous else np.asfortranarray(M.T)
+    if b is None:
+        return lambda x: dsymv(1.0, F, x)
+    return lambda x: dsymv(1.0, F, x, -1.0, b)
+
+
 def matrix_projector(M, inner=None, validate=True, tol=1e-8):
     """Projector given by a dense matrix.
 
     When ``validate`` is set the matrix is audited for idempotence,
     self-adjointness (w.r.t. ``inner``) and linearity on random samples and
-    rejected if it fails.
+    rejected if it fails.  An exactly symmetric matrix is applied with a
+    one-triangle BLAS kernel (see :func:`_matvec`); any other, such as a
+    projector self-adjoint only under a weighted ``inner``, as ``M @ x``.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"projector matrix must be square, got shape {M.shape}")
-    P = SubspaceProjector(lambda x: M @ x, M.shape[0], inner, label="matrix")
+    P = SubspaceProjector(_matvec(M, np.array_equal(M, M.T)), M.shape[0], inner,
+                          label="matrix")
     if validate:
         audit = audit_projector(P, samples=8, tol=tol)
         if not audit.passed:

@@ -20,7 +20,7 @@ from .km import DEFAULT_MAX_ITERS, DEFAULT_TOL
 from .operators import (CocoerciveMap, ResolventFamily, _box_bounds,
                         _CachedAffineSolve, _clamp, _soft_threshold,
                         _symmetric_psd)
-from .spaces import as_vector
+from .spaces import _matvec, as_vector
 
 __all__ = [
     "ProxFunction",
@@ -128,7 +128,7 @@ def box_function(lo, hi):
 def quadratic_function(Q, b=None, tol=1e-10):
     """``f(x) = x'Qx/2 - b'x`` for symmetric PSD ``Q``; prox solves
     ``(Id + gamma Q) z = x + gamma b`` with a factorization cached per gamma."""
-    Q, _ = _symmetric_psd(Q, tol)
+    Q, _, _ = _symmetric_psd(Q, tol)
     dim = Q.shape[0]
     b = np.zeros(dim) if b is None else as_vector(b, dim)
     cache = _CachedAffineSolve(Q)
@@ -147,8 +147,13 @@ def zero_function(dim):
 
 
 def quadratic_smooth(Q, b=None, tol=1e-10):
-    """``g(x) = x'Qx/2 - b'x`` with gradient ``Qx - b`` and ``L = lambda_max(Q)``."""
-    Q, eigs = _symmetric_psd(Q, tol)
+    """``g(x) = x'Qx/2 - b'x`` with gradient ``Qx - b`` and ``L = lambda_max(Q)``.
+
+    The gradient of an exactly symmetric ``Q`` is applied with a one-triangle
+    BLAS kernel (see :func:`monosplit.spaces._matvec`); a ``Q`` symmetric only
+    within ``tol`` is applied as given.
+    """
+    Q, eigs, symmetric = _symmetric_psd(Q, tol)
     dim = Q.shape[0]
     lam_max = float(eigs.max())
     if lam_max <= 0.0:
@@ -159,7 +164,7 @@ def quadratic_smooth(Q, b=None, tol=1e-10):
     def value(x):
         return float(0.5 * x @ Q @ x - b @ x)
 
-    return SmoothFunction(lambda x: Q @ x - b, lam_max, dim, value=value,
+    return SmoothFunction(_matvec(Q, symmetric, b), lam_max, dim, value=value,
                           label="quadratic")
 
 

@@ -17,6 +17,15 @@ def random_subspace_matrix(rng, dim, rank):
     return Q @ Q.T
 
 
+def matrix_layouts(M):
+    """``M`` C-ordered, Fortran-ordered and as a non-contiguous view."""
+    d = M.shape[0]
+    strided = np.zeros((2 * d, 2 * d))
+    strided[::2, ::2] = M
+    return {"C": np.ascontiguousarray(M), "F": np.asfortranarray(M),
+            "strided": strided[::2, ::2]}
+
+
 def random_subspace_projector(rng, dim, rank=None):
     if rank is None:
         rank = int(rng.integers(1, dim))

@@ -5,9 +5,9 @@ from pathlib import Path
 import pytest
 
 from monosplit import cli, fdr, productspace
-from monosplit.cli import (EXIT_DIVERGED, EXIT_INVALID, EXIT_MAX_ITERS,
-                           SpecValidationError, emit_csv, main, parse_spec,
-                           run)
+from monosplit.cli import (EXIT_CONVERGED, EXIT_DIVERGED, EXIT_INVALID,
+                           EXIT_MAX_ITERS, SpecValidationError, emit_csv, main,
+                           parse_spec, run)
 
 
 def fdr_spec(**over):
@@ -218,6 +218,29 @@ def test_cli_overrides(tmp_path):
     assert code == EXIT_MAX_ITERS
     lines = out.read_text().splitlines()
     assert len(lines) == 2  # header + initial row
+
+
+def test_cli_successive_calls_parse_independently(tmp_path, capsys):
+    p = write_spec(tmp_path, fdr_spec(), "twice.json")
+    out1, out2 = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert main([str(p), "-o", str(out1), "--max-iters", "0", "--tol", "1e-12"]) \
+        == EXIT_MAX_ITERS
+    # no flag of the first call carries over into the second
+    assert main([str(p), "-o", str(out2)]) == EXIT_CONVERGED
+    assert len(out1.read_text().splitlines()) == 2
+    assert len(out2.read_text().splitlines()) > 2
+    capsys.readouterr()
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as e:
+            main(["--help"])
+        assert e.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert helps[0].startswith("usage: monosplit")
+    for flag in ("--algorithm", "--tol", "--max-iters", "--seed", "--log-every",
+                 "--output", "--jobs"):
+        assert flag in helps[0]
 
 
 def test_cli_log_every_thins_history(tmp_path):

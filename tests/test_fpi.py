@@ -3,7 +3,7 @@ import pytest
 
 import monosplit as ms
 from monosplit import (InclusionProblem, OracleError, ScaledResolventOracle,
-                       affine_gradient, closed_form_oracle, constant_steps,
+                       StepSchedule, affine_gradient, closed_form_oracle, constant_steps,
                        equivalence_harness, fpi_explicit_solve, fpi_solve,
                        identity_projector, normal_cone_box, span_projector,
                        subdifferential_abs, zero_cocoercive, zero_mean_projector,
@@ -25,6 +25,53 @@ def test_step_schedule_validation():
         constant_steps(3.0).validate(1.0, 1.0)  # 2*beta/gamma - eps = 2 - eps
     with pytest.raises(ValueError, match="epsilon"):
         constant_steps(1.0, epsilon=2.0).validate(1.0, 1.0)
+
+
+def _count_generator_calls(schedule):
+    """Wrap the schedule's generator; returns the live one-element call count."""
+    calls = [0]
+    generator = schedule.generator
+
+    def counted(n):
+        calls[0] += 1
+        return generator(n)
+
+    schedule.generator = counted
+    return calls
+
+
+def test_constant_steps_audited_on_its_value():
+    prob = box_identity_problem()
+    steps = constant_steps(1.0)
+    calls = _count_generator_calls(steps)
+    assert fpi_solve(prob, gamma=1.0, steps=steps).status == ms.CONVERGED
+    assert calls == [1]
+    # with an oracle the one audited value serves every term
+    steps = constant_steps(1.0)
+    calls = _count_generator_calls(steps)
+    res = fpi_solve(prob, gamma=1.0, steps=steps, oracle=closed_form_oracle(prob),
+                    tol=-1.0, max_iters=30)
+    assert res.iterations == 30 and calls == [1]
+    with pytest.raises(ValueError) as e:
+        constant_steps(3.0).validate(1.0, 1.0)
+    assert str(e.value) == ("step value 3.0 at n=0 outside admissible range "
+                            "[epsilon, 2*beta/gamma - epsilon] = [0.001, 1.999]")
+    delta_at = constant_steps(1.5).validate(1.0, 1.0)
+    assert [delta_at(n) for n in (0, 1, 10**9)] == [1.5] * 3
+
+
+def test_custom_steps_keep_prefix_audit():
+    prob = box_identity_problem()
+    steps = StepSchedule(lambda n: 1.0)
+    calls = _count_generator_calls(steps)
+    fpi_solve(prob, gamma=1.0, steps=steps, oracle=closed_form_oracle(prob),
+              tol=-1.0, max_iters=30)
+    assert calls == [64 + 31]  # the audited prefix, then each of the 31 steps
+    with pytest.raises(ValueError, match="5.0 at n=63"):
+        StepSchedule(lambda n: 1.0 if n < 63 else 5.0).validate(1.0, 1.0)
+    delta_at = StepSchedule(lambda n: 1.0 if n < 64 else 5.0).validate(1.0, 1.0)
+    with pytest.raises(ValueError, match="5.0 at n=64"):
+        delta_at(64)
 
 
 def test_fpi_l1_over_zero_mean_plane():

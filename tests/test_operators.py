@@ -9,10 +9,11 @@ from monosplit import (AveragedOperator, CocoerciveMap, affine_gradient,
                        identity_projector, linear_monotone, normal_cone_box,
                        normal_cone_of_subspace, partial_inverse_resolvent,
                        partial_inverse_residual, span_projector,
-                       subdifferential_abs, translate_operator,
-                       zero_cocoercive, zero_operator, zero_projector)
+                       quadratic_smooth, subdifferential_abs,
+                       translate_operator, zero_cocoercive, zero_operator,
+                       zero_projector)
 from monosplit.operators import _CachedAffineSolve, _clamp
-from conftest import random_subspace_projector
+from conftest import matrix_layouts, random_spd, random_subspace_projector
 
 
 def test_reflected_resolvent_zero_operator(rng):
@@ -287,3 +288,53 @@ def test_averaged_operator_alpha_validation():
         AveragedOperator(lambda x: x, 1.0, 2)
     with pytest.raises(ValueError, match="alpha"):
         AveragedOperator(lambda x: x, 0.0, 2)
+
+
+def _symmetric_maps(Q, b):
+    """The two constructors whose matrix goes through the symmetric kernel."""
+    return {"affine_gradient": affine_gradient(Q, b),
+            "quadratic_smooth": quadratic_smooth(Q, b).as_cocoercive(),
+            "gradient": CocoerciveMap(quadratic_smooth(Q, b).gradient, 1.0, Q.shape[0])}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 33, 1000])
+def test_symmetric_q_matches_matmul(d):
+    rng = np.random.default_rng(d)
+    Q = random_spd(rng, d)
+    Q = 0.5 * (Q + Q.T)
+    assert np.array_equal(Q, Q.T)
+    b = rng.standard_normal(d)
+    xs = [rng.standard_normal(d) for _ in range(4)]
+    for layout, Ql in matrix_layouts(Q).items():
+        b_in = b.copy()
+        for name, B in _symmetric_maps(Ql, b_in).items():
+            for x in xs:
+                expected = Q @ x - b
+                got = B(x)
+                assert (np.abs(got - expected).max()
+                        <= 1e-13 * np.abs(expected).max()), (layout, name)
+        assert np.array_equal(b_in, b) and np.array_equal(Ql, Q)
+
+
+def test_nearly_symmetric_q_applied_as_given(rng):
+    # symmetric within the tolerance but not exactly: the bits of Q @ x - b
+    Q = random_spd(rng, 6)
+    Q[0, 1] += 1e-13
+    assert not np.array_equal(Q, Q.T)
+    b = rng.standard_normal(6)
+    maps = _symmetric_maps(Q, b)
+    for _ in range(5):
+        x = rng.standard_normal(6)
+        for B in maps.values():
+            assert np.array_equal(B(x), Q @ x - b)
+
+
+@pytest.mark.parametrize("shape", [(3,), (5,), (4, 1)])
+def test_symmetric_q_maps_reject_wrong_length(shape):
+    # the one-triangle kernel would read the first n entries of a longer vector
+    Q = np.diag([1.0, 2.0, 3.0, 4.0])
+    b = np.ones(4)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        affine_gradient(Q, b)(np.ones(shape))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        quadratic_smooth(Q, b).gradient(np.ones(shape))

@@ -214,6 +214,25 @@ def test_adapter_matches_direct_loop(rng):
             np.testing.assert_allclose(Z_d, Z_a, atol=1e-12)
 
 
+@pytest.mark.parametrize("solver", ["sum", "pi", "dr2"])
+@pytest.mark.parametrize("m, d", [(50, 4), (3, 64)])
+def test_product_step_norm_is_the_euclidean_norm(solver, m, d):
+    # dx is logged with the uniform norm, bit for bit np.linalg.norm
+    prob = _box_abs_problem(m, d, seed=m + d)
+    kw = dict(tol=-1.0, max_iters=60, trace=True)
+    if solver == "sum":
+        res = sum_splitting_solve(prob, gamma=0.4, **kw)
+    elif solver == "pi":
+        res = sum_splitting_pi(prob, gamma=0.4, **kw)
+    else:
+        res = parallel_dr2(prob.blocks[0], prob.blocks[-1], gamma=0.7, **kw)
+    xs = [x for x, _ in res.trace]
+    assert [row.n for row in res.history] == list(range(61))
+    assert res.history[0].dx == 0.0
+    for row in res.history[1:]:
+        assert row.dx == np.linalg.norm(xs[row.n] - xs[row.n - 1])
+
+
 def test_adapter_matches_direct_with_errors(rng):
     blocks = [subdifferential_abs(1), subdifferential_abs(1, center=[1.0])]
     prob = ProductProblem(blocks, affine_gradient(np.eye(1)))

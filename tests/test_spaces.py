@@ -6,7 +6,8 @@ import pytest
 from monosplit import (InnerProduct, as_vector, audit_projector,
                        identity_projector, matrix_projector, span_projector,
                        zero_mean_projector, zero_projector)
-from conftest import random_subspace_matrix, random_subspace_projector
+from conftest import (matrix_layouts, random_subspace_matrix,
+                      random_subspace_projector)
 
 
 def test_as_vector_rejects_bad_input():
@@ -188,3 +189,44 @@ def test_matrix_projector_accepts_valid(rng):
     P = matrix_projector(M)
     x = rng.standard_normal(5)
     np.testing.assert_allclose(P(x), M @ x)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 33, 1000])
+def test_symmetric_matrix_projector_matches_matmul(d):
+    rng = np.random.default_rng(d)
+    M = random_subspace_matrix(rng, d, max(1, d // 2))
+    M = 0.5 * (M + M.T)
+    assert np.array_equal(M, M.T)
+    xs = [rng.standard_normal(d) for _ in range(4)]
+    layouts = matrix_layouts(M)
+    if d > 1:
+        assert layouts["F"].flags.f_contiguous and not layouts["F"].flags.c_contiguous
+        assert not (layouts["strided"].flags.c_contiguous
+                    or layouts["strided"].flags.f_contiguous)
+    for layout, Ml in layouts.items():
+        P = matrix_projector(Ml)
+        for x in xs:
+            expected = M @ x
+            got = P(x)
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max(), layout
+        assert np.array_equal(Ml, M)
+
+
+def test_weighted_matrix_projector_applied_as_given(rng):
+    # self-adjoint under a weighted inner product only, so not symmetric
+    w = np.array([1.0, 2.0, 4.0])
+    v = np.array([1.0, -1.0, 0.5])
+    M = np.outer(v, w * v) / np.dot(w * v, v)
+    assert not np.array_equal(M, M.T)
+    P = matrix_projector(M, inner=InnerProduct(3, w))
+    for _ in range(5):
+        x = rng.standard_normal(3)
+        assert np.array_equal(P(x), M @ x)
+
+
+@pytest.mark.parametrize("shape", [(3,), (7,), (5, 1)])
+def test_matrix_projector_rejects_wrong_length(shape):
+    # the one-triangle kernel would read the first n entries of a longer vector
+    P = matrix_projector(np.eye(5) - np.ones((5, 5)) / 5)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        P(np.ones(shape))
