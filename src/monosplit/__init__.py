@@ -26,12 +26,12 @@ from .km import (CONVERGED, DIVERGED, MAX_ITERS, ErrorSchedule, IterationRow,
 from .fdr import (InclusionProblem, PrimalDualResult, build_S, build_T,
                   characterization_check, fdr_solve)
 from .fpi import (OracleError, ScaledResolventOracle, StepSchedule,
-                  closed_form_oracle, constant_steps, equivalence_harness,
-                  fpi_explicit_solve, fpi_solve)
+                  closed_form_oracle, constant_steps, fpi_explicit_solve,
+                  fpi_solve)
 from .productspace import (ProductProblem, ProductSolveResult, ProductSpace,
                            consensus_projector, lift, parallel_dr2,
-                           sum_splitting_pi, sum_splitting_pi_via_fpi,
-                           sum_splitting_solve, sum_splitting_via_fdr, unlift)
+                           sum_splitting_pi, sum_splitting_solve,
+                           sum_splitting_via_fdr, unlift)
 from .variational import (ProxFunction, SmoothFunction, box_function,
                           l1_function, min_over_subspace, prox_indicator_box,
                           prox_l1, quadratic_function, quadratic_smooth,

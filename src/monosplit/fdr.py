@@ -200,9 +200,7 @@ def fdr_solve(prob, gamma=None, relaxation=1.0, a_errors=None, b_errors=None,
         and ``membership_violation`` the relative distances of the returned
         ``x`` to V and ``y`` to its complement.
     """
-    A, B, V = prob.A, prob.B, prob.V
     dim = prob.dim
-    inner = V.inner
     gamma = prob.beta if gamma is None else float(gamma)
     prob.check_gamma(gamma)
     lam_at = as_relaxation(relaxation).validate_open(prob.alpha(gamma))
@@ -210,7 +208,18 @@ def fdr_solve(prob, gamma=None, relaxation=1.0, a_errors=None, b_errors=None,
         if errs is not None:
             if errs.dim != dim:
                 raise ValueError("error schedule dimension mismatch")
-            errs.validate(norm=inner.norm)
+            errs.validate(norm=prob.V.inner.norm)
+    z = np.zeros(dim) if z0 is None else as_vector(z0, dim).copy()
+    return _fdr_run(prob, gamma, lam_at, z, tol, max_iters, log_every, trace,
+                    objective, a_errors, b_errors)
+
+
+def _fdr_run(prob, gamma, lam_at, z, tol, max_iters, log_every, trace,
+             objective, a_errors=None, b_errors=None):
+    """The iteration of :func:`fdr_solve` from ``z``, with ``gamma``, the
+    relaxations ``lam_at`` and the error schedules already checked."""
+    A, B, V = prob.A, prob.B, prob.V
+    inner = V.inner
 
     def step(n, z):
         x = V(z)
@@ -226,7 +235,6 @@ def fdr_solve(prob, gamma=None, relaxation=1.0, a_errors=None, b_errors=None,
             p = p + b_errors(n)
         return inner.norm(p_clean - x), x, y, PBx, lambda lam: z + lam * (p - x)
 
-    z = np.zeros(dim) if z0 is None else as_vector(z0, dim).copy()
     log = _RowLog(V)
     return log.result(_iterate(z, step, lam_at, tol, max_iters, log_every,
                                trace, inner.norm, objective, log_dy=True,

@@ -11,10 +11,12 @@ and then relaxes ``x_{n+1} = x_n + lambda_n (P_V p_n - x_n)``,
 ``y_{n+1} = y_n + lambda_n ((Id-P_V) q_n - y_n)``.  Solving that subproblem
 is not explicit in general; a user oracle covers varying ``delta_n``.  For
 ``delta_n = 1`` the pair is produced by the resolvent of ``A`` itself, and
-that unit-step path is :func:`fpi_explicit_solve`.  On the auxiliary
-variable ``r_n = x_n + gamma y_n`` the routine is exactly a forward-backward
-step on the partial inverse; the test surface checks that identity on the
-traces of :func:`fpi_explicit_solve`.
+the routine is the forward-Douglas-Rachford iteration written in the
+variables ``(x, y) = (P_V z, (P_V z - z)/gamma)``: :func:`fpi_explicit_solve`
+runs it as such, from ``z_0 = x_0 - gamma y_0``.  On the auxiliary variable
+``r_n = x_n + gamma y_n`` the routine is exactly a forward-backward step on
+the partial inverse; the test surface checks that identity and the literal
+recursion on the traces of :func:`fpi_explicit_solve`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .km import DEFAULT_MAX_ITERS, DEFAULT_TOL, _iterate, as_relaxation
-from .fdr import _RowLog, fdr_solve
+from .fdr import _fdr_run, _RowLog
 from .spaces import as_vector
 
 __all__ = [
@@ -32,13 +34,11 @@ __all__ = [
     "StepSchedule",
     "ScaledResolventOracle",
     "OracleError",
-    "EquivalenceReport",
     "constant_steps",
     "as_steps",
     "closed_form_oracle",
     "fpi_solve",
     "fpi_explicit_solve",
-    "equivalence_harness",
 ]
 
 DEFAULT_EPSILON = 1e-3
@@ -117,9 +117,10 @@ def as_steps(value, epsilon=DEFAULT_EPSILON):
 
 @dataclass(frozen=True)
 class ScaledResolventOracle:
-    """Step-1 solver: ``solve_step1(x, y, delta, gamma) -> (p, q)``.
+    """Step-1 solver: ``solve_step1(x, y, delta, gamma, PBx) -> (p, q)``.
 
-    The pair must satisfy the sum identity
+    ``PBx`` is the step's ``P_V B x``, evaluated once by the solver.  The
+    pair must satisfy the sum identity
     ``x - delta*gamma*P_V B x + gamma*y = p + gamma*q`` and the scaled
     inclusion of the partial-inverse step; both are verified per iteration
     through the resolvent of ``A`` whenever a user oracle is in play.
@@ -131,15 +132,15 @@ def closed_form_oracle(prob):
     """Built-in Step-1 solver for ``delta = 1``: with
     ``s = x - gamma P_V B x + gamma y``, take ``p = J_{gamma A} s`` and
     ``q = (s - p)/gamma``."""
-    A, B, V = prob.A, prob.B, prob.V
+    A = prob.A
 
-    def solve_step1(x, y, delta, gamma):
+    def solve_step1(x, y, delta, gamma, PBx):
         if abs(delta - 1.0) > 1e-12:
             raise ValueError(
                 "the built-in Step 1 closed form only covers delta = 1; "
                 "supply a ScaledResolventOracle for varying steps"
             )
-        s = x - gamma * V(B(x)) + gamma * y
+        s = x - gamma * PBx + gamma * y
         p = A.resolve(gamma, s)
         q = (s - p) / gamma
         return p, q
@@ -147,18 +148,21 @@ def closed_form_oracle(prob):
     return ScaledResolventOracle(solve_step1)
 
 
-def _check_memberships(V, x0, y0, tol=1e-9):
-    """Reject a given start ``x0`` outside V or ``y0`` outside its complement;
-    None stands for the origin, which lies in both."""
-    inner = V.inner
+def _start(prob, x0, y0, tol=1e-9):
+    """The starting pair, each point the origin when not given; a given
+    ``x0`` outside V or ``y0`` outside its complement is rejected."""
+    V, dim, inner = prob.V, prob.dim, prob.V.inner
+    x = np.zeros(dim) if x0 is None else as_vector(x0, dim).copy()
+    y = np.zeros(dim) if y0 is None else as_vector(y0, dim).copy()
     if x0 is not None:
-        vx = inner.norm(x0 - V(x0))
-        if vx > tol * (1.0 + inner.norm(x0)):
+        vx = inner.norm(x - V(x))
+        if vx > tol * (1.0 + inner.norm(x)):
             raise ValueError(f"x0 must lie in the subspace (violation {vx:.3e})")
     if y0 is not None:
-        vy = inner.norm(V(y0))
-        if vy > tol * (1.0 + inner.norm(y0)):
+        vy = inner.norm(V(y))
+        if vy > tol * (1.0 + inner.norm(y)):
             raise ValueError(f"y0 must lie in the orthogonal complement (violation {vy:.3e})")
+    return x, y
 
 
 def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
@@ -218,7 +222,7 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
         delta = delta_at(n)
         PBx = V(B(x))
         target = x - delta * gamma * PBx + gamma * y
-        p, q = oracle.solve_step1(x, y, delta, gamma)
+        p, q = oracle.solve_step1(x, y, delta, gamma, PBx)
         sum_gap = inner.norm(target - (p + gamma * q))
         Pp, Pq = V(p), V(q)
         u = Pp + (p - Pp) / delta
@@ -235,8 +239,10 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
         residual = float(np.sqrt(inner.norm(rx) ** 2 + (gamma * inner.norm(ry)) ** 2))
         return residual, x, y, PBx, lambda lam: (x + lam * rx, y + lam * ry)
 
-    return _primal_dual_run(prob, step, lam_at, x0, y0, tol, max_iters,
-                            log_every, trace, objective)
+    log = _RowLog(V)
+    return log.result(_iterate(_start(prob, x0, y0), step, lam_at, tol,
+                               max_iters, log_every, trace, inner.norm,
+                               objective, log_dy=True, on_row=log))
 
 
 def fpi_explicit_solve(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
@@ -245,83 +251,24 @@ def fpi_explicit_solve(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
                        objective=None):
     """Explicit unit-step forward-partial-inverse routine.
 
-    Implements literally
+    Its iterates are those of the recursion
 
         s_n = x_n - gamma P_V B x_n + gamma y_n
         p_n = J_{gamma A} s_n
         y_{n+1} = y_n + (lambda_n / gamma)(P_V p_n - p_n)
         x_{n+1} = x_n + lambda_n (P_V p_n - x_n)
 
-    for ``gamma in ]0, 2*beta[`` and relaxations in ``[epsilon, 1]``.  With
-    ``V`` the whole space this collapses to the forward-backward iteration
-    ``x_{n+1} = x_n + lambda_n (J_{gamma A}(x_n - gamma B x_n) - x_n)``.
+    for ``gamma in ]0, 2*beta[`` and relaxations in ``[epsilon, 1]``.  The
+    run is the forward-Douglas-Rachford iteration of ``fdr_solve`` from
+    ``z_0 = x_0 - gamma y_0``, whose pairs ``(P_V z_n, (P_V z_n - z_n)/gamma)``
+    are the ``(x_n, y_n)`` above; its residual ``||p_n - x_n||`` is
+    ``sqrt(||P_V p_n - x_n||^2 + ||p_n - P_V p_n||^2)`` by orthogonality.
+    With ``V`` the whole space this collapses to the forward-backward
+    iteration ``x_{n+1} = x_n + lambda_n (J_{gamma A}(x_n - gamma B x_n) - x_n)``.
     """
-    A, B, V = prob.A, prob.B, prob.V
-    inner = V.inner
     gamma = prob.beta if gamma is None else float(gamma)
     prob.check_gamma(gamma)
     lam_at = as_relaxation(relaxation).validate_closed(epsilon, 1.0)
-
-    def step(n, state):
-        x, y = state
-        PBx = V(B(x))
-        p = A.resolve(gamma, x - gamma * PBx + gamma * y)
-        Pp = V(p)
-        rx = Pp - x
-        rp = Pp - p
-        residual = float(np.sqrt(inner.norm(rx) ** 2 + inner.norm(rp) ** 2))
-        return residual, x, y, PBx, lambda lam: (x + lam * rx, y + (lam / gamma) * rp)
-
-    return _primal_dual_run(prob, step, lam_at, x0, y0, tol, max_iters,
-                            log_every, trace, objective)
-
-
-def _primal_dual_run(prob, step, lam_at, x0, y0, tol, max_iters, log_every,
-                     trace, objective):
-    """Run a partial-inverse ``step`` from ``(x0, y0)``, checked to lie in
-    V and its complement when given, and finish the result."""
-    V, dim = prob.V, prob.dim
-    x = np.zeros(dim) if x0 is None else as_vector(x0, dim).copy()
-    y = np.zeros(dim) if y0 is None else as_vector(y0, dim).copy()
-    _check_memberships(V, None if x0 is None else x, None if y0 is None else y)
-    log = _RowLog(V)
-    return log.result(_iterate((x, y), step, lam_at, tol, max_iters, log_every,
-                               trace, V.inner.norm, objective, log_dy=True,
-                               on_row=log))
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    max_deviation: float
-    deviations: list
-    iterations: int
-
-
-def equivalence_harness(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
-                        n_iters=200, fdr_y0=None):
-    """Run the Douglas-Rachford and partial-inverse forms side by side.
-
-    Error-free, unit step, matched initialization (the DR form starts from
-    ``z0 = x0 - gamma*y0``): the two iterate sequences coincide; the report
-    carries ``max_n ||x_n^1 - x_n^2|| + ||y_n^1 - y_n^2||`` over
-    ``n <= n_iters``.  Passing a different ``fdr_y0`` deliberately mismatches
-    the initializations (negative control).
-    """
-    dim = prob.dim
-    inner = prob.V.inner
-    gamma = prob.beta if gamma is None else float(gamma)
-    x0 = np.zeros(dim) if x0 is None else as_vector(x0, dim)
-    y0 = np.zeros(dim) if y0 is None else as_vector(y0, dim)
-    y0_dr = y0 if fdr_y0 is None else as_vector(fdr_y0, dim)
-    z0 = x0 - gamma * y0_dr
-
-    r1 = fdr_solve(prob, gamma=gamma, relaxation=relaxation, z0=z0,
-                   tol=-1.0, max_iters=n_iters, trace=True)
-    r2 = fpi_explicit_solve(prob, gamma=gamma, relaxation=relaxation,
-                            x0=x0, y0=y0, tol=-1.0, max_iters=n_iters,
-                            trace=True)
-    deviations = [
-        inner.norm(x1 - x2) + inner.norm(y1 - y2)
-        for (x1, y1), (x2, y2) in zip(r1.trace, r2.trace)
-    ]
-    return EquivalenceReport(max(deviations), deviations, n_iters)
+    x, y = _start(prob, x0, y0)
+    return _fdr_run(prob, gamma, lam_at, x - gamma * y, tol, max_iters,
+                    log_every, trace, objective)

@@ -10,6 +10,7 @@ diverges and the errors are summable against the relaxations.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -43,6 +44,10 @@ DIVERGED = "diverged"
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 100_000
 VALIDATION_PREFIX = 64
+# a run whose state outgrows GROWTH_LIMIT * (1 + max|state_0|) in norm stops as
+# diverged: one more step of even a 1e10-fold expansion then keeps every
+# squared norm far below the float range
+GROWTH_LIMIT = 1e100
 
 
 def composed_alpha(alphas):
@@ -315,13 +320,27 @@ class _Run(NamedTuple):
     aux: object         # aux of the step that reported x and y
 
 
-def _finite(state):
+def _growth_bound(state):
+    """Squared-norm bound ``(GROWTH_LIMIT * (1 + max|state|))^2`` for the
+    arrays of a run started at ``state``, capped below the float range so
+    that an infinite entry exceeds it."""
+    arrays = state if isinstance(state, tuple) else (state,)
+    scale = GROWTH_LIMIT * (1.0 + max(float(np.abs(s).max(initial=0.0))
+                                      for s in arrays))
+    return min(scale * scale, sys.float_info.max)
+
+
+def _bounded(state, bound2):
+    """Whether each array of ``state`` has squared norm at most ``bound2``;
+    a NaN or infinite entry makes the squared norm fail the test too."""
     if isinstance(state, tuple):
         for s in state:
-            if not np.isfinite(s).all():
+            r = s.ravel()
+            if not np.dot(r, r) <= bound2:
                 return False
         return True
-    return np.isfinite(state).all()
+    r = state.ravel()
+    return np.dot(r, r) <= bound2
 
 
 def _iterate(state, step, lam_at, tol, max_iters, log_every, trace, norm,
@@ -336,15 +355,16 @@ def _iterate(state, step, lam_at, tol, max_iters, log_every, trace, norm,
     that reported its final ``x`` and ``y``.  ``lam_at(n)`` is the checked
     relaxation schedule.
 
-    Iteration n first checks that the state is finite; otherwise the run
-    stops as diverged at the last reported point.  It then takes the step and
-    stops when the residual is at most ``tol`` (converged), is not finite
-    (diverged) or when ``n == max_iters``.  Rows ``(n, lambda_n, residual, dx,
-    dy, objective)`` are logged every ``log_every`` iterations and at the
-    stop; ``dx`` (and ``dy`` with ``log_dy``) is the ``norm`` of the change
-    from the previous point, ``objective`` is taken at ``x``, and
-    ``on_row(x, y, aux)`` runs on each logged row.  ``trace`` records ``x``
-    (or ``(x, y)``) at every iteration.
+    Iteration n first checks that no array of the state has outgrown
+    ``GROWTH_LIMIT * (1 + max|state_0|)`` in norm, which also rejects a NaN or
+    infinite entry; otherwise the run stops as diverged at the last reported
+    point.  It then takes the step and stops when the residual is at most
+    ``tol`` (converged), is not finite (diverged) or when ``n == max_iters``.
+    Rows ``(n, lambda_n, residual, dx, dy, objective)`` are logged every
+    ``log_every`` iterations and at the stop; ``dx`` (and ``dy`` with
+    ``log_dy``) is the ``norm`` of the change from the previous point,
+    ``objective`` is taken at ``x``, and ``on_row(x, y, aux)`` runs on each
+    logged row.  ``trace`` records ``x`` (or ``(x, y)``) at every iteration.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
@@ -354,8 +374,9 @@ def _iterate(state, step, lam_at, tol, max_iters, log_every, trace, norm,
     points = [] if trace else None
     residual = float("inf")
     x = y = aux = None
+    bound2 = _growth_bound(state)
     for n in range(max_iters + 1):
-        if not _finite(state):
+        if not _bounded(state, bound2):
             status = DIVERGED
             break
         prev_x, prev_y = x, y

@@ -4,15 +4,18 @@
 space, weighted blockwise, as an inclusion against the diagonal (consensus)
 subspace: the lifted operator resolves blockwise with per-block parameters
 ``gamma / w_i``, the lifted forward map applies ``B`` to every block, and the
-consensus projector replaces each block by the weighted mean.  The module
-runs both the thin lifted adapters onto the base solvers and the direct
-parallel loops; the two paths are cross-checked by the test surface.
+consensus projector replaces each block by the weighted mean.  The direct
+parallel loop :func:`sum_splitting_solve` is that lifted Douglas-Rachford
+iteration written blockwise; its partial-inverse form
+:func:`sum_splitting_pi` runs the same loop under ``z_i = x - gamma y_i``.
+The thin lifted adapter :func:`sum_splitting_via_fdr` runs the reduction
+through ``fdr_solve`` instead, and the test surface cross-checks the two.
 
-The direct loops resolve all blocks through
+The direct loop resolves all blocks through
 :meth:`ProductProblem.resolve_blocks`, which evaluates each run of
 consecutive built-in blocks sharing a row kernel (boxes, soft thresholds)
-in one stacked call and any other block on its own.  The lifted adapters
-keep resolving block by block, so they stay the per-block reference the
+in one stacked call and any other block on its own.  The lifted adapter
+keeps resolving block by block, so it stays the per-block reference the
 tests compare against.
 """
 
@@ -25,7 +28,7 @@ from itertools import groupby
 import numpy as np
 
 from .fdr import InclusionProblem, averagedness, check_gamma, fdr_solve
-from .fpi import DEFAULT_EPSILON, fpi_explicit_solve
+from .fpi import DEFAULT_EPSILON
 from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, ErrorSchedule, _iterate,
                  as_relaxation)
 from .operators import CocoerciveMap, ResolventFamily, zero_cocoercive
@@ -41,7 +44,6 @@ __all__ = [
     "sum_splitting_solve",
     "sum_splitting_via_fdr",
     "sum_splitting_pi",
-    "sum_splitting_pi_via_fpi",
     "parallel_dr2",
     "dr2_relaxation",
 ]
@@ -373,7 +375,7 @@ def sum_splitting_solve(prob, gamma=None, relaxation=1.0, a_errors=None,
     certificate assembles the block inclusions ``w_i q_i in A_i x`` and their
     sum against ``-B x``.
     """
-    m, d, w = prob.m, prob.base_dim, prob.weights
+    m, d = prob.m, prob.base_dim
     beta = prob.beta
     gamma = check_gamma(beta if gamma is None else float(gamma), beta)
     lam_at = as_relaxation(relaxation).validate_open(averagedness(gamma, beta))
@@ -390,10 +392,21 @@ def sum_splitting_solve(prob, gamma=None, relaxation=1.0, a_errors=None,
                 if e.dim != d:
                     raise ValueError("b_errors must live in the base space")
                 e.validate()
-    else:
-        b_errors = [None] * m
 
     Z = np.zeros((m, d)) if z0 is None else _as_blocks(z0, m, d)
+    return _sum_splitting_run(prob, gamma, lam_at, Z, tol, max_iters,
+                              log_every, trace, objective, a_errors, b_errors)[0]
+
+
+def _sum_splitting_run(prob, gamma, lam_at, Z, tol, max_iters, log_every,
+                       trace, objective, a_errors=None, b_errors=None):
+    """The loop of :func:`sum_splitting_solve` from the blocks ``Z``, with
+    ``gamma``, the relaxations ``lam_at`` and the error schedules already
+    checked (``b_errors`` a list of m); returns the result and the final
+    blocks."""
+    m, d, w = prob.m, prob.base_dim, prob.weights
+    if b_errors is None:
+        b_errors = [None] * m
     _warn_scaled_gamma(gamma, w)
     gammas = gamma / w
 
@@ -423,7 +436,7 @@ def sum_splitting_solve(prob, gamma=None, relaxation=1.0, a_errors=None,
     return ProductSolveResult(final=x, status=run.status, iterations=run.iterations,
                               history=run.history, trace=run.trace,
                               **_certificate(prob, x, Bx, gamma,
-                                             2.0 * x - gamma * Bx - Z))
+                                             2.0 * x - gamma * Bx - Z)), Z
 
 
 def sum_splitting_via_fdr(prob, gamma=None, relaxation=1.0, a_errors=None,
@@ -552,8 +565,8 @@ def sum_splitting_pi(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
                      objective=None):
     """Partial-inverse form of the parallel sum splitting.
 
-    Maintains a base primal ``x_n`` and per-block duals ``y_{i,n}`` with
-    ``sum_i w_i y_{i,n} = 0``:
+    Its iterates are a base primal ``x_n`` and per-block duals ``y_{i,n}``
+    with ``sum_i w_i y_{i,n} = 0``, following
 
         s_{i,n} = x_n - gamma B x_n + gamma y_{i,n}
         p_{i,n} = J_{(gamma/w_i) A_i} s_{i,n}
@@ -561,15 +574,18 @@ def sum_splitting_pi(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
         x_{n+1} = x_n + lambda_n (pbar_n - x_n)
 
     with ``pbar_n`` the weighted mean of the ``p_{i,n}``.  Relaxations range
-    over ``[epsilon, 1]``; with matching initialization the iterates coincide
-    with :func:`sum_splitting_solve`.
+    over ``[epsilon, 1]``.  The run is the loop of :func:`sum_splitting_solve`
+    from ``z_{i,0} = x_0 - gamma y_{i,0}``, with ``y_{i,n} = (x_n - z_{i,n})/gamma``
+    in ``duals`` and the trace; its residual
+    ``sqrt(sum_i w_i ||p_{i,n} - x_n||^2)`` equals
+    ``sqrt(||pbar_n - x_n||^2 + sum_i w_i ||pbar_n - p_{i,n}||^2)``.
     """
     m, d, w = prob.m, prob.base_dim, prob.weights
     beta = prob.beta
     gamma = check_gamma(beta if gamma is None else float(gamma), beta)
     lam_at = as_relaxation(relaxation).validate_closed(epsilon, 1.0)
 
-    x = np.zeros(d) if x0 is None else as_vector(x0, d).copy()
+    x = np.zeros(d) if x0 is None else as_vector(x0, d)
     if y0 is None:
         Y = np.zeros((m, d))
     else:
@@ -580,57 +596,9 @@ def sum_splitting_pi(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
                 f"dual initialization must satisfy sum_i w_i y_i = 0 "
                 f"(violation {drift:.3e})"
             )
-    _warn_scaled_gamma(gamma, w)
-    gammas = gamma / w
-
-    def step(n, state):
-        x, Y = state
-        Bx = prob.B(x)
-        P = prob.resolve_blocks(gammas, x - gamma * Bx + gamma * Y)
-        pbar = w @ P
-        residual = float(np.sqrt(np.dot(pbar - x, pbar - x)
-                                 + np.sum(w * np.sum((pbar - P) ** 2, axis=1))))
-        return residual, x, Y, None, lambda lam: (x + lam * (pbar - x),
-                                                  Y + (lam / gamma) * (pbar - P))
-
-    run = _iterate((x, Y), step, lam_at, tol, max_iters, log_every, trace,
-                   InnerProduct(d).norm, objective)
-    # certificate from the final block decomposition
-    x, Y = run.x, run.y
-    Bx = prob.B(x)
-    return ProductSolveResult(final=x, status=run.status, iterations=run.iterations,
-                              history=run.history, duals=Y, trace=run.trace,
-                              **_certificate(prob, x, Bx, gamma,
-                                             x - gamma * Bx + gamma * Y))
-
-
-def sum_splitting_pi_via_fpi(prob, gamma=None, relaxation=1.0, x0=None,
-                             y0=None, tol=DEFAULT_TOL,
-                             max_iters=DEFAULT_MAX_ITERS,
-                             epsilon=DEFAULT_EPSILON, log_every=1,
-                             trace=False, objective=None):
-    """Lifted-adapter path for :func:`sum_splitting_pi` through the explicit
-    partial-inverse solver on the product space."""
-    space = prob.space
-    lifted = prob.lifted()
-    x0_l = None if x0 is None else space.lift(x0)
-    y0_l = None if y0 is None else _as_blocks(y0, space.m, space.base_dim).reshape(-1)
-    obj_lift = None
-    if objective is not None:
-        obj_lift = lambda X: objective(space.weighted_mean(X))
-    res = fpi_explicit_solve(lifted, gamma=gamma, relaxation=relaxation,
-                             x0=x0_l, y0=y0_l, tol=tol, max_iters=max_iters,
-                             epsilon=epsilon, log_every=log_every, trace=trace,
-                             objective=obj_lift)
-    x = space.weighted_mean(res.x)
-    Y = space.split(res.y)
-    zt = None
+    res, Z = _sum_splitting_run(prob, gamma, lam_at, x - gamma * Y, tol,
+                                max_iters, log_every, trace, objective)
+    res.duals = (res.final - Z) / gamma
     if res.trace is not None:
-        zt = [(space.weighted_mean(xl), space.split(yl).copy())
-              for xl, yl in res.trace]
-    g = prob.beta if gamma is None else float(gamma)
-    Bx = prob.B(x)
-    return ProductSolveResult(final=x, status=res.status,
-                              iterations=res.iterations, history=res.history,
-                              duals=Y, trace=zt,
-                              **_certificate(prob, x, Bx, g, x - g * Bx + g * Y))
+        res.trace = [(xn, (xn - Zn) / gamma) for xn, Zn in res.trace]
+    return res

@@ -127,14 +127,16 @@ def box_function(lo, hi):
 
 def quadratic_function(Q, b=None, tol=1e-10):
     """``f(x) = x'Qx/2 - b'x`` for symmetric PSD ``Q``; prox solves
-    ``(Id + gamma Q) z = x + gamma b`` with a factorization cached per gamma."""
-    Q, _, _ = _symmetric_psd(Q, tol)
+    ``(Id + gamma Q) z = x + gamma b`` with a factorization cached per gamma,
+    and the value applies ``Q`` as :func:`quadratic_smooth` does."""
+    Q, _, symmetric = _symmetric_psd(Q, tol)
     dim = Q.shape[0]
     b = np.zeros(dim) if b is None else as_vector(b, dim)
     cache = _CachedAffineSolve(Q)
+    Qx = _matvec(Q, symmetric)
 
     def value(x):
-        return float(0.5 * x @ Q @ x - b @ x)
+        return float(0.5 * (x @ Qx(x)) - b @ x)
 
     return ProxFunction(lambda gamma, x: cache.solve(gamma, x + gamma * b), dim,
                         value=value, label="quadratic")
@@ -149,9 +151,9 @@ def zero_function(dim):
 def quadratic_smooth(Q, b=None, tol=1e-10):
     """``g(x) = x'Qx/2 - b'x`` with gradient ``Qx - b`` and ``L = lambda_max(Q)``.
 
-    The gradient of an exactly symmetric ``Q`` is applied with a one-triangle
-    BLAS kernel (see :func:`monosplit.spaces._matvec`); a ``Q`` symmetric only
-    within ``tol`` is applied as given.
+    The gradient and the value apply an exactly symmetric ``Q`` with a
+    one-triangle BLAS kernel (see :func:`monosplit.spaces._matvec`); a ``Q``
+    symmetric only within ``tol`` is applied as given.
     """
     Q, eigs, symmetric = _symmetric_psd(Q, tol)
     dim = Q.shape[0]
@@ -160,9 +162,10 @@ def quadratic_smooth(Q, b=None, tol=1e-10):
         raise ValueError("Q must have a positive largest eigenvalue; "
                          "use zero_smooth for a vanishing gradient")
     b = np.zeros(dim) if b is None else as_vector(b, dim)
+    Qx = _matvec(Q, symmetric)
 
     def value(x):
-        return float(0.5 * x @ Q @ x - b @ x)
+        return float(0.5 * (x @ Qx(x)) - b @ x)
 
     return SmoothFunction(_matvec(Q, symmetric, b), lam_max, dim, value=value,
                           label="quadratic")

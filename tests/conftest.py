@@ -77,3 +77,56 @@ def counting_problem(prob):
 
     return InclusionProblem(prob.A, CocoerciveMap(forward, B.beta, B.dim),
                             SubspaceProjector(project, V.dim, V.inner)), counts
+
+
+def fpi_unit_step_reference(prob, gamma, lam, x0, y0, n_iters):
+    """Pairs ``(x_n, y_n)``, n = 0..n_iters, of the literal unit-step
+    forward-partial-inverse recursion with constant relaxation ``lam``:
+
+        s_n = x_n - gamma P_V B x_n + gamma y_n,   p_n = J_{gamma A} s_n
+        x_{n+1} = x_n + lam (P_V p_n - x_n)
+        y_{n+1} = y_n + (lam / gamma)(P_V p_n - p_n)
+    """
+    A, B, V = prob.A, prob.B, prob.V
+    x = np.array(x0, dtype=float)
+    y = np.array(y0, dtype=float)
+    points = [(x, y)]
+    for _ in range(n_iters):
+        p = A.resolve(gamma, x - gamma * V(B(x)) + gamma * y)
+        Pp = V(p)
+        x, y = x + lam * (Pp - x), y + (lam / gamma) * (Pp - p)
+        points.append((x, y))
+    return points
+
+
+def pi_sum_reference(prob, gamma, lam, x0, Y0, n_iters):
+    """Pairs ``(x_n, Y_n)``, n = 0..n_iters, of the blockwise partial-inverse
+    sum recursion with constant relaxation ``lam``, each block resolved on
+    its own:
+
+        p_{i,n} = J_{(gamma/w_i) A_i}(x_n - gamma B x_n + gamma y_{i,n})
+        x_{n+1} = x_n + lam (pbar_n - x_n)
+        y_{i,n+1} = y_{i,n} + (lam / gamma)(pbar_n - p_{i,n})
+
+    with ``pbar_n`` the weighted mean of the ``p_{i,n}``.
+    """
+    w = prob.weights
+    x = np.array(x0, dtype=float)
+    Y = np.array(Y0, dtype=float).reshape(prob.m, prob.base_dim)
+    points = [(x, Y)]
+    for _ in range(n_iters):
+        S = x - gamma * prob.B(x) + gamma * Y
+        P = np.array([A.resolve(gamma / wi, s)
+                      for A, wi, s in zip(prob.blocks, w, S)])
+        pbar = w @ P
+        x, Y = x + lam * (pbar - x), Y + (lam / gamma) * (pbar - P)
+        points.append((x, Y))
+    return points
+
+
+def trace_deviation(trace, reference):
+    """``max_n ||x_n - x'_n|| + ||y_n - y'_n||`` over two runs of pairs of
+    equal length."""
+    assert len(trace) == len(reference)
+    return max(float(np.linalg.norm(x1 - x2) + np.linalg.norm(y1 - y2))
+               for (x1, y1), (x2, y2) in zip(trace, reference))

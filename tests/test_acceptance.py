@@ -11,7 +11,7 @@ import numpy as np
 import monosplit as ms
 from monosplit import (InclusionProblem, ProductProblem, affine_gradient,
                        audit_projector, build_S, build_T, certify_averaged,
-                       composed_alpha, consensus_projector, equivalence_harness,
+                       composed_alpha, consensus_projector,
                        fdr_solve, fpi_explicit_solve, geometric_errors,
                        harmonic_errors, identity_projector, l1_function,
                        linear_monotone, min_over_subspace, normal_cone_box,
@@ -22,8 +22,9 @@ from monosplit import (InclusionProblem, ProductProblem, affine_gradient,
                        sum_splitting_via_fdr, zero_mean_projector,
                        zero_operator)
 from monosplit.cli import EXIT_INVALID, main
-from conftest import (kkt_solution, random_spd, random_subspace_projector,
-                      relative_memberships)
+from conftest import (fpi_unit_step_reference, kkt_solution, random_spd,
+                      random_subspace_projector, relative_memberships,
+                      trace_deviation)
 
 
 def _report(criterion, name, ok, detail=""):
@@ -65,9 +66,13 @@ def test_criterion_1_fdr_fpi_equivalence():
         lam = float(rng.uniform(0.1, 1.0))
         x0 = prob.V(rng.standard_normal(prob.dim))
         y0 = prob.V.complement(rng.standard_normal(prob.dim))
-        report = equivalence_harness(prob, gamma=gamma, relaxation=lam,
-                                     x0=x0, y0=y0, n_iters=200)
-        worst = max(worst, report.max_deviation)
+        reference = fpi_unit_step_reference(prob, gamma, lam, x0, y0, 200)
+        r1 = fdr_solve(prob, gamma=gamma, relaxation=lam, z0=x0 - gamma * y0,
+                       tol=-1.0, max_iters=200, trace=True)
+        r2 = fpi_explicit_solve(prob, gamma=gamma, relaxation=lam, x0=x0,
+                                y0=y0, tol=-1.0, max_iters=200, trace=True)
+        worst = max(worst, trace_deviation(r1.trace, reference),
+                    trace_deviation(r2.trace, reference))
     elapsed = time.perf_counter() - start
     _report(1, "forward-DR and forward-partial-inverse agree",
             worst <= 1e-10 and elapsed < 1.0,

@@ -4,12 +4,13 @@ import pytest
 import monosplit as ms
 from monosplit import (InclusionProblem, OracleError, ScaledResolventOracle,
                        StepSchedule, affine_gradient, closed_form_oracle, constant_steps,
-                       equivalence_harness, fpi_explicit_solve, fpi_solve,
+                       fdr_solve, fpi_explicit_solve, fpi_solve,
                        identity_projector, normal_cone_box, span_projector,
                        subdifferential_abs, zero_cocoercive, zero_mean_projector,
                        zero_operator)
-from conftest import (counting_problem, random_spd, random_subspace_projector,
-                      relative_memberships)
+from conftest import (counting_problem, fpi_unit_step_reference, random_spd,
+                      random_subspace_projector, relative_memberships,
+                      trace_deviation)
 
 
 def box_identity_problem():
@@ -132,8 +133,8 @@ def test_fpi_explicit_is_forward_backward_on_partial_inverse(rng):
 def test_fpi_bad_oracle_aborts():
     prob = box_identity_problem()
 
-    def broken(x, y, delta, gamma):
-        p, q = closed_form_oracle(prob).solve_step1(x, y, delta, gamma)
+    def broken(x, y, delta, gamma, PBx):
+        p, q = closed_form_oracle(prob).solve_step1(x, y, delta, gamma, PBx)
         return p + 0.1, q
 
     with pytest.raises(OracleError, match="Step 1 oracle"):
@@ -153,13 +154,13 @@ def test_fpi_delta_oracle_with_nonunit_step():
     prob = InclusionProblem(ms.linear_monotone(np.diag([1.0, 3.0]), b=[-1.0, 2.0]),
                             affine_gradient(np.eye(2)),
                             span_projector([1.0, 1.0]))
-    A, B, V = prob.A, prob.B, prob.V
+    V = prob.V
 
-    def oracle_fn(x, y, delta, gamma):
+    def oracle_fn(x, y, delta, gamma, PBx):
         # find p, q from the defining system using the scaled operator view:
         # with u = P_V p + (Id-P)p/delta required to satisfy w in A u, solve
         # the linear system directly for this affine A
-        target = x - delta * gamma * V(B(x)) + gamma * y
+        target = x - delta * gamma * PBx + gamma * y
         M, b = np.diag([1.0, 3.0]), np.array([-1.0, 2.0])
         d = len(target)
         # unknowns p; q = (target - p)/gamma; build the linear equations of
@@ -258,8 +259,8 @@ def test_fpi_memberships_along_run(rng):
 
 def test_fpi_projector_and_forward_call_counts(rng):
     # per step: P_V B x and P_V p on the explicit path; on the oracle path
-    # also the oracle's own P_V B x and P_V q.  The default start needs no
-    # membership check; the returned pair costs two projections.
+    # P_V B x (handed to the oracle), P_V p and P_V q.  The default start
+    # needs no membership check; the returned pair costs two projections.
     base = InclusionProblem(ms.linear_monotone(random_spd(rng, 5)),
                             affine_gradient(random_spd(rng, 5),
                                             rng.standard_normal(5)),
@@ -269,7 +270,7 @@ def test_fpi_projector_and_forward_call_counts(rng):
              2 * 10 + 2, 10),
             (lambda p: fpi_solve(p, oracle=closed_form_oracle(p), tol=-1.0,
                                  max_iters=9, trace=True),
-             4 * 10 + 2, 2 * 10)):
+             3 * 10 + 2, 10)):
         prob, counts = counting_problem(base)
         res = solve(prob)
         assert res.iterations == 9 and len(res.trace) == 10
@@ -306,23 +307,35 @@ def test_reflected_fixed_point_is_zero_of_partial_inverse_sum():
     assert np.linalg.norm(step - r) <= 1e-10
 
 
-def test_equivalence_harness_builtin_problem():
-    report = equivalence_harness(box_identity_problem(), gamma=1.0,
-                                 relaxation=0.9, x0=[2.0, 2.0],
-                                 y0=[1.0, -1.0], n_iters=200)
-    assert report.max_deviation <= 1e-10
+def _fdr_from(prob, gamma, lam, x0, y0, n_iters):
+    """The trace of ``fdr_solve`` started at ``z0 = x0 - gamma * y0``."""
+    z0 = np.asarray(x0, float) - gamma * np.asarray(y0, float)
+    return fdr_solve(prob, gamma=gamma, relaxation=lam, z0=z0, tol=-1.0,
+                     max_iters=n_iters, trace=True).trace
 
 
-def test_equivalence_harness_trivial_exact():
+def test_fdr_and_fpi_explicit_match_literal_recursion():
+    prob = box_identity_problem()
+    kw = dict(gamma=1.0, lam=0.9, x0=[2.0, 2.0], y0=[1.0, -1.0], n_iters=200)
+    reference = fpi_unit_step_reference(prob, **kw)
+    assert trace_deviation(_fdr_from(prob, **kw), reference) <= 1e-10
+    res = fpi_explicit_solve(prob, gamma=1.0, relaxation=0.9, x0=[2.0, 2.0],
+                             y0=[1.0, -1.0], tol=-1.0, max_iters=200, trace=True)
+    assert trace_deviation(res.trace, reference) <= 1e-10
+
+
+def test_fdr_matches_literal_recursion_exactly_on_trivial_problem():
     prob = InclusionProblem(zero_operator(2), zero_cocoercive(2),
                             span_projector([1.0, 0.0]))
-    report = equivalence_harness(prob, gamma=1.0, x0=[1.0, 0.0],
-                                 y0=[0.0, 2.0], n_iters=50)
-    assert report.max_deviation == 0.0
+    kw = dict(gamma=1.0, lam=1.0, x0=[1.0, 0.0], y0=[0.0, 2.0], n_iters=50)
+    assert trace_deviation(_fdr_from(prob, **kw),
+                           fpi_unit_step_reference(prob, **kw)) == 0.0
 
 
-def test_equivalence_harness_mismatched_start_detected():
-    report = equivalence_harness(box_identity_problem(), gamma=1.0,
-                                 x0=[2.0, 2.0], y0=[1.0, -1.0],
-                                 fdr_y0=[0.5, -0.5], n_iters=30)
-    assert report.max_deviation > 1e-3
+def test_mismatched_start_departs_from_literal_recursion():
+    # negative control: the DR form started from another dual point
+    prob = box_identity_problem()
+    kw = dict(gamma=1.0, lam=1.0, x0=[2.0, 2.0], n_iters=30)
+    deviation = trace_deviation(_fdr_from(prob, y0=[0.5, -0.5], **kw),
+                                fpi_unit_step_reference(prob, y0=[1.0, -1.0], **kw))
+    assert deviation > 1e-3

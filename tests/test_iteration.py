@@ -96,6 +96,15 @@ def test_iteration_contract(run):
     assert np.all(np.isfinite(point))
 
 
+def test_growth_bound_is_relative_to_the_start():
+    # a start beyond GROWTH_LIMIT is not growth: the run converges; started
+    # at 1e20, the expanding map passes GROWTH_LIMIT before it is stopped
+    assert fdr_solve(inclusion(box()), z0=[1e150, 1e150]).status == ms.CONVERGED
+    res = fdr_solve(inclusion(expanding()), z0=[1e20, 1e20], max_iters=200)
+    assert res.status == ms.DIVERGED
+    assert ms.km.GROWTH_LIMIT < np.abs(res.x).max() < np.inf
+
+
 def late_jump():
     """1 for n < 100, then 5: admissible on the audited prefix only."""
     return RelaxationSchedule(lambda n: 1.0 if n < 100 else 5.0)

@@ -6,10 +6,11 @@ from monosplit import (InclusionProblem, ProductProblem, ProductSpace,
                        ResolventFamily, affine_gradient, audit_projector, consensus_projector,
                        fdr_solve, identity_projector, lift, linear_monotone,
                        normal_cone_box, parallel_dr2, subdifferential_abs,
-                       sum_splitting_pi, sum_splitting_pi_via_fpi,
-                       sum_splitting_solve, sum_splitting_via_fdr,
+                       sum_splitting_pi, sum_splitting_solve,
+                       sum_splitting_via_fdr,
                        translate_operator, unlift, zero_cocoercive,
                        zero_operator)
+from conftest import pi_sum_reference
 
 
 def test_lift_unlift_roundtrip():
@@ -359,12 +360,11 @@ def test_pi_sum_matches_dr_form(rng):
     y0 = rng.standard_normal(2)
     Y0 = np.stack([y0, -y0])  # uniform weights: sum w_i y_i = 0
     Z0 = np.stack([x0 - gamma * Y0[0], x0 - gamma * Y0[1]])
-    r_pi = sum_splitting_pi(prob, gamma=gamma, relaxation=0.9, x0=x0, y0=Y0,
-                            tol=-1.0, max_iters=200, trace=True)
     r_dr = sum_splitting_solve(prob, gamma=gamma, relaxation=0.9, z0=Z0,
                                tol=-1.0, max_iters=200, trace=True)
-    dev = max(np.linalg.norm(xp - xd)
-              for (xp, _), (xd, _) in zip(r_pi.trace, r_dr.trace))
+    reference = pi_sum_reference(prob, gamma, 0.9, x0, Y0, 200)
+    dev = max(np.linalg.norm(xr - xd)
+              for (xr, _), (xd, _) in zip(reference, r_dr.trace))
     assert dev <= 1e-10
 
 
@@ -381,19 +381,19 @@ def test_pi_sum_two_block_antisymmetric_duals():
         np.testing.assert_allclose(Y[0], -Y[1], atol=1e-12)
 
 
-def test_pi_sum_adapter_matches_direct(rng):
+def test_pi_sum_matches_blockwise_recursion(rng):
     blocks = [subdifferential_abs(2), linear_monotone(np.diag([2.0, 1.0]))]
     small = ProductProblem(blocks, affine_gradient(np.eye(2)), weights=[0.4, 0.6])
     for prob in (small, _box_abs_problem(50, 2, seed=51)):
         x0 = rng.standard_normal(2)
-        kw = dict(gamma=0.5, relaxation=0.85, x0=x0, tol=-1.0, max_iters=150,
-                  trace=True)
-        direct = sum_splitting_pi(prob, **kw)
-        adapter = sum_splitting_pi_via_fpi(prob, **kw)
-        assert len(direct.trace) == len(adapter.trace)
-        for (x_d, Y_d), (x_a, Y_a) in zip(direct.trace, adapter.trace):
-            np.testing.assert_allclose(x_d, x_a, atol=1e-11)
-            np.testing.assert_allclose(Y_d, Y_a, atol=1e-11)
+        res = sum_splitting_pi(prob, gamma=0.5, relaxation=0.85, x0=x0,
+                               tol=-1.0, max_iters=150, trace=True)
+        reference = pi_sum_reference(prob, 0.5, 0.85, x0,
+                                     np.zeros((prob.m, 2)), 150)
+        assert len(res.trace) == len(reference)
+        for (x_d, Y_d), (x_r, Y_r) in zip(res.trace, reference):
+            np.testing.assert_allclose(x_d, x_r, atol=1e-11)
+            np.testing.assert_allclose(Y_d, Y_r, atol=1e-11)
 
 
 def test_solution_transfer_from_lifted_run():
@@ -426,12 +426,12 @@ def test_sum_splitting_rejects_bad_start():
 
 def test_pi_sum_rejects_bad_start():
     prob = ProductProblem([zero_operator(2), zero_operator(2)])
-    for solve in (sum_splitting_pi, sum_splitting_pi_via_fpi):
-        with pytest.raises(ValueError, match="non-finite"):
-            solve(prob, y0=[[np.inf, 0.0], [-np.inf, 0.0]])
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            solve(prob, y0=np.zeros((2, 3)))
-        assert solve(prob, y0=[1.0, 0.0, -1.0, 0.0], tol=1e-10).status == ms.CONVERGED
+    with pytest.raises(ValueError, match="non-finite"):
+        sum_splitting_pi(prob, y0=[[np.inf, 0.0], [-np.inf, 0.0]])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        sum_splitting_pi(prob, y0=np.zeros((2, 3)))
+    assert sum_splitting_pi(prob, y0=[1.0, 0.0, -1.0, 0.0],
+                            tol=1e-10).status == ms.CONVERGED
 
 
 def test_gamma_range_validation():

@@ -8,7 +8,8 @@ from monosplit import (box_function, l1_function, min_over_subspace,
                        zero_mean_projector, zero_smooth)
 from monosplit.operators import audit_firm_nonexpansiveness
 from monosplit.variational import advisory_existence_probe
-from conftest import kkt_solution, random_spd, random_subspace_projector
+from conftest import (kkt_solution, matrix_layouts, random_spd,
+                      random_subspace_projector)
 
 
 def test_prox_l1_golden_values():
@@ -60,6 +61,28 @@ def test_quadratic_smooth_lipschitz_examples():
     assert quadratic_smooth(np.diag([1.0, 4.0])).lipschitz == pytest.approx(4.0)
     g = quadratic_smooth(np.eye(2))
     np.testing.assert_allclose(g.gradient(np.array([1.0, 1.0])), [1.0, 1.0])
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 200])
+def test_quadratic_value_matches_formula(d):
+    # the value applies an exactly symmetric Q with the one-triangle kernel,
+    # from every storage layout; a Q symmetric only within the tolerance is
+    # applied as given
+    rng = np.random.default_rng(d)
+    Q = random_spd(rng, d)
+    Q = 0.5 * (Q + Q.T)
+    assert np.array_equal(Q, Q.T)
+    b = rng.standard_normal(d)
+    for Ql in matrix_layouts(Q).values():
+        for f in (quadratic_smooth(Ql, b), quadratic_function(Ql, b)):
+            for _ in range(3):
+                x = rng.standard_normal(d)
+                quad, lin = 0.5 * x @ Q @ x, b @ x
+                assert abs(f.value(x) - (quad - lin)) <= 1e-12 * (1.0 + abs(quad) + abs(lin))
+    Q[0, -1] += 1e-13
+    x = rng.standard_normal(d)
+    for f in (quadratic_smooth(Q, b), quadratic_function(Q, b)):
+        assert f.value(x) == float(0.5 * (x @ (Q @ x)) - b @ x)
 
 
 def test_gradient_matches_finite_differences(rng):
