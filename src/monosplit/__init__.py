@@ -29,9 +29,7 @@ from .fpi import (OracleError, ScaledResolventOracle, StepSchedule,
                   closed_form_oracle, constant_steps, fpi_explicit_solve,
                   fpi_solve)
 from .productspace import (ProductProblem, ProductSolveResult, ProductSpace,
-                           consensus_projector, lift, parallel_dr2,
-                           sum_splitting_pi, sum_splitting_solve,
-                           sum_splitting_via_fdr, unlift)
+                           parallel_dr2, sum_splitting_pi, sum_splitting_solve)
 from .variational import (ProxFunction, SmoothFunction, box_function,
                           l1_function, min_over_subspace, prox_indicator_box,
                           prox_l1, quadratic_function, quadratic_smooth,

@@ -21,7 +21,6 @@ Exit codes: 0 converged, 2 iteration budget exhausted, 3 diverged,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import sys
@@ -716,8 +715,6 @@ def _parser():
                         help="CSV output file (directory when several specs "
                              "are given); defaults to the spec path with a "
                              ".csv suffix")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="run independent specs concurrently")
     return parser
 
 
@@ -727,12 +724,7 @@ def main(argv=None):
     multiple = len(args.specs) > 1
     if multiple and args.output:
         Path(args.output).mkdir(parents=True, exist_ok=True)
-    if args.jobs > 1 and multiple:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            codes = list(pool.map(lambda p: _process(p, args, multiple), args.specs))
-    else:
-        codes = [_process(p, args, multiple) for p in args.specs]
-    return max(codes)
+    return max(_process(p, args, multiple) for p in args.specs)
 
 
 if __name__ == "__main__":

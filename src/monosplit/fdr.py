@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .km import DEFAULT_MAX_ITERS, DEFAULT_TOL, _iterate, as_relaxation
+from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, _iterate, as_relaxation,
+                 check_errors)
 from .operators import AveragedOperator
 from .spaces import as_vector
 
@@ -204,11 +205,7 @@ def fdr_solve(prob, gamma=None, relaxation=1.0, a_errors=None, b_errors=None,
     gamma = prob.beta if gamma is None else float(gamma)
     prob.check_gamma(gamma)
     lam_at = as_relaxation(relaxation).validate_open(prob.alpha(gamma))
-    for errs in (a_errors, b_errors):
-        if errs is not None:
-            if errs.dim != dim:
-                raise ValueError("error schedule dimension mismatch")
-            errs.validate(norm=prob.V.inner.norm)
+    check_errors([a_errors, b_errors], dim, prob.V.inner.norm)
     z = np.zeros(dim) if z0 is None else as_vector(z0, dim).copy()
     return _fdr_run(prob, gamma, lam_at, z, tol, max_iters, log_every, trace,
                     objective, a_errors, b_errors)

@@ -241,6 +241,17 @@ class ErrorSchedule:
                 )
 
 
+def check_errors(schedules, dim, norm=None):
+    """Reject any schedule of ``schedules`` (None entries are skipped) that
+    does not live in ``R^dim`` or fails :meth:`ErrorSchedule.validate` under
+    ``norm``."""
+    for e in schedules:
+        if e is not None:
+            if e.dim != dim:
+                raise ValueError("error schedule dimension mismatch")
+            e.validate(norm=norm)
+
+
 def no_errors(dim):
     """Error-free schedule."""
     z = np.zeros(dim)
@@ -457,11 +468,7 @@ def km_solve(ops, relaxation=1.0, errors=None, z0=None, tol=DEFAULT_TOL,
         if len(errors) != m:
             raise ValueError(f"expected {m} error schedules, got {len(errors)}")
     inner = InnerProduct(dim) if inner is None else inner
-    for e in errors:
-        if e is not None:
-            if e.dim != dim:
-                raise ValueError("error schedule dimension mismatch")
-            e.validate(norm=inner.norm)
+    check_errors(errors, dim, inner.norm)
 
     def chain(z, n=None):
         # T_1(...T_m z), with the errors of iteration n when n is given

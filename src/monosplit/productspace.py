@@ -8,15 +8,11 @@ consensus projector replaces each block by the weighted mean.  The direct
 parallel loop :func:`sum_splitting_solve` is that lifted Douglas-Rachford
 iteration written blockwise; its partial-inverse form
 :func:`sum_splitting_pi` runs the same loop under ``z_i = x - gamma y_i``.
-The thin lifted adapter :func:`sum_splitting_via_fdr` runs the reduction
-through ``fdr_solve`` instead, and the test surface cross-checks the two.
 
 The direct loop resolves all blocks through
 :meth:`ProductProblem.resolve_blocks`, which evaluates each run of
 consecutive built-in blocks sharing a row kernel (boxes, soft thresholds)
-in one stacked call and any other block on its own.  The lifted adapter
-keeps resolving block by block, so it stays the per-block reference the
-tests compare against.
+in one stacked call and any other block on its own.
 """
 
 from __future__ import annotations
@@ -27,36 +23,32 @@ from itertools import groupby
 
 import numpy as np
 
-from .fdr import InclusionProblem, averagedness, check_gamma, fdr_solve
+from .fdr import averagedness, check_gamma
 from .fpi import DEFAULT_EPSILON
-from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, ErrorSchedule, _iterate,
-                 as_relaxation)
-from .operators import CocoerciveMap, ResolventFamily, zero_cocoercive
+from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, _iterate, as_relaxation,
+                 check_errors)
+from .operators import zero_cocoercive
 from .spaces import InnerProduct, SubspaceProjector, as_vector
 
 __all__ = [
     "ProductSpace",
     "ProductProblem",
     "ProductSolveResult",
-    "lift",
-    "unlift",
-    "consensus_projector",
     "sum_splitting_solve",
-    "sum_splitting_via_fdr",
     "sum_splitting_pi",
     "parallel_dr2",
     "dr2_relaxation",
 ]
 
-DEFAULT_SCALED_GAMMA_CAP = 1e12
+SCALED_GAMMA_CAP = 1e12
 
 
-def _warn_scaled_gamma(gamma, weights, cap=DEFAULT_SCALED_GAMMA_CAP):
+def _warn_scaled_gamma(gamma, weights):
     worst = float(gamma / np.min(weights))
-    if worst > cap:
+    if worst > SCALED_GAMMA_CAP:
         warnings.warn(
             f"scaled resolvent parameter gamma/w_i reaches {worst:.3e}, beyond "
-            f"the cap {cap:.3e}; results may be inaccurate",
+            f"the cap {SCALED_GAMMA_CAP:.3e}; results may be inaccurate",
             RuntimeWarning,
         )
 
@@ -104,9 +96,6 @@ class ProductSpace:
         x = as_vector(x, self.base_dim)
         return np.tile(x, self.m)
 
-    def weighted_mean(self, X):
-        return self.weights @ self.split(X)
-
     def diagonal_spread(self, X):
         """Largest deviation of any block from the weighted mean (0 on the diagonal)."""
         blocks = self.split(X)
@@ -130,89 +119,6 @@ class ProductSpace:
             return np.tile(self.weights @ X.reshape(self.m, self.base_dim), self.m)
 
         return SubspaceProjector(apply, self.dim, self.inner, label="consensus")
-
-    def lift_resolvent(self, blocks, cap=DEFAULT_SCALED_GAMMA_CAP):
-        """Blockwise resolvent of the weighted product operator.
-
-        Block i resolves with parameter ``gamma / w_i``; parameters beyond
-        ``cap`` (tiny weights) trigger a warning since the scaled solve may
-        lose accuracy.
-        """
-        blocks = list(blocks)
-        w = self.weights
-
-        def res(gamma, X):
-            _warn_scaled_gamma(gamma, w, cap)
-            parts = np.empty((self.m, self.base_dim))
-            rows = X.reshape(self.m, self.base_dim)
-            for i in range(self.m):
-                parts[i] = blocks[i].resolve(gamma / w[i], rows[i])
-            return parts.reshape(-1)
-
-        return ResolventFamily(res, self.dim, label="product")
-
-    def lift_cocoercive(self, B):
-        """Apply ``B`` to every block; the cocoercivity constant is preserved."""
-        def func(X):
-            parts = np.empty((self.m, self.base_dim))
-            blocks = X.reshape(self.m, self.base_dim)
-            for i in range(self.m):
-                parts[i] = B(blocks[i])
-            return parts.reshape(-1)
-
-        return CocoerciveMap(func, B.beta, self.dim, label=f"lifted({B.label})")
-
-    def lift_error_schedule(self, sched):
-        """Lift a base-space error sequence onto the diagonal."""
-        if sched is None:
-            return None
-        return ErrorSchedule(lambda n: np.tile(sched(n), self.m), sched.bound,
-                             sched.summable, self.dim,
-                             label=f"lifted({sched.label})", zero=sched.is_zero)
-
-    def stack_error_schedules(self, scheds):
-        """Stack per-block error sequences into one lifted sequence."""
-        if scheds is None or all(s is None for s in scheds):
-            return None
-        scheds = list(scheds)
-        if len(scheds) != self.m:
-            raise ValueError(f"expected {self.m} per-block schedules, got {len(scheds)}")
-        w = self.weights
-        zeros = np.zeros(self.base_dim)
-
-        def gen(n):
-            return np.concatenate([zeros if s is None else s(n) for s in scheds])
-
-        def bound(n):
-            return float(np.sqrt(sum(
-                w[i] * (0.0 if s is None else s.bound(n)) ** 2
-                for i, s in enumerate(scheds)
-            )))
-
-        summable = all(s is None or s.summable for s in scheds)
-        zero = all(s is None or s.is_zero for s in scheds)
-        return ErrorSchedule(gen, bound, summable, self.dim, label="stacked", zero=zero)
-
-
-def lift(x, m):
-    """Copy a base point into every block of the product space."""
-    x = as_vector(x)
-    return np.tile(x, int(m))
-
-
-def unlift(X, m, weights=None, tol=1e-9):
-    """Inverse of :func:`lift` on diagonal vectors; off-diagonal input is rejected."""
-    X = np.asarray(X, dtype=float)
-    m = int(m)
-    if X.ndim != 1 or X.shape[0] % m != 0:
-        raise ValueError(f"cannot split shape {X.shape} into {m} blocks")
-    space = ProductSpace(m, X.shape[0] // m, weights)
-    return space.unlift(X, tol=tol)
-
-
-def consensus_projector(weights, m, base_dim):
-    """Weighted consensus projector on the flat product space."""
-    return ProductSpace(m, base_dim, weights).consensus_projector()
 
 
 def _block_plan(blocks):
@@ -299,13 +205,6 @@ class ProductProblem:
                                        *params)
         return P
 
-    def lifted(self):
-        """The equivalent subspace inclusion on the weighted product space."""
-        space = self.space
-        return InclusionProblem(space.lift_resolvent(self.blocks),
-                                space.lift_cocoercive(self.B),
-                                space.consensus_projector())
-
 
 @dataclass
 class ProductSolveResult:
@@ -367,9 +266,7 @@ def sum_splitting_solve(prob, gamma=None, relaxation=1.0, a_errors=None,
         z_{i,n+1} = z_{i,n} + lambda_n (p_{i,n} - x_n)
 
     Parameters mirror ``fdr_solve``; ``b_errors`` is a per-block list.  The
-    run is the lifted Douglas-Rachford iteration written blockwise, and
-    ``sum_splitting_via_fdr`` executes the same reduction through the lifted
-    adapter for cross-checking.
+    run is the lifted Douglas-Rachford iteration written blockwise.
 
     Returns a base-space :class:`ProductSolveResult`; on convergence the
     certificate assembles the block inclusions ``w_i q_i in A_i x`` and their
@@ -379,19 +276,11 @@ def sum_splitting_solve(prob, gamma=None, relaxation=1.0, a_errors=None,
     beta = prob.beta
     gamma = check_gamma(beta if gamma is None else float(gamma), beta)
     lam_at = as_relaxation(relaxation).validate_open(averagedness(gamma, beta))
-    if a_errors is not None:
-        if a_errors.dim != d:
-            raise ValueError("a_errors must live in the base space")
-        a_errors.validate()
     if b_errors is not None:
         b_errors = list(b_errors)
         if len(b_errors) != m:
             raise ValueError(f"expected {m} per-block error schedules, got {len(b_errors)}")
-        for e in b_errors:
-            if e is not None:
-                if e.dim != d:
-                    raise ValueError("b_errors must live in the base space")
-                e.validate()
+    check_errors([a_errors, *(b_errors or ())], d)
 
     Z = np.zeros((m, d)) if z0 is None else _as_blocks(z0, m, d)
     return _sum_splitting_run(prob, gamma, lam_at, Z, tol, max_iters,
@@ -439,44 +328,6 @@ def _sum_splitting_run(prob, gamma, lam_at, Z, tol, max_iters, log_every,
                                              2.0 * x - gamma * Bx - Z)), Z
 
 
-def sum_splitting_via_fdr(prob, gamma=None, relaxation=1.0, a_errors=None,
-                          b_errors=None, z0=None, tol=DEFAULT_TOL,
-                          max_iters=DEFAULT_MAX_ITERS, log_every=1,
-                          trace=False, objective=None):
-    """Lifted-adapter path: run ``fdr_solve`` on the product-space reduction.
-
-    Produces the same iterates as :func:`sum_splitting_solve` (verified by
-    the test surface to 1e-12); kept as an independent route through the
-    generic solver.
-    """
-    space = prob.space
-    lifted = prob.lifted()
-    a_lift = space.lift_error_schedule(a_errors)
-    b_lift = space.stack_error_schedules(b_errors)
-    z0_flat = None if z0 is None else _as_blocks(z0, space.m, space.base_dim).reshape(-1)
-    obj_lift = None
-    if objective is not None:
-        obj_lift = lambda X: objective(space.weighted_mean(X))
-    res = fdr_solve(lifted, gamma=gamma, relaxation=relaxation,
-                    a_errors=a_lift, b_errors=b_lift, z0=z0_flat, tol=tol,
-                    max_iters=max_iters, log_every=log_every, trace=trace,
-                    objective=obj_lift)
-    x = space.weighted_mean(res.x)
-    zt = None
-    if res.trace is not None:
-        g = prob.beta if gamma is None else float(gamma)
-        zt = [(space.weighted_mean(xl), space.split(xl - g * yl).copy())
-              for xl, yl in res.trace]
-    # final blocks of the lifted run: z = x_l - gamma*y_l
-    g = prob.beta if gamma is None else float(gamma)
-    Z = space.split(res.x - g * res.y)
-    Bx = prob.B(x)
-    return ProductSolveResult(final=x, status=res.status,
-                              iterations=res.iterations, history=res.history,
-                              trace=zt,
-                              **_certificate(prob, x, Bx, g, 2.0 * x - g * Bx - Z))
-
-
 def parallel_dr2(A1, A2, gamma=1.0, relaxation=1.0, b1_errors=None,
                  b2_errors=None, z0=None, tol=DEFAULT_TOL,
                  max_iters=DEFAULT_MAX_ITERS, log_every=1, trace=False):
@@ -498,11 +349,7 @@ def parallel_dr2(A1, A2, gamma=1.0, relaxation=1.0, b1_errors=None,
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     lam_at = dr2_relaxation(relaxation)
-    for e in (b1_errors, b2_errors):
-        if e is not None:
-            if e.dim != d:
-                raise ValueError("error schedule dimension mismatch")
-            e.validate()
+    check_errors([b1_errors, b2_errors], d)
 
     def step(n, Z):
         x = 0.5 * (Z[0] + Z[1])
@@ -521,24 +368,13 @@ def parallel_dr2(A1, A2, gamma=1.0, relaxation=1.0, b1_errors=None,
     run = _iterate(Z, step, lam_at, tol, max_iters, log_every, trace,
                    InnerProduct(d).norm)
 
-    # certificate: u_i = (s_i - p_i)/(2 gamma) lies in A_i p_i with s_1 = z_2,
-    # s_2 = z_1; at a solution the u_i sum to zero
-    x, (z1, z2) = run.x, run.y
-    p1 = A1.resolve(2.0 * gamma, z2)
-    p2 = A2.resolve(2.0 * gamma, z1)
-    u1 = (z2 - p1) / (2.0 * gamma)
-    u2 = (z1 - p2) / (2.0 * gamma)
-    block_res = np.array([
-        float(np.linalg.norm(x - A1.resolve(1.0, x + u1))),
-        float(np.linalg.norm(x - A2.resolve(1.0, x + u2))),
-    ])
-    sum_res = float(np.linalg.norm(u1 + u2))
-    spread = max(float(np.linalg.norm(p1 - x)), float(np.linalg.norm(p2 - x)))
-    cert = max(float(block_res.max()), sum_res)
+    # the product certificate at equal weights (gamma / w_i = 2 gamma) and
+    # B = 0, with each block resolved on the other one: s_1 = z_2, s_2 = z_1
+    x, Z = run.x, run.y
     return ProductSolveResult(final=x, status=run.status, iterations=run.iterations,
-                              history=run.history, certificate_residual=cert,
-                              block_residuals=block_res, sum_residual=sum_res,
-                              spread=spread, trace=run.trace)
+                              history=run.history, trace=run.trace,
+                              **_certificate(ProductProblem([A1, A2]), x,
+                                             np.zeros(d), gamma, Z[::-1]))
 
 
 def dr2_relaxation(relaxation):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from monosplit import (CocoerciveMap, InclusionProblem, SubspaceProjector,
-                       matrix_projector)
+from monosplit import (CocoerciveMap, ErrorSchedule, InclusionProblem,
+                       ResolventFamily, SubspaceProjector, matrix_projector)
 
 
 @pytest.fixture
@@ -130,3 +130,42 @@ def trace_deviation(trace, reference):
     assert len(trace) == len(reference)
     return max(float(np.linalg.norm(x1 - x2) + np.linalg.norm(y1 - y2))
                for (x1, y1), (x2, y2) in zip(trace, reference))
+
+
+def lifted_problem(prob):
+    """The product-space reduction of ``0 in sum_i A_i x + B x`` as a
+    subspace inclusion on the weighted product space, block by block: block
+    i resolves on its own at ``gamma / w_i``, ``B`` acts on every block and
+    ``V`` is the consensus subspace."""
+    space, w = prob.space, prob.weights
+
+    def resolve(gamma, X):
+        return np.concatenate([A.resolve(gamma / wi, Xi) for A, wi, Xi
+                               in zip(prob.blocks, w, space.split(X))])
+
+    def forward(X):
+        return np.concatenate([prob.B(Xi) for Xi in space.split(X)])
+
+    return InclusionProblem(ResolventFamily(resolve, space.dim),
+                            CocoerciveMap(forward, prob.beta, space.dim),
+                            space.consensus_projector())
+
+
+def lifted_errors(space, a_errors, b_errors):
+    """A base-space schedule copied into every block, and per-block schedules
+    stacked, as schedules on the weighted product space."""
+    lifted = ErrorSchedule(lambda n: space.lift(a_errors(n)), a_errors.bound,
+                           a_errors.summable, space.dim)
+    stacked = ErrorSchedule(
+        lambda n: np.concatenate([e(n) for e in b_errors]),
+        lambda n: np.sqrt(sum(wi * e.bound(n) ** 2
+                              for wi, e in zip(space.weights, b_errors))),
+        all(e.summable for e in b_errors), space.dim)
+    return lifted, stacked
+
+
+def lifted_trace(space, gamma, trace):
+    """Pairs ``(x_n, Z_n)`` of a lifted ``fdr_solve`` trace: the base point
+    and the blocks of ``z_n = x_n - gamma y_n``."""
+    return [(space.weights @ space.split(x), space.split(x - gamma * y))
+            for x, y in trace]

@@ -9,22 +9,21 @@ import time
 import numpy as np
 
 import monosplit as ms
-from monosplit import (InclusionProblem, ProductProblem, affine_gradient,
-                       audit_projector, build_S, build_T, certify_averaged,
-                       composed_alpha, consensus_projector,
+from monosplit import (InclusionProblem, ProductProblem, ProductSpace,
+                       affine_gradient, audit_projector, build_S, build_T,
+                       certify_averaged, composed_alpha,
                        fdr_solve, fpi_explicit_solve, geometric_errors,
                        harmonic_errors, identity_projector, l1_function,
                        linear_monotone, min_over_subspace, normal_cone_box,
                        parallel_dr2, partial_inverse_resolvent,
                        partial_inverse_residual, quadratic_function,
                        quadratic_smooth, span_projector, subdifferential_abs,
-                       sum_splitting_solve,
-                       sum_splitting_via_fdr, zero_mean_projector,
+                       sum_splitting_solve, zero_mean_projector,
                        zero_operator)
 from monosplit.cli import EXIT_INVALID, main
-from conftest import (fpi_unit_step_reference, kkt_solution, random_spd,
-                      random_subspace_projector, relative_memberships,
-                      trace_deviation)
+from conftest import (fpi_unit_step_reference, kkt_solution, lifted_problem,
+                      lifted_trace, random_spd, random_subspace_projector,
+                      relative_memberships, trace_deviation)
 
 
 def _report(criterion, name, ok, detail=""):
@@ -175,30 +174,33 @@ def test_criterion_5_product_space_fidelity():
     prob = ProductProblem(blocks, affine_gradient(np.eye(2), [1.0, -1.0]),
                           weights=[0.25, 0.25, 0.5])
     Z0 = rng.standard_normal((3, 2))
-    kw = dict(gamma=0.5, relaxation=0.8, z0=Z0, tol=-1.0, max_iters=200,
-              trace=True)
-    direct = sum_splitting_solve(prob, **kw)
-    adapter = sum_splitting_via_fdr(prob, **kw)
-    dev = max(max(np.max(np.abs(xd - xa)), np.max(np.abs(Zd - Za)))
-              for (xd, Zd), (xa, Za) in zip(direct.trace, adapter.trace))
+    kw = dict(gamma=0.5, relaxation=0.8, tol=-1.0, max_iters=200, trace=True)
+    direct = sum_splitting_solve(prob, z0=Z0, **kw)
+    lifted = fdr_solve(lifted_problem(prob), z0=Z0.reshape(-1), **kw)
+    reference = lifted_trace(prob.space, 0.5, lifted.trace)
+    dev = max(max(np.max(np.abs(xd - xl)), np.max(np.abs(Zd - Zl)))
+              for (xd, Zd), (xl, Zl) in zip(direct.trace, reference))
 
-    P = consensus_projector([0.2, 0.3, 0.5], 3, 4)
+    P = ProductSpace(3, 4, [0.2, 0.3, 0.5]).consensus_projector()
     audit = audit_projector(P, samples=64, tol=1e-10)
 
     # solution transfer: run the lifted reduction on the m=3 median problem,
-    # check the converged lifted point is diagonal, and read the base
-    # solution off it
+    # check the converged lifted point is diagonal, read the base solution
+    # off it, and certify it from the final lifted blocks z = x - gamma y
     median_blocks = [subdifferential_abs(1, center=[c]) for c in (0.0, 1.0, 2.0)]
     median_prob = ProductProblem(median_blocks)
-    med = sum_splitting_via_fdr(median_prob, gamma=1.0, tol=1e-10)
-    lifted_run = fdr_solve(median_prob.lifted(), gamma=1.0, tol=1e-10)
+    med = sum_splitting_solve(median_prob, gamma=1.0, tol=1e-10)
+    lifted_run = fdr_solve(lifted_problem(median_prob), gamma=1.0, tol=1e-10)
     xbar = median_prob.space.unlift(lifted_run.x, tol=1e-9)  # raises if off-diagonal
+    cert = sum_splitting_solve(median_prob, gamma=1.0, max_iters=0,
+                               z0=lifted_run.x - lifted_run.y)
     median_gap = max(abs(med.final[0] - 1.0), abs(xbar[0] - 1.0))
 
     ok = dev <= 1e-12 and audit.passed and med.status == ms.CONVERGED \
-        and median_gap <= 1e-6 and med.certificate_residual <= 1e-6
+        and lifted_run.status == ms.CONVERGED and median_gap <= 1e-6 \
+        and max(med.certificate_residual, cert.certificate_residual) <= 1e-6
     _report(5, "product-space reduction is faithful",
-            ok, f"adapter/direct deviation {dev:.3e}, weighted projector audit "
+            ok, f"lifted FDR/direct deviation {dev:.3e}, weighted projector audit "
                 f"passed={audit.passed}, median transfer gap {median_gap:.3e}")
 
 

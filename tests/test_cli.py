@@ -239,8 +239,9 @@ def test_cli_successive_calls_parse_independently(tmp_path, capsys):
     assert helps[0] == helps[1]
     assert helps[0].startswith("usage: monosplit")
     for flag in ("--algorithm", "--tol", "--max-iters", "--seed", "--log-every",
-                 "--output", "--jobs"):
+                 "--output"):
         assert flag in helps[0]
+    assert "--jobs" not in helps[0]
 
 
 def test_cli_log_every_thins_history(tmp_path):
@@ -252,11 +253,11 @@ def test_cli_log_every_thins_history(tmp_path):
     assert ns == [0, 4, 8, 10]
 
 
-def test_cli_multiple_specs_and_jobs(tmp_path):
+def test_cli_multiple_specs_share_one_output_dir(tmp_path):
     p1 = write_spec(tmp_path, fdr_spec(), "one.json")
     p2 = write_spec(tmp_path, fdr_spec(seed=3), "two.json")
     outdir = tmp_path / "outs"
-    code = main([str(p1), str(p2), "-o", str(outdir), "--jobs", "2"])
+    code = main([str(p1), str(p2), "-o", str(outdir)])
     assert code == 0
     assert (outdir / "one.csv").exists()
     assert (outdir / "two.csv").exists()

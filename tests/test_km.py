@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 import monosplit as ms
-from monosplit import (AveragedOperator, ErrorSchedule, RelaxationSchedule,
-                       composed_alpha, constant_relaxation, geometric_errors,
-                       harmonic_errors, km_solve, linear_monotone,
-                       polynomial_relaxation, span_projector)
+from monosplit import (AveragedOperator, ErrorSchedule, InclusionProblem,
+                       ProductProblem, RelaxationSchedule, composed_alpha,
+                       constant_relaxation, fdr_solve, geometric_errors,
+                       harmonic_errors, identity_projector, km_solve,
+                       linear_monotone, parallel_dr2, polynomial_relaxation,
+                       span_projector, sum_splitting_solve, zero_cocoercive,
+                       zero_operator)
 from monosplit.km import per_operator_decay_diagnostic
 
 
@@ -123,6 +126,25 @@ def test_error_schedule_bound_audit():
     lying = ErrorSchedule(lambda n: np.ones(2), lambda n: 0.1, True, 2)
     with pytest.raises(ValueError, match="exceeds the declared bound"):
         lying.validate()
+
+
+# each solver's error slots on R^2, fed one schedule
+_ERROR_SLOTS = {
+    "km": lambda e: km_solve([proj_op([1.0, 1.0])], errors=[e]),
+    "fdr": lambda e: fdr_solve(InclusionProblem(zero_operator(2), zero_cocoercive(2),
+                                                identity_projector(2)), b_errors=e),
+    "sum_splitting-a": lambda e: sum_splitting_solve(
+        ProductProblem([zero_operator(2)] * 2), a_errors=e),
+    "sum_splitting-b": lambda e: sum_splitting_solve(
+        ProductProblem([zero_operator(2)] * 2), b_errors=[None, e]),
+    "dr2": lambda e: parallel_dr2(zero_operator(2), zero_operator(2), b2_errors=e),
+}
+
+
+@pytest.mark.parametrize("slot", sorted(_ERROR_SLOTS))
+def test_error_schedule_dimension_checked_before_iterating(slot):
+    with pytest.raises(ValueError, match="error schedule dimension mismatch"):
+        _ERROR_SLOTS[slot](geometric_errors(3, 0.1, 0.5))
 
 
 def test_km_zero_map_one_iteration():

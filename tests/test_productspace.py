@@ -3,28 +3,29 @@ import pytest
 
 import monosplit as ms
 from monosplit import (InclusionProblem, ProductProblem, ProductSpace,
-                       ResolventFamily, affine_gradient, audit_projector, consensus_projector,
-                       fdr_solve, identity_projector, lift, linear_monotone,
-                       normal_cone_box, parallel_dr2, subdifferential_abs,
-                       sum_splitting_pi, sum_splitting_solve,
-                       sum_splitting_via_fdr,
-                       translate_operator, unlift, zero_cocoercive,
-                       zero_operator)
-from conftest import pi_sum_reference
+                       ResolventFamily, affine_gradient, audit_cocoercivity,
+                       audit_projector, fdr_solve, identity_projector,
+                       linear_monotone, normal_cone_box, parallel_dr2,
+                       subdifferential_abs, sum_splitting_pi,
+                       sum_splitting_solve, translate_operator,
+                       zero_cocoercive, zero_operator)
+from conftest import (lifted_errors, lifted_problem, lifted_trace,
+                      pi_sum_reference)
 
 
 def test_lift_unlift_roundtrip():
-    X = lift([1.0, 2.0], 3)
+    space = ProductSpace(3, 2)
+    X = space.lift([1.0, 2.0])
     np.testing.assert_allclose(X, [1, 2, 1, 2, 1, 2])
-    np.testing.assert_allclose(unlift(X, 3), [1.0, 2.0])
+    np.testing.assert_allclose(space.unlift(X), [1.0, 2.0])
 
 
 def test_unlift_rejects_nondiagonal():
-    with pytest.raises(ValueError, match="not diagonal"):
-        unlift(np.array([1.0, 2.0, 1.0, 2.5]), 2)
     space = ProductSpace(2, 2)
+    with pytest.raises(ValueError, match="not diagonal"):
+        space.unlift(np.array([1.0, 2.0, 1.0, 2.5]))
     assert space.diagonal_spread(np.array([1.0, 2.0, 1.0, 2.5])) > 0.2
-    assert space.diagonal_spread(lift([1.0, 2.0], 2)) == 0.0
+    assert space.diagonal_spread(space.lift([1.0, 2.0])) == 0.0
 
 
 def test_lift_isometry_weighted(rng):
@@ -39,45 +40,43 @@ def test_lift_isometry_weighted(rng):
 
 
 def test_consensus_projector_uniform_mean():
-    P = consensus_projector([0.5, 0.5], 2, 2)
+    P = ProductSpace(2, 2, [0.5, 0.5]).consensus_projector()
     out = P(np.array([2.0, 0.0, 0.0, 2.0]))
     np.testing.assert_allclose(out, [1.0, 1.0, 1.0, 1.0])
 
 
 def test_consensus_projector_degenerate_weights_rejected():
     with pytest.raises(ValueError, match="]0, 1\\["):
-        consensus_projector([1.0, 0.0], 2, 1)
+        ProductSpace(2, 1, [1.0, 0.0]).consensus_projector()
     with pytest.raises(ValueError, match="sum to 1"):
-        consensus_projector([0.5, 0.4], 2, 1)
+        ProductSpace(2, 1, [0.5, 0.4]).consensus_projector()
 
 
 def test_consensus_projector_weighted_average():
-    P = consensus_projector([0.25, 0.75], 2, 1)
+    P = ProductSpace(2, 1, [0.25, 0.75]).consensus_projector()
     np.testing.assert_allclose(P(np.array([4.0, 0.0])), [1.0, 1.0])
 
 
 def test_consensus_projector_invariants_weighted():
-    P = consensus_projector([0.2, 0.3, 0.5], 3, 2)
+    P = ProductSpace(3, 2, [0.2, 0.3, 0.5]).consensus_projector()
     audit = audit_projector(P, samples=64, tol=1e-10)
     assert audit.passed, audit
 
 
 def test_block_resolvent_rule(rng):
-    # the lifted resolvent applies each block with parameter gamma / w_i
+    # the product step resolves each block with parameter gamma / w_i
     blocks = [subdifferential_abs(2),
               normal_cone_box([-1.0, -1.0], [1.0, 1.0]),
               linear_monotone(np.diag([1.0, 2.0]))]
     w = np.array([0.2, 0.3, 0.5])
-    space = ProductSpace(3, 2, weights=w)
-    lifted = space.lift_resolvent(blocks)
+    prob = ProductProblem(blocks, weights=w)
     for _ in range(10):
-        X = rng.standard_normal(6)
+        S = rng.standard_normal((3, 2))
         gamma = rng.uniform(0.1, 2.0)
-        got = space.split(lifted.resolve(gamma, X))
+        got = prob.resolve_blocks(gamma / w, S)
         for i in range(3):
             np.testing.assert_allclose(
-                got[i], blocks[i].resolve(gamma / w[i], space.split(X)[i]),
-                atol=1e-14)
+                got[i], blocks[i].resolve(gamma / w[i], S[i]), atol=1e-14)
 
 
 class _CountingBlock:
@@ -156,15 +155,14 @@ def test_resolve_blocks_matches_per_block(layout, rng):
 def test_lifted_forward_map_preserves_diagonal(rng):
     # applying the lifted map to a lifted point lifts the base image, so the
     # diagonal is invariant and the cocoercivity constant carries over
-    space = ProductSpace(3, 2, weights=[0.2, 0.3, 0.5])
     B = affine_gradient(np.diag([1.0, 2.0]), np.array([0.5, -0.5]))
-    lifted = space.lift_cocoercive(B)
+    prob = ProductProblem([zero_operator(2)] * 3, B, weights=[0.2, 0.3, 0.5])
+    space, lifted = prob.space, lifted_problem(prob).B
     assert lifted.beta == B.beta
     for _ in range(10):
         x = rng.standard_normal(2)
         np.testing.assert_allclose(lifted(space.lift(x)), space.lift(B(x)),
                                    atol=1e-14)
-    from monosplit import audit_cocoercivity
     assert audit_cocoercivity(lifted, samples=200, inner=space.inner).passed
 
 
@@ -195,24 +193,25 @@ def _box_abs_problem(m, d, seed):
     return ProductProblem(blocks, B, weights=rng.dirichlet(np.ones(m)))
 
 
-def test_adapter_matches_direct_loop(rng):
+def test_lifted_fdr_matches_direct_loop(rng):
     blocks = [subdifferential_abs(2),
               translate_operator(normal_cone_box([-2.0, -2.0], [2.0, 2.0]), [0.5, 0.5]),
               linear_monotone(np.diag([1.0, 3.0]), b=[0.5, -0.5])]
     B = affine_gradient(np.diag([1.0, 2.0]), np.array([1.0, 1.0]))
     small = ProductProblem(blocks, B, weights=[0.25, 0.25, 0.5])
-    # the adapter resolves block by block, the direct loop stacks runs of
-    # built-in blocks (all 50 of the second problem)
+    # the lifted reference resolves block by block, the direct loop stacks
+    # runs of built-in blocks (all 50 of the second problem)
     for prob in (small, _box_abs_problem(50, 2, seed=50)):
         Z0 = rng.standard_normal((prob.m, prob.base_dim))
-        kw = dict(gamma=0.4, relaxation=0.8, z0=Z0, tol=-1.0, max_iters=200,
+        kw = dict(gamma=0.4, relaxation=0.8, tol=-1.0, max_iters=200,
                   trace=True)
-        direct = sum_splitting_solve(prob, **kw)
-        adapter = sum_splitting_via_fdr(prob, **kw)
-        assert len(direct.trace) == len(adapter.trace)
-        for (x_d, Z_d), (x_a, Z_a) in zip(direct.trace, adapter.trace):
-            np.testing.assert_allclose(x_d, x_a, atol=1e-12)
-            np.testing.assert_allclose(Z_d, Z_a, atol=1e-12)
+        direct = sum_splitting_solve(prob, z0=Z0, **kw)
+        lifted = fdr_solve(lifted_problem(prob), z0=Z0.reshape(-1), **kw)
+        reference = lifted_trace(prob.space, 0.4, lifted.trace)
+        assert len(direct.trace) == len(reference)
+        for (x_d, Z_d), (x_l, Z_l) in zip(direct.trace, reference):
+            np.testing.assert_allclose(x_d, x_l, atol=1e-12)
+            np.testing.assert_allclose(Z_d, Z_l, atol=1e-12)
 
 
 @pytest.mark.parametrize("solver", ["sum", "pi", "dr2"])
@@ -234,18 +233,21 @@ def test_product_step_norm_is_the_euclidean_norm(solver, m, d):
         assert row.dx == np.linalg.norm(xs[row.n] - xs[row.n - 1])
 
 
-def test_adapter_matches_direct_with_errors(rng):
+def test_lifted_fdr_matches_direct_with_errors(rng):
     blocks = [subdifferential_abs(1), subdifferential_abs(1, center=[1.0])]
     prob = ProductProblem(blocks, affine_gradient(np.eye(1)))
     a = ms.geometric_errors(1, 0.3, 0.5)
     bs = [ms.geometric_errors(1, 0.2, 0.4), ms.geometric_errors(1, 0.1, 0.6)]
-    kw = dict(gamma=0.5, a_errors=a, b_errors=bs, tol=-1.0, max_iters=100,
-              trace=True)
-    direct = sum_splitting_solve(prob, **kw)
-    adapter = sum_splitting_via_fdr(prob, **kw)
-    for (x_d, Z_d), (x_a, Z_a) in zip(direct.trace, adapter.trace):
-        np.testing.assert_allclose(x_d, x_a, atol=1e-12)
-        np.testing.assert_allclose(Z_d, Z_a, atol=1e-12)
+    kw = dict(gamma=0.5, tol=-1.0, max_iters=100, trace=True)
+    direct = sum_splitting_solve(prob, a_errors=a, b_errors=bs, **kw)
+    a_lift, b_lift = lifted_errors(prob.space, a, bs)
+    lifted = fdr_solve(lifted_problem(prob), a_errors=a_lift, b_errors=b_lift,
+                       **kw)
+    reference = lifted_trace(prob.space, 0.5, lifted.trace)
+    assert len(direct.trace) == len(reference)
+    for (x_d, Z_d), (x_l, Z_l) in zip(direct.trace, reference):
+        np.testing.assert_allclose(x_d, x_l, atol=1e-12)
+        np.testing.assert_allclose(Z_d, Z_l, atol=1e-12)
 
 
 def _two_box_oracle():
@@ -314,6 +316,28 @@ def test_parallel_dr2_shifted_linear_pair():
     res = parallel_dr2(A1, A2, gamma=1.0, tol=1e-12)
     assert res.status == ms.CONVERGED
     np.testing.assert_allclose(res.final, [1.0], atol=1e-8)
+
+
+def test_parallel_dr2_certificate_before_convergence(rng):
+    # away from a solution every certificate field is the product formula
+    # with each block resolved on the other one: s_1 = z_2, s_2 = z_1
+    d, gamma = 3, 0.7
+    A1 = normal_cone_box(-np.ones(d), np.ones(d))
+    A2 = subdifferential_abs(d, center=rng.standard_normal(d))
+    res = parallel_dr2(A1, A2, gamma=gamma, tol=-1.0, max_iters=5, trace=True,
+                       z0=(3.0 * rng.standard_normal(d), 3.0 * rng.standard_normal(d)))
+    x, (z1, z2) = res.trace[-1]
+    p1, p2 = A1.resolve(2.0 * gamma, z2), A2.resolve(2.0 * gamma, z1)
+    u1, u2 = (z2 - p1) / (2.0 * gamma), (z1 - p2) / (2.0 * gamma)
+    block = [np.linalg.norm(x - A1.resolve(1.0, x + u1)),
+             np.linalg.norm(x - A2.resolve(1.0, x + u2))]
+    total = np.linalg.norm(u1 + u2)
+    np.testing.assert_allclose(res.block_residuals, block, rtol=1e-12)
+    assert res.sum_residual == pytest.approx(total, rel=1e-12)
+    assert res.spread == pytest.approx(
+        max(np.linalg.norm(p1 - x), np.linalg.norm(p2 - x)), rel=1e-12)
+    assert res.certificate_residual == pytest.approx(max(*block, total), rel=1e-12)
+    assert res.certificate_residual > 1e-3
 
 
 def test_parallel_dr2_relaxation_range():
@@ -399,10 +423,13 @@ def test_pi_sum_matches_blockwise_recursion(rng):
 def test_solution_transfer_from_lifted_run():
     blocks = [subdifferential_abs(1, center=[c]) for c in (0.0, 1.0, 2.0)]
     prob = ProductProblem(blocks)
-    res = sum_splitting_via_fdr(prob, gamma=1.0, tol=1e-10)
+    res = fdr_solve(lifted_problem(prob), gamma=1.0, tol=1e-10)
     assert res.status == ms.CONVERGED
-    np.testing.assert_allclose(res.final, [1.0], atol=1e-6)
-    assert res.certificate_residual <= 1e-6
+    np.testing.assert_allclose(prob.space.unlift(res.x), [1.0], atol=1e-6)
+    # the final lifted blocks z = x - gamma y, handed to the direct loop with
+    # no iteration budget, carry the base-space certificate
+    cert = sum_splitting_solve(prob, gamma=1.0, z0=res.x - res.y, max_iters=0)
+    assert cert.certificate_residual <= 1e-6
 
 
 def test_scaled_gamma_cap_warning():
@@ -415,13 +442,13 @@ def test_scaled_gamma_cap_warning():
 
 def test_sum_splitting_rejects_bad_start():
     prob = ProductProblem([zero_operator(2), zero_operator(2)])
-    for solve in (sum_splitting_solve, sum_splitting_via_fdr):
-        with pytest.raises(ValueError, match="non-finite"):
-            solve(prob, z0=[[np.nan, 0.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            solve(prob, z0=np.zeros(3))
-        # blocks given flat are accepted
-        assert solve(prob, z0=np.ones(4), tol=1e-10).status == ms.CONVERGED
+    with pytest.raises(ValueError, match="non-finite"):
+        sum_splitting_solve(prob, z0=[[np.nan, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        sum_splitting_solve(prob, z0=np.zeros(3))
+    # blocks given flat are accepted
+    assert sum_splitting_solve(prob, z0=np.ones(4),
+                               tol=1e-10).status == ms.CONVERGED
 
 
 def test_pi_sum_rejects_bad_start():
