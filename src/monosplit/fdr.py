@@ -230,7 +230,9 @@ def _fdr_run(prob, gamma, lam_at, z, tol, max_iters, log_every, trace,
             p = p_clean = A.resolve(gamma, s_clean)
         if b_errors is not None and b_errors.active(n):
             p = p + b_errors(n)
-        return inner.norm(p_clean - x), x, y, PBx, lambda lam: z + lam * (p - x)
+        d_clean = p_clean - x
+        d = d_clean if p is p_clean else p - x
+        return inner.norm(d_clean), x, y, PBx, lambda lam: z + lam * d
 
     log = _RowLog(V)
     return log.result(_iterate(z, step, lam_at, tol, max_iters, log_every,

@@ -295,9 +295,8 @@ def harmonic_errors(dim, magnitude, direction=None):
                          summable=False, dim=dim, label="harmonic")
 
 
-@dataclass(frozen=True)
-class IterationRow:
-    """One logged iteration.
+class IterationRow(NamedTuple):
+    """One logged iteration, an immutable tuple.
 
     ``residual`` is the error-free fixed-point gap at iterate n; ``dx`` and
     ``dy`` measure the change from the previous iterate (0.0 at n = 0, and
@@ -470,21 +469,22 @@ def km_solve(ops, relaxation=1.0, errors=None, z0=None, tol=DEFAULT_TOL,
     inner = InnerProduct(dim) if inner is None else inner
     check_errors(errors, dim, inner.norm)
 
-    def chain(z, n=None):
-        # T_1(...T_m z), with the errors of iteration n when n is given
-        for i in range(m - 1, -1, -1):
-            z = ops[i](z)
-            e = errors[i]
-            if n is not None and e is not None and e.active(n):
-                z = z + e(n)
-        return z
-
-    perturbed = [e for e in errors if e is not None]
-
     def step(n, z):
-        u = chain(z, n)
-        v = chain(z) if perturbed and any(e.active(n) for e in perturbed) else u
-        return inner.norm(v - z), z, None, None, lambda lam: z + lam * (u - z)
+        # u = T_1(...T_m z) with the errors of iteration n; the error-free
+        # chain v parts from u at the innermost active error
+        u, v = z, None
+        for i in range(m - 1, -1, -1):
+            u = ops[i](u)
+            if v is not None:
+                v = ops[i](v)
+            e = errors[i]
+            if e is not None and e.active(n):
+                if v is None:
+                    v = u
+                u = u + e(n)
+        d = u - z
+        d_clean = d if v is None else v - z
+        return inner.norm(d_clean), z, None, None, lambda lam: z + lam * d
 
     z = np.zeros(dim) if z0 is None else as_vector(z0, dim).copy()
     run = _iterate(z, step, lam_at, tol, max_iters, log_every, trace, inner.norm)

@@ -17,6 +17,7 @@ in one stacked call and any other block on its own.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -104,9 +105,8 @@ class ProductSpace:
 
     def unlift(self, X, tol=1e-9):
         """Base-space point of a diagonal lifted vector; rejects off-diagonal input."""
-        blocks = self.split(X)
-        mean = self.weights @ blocks
-        spread = float(np.max(np.abs(blocks - mean)))
+        mean = self.weights @ self.split(X)
+        spread = self.diagonal_spread(X)
         if spread > tol * (1.0 + float(np.max(np.abs(mean), initial=0.0))):
             raise ValueError(
                 f"lifted vector is not diagonal: block spread {spread:.3e} exceeds tolerance"
@@ -253,6 +253,18 @@ def _certificate(prob, x, Bx, gamma, S):
                 spread=float(np.linalg.norm(P - x, axis=1).max()))
 
 
+def _add_block_errors(P, errors, n):
+    """Add to row ``i`` of ``P``, in place, the iteration-n error of each
+    pair ``(i, schedule)`` whose schedule is active at n; returns whether
+    it added any."""
+    added = False
+    for i, e in errors:
+        if e.active(n):
+            P[i] += e(n)
+            added = True
+    return added
+
+
 def sum_splitting_solve(prob, gamma=None, relaxation=1.0, a_errors=None,
                         b_errors=None, z0=None, tol=DEFAULT_TOL,
                         max_iters=DEFAULT_MAX_ITERS, log_every=1, trace=False,
@@ -293,9 +305,8 @@ def _sum_splitting_run(prob, gamma, lam_at, Z, tol, max_iters, log_every,
     ``gamma``, the relaxations ``lam_at`` and the error schedules already
     checked (``b_errors`` a list of m); returns the result and the final
     blocks."""
-    m, d, w = prob.m, prob.base_dim, prob.weights
-    if b_errors is None:
-        b_errors = [None] * m
+    d, w = prob.base_dim, prob.weights
+    b_errors = [(i, e) for i, e in enumerate(b_errors or ()) if e is not None]
     _warn_scaled_gamma(gamma, w)
     gammas = gamma / w
 
@@ -305,17 +316,13 @@ def _sum_splitting_run(prob, gamma, lam_at, Z, tol, max_iters, log_every,
         a_active = a_errors is not None and a_errors.active(n)
         forward = Bx + a_errors(n) if a_active else Bx
         P = prob.resolve_blocks(gammas, 2.0 * x - gamma * forward - Z)
-        b_active = any(e is not None and e.active(n) for e in b_errors)
-        P_clean = P
-        if a_active or b_active:
-            P_clean = prob.resolve_blocks(gammas, 2.0 * x - gamma * Bx - Z)
-        if b_active:
-            P = P.copy()
-            for i, e in enumerate(b_errors):
-                if e is not None and e.active(n):
-                    P[i] = P[i] + e(n)
-        residual = float(np.sqrt(np.sum(w * np.sum((P_clean - x) ** 2, axis=1))))
-        return residual, x, Z, None, lambda lam: Z + lam * (P - x)
+        D = D_clean = P - x
+        if a_active:
+            D_clean = prob.resolve_blocks(gammas, 2.0 * x - gamma * Bx - Z) - x
+        if b_errors and _add_block_errors(P, b_errors, n):
+            D = P - x
+        residual = math.sqrt((w * (D_clean ** 2).sum(axis=1)).sum())
+        return residual, x, Z, None, lambda lam: Z + lam * D
 
     run = _iterate(Z, step, lam_at, tol, max_iters, log_every, trace,
                    InnerProduct(d).norm, objective)
@@ -351,17 +358,18 @@ def parallel_dr2(A1, A2, gamma=1.0, relaxation=1.0, b1_errors=None,
     lam_at = dr2_relaxation(relaxation)
     check_errors([b1_errors, b2_errors], d)
 
+    errors = [(i, e) for i, e in enumerate((b1_errors, b2_errors)) if e is not None]
+
     def step(n, Z):
         x = 0.5 * (Z[0] + Z[1])
         P = np.empty_like(Z)
         P[0] = A1.resolve(2.0 * gamma, Z[1])
         P[1] = A2.resolve(2.0 * gamma, Z[0])
-        residual = float(np.sqrt(0.5 * np.dot(P[0] - x, P[0] - x)
-                                 + 0.5 * np.dot(P[1] - x, P[1] - x)))
-        for i, e in enumerate((b1_errors, b2_errors)):
-            if e is not None and e.active(n):
-                P[i] = P[i] + e(n)
-        return residual, x, Z, None, lambda lam: Z + lam * (P - x)
+        D = P - x
+        residual = math.sqrt(0.5 * np.dot(D[0], D[0]) + 0.5 * np.dot(D[1], D[1]))
+        if errors and _add_block_errors(P, errors, n):
+            D = P - x
+        return residual, x, Z, None, lambda lam: Z + lam * D
 
     Z = np.zeros((2, d)) if z0 is None else np.stack([as_vector(z0[0], d),
                                                       as_vector(z0[1], d)])
@@ -391,7 +399,10 @@ def dr2_relaxation(relaxation):
             raise ValueError(f"{e} (two-operator parallel splitting requires "
                              f"relaxations in ]0, 3/2[)") from None
 
-    lam_open = named(as_relaxation(relaxation).validate_open, 2.0 / 3.0)
+    schedule = as_relaxation(relaxation)
+    lam_open = named(schedule.validate_open, 2.0 / 3.0)
+    if schedule._constant:
+        return lam_open     # audited on its one value, which serves every term
     return lambda n: named(lam_open, n)
 
 

@@ -268,3 +268,17 @@ def test_solvers_reach_operators_only_through_public_calls(prob):
         min_over_subspace(StrictProx(h), StrictProx(g), StrictProjector(prob.V),
                           max_iters=300),
         min_over_subspace(h, g, prob.V, max_iters=300))
+
+
+def test_iteration_row_contract():
+    row = ms.IterationRow(3, 0.5, 1e-3, 0.25)
+    assert ms.IterationRow._fields == ("n", "lam", "residual", "dx", "dy",
+                                       "objective")
+    assert row.dy is None and row.objective is None
+    for name in ms.IterationRow._fields:
+        with pytest.raises(AttributeError):
+            setattr(row, name, 0.0)
+    assert row == ms.IterationRow(3, 0.5, 1e-3, 0.25, None, None)
+    assert row != ms.IterationRow(3, 0.5, 2e-3, 0.25)
+    assert row._asdict() == {"n": 3, "lam": 0.5, "residual": 1e-3, "dx": 0.25,
+                             "dy": None, "objective": None}

@@ -250,3 +250,48 @@ def test_per_operator_decay_diagnostic():
     assert all(np.isfinite(t) and t >= 0 for t in totals)
     with pytest.raises(ValueError, match="trace"):
         per_operator_decay_diagnostic(ops, km_solve(ops, z0=[0.0, 2.0]))
+
+
+def _counted(T, counts, key):
+    def apply(x):
+        counts[key] += 1
+        return T(x)
+
+    return AveragedOperator(apply, T.alpha, T.dim)
+
+
+@pytest.mark.parametrize("where, outer_calls", [("none", 1), ("outer", 1),
+                                                ("inner", 2), ("both", 2)])
+def test_km_clean_chain_parts_at_the_innermost_error(where, outer_calls):
+    # T_1 = outer, T_2 = inner; the error-free chain is evaluated only from
+    # the innermost active error on, so T_2 runs once per iteration and T_1
+    # twice only when an error enters between them
+    d, lam, n_iters = 2, 0.9, 20
+    T1 = proj_op([1.0, 1.0])
+    T2 = AveragedOperator(lambda x: 0.5 * x + np.array([1.0, -0.5]), 0.5, d)
+    e1 = geometric_errors(d, 0.3, 0.7, direction=[1.0, 0.0])
+    e2 = geometric_errors(d, 0.2, 0.8, direction=[1.0, 3.0])
+    errors = {"none": None, "outer": [e1, None], "inner": [None, e2],
+              "both": [e1, e2]}[where]
+    counts = {"outer": 0, "inner": 0}
+    ops = [_counted(T1, counts, "outer"), _counted(T2, counts, "inner")]
+    z0 = np.array([2.0, -1.0])
+    res = km_solve(ops, relaxation=lam, errors=errors, z0=z0, tol=-1.0,
+                   max_iters=n_iters)
+    steps = n_iters + 1
+    assert counts == {"outer": outer_calls * steps, "inner": steps}
+
+    # the two-chain recursion: u with the errors, v without them
+    e_out, e_in = errors or (None, None)
+    norm = ms.spaces.InnerProduct(d).norm
+    z, residuals = z0, []
+    for n in range(steps):
+        final = z
+        t = T2(z)
+        u = T1(t if e_in is None else t + e_in(n))
+        if e_out is not None:
+            u = u + e_out(n)
+        residuals.append(norm(T1(T2(z)) - z))
+        z = z + lam * (u - z)
+    assert [row.residual for row in res.history] == residuals
+    np.testing.assert_array_equal(res.final, final)

@@ -468,3 +468,48 @@ def test_gamma_range_validation():
         sum_splitting_solve(prob, gamma=2.0)
     with pytest.raises(ValueError, match="]0, 2\\*beta\\["):
         sum_splitting_pi(prob, gamma=2.0)
+
+
+def test_block_errors_on_a_subset_of_blocks(rng):
+    # one schedule on the middle block of three: it perturbs that block only,
+    # as the lifted FDR run with zero schedules on the other blocks shows
+    d = 2
+    prob = _box_abs_problem(3, d, seed=3)
+    e = ms.geometric_errors(d, 0.5, 0.9, direction=[1.0, -2.0])
+    kw = dict(gamma=0.4, relaxation=0.8, tol=-1.0, max_iters=120, trace=True)
+    Z0 = rng.standard_normal((prob.m, d))
+    direct = sum_splitting_solve(prob, b_errors=[None, e, None], z0=Z0, **kw)
+    a_lift, b_lift = lifted_errors(prob.space, ms.no_errors(d),
+                                   [ms.no_errors(d), e, ms.no_errors(d)])
+    lifted = fdr_solve(lifted_problem(prob), a_errors=a_lift, b_errors=b_lift,
+                       z0=Z0.reshape(-1), **kw)
+    reference = lifted_trace(prob.space, 0.4, lifted.trace)
+    assert len(direct.trace) == len(reference)
+    for (x_d, Z_d), (x_l, Z_l) in zip(direct.trace, reference):
+        np.testing.assert_allclose(x_d, x_l, atol=1e-12)
+        np.testing.assert_allclose(Z_d, Z_l, atol=1e-12)
+    clean = sum_splitting_solve(prob, z0=Z0, **kw)
+    assert np.abs(clean.trace[1][1] - direct.trace[1][1]).max() > 0.1
+
+
+def test_parallel_dr2_errors_on_the_second_block_only():
+    # the literal recursion with b_{1,n} = 0, each residual taken before
+    # the error is added
+    d, gamma, lam = 3, 0.7, 0.9
+    A1 = normal_cone_box(-np.ones(d), np.ones(d))
+    A2 = subdifferential_abs(d, center=[2.0, -0.5, 0.25])
+    e = ms.geometric_errors(d, 0.4, 0.8, direction=[1.0, 2.0, -1.0])
+    z0 = (np.array([0.3, -1.2, 2.0]), np.array([1.5, 0.1, -0.7]))
+    res = parallel_dr2(A1, A2, gamma=gamma, relaxation=lam, b2_errors=e,
+                       z0=z0, tol=-1.0, max_iters=40, trace=True)
+    z1, z2 = z0
+    for n, (x_n, Z_n) in enumerate(res.trace):
+        x = 0.5 * (z1 + z2)
+        np.testing.assert_array_equal(x_n, x)
+        np.testing.assert_array_equal(Z_n, np.stack([z1, z2]))
+        p1 = A1.resolve(2.0 * gamma, z2)
+        p2 = A2.resolve(2.0 * gamma, z1)
+        assert res.history[n].residual == np.sqrt(0.5 * np.dot(p1 - x, p1 - x)
+                                                  + 0.5 * np.dot(p2 - x, p2 - x))
+        p2 = p2 + e(n)
+        z1, z2 = z1 + lam * (p1 - x), z2 + lam * (p2 - x)
