@@ -21,7 +21,7 @@ import numpy as np
 from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, _iterate, as_relaxation,
                  check_errors)
 from .operators import AveragedOperator
-from .spaces import as_vector
+from .spaces import NORMS_CHUNK, as_vector
 
 __all__ = [
     "check_gamma",
@@ -133,7 +133,8 @@ class _RowLog:
     :meth:`result` finishes the run into a :class:`PrimalDualResult`, with
     the step's own ``P_V B x`` as the final forward term and the relative
     distances of the returned ``x`` to V and ``y`` to its complement as
-    ``membership_violation``.
+    ``membership_violation``.  The gaps are taken ``NORMS_CHUNK`` rows at a
+    time through ``InnerProduct.norms``.
     """
 
     def __init__(self, V):
@@ -148,11 +149,13 @@ class _RowLog:
         x, y, fw_final = run.x, run.y, run.aux
         membership = max(inner.norm(x - V(x)) / (1.0 + inner.norm(x)),
                          inner.norm(V(y)) / (1.0 + inner.norm(y)))
+        forward, gaps = self.forward, []
+        for i in range(0, len(forward), NORMS_CHUNK):
+            gaps += inner.norms(np.subtract(forward[i:i + NORMS_CHUNK], fw_final))
         return PrimalDualResult(x=x, y=y, status=run.status,
                                 iterations=run.iterations, history=run.history,
                                 inclusion_residual=run.residual,
-                                forward_gap=[inner.norm(v - fw_final)
-                                             for v in self.forward],
+                                forward_gap=gaps,
                                 membership_violation=membership,
                                 trace=run.trace)
 

@@ -366,7 +366,7 @@ def parallel_dr2(A1, A2, gamma=1.0, relaxation=1.0, b1_errors=None,
         P[0] = A1.resolve(2.0 * gamma, Z[1])
         P[1] = A2.resolve(2.0 * gamma, Z[0])
         D = P - x
-        residual = math.sqrt(0.5 * np.dot(D[0], D[0]) + 0.5 * np.dot(D[1], D[1]))
+        residual = math.sqrt(0.5 * D[0].dot(D[0]) + 0.5 * D[1].dot(D[1]))
         if errors and _add_block_errors(P, errors, n):
             D = P - x
         return residual, x, Z, None, lambda lam: Z + lam * D

@@ -136,7 +136,7 @@ def quadratic_function(Q, b=None, tol=1e-10):
     Qx = _matvec(Q, symmetric)
 
     def value(x):
-        return float(0.5 * (x @ Qx(x)) - b @ x)
+        return float(0.5 * x.dot(Qx(x)) - b.dot(x))
 
     return ProxFunction(lambda gamma, x: cache.solve(gamma, x + gamma * b), dim,
                         value=value, label="quadratic")
@@ -165,7 +165,7 @@ def quadratic_smooth(Q, b=None, tol=1e-10):
     Qx = _matvec(Q, symmetric)
 
     def value(x):
-        return float(0.5 * (x @ Qx(x)) - b @ x)
+        return float(0.5 * x.dot(Qx(x)) - b.dot(x))
 
     return SmoothFunction(_matvec(Q, symmetric, b), lam_max, dim, value=value,
                           label="quadratic")

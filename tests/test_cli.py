@@ -178,6 +178,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main([str(missing)]) == EXIT_INVALID
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_rejects_zero_error_direction(tmp_path, capsys):
+    spec = write_spec(tmp_path, fdr_spec(errors={"a": {
+        "kind": "harmonic", "magnitude": 0.1, "direction": [0, 0]}}))
+    assert main([str(spec)]) == EXIT_INVALID
+    assert "direction must be nonzero" in capsys.readouterr().err
+
+
 def test_cli_rejection_messages_cite_ranges(tmp_path, capsys):
     dr2 = write_spec(tmp_path, {
         "schema_version": 1, "algorithm": "dr2", "dim": 1,

@@ -184,6 +184,9 @@ class StrictInner:
     def norm(self, x):
         return self._inner.norm(x)
 
+    def norms(self, X):
+        return self._inner.norms(X)
+
 
 class StrictProjector:
     __slots__ = ("dim", "inner", "_V")

@@ -128,6 +128,58 @@ def test_error_schedule_bound_audit():
         lying.validate()
 
 
+def test_harmonic_errors_reject_zero_direction():
+    with pytest.raises(ValueError, match="direction must be nonzero"):
+        harmonic_errors(2, 0.1, direction=[0.0, 0.0])
+    with pytest.raises(ValueError, match="direction must be nonzero"):
+        geometric_errors(2, 0.1, 0.5, direction=[0.0, 0.0])
+
+
+def test_builtin_error_schedules_audited_on_their_first_term():
+    # under weights the unit direction has ||u||_W = sqrt(2) > 1: e_0 breaks
+    # the declared bound
+    W = ms.InnerProduct(2, weights=[2.0, 2.0])
+    with pytest.raises(ValueError, match="at n=0 exceeds the declared bound"):
+        geometric_errors(2, 0.1, 0.5).validate(norm=W.norm)
+    # a wrong shape is still seen on e_0
+    short = geometric_errors(2, 0.1, 0.5)
+    short.dim = 3
+    with pytest.raises(ValueError, match=r"at n=0 has shape \(2,\), expected \(3,\)"):
+        short.validate()
+
+
+def test_replaced_generator_gets_the_full_prefix_audit():
+    sched = geometric_errors(2, 1.0, 0.5, direction=[1.0, 0.0])
+    sched.validate()
+    clean = sched.generator
+    sched.generator = lambda n: clean(n) * (1.0 if n < 10 else 2.0)
+    with pytest.raises(ValueError, match="at n=10 exceeds the declared bound"):
+        sched.validate()
+
+
+def test_audit_evaluates_one_term_of_builtin_schedules():
+    def counting(norm, counts):
+        def counted(e):
+            counts.append(1)
+            return norm(e)
+        return counted
+
+    for sched in (geometric_errors(3, 0.1, 0.5), geometric_errors(3, 0.0, 0.5),
+                  ms.no_errors(3)):
+        seen = []
+        sched.validate(norm=counting(np.linalg.norm, seen))
+        assert len(seen) == 1, sched.label
+
+    calls = []
+
+    def generator(n):
+        calls.append(n)
+        return np.full(3, 0.5 ** n)
+
+    ErrorSchedule(generator, lambda n: 2.0 * 0.5 ** n, True, 3).validate()
+    assert calls == list(range(ms.km.VALIDATION_PREFIX))
+
+
 # each solver's error slots on R^2, fed one schedule
 _ERROR_SLOTS = {
     "km": lambda e: km_solve([proj_op([1.0, 1.0])], errors=[e]),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import monosplit as ms
 from monosplit import (InnerProduct, as_vector, audit_projector,
                        identity_projector, matrix_projector, span_projector,
                        zero_mean_projector, zero_projector)
@@ -40,6 +41,43 @@ def test_uniform_norm_bits(rng):
             got = inner.norm(x)
         assert type(got) is float
         assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+def test_norm_and_dot_accept_lists():
+    for inner in (InnerProduct(2), InnerProduct(2, [1.0, 1.0])):
+        assert inner.norm([3.0, 4.0]) == 5.0
+        assert inner.dot([1.0, 2.0], [3.0, 4.0]) == 11.0
+        assert inner.dot(np.array([1.0, 2.0]), [3.0, 4.0]) == 11.0
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+@pytest.mark.parametrize("d", [1, 2, 7, 33, 1000])
+def test_norms_match_norm_row_by_row(rng, d, weighted):
+    inner = InnerProduct(d, rng.uniform(0.5, 2.0, d) if weighted else None)
+    chunk = ms.spaces.NORMS_CHUNK
+    rows = 3 if d == 1000 else chunk + 5   # more rows than one chunk
+    X = rng.standard_normal((rows, d)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
+    for Y in (X, np.asfortranarray(X), X[:1]):
+        got = inner.norms(Y)
+        assert type(got) is list and len(got) == Y.shape[0]
+        assert all(type(v) is float for v in got)
+        assert _bits(got) == _bits([inner.norm(r) for r in Y])
+    assert inner.norms(np.empty((0, d))) == []
+
+
+def test_norms_take_more_rows_than_one_chunk_at_d_1000(rng):
+    inner = InnerProduct(1000)
+    X = rng.standard_normal((ms.spaces.NORMS_CHUNK + 1, 1000))
+    assert _bits(inner.norms(X)) == _bits([inner.norm(r) for r in X])
+
+
+def test_norms_rejects_a_vector():
+    with pytest.raises(ValueError, match="2-d"):
+        InnerProduct(2).norms(np.ones(2))
 
 
 def test_inner_product_bilinear_symmetric_positive(rng):
