@@ -136,6 +136,7 @@ def quadratic_function(Q, b=None, tol=1e-10):
     Qx = _matvec(Q, symmetric)
 
     def value(x):
+        x = np.asarray(x, dtype=float)
         return float(0.5 * x.dot(Qx(x)) - b.dot(x))
 
     return ProxFunction(lambda gamma, x: cache.solve(gamma, x + gamma * b), dim,
@@ -165,6 +166,7 @@ def quadratic_smooth(Q, b=None, tol=1e-10):
     Qx = _matvec(Q, symmetric)
 
     def value(x):
+        x = np.asarray(x, dtype=float)
         return float(0.5 * x.dot(Qx(x)) - b.dot(x))
 
     return SmoothFunction(_matvec(Q, symmetric, b), lam_max, dim, value=value,

@@ -157,26 +157,43 @@ def test_replaced_generator_gets_the_full_prefix_audit():
         sched.validate()
 
 
-def test_audit_evaluates_one_term_of_builtin_schedules():
-    def counting(norm, counts):
-        def counted(e):
-            counts.append(1)
-            return norm(e)
-        return counted
+def test_one_term_audit_gives_the_prefix_verdict(rng):
+    # the same schedule with its generator wrapped is audited on 64 terms
+    def verdict(sched, norm):
+        try:
+            sched.validate(norm=norm)
+        except ValueError as e:
+            return str(e)
+        return None
 
+    for _ in range(200):
+        d = int(rng.integers(1, 9))
+        sched = geometric_errors(d, 10.0 ** rng.uniform(-3, 3), rng.uniform(0.0, 0.99),
+                                 direction=rng.standard_normal(d))
+        norm = ms.InnerProduct(d, 1.0 + rng.uniform(-1e-8, 1e-8, d)).norm
+        full = geometric_errors(d, 1.0, 0.5)
+        full.generator, full.bound = (lambda n, g=sched.generator: g(n)), sched.bound
+        assert verdict(sched, norm) == verdict(full, norm)
+
+
+def test_audit_evaluates_one_term_of_builtin_schedules(monkeypatch):
+    calls = []
+    evaluate = ErrorSchedule.__call__
+
+    def counting(self, n):
+        calls.append(n)
+        return evaluate(self, n)
+
+    monkeypatch.setattr(ErrorSchedule, "__call__", counting)
     for sched in (geometric_errors(3, 0.1, 0.5), geometric_errors(3, 0.0, 0.5),
                   ms.no_errors(3)):
-        seen = []
-        sched.validate(norm=counting(np.linalg.norm, seen))
-        assert len(seen) == 1, sched.label
+        calls.clear()
+        sched.validate()
+        assert calls == [0], sched.label
 
-    calls = []
-
-    def generator(n):
-        calls.append(n)
-        return np.full(3, 0.5 ** n)
-
-    ErrorSchedule(generator, lambda n: 2.0 * 0.5 ** n, True, 3).validate()
+    calls.clear()
+    ErrorSchedule(lambda n: np.full(3, 0.5 ** n), lambda n: 2.0 * 0.5 ** n,
+                  True, 3).validate()
     assert calls == list(range(ms.km.VALIDATION_PREFIX))
 
 

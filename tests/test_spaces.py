@@ -58,8 +58,7 @@ def _bits(values):
 @pytest.mark.parametrize("d", [1, 2, 7, 33, 1000])
 def test_norms_match_norm_row_by_row(rng, d, weighted):
     inner = InnerProduct(d, rng.uniform(0.5, 2.0, d) if weighted else None)
-    chunk = ms.spaces.NORMS_CHUNK
-    rows = 3 if d == 1000 else chunk + 5   # more rows than one chunk
+    rows = ms.spaces.NORMS_CHUNK + 5   # more rows than one chunk
     X = rng.standard_normal((rows, d)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
     for Y in (X, np.asfortranarray(X), X[:1]):
         got = inner.norms(Y)
@@ -67,12 +66,6 @@ def test_norms_match_norm_row_by_row(rng, d, weighted):
         assert all(type(v) is float for v in got)
         assert _bits(got) == _bits([inner.norm(r) for r in Y])
     assert inner.norms(np.empty((0, d))) == []
-
-
-def test_norms_take_more_rows_than_one_chunk_at_d_1000(rng):
-    inner = InnerProduct(1000)
-    X = rng.standard_normal((ms.spaces.NORMS_CHUNK + 1, 1000))
-    assert _bits(inner.norms(X)) == _bits([inner.norm(r) for r in X])
 
 
 def test_norms_rejects_a_vector():

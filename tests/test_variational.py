@@ -56,6 +56,13 @@ def test_prox_functions_firmly_nonexpansive(rng):
         assert report.passed, (f.label, report)
 
 
+def test_quadratic_values_take_lists():
+    Q, b = np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([1.0, -1.0])
+    for make in (quadratic_smooth, quadratic_function):
+        value = make(Q, b).value
+        assert value([1.0, 2.0]) == value(np.array([1.0, 2.0])) == 10.0
+
+
 def test_quadratic_smooth_lipschitz_examples():
     assert quadratic_smooth(np.eye(2)).lipschitz == pytest.approx(1.0)
     assert quadratic_smooth(np.diag([1.0, 4.0])).lipschitz == pytest.approx(4.0)
