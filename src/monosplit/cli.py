@@ -25,7 +25,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
 
@@ -80,7 +80,6 @@ class ProblemSpec:
     seed: int
     log_every: int
     launch: object
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 @dataclass
@@ -621,7 +620,7 @@ def parse_spec(text, overrides=None):
     if errors:
         raise SpecValidationError(errors)
     return ProblemSpec(algorithm=algorithm, tol=tol, max_iters=max_iters,
-                       seed=seed, log_every=log_every, launch=launch, raw=data)
+                       seed=seed, log_every=log_every, launch=launch)
 
 
 def run(spec):

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .km import DEFAULT_MAX_ITERS, DEFAULT_TOL, _iterate, as_relaxation
+from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, RelaxationSchedule, _iterate,
+                 as_relaxation)
 from .fdr import _fdr_run, _RowLog
 from .spaces import as_vector
 
@@ -48,71 +49,45 @@ class OracleError(RuntimeError):
     """A user Step-1 oracle returned a pair violating its defining conditions."""
 
 
-class StepSchedule:
+class StepSchedule(RelaxationSchedule):
     """Sequence of proximal scalings ``delta_n`` for the partial-inverse step.
 
-    Admissible values lie in ``[epsilon, 2*beta/gamma - epsilon]`` for some
-    ``epsilon in ]0, max(1, beta/gamma)[``; once ``gamma`` and ``beta`` are
-    known the bounds are audited on a prefix and then checked on every term.
-    A schedule made by :func:`constant_steps` is audited on its single value
-    instead.
+    Admissible values lie in ``[epsilon, 2*beta/gamma - epsilon]`` for the
+    ``epsilon in ]0, max(1, beta/gamma)[`` of :func:`fpi_solve`; they are
+    audited and checked by :meth:`RelaxationSchedule.checked`.
     """
 
-    __slots__ = ("generator", "epsilon", "constant_value", "label", "_constant")
+    __slots__ = ()
 
-    def __init__(self, generator, epsilon=DEFAULT_EPSILON, constant_value=None, label=""):
-        self.generator = generator
-        self.epsilon = float(epsilon)
-        self.constant_value = constant_value
-        self.label = label
-        self._constant = False
-
-    def __call__(self, n):
-        return float(self.generator(n))
-
-    def validate(self, gamma, beta, prefix=64):
-        eps = self.epsilon
-        if not 0.0 < eps < max(1.0, beta / gamma):
+    def validate(self, gamma, beta, epsilon=DEFAULT_EPSILON):
+        if not 0.0 < epsilon < max(1.0, beta / gamma):
             raise ValueError(
                 f"epsilon must lie in ]0, max(1, beta/gamma)[ = "
-                f"]0, {max(1.0, beta / gamma)}[; got {eps}"
+                f"]0, {max(1.0, beta / gamma)}[; got {epsilon}"
             )
-        hi = 2.0 * beta / gamma - eps
-        if eps > hi:
+        hi = 2.0 * beta / gamma - epsilon
+        if epsilon > hi:
             raise ValueError(
-                f"empty step range: [epsilon, 2*beta/gamma - epsilon] = [{eps}, {hi}]"
+                f"empty step range: [epsilon, 2*beta/gamma - epsilon] = [{epsilon}, {hi}]"
             )
-
-        def delta_at(n):
-            d = self(n)
-            if not eps <= d <= hi:
-                raise ValueError(
-                    f"step value {d} at n={n} outside admissible range "
-                    f"[epsilon, 2*beta/gamma - epsilon] = [{eps}, {hi}]"
-                )
-            return d
-
-        if self._constant:
-            delta = delta_at(0)
-            return lambda n: delta
-        for n in range(prefix):
-            delta_at(n)
-        return delta_at
+        return self.checked(
+            lambda d: epsilon <= d <= hi,
+            lambda d, n: (f"step value {d} at n={n} outside admissible range "
+                          f"[epsilon, 2*beta/gamma - epsilon] = [{epsilon}, {hi}]"))
 
 
-def constant_steps(value, epsilon=DEFAULT_EPSILON):
+def constant_steps(value):
     """Constant schedule ``delta_n = value``."""
     value = float(value)
-    schedule = StepSchedule(lambda n: value, epsilon=epsilon, constant_value=value,
-                            label=f"constant({value})")
-    schedule._constant = True
+    schedule = StepSchedule(lambda n: value, label=f"constant({value})")
+    schedule.constant_value = value
     return schedule
 
 
-def as_steps(value, epsilon=DEFAULT_EPSILON):
+def as_steps(value):
     if isinstance(value, StepSchedule):
         return value
-    return constant_steps(value, epsilon)
+    return constant_steps(value)
 
 
 @dataclass(frozen=True)
@@ -188,6 +163,8 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
         identity plus the scaled inclusion, via the resolvent residual of
         ``A``); violations above ``oracle_tol`` abort with
         :class:`OracleError`.
+    epsilon : float
+        The ``epsilon`` of both the step and the relaxation ranges.
     x0, y0 : array_like, optional
         Starting points; ``x0`` must lie in the subspace and ``y0`` in its
         orthogonal complement (both default to the origin).
@@ -203,8 +180,9 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
     gamma = beta if gamma is None else float(gamma)
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    step_sched = as_steps(steps, epsilon)
-    delta_at = step_sched.validate(gamma, beta)
+    epsilon = float(epsilon)
+    step_sched = as_steps(steps)
+    delta_at = step_sched.validate(gamma, beta, epsilon)
     if oracle is None:
         if step_sched.constant_value != 1.0:
             raise ValueError(
@@ -213,9 +191,9 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
             )
         return fpi_explicit_solve(prob, gamma=gamma, relaxation=relaxation,
                                   x0=x0, y0=y0, tol=tol, max_iters=max_iters,
-                                  epsilon=step_sched.epsilon, log_every=log_every,
+                                  epsilon=epsilon, log_every=log_every,
                                   trace=trace, objective=objective)
-    lam_at = as_relaxation(relaxation).validate_closed(step_sched.epsilon, 1.0)
+    lam_at = as_relaxation(relaxation).validate_closed(epsilon, 1.0)
 
     def step(n, state):
         x, y = state

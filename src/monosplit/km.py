@@ -76,89 +76,78 @@ class RelaxationSchedule:
 
     ``divergent_sum`` certifies ``sum_n lambda_n (1 - alpha lambda_n) = +inf``
     for every admissible ``alpha``; the built-in constructors set it from the
-    closed form of the schedule.  Admissibility is audited on a prefix against
-    the concrete ``alpha`` bound before a solver iterates, and checked on every
-    later term as the solver reaches it.  A schedule made by
-    :func:`constant_relaxation` is audited on its single value instead.
+    closed form of the schedule.  Admissibility is audited on a prefix
+    before a solver iterates, and checked on every later term as the solver
+    reaches it (:meth:`checked`).  ``constant_value`` is the value of a
+    schedule made by a constant constructor, which is audited on that single
+    value instead, and None for any other schedule.
     """
 
-    __slots__ = ("generator", "alpha_bound", "divergent_sum", "label", "_constant")
+    __slots__ = ("generator", "divergent_sum", "label", "constant_value")
 
-    def __init__(self, generator, alpha_bound=None, divergent_sum=True, label=""):
+    def __init__(self, generator, divergent_sum=True, label=""):
         self.generator = generator
-        self.alpha_bound = alpha_bound
         self.divergent_sum = bool(divergent_sum)
         self.label = label
-        self._constant = False
+        self.constant_value = None
 
     def __call__(self, n):
         return float(self.generator(n))
 
-    def _audited(self, audit, lam_at, prefix):
-        """``lam_at`` once ``audit`` passes on the prefix; a constant schedule
-        is audited on its one value, which then serves every term."""
-        if self._constant:
-            lam = audit(0)
-            return lambda n: lam
-        for n in range(prefix):
-            audit(n)
-        return lam_at
+    def checked(self, admissible, message):
+        """The sequence ``n -> value``, raising ``ValueError(message(value, n))``
+        at a term that fails ``admissible(value)``.  The first
+        ``VALIDATION_PREFIX`` terms are audited here, or the one value of a
+        constant schedule, which then serves every term."""
+        def value_at(n):
+            value = self(n)
+            if not admissible(value):
+                raise ValueError(message(value, n))
+            return value
 
-    def validate_open(self, alpha, prefix=VALIDATION_PREFIX):
-        """Reject unless ``lambda_n in ]0, 1/alpha[`` on the prefix and the
-        divergence certificate holds; audits that the partial sums of
-        ``lambda_n (1 - alpha lambda_n)`` are nondecreasing.
+        if self.constant_value is not None:
+            value = value_at(0)
+            return lambda n: value
+        for n in range(VALIDATION_PREFIX):
+            value_at(n)
+        return value_at
 
-        Returns ``n -> lambda_n`` checked against the same range on every
-        later term, for the solver to iterate with.
-        """
+    def open_range(self, alpha):
+        """The test and message of ``lambda_n in ]0, 1/alpha[`` for :meth:`checked`,
+        once ``alpha in ]0, 1[`` and the divergence certificate hold; the test
+        also keeps each term ``lambda_n (1 - alpha lambda_n)`` nonnegative."""
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie in ]0, 1[, got {alpha}")
-        hi = 1.0 / alpha
         if not self.divergent_sum:
             raise ValueError(
                 f"relaxation schedule '{self.label or 'custom'}' declares a convergent "
                 "sum; sum_n lambda_n*(1 - alpha*lambda_n) must diverge"
             )
+        hi = 1.0 / alpha
+        return (lambda lam: 0.0 < lam < hi and lam * (1.0 - alpha * lam) >= 0.0,
+                lambda lam, n: (f"relaxation value {lam} at n={n} outside "
+                                f"admissible range ]0, 1/alpha[ = ]0, {hi}["))
 
-        def lam_at(n):
-            lam = self(n)
-            if not 0.0 < lam < hi:
-                raise ValueError(
-                    f"relaxation value {lam} at n={n} outside admissible range "
-                    f"]0, 1/alpha[ = ]0, {hi}["
-                )
-            return lam
+    def validate_open(self, alpha):
+        """Reject unless ``lambda_n in ]0, 1/alpha[`` on the prefix and the
+        divergence certificate holds; returns ``n -> lambda_n`` checked
+        against the same range on every later term (see :meth:`open_range`)."""
+        return self.checked(*self.open_range(alpha))
 
-        def audit(n):
-            lam = lam_at(n)
-            if lam * (1.0 - alpha * lam) < 0.0:
-                raise ValueError(f"negative divergence term at n={n}")
-            return lam
-
-        return self._audited(audit, lam_at, prefix)
-
-    def validate_closed(self, lo, hi, prefix=VALIDATION_PREFIX):
+    def validate_closed(self, lo, hi):
         """Reject unless ``lambda_n in [lo, hi]`` on the prefix; returns
         ``n -> lambda_n`` checked against the same range on every term."""
-        def lam_at(n):
-            lam = self(n)
-            if not lo <= lam <= hi:
-                raise ValueError(
-                    f"relaxation value {lam} at n={n} outside admissible range "
-                    f"[{lo}, {hi}]"
-                )
-            return lam
-
-        return self._audited(lam_at, lam_at, prefix)
+        return self.checked(
+            lambda lam: lo <= lam <= hi,
+            lambda lam, n: (f"relaxation value {lam} at n={n} outside "
+                            f"admissible range [{lo}, {hi}]"))
 
 
 def constant_relaxation(value):
     """Constant schedule ``lambda_n = value``."""
     value = float(value)
-    schedule = RelaxationSchedule(lambda n: value, divergent_sum=True,
-                                  label=f"constant({value})")
-    schedule._constant = True
+    schedule = RelaxationSchedule(lambda n: value, label=f"constant({value})")
+    schedule.constant_value = value
     return schedule
 
 
@@ -216,15 +205,11 @@ class ErrorSchedule:
     def __call__(self, n):
         return np.asarray(self.generator(n), dtype=float)
 
-    @property
-    def is_zero(self):
-        return self._zero
-
     def active(self, n):
         """Whether the error at iteration ``n`` can be nonzero."""
         return not self._zero and self.bound(n) != 0.0
 
-    def validate(self, prefix=VALIDATION_PREFIX, norm=None):
+    def validate(self, norm=None):
         if norm is None:
             norm = np.linalg.norm
         if not self.summable:
@@ -233,10 +218,9 @@ class ErrorSchedule:
                 "pairing; sum_n lambda_n*||e_n|| must be finite"
             )
         scaled = self._scaled
-        if (scaled is not None and scaled[0] is self.generator
-                and scaled[1] is self.bound):
-            prefix = min(prefix, 1)
-        for n in range(prefix):
+        one_term = (scaled is not None and scaled[0] is self.generator
+                    and scaled[1] is self.bound)
+        for n in range(1 if one_term else VALIDATION_PREFIX):
             e = self(n)
             if e.shape != (self.dim,):
                 raise ValueError(
@@ -280,6 +264,17 @@ def no_errors(dim):
                                       label="zero", zero=True))
 
 
+def _unit(direction, dim):
+    """``direction`` scaled to unit norm; the normalized ones vector if None."""
+    if direction is None:
+        return np.ones(dim) / np.sqrt(dim)
+    u = as_vector(direction, dim)
+    nu = np.linalg.norm(u)
+    if nu == 0.0:
+        raise ValueError("direction must be nonzero")
+    return u / nu
+
+
 def geometric_errors(dim, magnitude, rate, direction=None):
     """Errors ``e_n = magnitude * rate^n * u`` with ``||u|| = 1``.
 
@@ -289,14 +284,7 @@ def geometric_errors(dim, magnitude, rate, direction=None):
     rate = float(rate)
     if magnitude < 0.0 or rate < 0.0:
         raise ValueError("magnitude and rate must be nonnegative")
-    if direction is None:
-        u = np.ones(dim) / np.sqrt(dim)
-    else:
-        u = as_vector(direction, dim)
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            raise ValueError("direction must be nonzero")
-        u = u / nu
+    u = _unit(direction, dim)
     return _mark_scaled(ErrorSchedule(lambda n: magnitude * rate ** n * u,
                                       lambda n: magnitude * rate ** n,
                                       summable=rate < 1.0, dim=dim,
@@ -308,14 +296,7 @@ def harmonic_errors(dim, magnitude, direction=None):
     """Errors ``e_n = magnitude / (n + 1) * u``: not summable against
     relaxations bounded away from zero, so the audit rejects the pairing."""
     magnitude = float(magnitude)
-    if direction is None:
-        u = np.ones(dim) / np.sqrt(dim)
-    else:
-        u = as_vector(direction, dim)
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            raise ValueError("direction must be nonzero")
-        u = u / nu
+    u = _unit(direction, dim)
     return ErrorSchedule(lambda n: magnitude / (n + 1) * u,
                          lambda n: magnitude / (n + 1),
                          summable=False, dim=dim, label="harmonic")

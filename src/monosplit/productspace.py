@@ -392,18 +392,13 @@ def dr2_relaxation(relaxation):
     exactly ``]0, 3/2[``; the prefix is audited here and every later term
     when the solver reaches it, each error naming that range.
     """
-    def named(fn, *args):
-        try:
-            return fn(*args)
-        except ValueError as e:
-            raise ValueError(f"{e} (two-operator parallel splitting requires "
-                             f"relaxations in ]0, 3/2[)") from None
-
+    note = " (two-operator parallel splitting requires relaxations in ]0, 3/2[)"
     schedule = as_relaxation(relaxation)
-    lam_open = named(schedule.validate_open, 2.0 / 3.0)
-    if schedule._constant:
-        return lam_open     # audited on its one value, which serves every term
-    return lambda n: named(lam_open, n)
+    try:
+        admissible, message = schedule.open_range(2.0 / 3.0)
+    except ValueError as e:
+        raise ValueError(f"{e}{note}") from None
+    return schedule.checked(admissible, lambda lam, n: message(lam, n) + note)
 
 
 def sum_splitting_pi(prob, gamma=None, relaxation=1.0, x0=None, y0=None,

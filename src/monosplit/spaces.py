@@ -217,24 +217,23 @@ def _matvec(M, symmetric, b=None):
     return lambda x: dsymv(1.0, F, x, -1.0, b)
 
 
-def matrix_projector(M, inner=None, validate=True, tol=1e-8):
+def matrix_projector(M, inner=None, tol=1e-8):
     """Projector given by a dense matrix.
 
-    When ``validate`` is set the matrix is audited for idempotence,
-    self-adjointness (w.r.t. ``inner``) and linearity on random samples and
-    rejected if it fails.  An exactly symmetric matrix is applied with a
-    one-triangle BLAS kernel (see :func:`_matvec`); any other, such as a
-    projector self-adjoint only under a weighted ``inner``, as ``M @ x``.
+    The matrix is audited for idempotence, self-adjointness (w.r.t.
+    ``inner``) and linearity on random samples and rejected if it fails.  An
+    exactly symmetric matrix is applied with a one-triangle BLAS kernel (see
+    :func:`_matvec`); any other, such as a projector self-adjoint only under
+    a weighted ``inner``, as ``M @ x``.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"projector matrix must be square, got shape {M.shape}")
     P = SubspaceProjector(_matvec(M, np.array_equal(M, M.T)), M.shape[0], inner,
                           label="matrix")
-    if validate:
-        audit = audit_projector(P, samples=8, tol=tol)
-        if not audit.passed:
-            raise ValueError(f"matrix is not an orthogonal projector: {audit}")
+    audit = audit_projector(P, samples=8, tol=tol)
+    if not audit.passed:
+        raise ValueError(f"matrix is not an orthogonal projector: {audit}")
     return P
 
 

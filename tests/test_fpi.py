@@ -25,7 +25,7 @@ def test_step_schedule_validation():
     with pytest.raises(ValueError, match="outside admissible range"):
         constant_steps(3.0).validate(1.0, 1.0)  # 2*beta/gamma - eps = 2 - eps
     with pytest.raises(ValueError, match="epsilon"):
-        constant_steps(1.0, epsilon=2.0).validate(1.0, 1.0)
+        constant_steps(1.0).validate(1.0, 1.0, epsilon=2.0)
 
 
 def _count_generator_calls(schedule):
@@ -73,6 +73,26 @@ def test_custom_steps_keep_prefix_audit():
     delta_at = StepSchedule(lambda n: 1.0 if n < 64 else 5.0).validate(1.0, 1.0)
     with pytest.raises(ValueError, match="5.0 at n=64"):
         delta_at(64)
+
+
+def test_fpi_solve_epsilon_sets_every_range():
+    # relaxations in [epsilon, 1] = [0.5, 1.0] reject 0.2 whether the unit
+    # step comes as a float or as a constant schedule
+    prob = box_identity_problem()
+    messages = []
+    for steps in (1.0, constant_steps(1.0)):
+        with pytest.raises(ValueError) as e:
+            fpi_solve(prob, gamma=1.0, steps=steps, relaxation=0.2, epsilon=0.5)
+        messages.append(str(e.value))
+    assert messages == ["relaxation value 0.2 at n=0 outside admissible range "
+                        "[0.5, 1.0]"] * 2
+    # with a user oracle the steps lie in [epsilon, 2*beta/gamma - epsilon]
+    oracle = closed_form_oracle(prob)
+    for steps in (constant_steps(0.4), StepSchedule(lambda n: 1.7)):
+        with pytest.raises(ValueError) as e:
+            fpi_solve(prob, gamma=1.0, steps=steps, oracle=oracle, epsilon=0.5)
+        assert str(e.value) == (f"step value {steps(0)} at n=0 outside admissible range "
+                                "[epsilon, 2*beta/gamma - epsilon] = [0.5, 1.5]")
 
 
 def test_fpi_l1_over_zero_mean_plane():
