@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, RelaxationSchedule, _iterate,
-                 as_relaxation)
+from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, ScalarSchedule, _constant_schedule,
+                 _iterate, as_relaxation)
 from .fdr import _fdr_run, _RowLog
 from .spaces import as_vector
 
@@ -49,12 +49,12 @@ class OracleError(RuntimeError):
     """A user Step-1 oracle returned a pair violating its defining conditions."""
 
 
-class StepSchedule(RelaxationSchedule):
+class StepSchedule(ScalarSchedule):
     """Sequence of proximal scalings ``delta_n`` for the partial-inverse step.
 
     Admissible values lie in ``[epsilon, 2*beta/gamma - epsilon]`` for the
     ``epsilon in ]0, max(1, beta/gamma)[`` of :func:`fpi_solve`; they are
-    audited and checked by :meth:`RelaxationSchedule.checked`.
+    audited and checked by :meth:`ScalarSchedule.checked`.
     """
 
     __slots__ = ()
@@ -78,16 +78,11 @@ class StepSchedule(RelaxationSchedule):
 
 def constant_steps(value):
     """Constant schedule ``delta_n = value``."""
-    value = float(value)
-    schedule = StepSchedule(lambda n: value, label=f"constant({value})")
-    schedule.constant_value = value
-    return schedule
+    return _constant_schedule(StepSchedule, value)
 
 
 def as_steps(value):
-    if isinstance(value, StepSchedule):
-        return value
-    return constant_steps(value)
+    return value if isinstance(value, StepSchedule) else constant_steps(value)
 
 
 @dataclass(frozen=True)

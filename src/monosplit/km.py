@@ -24,6 +24,7 @@ __all__ = [
     "DIVERGED",
     "IterationRow",
     "SolveResult",
+    "ScalarSchedule",
     "RelaxationSchedule",
     "ErrorSchedule",
     "composed_alpha",
@@ -71,28 +72,24 @@ def composed_alpha(alphas):
     return m * amax / (1.0 + (m - 1) * amax)
 
 
-class RelaxationSchedule:
-    """Sequence of relaxation parameters ``lambda_n``.
+class ScalarSchedule:
+    """Sequence of scalar parameters ``n -> value``, checked against an
+    admissible range by :meth:`checked`.  ``constant_value`` is the value of
+    a schedule made by a constant constructor, and None for any other."""
 
-    ``divergent_sum`` certifies ``sum_n lambda_n (1 - alpha lambda_n) = +inf``
-    for every admissible ``alpha``; the built-in constructors set it from the
-    closed form of the schedule.  Admissibility is audited on a prefix
-    before a solver iterates, and checked on every later term as the solver
-    reaches it (:meth:`checked`).  ``constant_value`` is the value of a
-    schedule made by a constant constructor, which is audited on that single
-    value instead, and None for any other schedule.
-    """
+    __slots__ = ("generator", "label", "_constant")
 
-    __slots__ = ("generator", "divergent_sum", "label", "constant_value")
-
-    def __init__(self, generator, divergent_sum=True, label=""):
+    def __init__(self, generator, label=""):
         self.generator = generator
-        self.divergent_sum = bool(divergent_sum)
         self.label = label
-        self.constant_value = None
+        self._constant = None
 
     def __call__(self, n):
         return float(self.generator(n))
+
+    @property
+    def constant_value(self):
+        return self._constant
 
     def checked(self, admissible, message):
         """The sequence ``n -> value``, raising ``ValueError(message(value, n))``
@@ -105,17 +102,39 @@ class RelaxationSchedule:
                 raise ValueError(message(value, n))
             return value
 
-        if self.constant_value is not None:
+        if self._constant is not None:
             value = value_at(0)
             return lambda n: value
         for n in range(VALIDATION_PREFIX):
             value_at(n)
         return value_at
 
+
+def _constant_schedule(cls, value):
+    """A ``cls`` schedule with every term ``value``, marked constant."""
+    value = float(value)
+    schedule = cls(lambda n: value, label=f"constant({value})")
+    schedule._constant = value
+    return schedule
+
+
+class RelaxationSchedule(ScalarSchedule):
+    """Sequence of relaxation parameters ``lambda_n``.
+
+    ``divergent_sum`` certifies ``sum_n lambda_n (1 - alpha lambda_n) = +inf``
+    for every admissible ``alpha``; the built-in constructors set it from the
+    closed form of the schedule.
+    """
+
+    __slots__ = ("divergent_sum",)
+
+    def __init__(self, generator, divergent_sum=True, label=""):
+        super().__init__(generator, label)
+        self.divergent_sum = bool(divergent_sum)
+
     def open_range(self, alpha):
         """The test and message of ``lambda_n in ]0, 1/alpha[`` for :meth:`checked`,
-        once ``alpha in ]0, 1[`` and the divergence certificate hold; the test
-        also keeps each term ``lambda_n (1 - alpha lambda_n)`` nonnegative."""
+        once ``alpha in ]0, 1[`` and the divergence certificate hold."""
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie in ]0, 1[, got {alpha}")
         if not self.divergent_sum:
@@ -124,7 +143,7 @@ class RelaxationSchedule:
                 "sum; sum_n lambda_n*(1 - alpha*lambda_n) must diverge"
             )
         hi = 1.0 / alpha
-        return (lambda lam: 0.0 < lam < hi and lam * (1.0 - alpha * lam) >= 0.0,
+        return (lambda lam: 0.0 < lam < hi,
                 lambda lam, n: (f"relaxation value {lam} at n={n} outside "
                                 f"admissible range ]0, 1/alpha[ = ]0, {hi}["))
 
@@ -145,10 +164,7 @@ class RelaxationSchedule:
 
 def constant_relaxation(value):
     """Constant schedule ``lambda_n = value``."""
-    value = float(value)
-    schedule = RelaxationSchedule(lambda n: value, label=f"constant({value})")
-    schedule.constant_value = value
-    return schedule
+    return _constant_schedule(RelaxationSchedule, value)
 
 
 def polynomial_relaxation(c, p):
@@ -174,9 +190,7 @@ def polynomial_relaxation(c, p):
 
 def as_relaxation(value):
     """Coerce a float into a constant schedule; pass schedules through."""
-    if isinstance(value, RelaxationSchedule):
-        return value
-    return constant_relaxation(value)
+    return value if isinstance(value, RelaxationSchedule) else constant_relaxation(value)
 
 
 class ErrorSchedule:

@@ -95,6 +95,23 @@ def test_fpi_solve_epsilon_sets_every_range():
                                 "[epsilon, 2*beta/gamma - epsilon] = [0.5, 1.5]")
 
 
+def test_step_schedules_are_not_relaxations():
+    # a step schedule has no divergence certificate, is not accepted as a
+    # relaxation, and its constant marker is set only by constant_steps
+    prob = box_identity_problem()
+    with pytest.raises(TypeError):
+        StepSchedule(lambda n: 1.0, divergent_sum=True)
+    with pytest.raises(TypeError):
+        fdr_solve(prob, gamma=1.0, relaxation=constant_steps(0.5))
+    steps = constant_steps(1.0)
+    assert steps.constant_value == 1.0
+    assert StepSchedule(lambda n: 1.0).constant_value is None
+    with pytest.raises(AttributeError):
+        steps.constant_value = 2.0
+    with pytest.raises(AttributeError):
+        ms.constant_relaxation(1.0).constant_value = 2.0
+
+
 def test_fpi_l1_over_zero_mean_plane():
     # minimizing |x_1| + |x_2| over the zero-mean line has its only
     # stationary point at the origin
