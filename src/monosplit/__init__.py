@@ -13,23 +13,20 @@ from .spaces import (InnerProduct, SubspaceProjector, as_vector,
                      audit_projector, identity_projector, matrix_projector,
                      span_projector, zero_mean_projector, zero_projector)
 from .operators import (AveragedOperator, CocoerciveMap, ResolventFamily,
-                        affine_gradient, audit_cocoercivity,
-                        audit_firm_nonexpansiveness,
-                        certify_averaged, linear_monotone, normal_cone_box,
-                        normal_cone_of_subspace, partial_inverse_resolvent,
-                        partial_inverse_residual, subdifferential_abs,
-                        translate_operator, zero_cocoercive, zero_operator)
+                        affine_gradient, linear_monotone, normal_cone_box,
+                        normal_cone_of_subspace, subdifferential_abs,
+                        zero_cocoercive, zero_operator)
 from .km import (CONVERGED, DIVERGED, MAX_ITERS, ErrorSchedule, IterationRow,
                  RelaxationSchedule, SolveResult, composed_alpha,
                  constant_relaxation, geometric_errors, harmonic_errors,
                  km_solve, no_errors, polynomial_relaxation)
 from .fdr import (InclusionProblem, PrimalDualResult, build_S, build_T,
-                  characterization_check, fdr_solve)
+                  fdr_solve)
 from .fpi import (OracleError, ScaledResolventOracle, StepSchedule,
                   closed_form_oracle, constant_steps, fpi_explicit_solve,
                   fpi_solve)
-from .productspace import (ProductProblem, ProductSolveResult, ProductSpace,
-                           parallel_dr2, sum_splitting_pi, sum_splitting_solve)
+from .productspace import (ProductProblem, ProductSolveResult, parallel_dr2,
+                           sum_splitting_pi, sum_splitting_solve)
 from .variational import (ProxFunction, SmoothFunction, box_function,
                           l1_function, min_over_subspace, prox_indicator_box,
                           prox_l1, quadratic_function, quadratic_smooth,

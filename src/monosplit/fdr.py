@@ -28,11 +28,9 @@ __all__ = [
     "averagedness",
     "InclusionProblem",
     "PrimalDualResult",
-    "CharacterizationReport",
     "build_T",
     "build_S",
     "fdr_solve",
-    "characterization_check",
 ]
 
 
@@ -242,31 +240,3 @@ def _fdr_run(prob, gamma, lam_at, z, tol, max_iters, log_every, trace,
                                trace, inner.norm, objective, log_dy=True,
                                on_row=log))
 
-
-@dataclass(frozen=True)
-class CharacterizationReport:
-    fixed_point_residual: float
-    inclusion_residual: float
-    x: np.ndarray
-    y: np.ndarray
-
-
-def characterization_check(prob, gamma, z):
-    """Diagnose a candidate ``z`` against the fixed-point characterization.
-
-    Reports ``||T_gamma(S_gamma z) - z||`` together with the primal-dual pair
-    ``(x, y) = (P_V z, -(Id - P_V) z / gamma)`` and its resolvent-based
-    inclusion residual for ``0 in A x + B x + N_V x``.
-    """
-    gamma = prob.check_gamma(gamma)
-    A, B, V = prob.A, prob.B, prob.V
-    inner = V.inner
-    z = as_vector(z, prob.dim)
-    T = build_T(A, V, gamma)
-    S = build_S(B, V, gamma)
-    fixed_point = inner.norm(T(S(z)) - z)
-    x = V(z)
-    y = (x - z) / gamma
-    s = x - gamma * V(B(x)) + gamma * y
-    inclusion = inner.norm(x - A.resolve(gamma, s))
-    return CharacterizationReport(fixed_point, inclusion, x, y)

@@ -53,18 +53,13 @@ class StepSchedule(ScalarSchedule):
     """Sequence of proximal scalings ``delta_n`` for the partial-inverse step.
 
     Admissible values lie in ``[epsilon, 2*beta/gamma - epsilon]`` for the
-    ``epsilon in ]0, max(1, beta/gamma)[`` of :func:`fpi_solve`; they are
-    audited and checked by :meth:`ScalarSchedule.checked`.
+    ``epsilon in ]0, max(1, beta/gamma)[`` that :func:`fpi_solve` checks;
+    they are audited and checked by :meth:`ScalarSchedule.checked`.
     """
 
     __slots__ = ()
 
     def validate(self, gamma, beta, epsilon=DEFAULT_EPSILON):
-        if not 0.0 < epsilon < max(1.0, beta / gamma):
-            raise ValueError(
-                f"epsilon must lie in ]0, max(1, beta/gamma)[ = "
-                f"]0, {max(1.0, beta / gamma)}[; got {epsilon}"
-            )
         hi = 2.0 * beta / gamma - epsilon
         if epsilon > hi:
             raise ValueError(
@@ -74,6 +69,16 @@ class StepSchedule(ScalarSchedule):
             lambda d: epsilon <= d <= hi,
             lambda d, n: (f"step value {d} at n={n} outside admissible range "
                           f"[epsilon, 2*beta/gamma - epsilon] = [{epsilon}, {hi}]"))
+
+
+def _check_epsilon(epsilon, gamma, beta):
+    """Reject an ``epsilon`` outside ``]0, max(1, beta/gamma)[``: the paper's
+    step and relaxation ranges need ``epsilon > 0``."""
+    if not 0.0 < epsilon < max(1.0, beta / gamma):
+        raise ValueError(
+            f"epsilon must lie in ]0, max(1, beta/gamma)[ = "
+            f"]0, {max(1.0, beta / gamma)}[; got {epsilon}"
+        )
 
 
 def constant_steps(value):
@@ -176,6 +181,7 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     epsilon = float(epsilon)
+    _check_epsilon(epsilon, gamma, beta)
     step_sched = as_steps(steps)
     delta_at = step_sched.validate(gamma, beta, epsilon)
     if oracle is None:
@@ -241,6 +247,7 @@ def fpi_explicit_solve(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
     """
     gamma = prob.beta if gamma is None else float(gamma)
     prob.check_gamma(gamma)
+    _check_epsilon(epsilon, gamma, prob.beta)
     lam_at = as_relaxation(relaxation).validate_closed(epsilon, 1.0)
     x, y = _start(prob, x0, y0)
     return _fdr_run(prob, gamma, lam_at, x - gamma * y, tol, max_iters,

@@ -35,7 +35,6 @@ __all__ = [
     "geometric_errors",
     "harmonic_errors",
     "km_solve",
-    "per_operator_decay_diagnostic",
 ]
 
 CONVERGED = "converged"
@@ -512,35 +511,3 @@ def km_solve(ops, relaxation=1.0, errors=None, z0=None, tol=DEFAULT_TOL,
     return SolveResult(final=run.x, status=run.status, iterations=run.iterations,
                        history=run.history, trace=run.trace)
 
-
-def per_operator_decay_diagnostic(ops, result, relaxation=1.0, reference=None):
-    """Diagnostic-only proxy for the per-operator decay sums.
-
-    Accumulates ``sum_n lambda_n ||(Id - T_i) C_i z_n - (Id - T_i) C_i zbar||^2``
-    with ``C_i = T_{i+1} ... T_m``, substituting the final iterate for the
-    unknown limit ``zbar`` (or an explicit ``reference``).  Values are only
-    meaningful on converged runs with a recorded trace.
-    """
-    if result.trace is None:
-        raise ValueError("diagnostic requires a run with trace=True")
-    ops = list(ops)
-    m = len(ops)
-    relax = as_relaxation(relaxation)
-    zbar = result.trace[-1] if reference is None else np.asarray(reference, float)
-
-    def chain_tail(i, z):
-        u = z
-        for j in range(m - 1, i, -1):
-            u = ops[j](u)
-        return u
-
-    ref_tail = [chain_tail(i, zbar) for i in range(m)]
-    ref_gap = [ref_tail[i] - ops[i](ref_tail[i]) for i in range(m)]
-    totals = [0.0] * m
-    for n, z in enumerate(result.trace):
-        lam = relax(n)
-        for i in range(m):
-            t = chain_tail(i, z)
-            gap = (t - ops[i](t)) - ref_gap[i]
-            totals[i] += lam * float(np.dot(gap, gap))
-    return totals

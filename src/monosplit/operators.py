@@ -2,31 +2,25 @@
 
 Maximally monotone operators are accessed exclusively through their
 gamma-parameterized resolvents; cocoercive forward maps carry a declared
-(and sample-auditable) cocoercivity constant.  The module also provides the
-closed-form resolvent of the partial inverse of an operator with respect to
-a subspace, and averagedness certification by sampling.
+cocoercivity constant and averaged operators a declared averagedness
+constant, both inputs to the step-size bounds, never inferred.  The
+built-in families (zero, subspace normal cone, soft threshold, box normal
+cone, affine monotone, affine gradient) have closed-form resolvents or maps.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .spaces import InnerProduct, _matvec, as_vector
+from .spaces import _matvec, as_vector
 
 __all__ = [
     "ResolventFamily",
     "CocoerciveMap",
     "AveragedOperator",
-    "SampleAudit",
-    "partial_inverse_resolvent",
-    "partial_inverse_residual",
-    "certify_averaged",
-    "audit_firm_nonexpansiveness",
-    "audit_cocoercivity",
     "zero_operator",
     "normal_cone_of_subspace",
     "subdifferential_abs",
@@ -34,7 +28,6 @@ __all__ = [
     "linear_monotone",
     "affine_gradient",
     "zero_cocoercive",
-    "translate_operator",
 ]
 
 
@@ -82,7 +75,7 @@ class CocoerciveMap:
     """Single-valued map with a declared cocoercivity constant ``beta``.
 
     The constant is a semantic input to step-size bounds; it is declared by
-    the caller and sample-audited in the test surface, never inferred.
+    the caller, never inferred.
     """
 
     __slots__ = ("_func", "beta", "dim", "label")
@@ -132,112 +125,6 @@ class AveragedOperator:
     def __repr__(self):
         tag = f" '{self.label}'" if self.label else ""
         return f"AveragedOperator(dim={self.dim}, alpha={self.alpha}{tag})"
-
-
-def partial_inverse_resolvent(A, P, gamma, s):
-    """Resolvent of the partial inverse of ``gamma A`` with respect to the
-    subspace of ``P``, evaluated at ``s``.
-
-    Closed form: with ``p = J_{gamma A} s``,
-
-        J(s) = P p + (Id - P)(s - p).
-
-    The returned ``z`` satisfies ``s - z in (gamma A)_V z``; see
-    :func:`partial_inverse_residual` for the unfolding test.
-    """
-    s = np.asarray(s, dtype=float)
-    p = A.resolve(gamma, s)
-    return P(p) + P.complement(s - p)
-
-
-def partial_inverse_residual(A, P, gamma, s, z):
-    """How far ``z`` is from satisfying ``s - z in (gamma A)_V z``.
-
-    Unfolds the graph-swap definition of the partial inverse: builds
-    ``u = P z + (Id-P)(s - z)`` and ``w = P (s - z) + (Id-P) z`` and tests
-    ``w in gamma A u`` through the resolvent identity ``u = J_{gamma A}(u + w)``.
-    """
-    s = np.asarray(s, dtype=float)
-    z = np.asarray(z, dtype=float)
-    u = P(z) + P.complement(s - z)
-    w = P(s - z) + P.complement(z)
-    return P.inner.norm(u - A.resolve(gamma, u + w))
-
-
-@dataclass(frozen=True)
-class SampleAudit:
-    """Outcome of a sampled inequality check: worst violation over the draws."""
-    passed: bool
-    worst_violation: float
-    samples: int
-
-
-def certify_averaged(T, samples=1000, tol=1e-9, seed=0, scale=1.0, inner=None):
-    """Sample the averagedness inequality on random pairs.
-
-    For an ``alpha``-averaged operator,
-
-        ||Tx - Ty||^2 <= ||x - y||^2
-                         - ((1 - alpha)/alpha) ||(Id-T)x - (Id-T)y||^2.
-
-    Reports the worst violation (left side minus right side) over the
-    sampled pairs; the certificate passes when it stays below ``tol``.
-    """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    inner = InnerProduct(T.dim) if inner is None else inner
-    ratio = (1.0 - T.alpha) / T.alpha
-    worst = 0.0
-    for _ in range(samples):
-        x = scale * rng.standard_normal(T.dim)
-        y = scale * rng.standard_normal(T.dim)
-        Tx, Ty = T(x), T(y)
-        d = Tx - Ty
-        r = (x - Tx) - (y - Ty)
-        e = x - y
-        violation = inner.dot(d, d) - (inner.dot(e, e) - ratio * inner.dot(r, r))
-        worst = max(worst, violation)
-    return SampleAudit(worst <= tol, worst, samples)
-
-
-def audit_firm_nonexpansiveness(A, gammas=(0.5, 1.0, 2.0), samples=334,
-                                tol=1e-9, seed=0, scale=1.0, inner=None):
-    """Sample ``<Jx - Jy, x - y> >= ||Jx - Jy||^2`` on random pairs per gamma."""
-    rng = np.random.default_rng(seed)
-    inner = InnerProduct(A.dim) if inner is None else inner
-    worst = 0.0
-    total = 0
-    for gamma in gammas:
-        for _ in range(samples):
-            x = scale * rng.standard_normal(A.dim)
-            y = scale * rng.standard_normal(A.dim)
-            d = A.resolve(gamma, x) - A.resolve(gamma, y)
-            worst = max(worst, inner.dot(d, d) - inner.dot(d, x - y))
-            total += 1
-    return SampleAudit(worst <= tol, worst, total)
-
-
-def audit_cocoercivity(B, samples=300, tol=1e-9, seed=0, scale=1.0,
-                       projector=None, inner=None):
-    """Sample ``<x - y, Bx - By> >= beta ||Bx - By||^2`` at the declared beta.
-
-    With a ``projector`` the pairs are drawn from its subspace, matching maps
-    whose cocoercivity is only claimed there.
-    """
-    rng = np.random.default_rng(seed)
-    if inner is None:
-        inner = projector.inner if projector is not None else InnerProduct(B.dim)
-    worst = 0.0
-    for _ in range(samples):
-        x = scale * rng.standard_normal(B.dim)
-        y = scale * rng.standard_normal(B.dim)
-        if projector is not None:
-            x = projector(x)
-            y = projector(y)
-        d = B(x) - B(y)
-        worst = max(worst, B.beta * inner.dot(d, d) - inner.dot(x - y, d))
-    return SampleAudit(worst <= tol, worst, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +305,3 @@ def zero_cocoercive(dim, beta=1.0):
     """
     return CocoerciveMap(lambda x: np.zeros_like(x), beta, dim, label="zero")
 
-
-def translate_operator(A, c):
-    """Operator ``x -> A(x - c)``; its resolvent is ``c + J_{gamma A}(x - c)``."""
-    c = as_vector(c, A.dim)
-    return ResolventFamily(lambda gamma, x: c + A.resolve(gamma, x - c), A.dim,
-                           label=f"translated({A.label or 'operator'})")

@@ -25,14 +25,13 @@ from itertools import groupby
 import numpy as np
 
 from .fdr import averagedness, check_gamma
-from .fpi import DEFAULT_EPSILON
+from .fpi import DEFAULT_EPSILON, _check_epsilon
 from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, _iterate, as_relaxation,
                  check_errors)
 from .operators import zero_cocoercive
-from .spaces import InnerProduct, SubspaceProjector, as_vector
+from .spaces import InnerProduct, as_vector
 
 __all__ = [
-    "ProductSpace",
     "ProductProblem",
     "ProductSolveResult",
     "sum_splitting_solve",
@@ -67,60 +66,6 @@ def _check_weights(weights, m):
     return w
 
 
-class ProductSpace:
-    """m-fold product of R^base_dim with block weights summing to one.
-
-    Lifted vectors are stored flat (length ``m * base_dim``); the ambient
-    inner product weights every block, so ``lift`` is an isometry of the base
-    space onto the diagonal.
-    """
-
-    __slots__ = ("m", "base_dim", "weights", "inner")
-
-    def __init__(self, m, base_dim, weights=None):
-        self.m = int(m)
-        self.base_dim = int(base_dim)
-        if self.m < 1 or self.base_dim < 1:
-            raise ValueError("m and base_dim must be positive")
-        self.weights = _check_weights(weights, self.m)
-        self.inner = InnerProduct(self.m * self.base_dim,
-                                  np.repeat(self.weights, self.base_dim))
-
-    @property
-    def dim(self):
-        return self.m * self.base_dim
-
-    def split(self, X):
-        return np.asarray(X, dtype=float).reshape(self.m, self.base_dim)
-
-    def lift(self, x):
-        x = as_vector(x, self.base_dim)
-        return np.tile(x, self.m)
-
-    def diagonal_spread(self, X):
-        """Largest deviation of any block from the weighted mean (0 on the diagonal)."""
-        blocks = self.split(X)
-        mean = self.weights @ blocks
-        return float(np.max(np.abs(blocks - mean)))
-
-    def unlift(self, X, tol=1e-9):
-        """Base-space point of a diagonal lifted vector; rejects off-diagonal input."""
-        mean = self.weights @ self.split(X)
-        spread = self.diagonal_spread(X)
-        if spread > tol * (1.0 + float(np.max(np.abs(mean), initial=0.0))):
-            raise ValueError(
-                f"lifted vector is not diagonal: block spread {spread:.3e} exceeds tolerance"
-            )
-        return mean
-
-    def consensus_projector(self):
-        """Projector onto the diagonal: every block becomes the weighted mean."""
-        def apply(X):
-            return np.tile(self.weights @ X.reshape(self.m, self.base_dim), self.m)
-
-        return SubspaceProjector(apply, self.dim, self.inner, label="consensus")
-
-
 def _block_plan(blocks):
     """Runs ``(start, stop, kernel, params)`` covering the blocks in order.
 
@@ -148,11 +93,12 @@ class ProductProblem:
     """Data for ``0 in sum_i A_i x + B x`` with block weights.
 
     ``B`` defaults to the zero map with ``beta = 1``; weights default to the
-    uniform ``1/m``.  The blocks are held as a tuple: the plan of
-    :meth:`resolve_blocks` is cached on first use.
+    uniform ``1/m``; ``m``, ``base_dim`` and ``weights`` are the block
+    count, the base dimension and the checked weights.  The blocks are held
+    as a tuple: the plan of :meth:`resolve_blocks` is cached on first use.
     """
 
-    __slots__ = ("blocks", "B", "space", "_plan")
+    __slots__ = ("blocks", "B", "m", "base_dim", "weights", "_plan")
 
     def __init__(self, blocks, B=None, weights=None):
         self.blocks = tuple(blocks)
@@ -166,19 +112,11 @@ class ProductProblem:
         self.B = zero_cocoercive(base_dim) if B is None else B
         if self.B.dim != base_dim:
             raise ValueError("forward map dimension mismatch")
-        self.space = ProductSpace(len(self.blocks), base_dim, weights)
-
-    @property
-    def m(self):
-        return self.space.m
-
-    @property
-    def base_dim(self):
-        return self.space.base_dim
-
-    @property
-    def weights(self):
-        return self.space.weights
+        if base_dim < 1:
+            raise ValueError("m and base_dim must be positive")
+        self.m = len(self.blocks)
+        self.base_dim = base_dim
+        self.weights = _check_weights(weights, self.m)
 
     @property
     def beta(self):
@@ -425,6 +363,7 @@ def sum_splitting_pi(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
     m, d, w = prob.m, prob.base_dim, prob.weights
     beta = prob.beta
     gamma = check_gamma(beta if gamma is None else float(gamma), beta)
+    _check_epsilon(epsilon, gamma, beta)
     lam_at = as_relaxation(relaxation).validate_closed(epsilon, 1.0)
 
     x = np.zeros(d) if x0 is None else as_vector(x0, d)

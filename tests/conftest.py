@@ -1,8 +1,22 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from monosplit import (CocoerciveMap, ErrorSchedule, InclusionProblem,
                        ResolventFamily, SubspaceProjector, matrix_projector)
+from theory import ProductSpace
+
+# property tests draw the same examples on every run and keep no example
+# database; hypothesis's other caches go under pytest's cache directory
+settings.register_profile("derandomized", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("derandomized")
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
+                      str(Path(__file__).resolve().parents[1] / ".pytest_cache"
+                          / "hypothesis"))
 
 
 @pytest.fixture
@@ -137,7 +151,7 @@ def lifted_problem(prob):
     subspace inclusion on the weighted product space, block by block: block
     i resolves on its own at ``gamma / w_i``, ``B`` acts on every block and
     ``V`` is the consensus subspace."""
-    space, w = prob.space, prob.weights
+    space, w = ProductSpace.of(prob), prob.weights
 
     def resolve(gamma, X):
         return np.concatenate([A.resolve(gamma / wi, Xi) for A, wi, Xi

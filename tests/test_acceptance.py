@@ -9,21 +9,21 @@ import time
 import numpy as np
 
 import monosplit as ms
-from monosplit import (InclusionProblem, ProductProblem, ProductSpace,
-                       affine_gradient, audit_projector, build_S, build_T,
-                       certify_averaged, composed_alpha,
+from monosplit import (InclusionProblem, ProductProblem, affine_gradient,
+                       audit_projector, build_S, build_T, composed_alpha,
                        fdr_solve, fpi_explicit_solve, geometric_errors,
                        harmonic_errors, identity_projector, l1_function,
                        linear_monotone, min_over_subspace, normal_cone_box,
-                       parallel_dr2, partial_inverse_resolvent,
-                       partial_inverse_residual, quadratic_function,
-                       quadratic_smooth, span_projector, subdifferential_abs,
+                       parallel_dr2, quadratic_function, quadratic_smooth,
+                       span_projector, subdifferential_abs,
                        sum_splitting_solve, zero_mean_projector,
                        zero_operator)
 from monosplit.cli import EXIT_INVALID, main
 from conftest import (fpi_unit_step_reference, kkt_solution, lifted_problem,
                       lifted_trace, random_spd, random_subspace_projector,
                       relative_memberships, trace_deviation)
+from theory import (ProductSpace, certify_averaged, partial_inverse_resolvent,
+                    partial_inverse_residual)
 
 
 def _report(criterion, name, ok, detail=""):
@@ -177,7 +177,7 @@ def test_criterion_5_product_space_fidelity():
     kw = dict(gamma=0.5, relaxation=0.8, tol=-1.0, max_iters=200, trace=True)
     direct = sum_splitting_solve(prob, z0=Z0, **kw)
     lifted = fdr_solve(lifted_problem(prob), z0=Z0.reshape(-1), **kw)
-    reference = lifted_trace(prob.space, 0.5, lifted.trace)
+    reference = lifted_trace(ProductSpace.of(prob), 0.5, lifted.trace)
     dev = max(max(np.max(np.abs(xd - xl)), np.max(np.abs(Zd - Zl)))
               for (xd, Zd), (xl, Zl) in zip(direct.trace, reference))
 
@@ -191,7 +191,7 @@ def test_criterion_5_product_space_fidelity():
     median_prob = ProductProblem(median_blocks)
     med = sum_splitting_solve(median_prob, gamma=1.0, tol=1e-10)
     lifted_run = fdr_solve(lifted_problem(median_prob), gamma=1.0, tol=1e-10)
-    xbar = median_prob.space.unlift(lifted_run.x, tol=1e-9)  # raises if off-diagonal
+    xbar = ProductSpace.of(median_prob).unlift(lifted_run.x, tol=1e-9)  # raises if off-diagonal
     cert = sum_splitting_solve(median_prob, gamma=1.0, max_iters=0,
                                z0=lifted_run.x - lifted_run.y)
     median_gap = max(abs(med.final[0] - 1.0), abs(xbar[0] - 1.0))

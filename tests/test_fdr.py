@@ -3,8 +3,7 @@ import pytest
 
 import monosplit as ms
 from monosplit import (ErrorSchedule, InclusionProblem,
-                       affine_gradient, build_S, build_T,
-                       characterization_check, certify_averaged, fdr_solve,
+                       affine_gradient, build_S, build_T, fdr_solve,
                        geometric_errors, identity_projector, km_solve,
                        normal_cone_box, normal_cone_of_subspace,
                        span_projector, zero_cocoercive, zero_operator,
@@ -13,6 +12,7 @@ from monosplit.fdr import averagedness, check_gamma
 from monosplit.operators import ResolventFamily
 from monosplit.productspace import (ProductProblem, sum_splitting_pi,
                                     sum_splitting_solve)
+from theory import certify_averaged, characterization_check
 
 
 def box_identity_problem():

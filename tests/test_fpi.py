@@ -11,6 +11,7 @@ from monosplit import (InclusionProblem, OracleError, ScaledResolventOracle,
 from conftest import (counting_problem, fpi_unit_step_reference, random_spd,
                       random_subspace_projector, relative_memberships,
                       trace_deviation)
+from theory import partial_inverse_resolvent
 
 
 def box_identity_problem():
@@ -93,6 +94,26 @@ def test_fpi_solve_epsilon_sets_every_range():
             fpi_solve(prob, gamma=1.0, steps=steps, oracle=oracle, epsilon=0.5)
         assert str(e.value) == (f"step value {steps(0)} at n=0 outside admissible range "
                                 "[epsilon, 2*beta/gamma - epsilon] = [0.5, 1.5]")
+
+
+def test_every_partial_inverse_form_rejects_a_nonpositive_epsilon():
+    # epsilon = 0 admitted lambda = 0, a run that never moves, and epsilon < 0
+    # a negative relaxation that blew up; both forms now reject them as
+    # fpi_solve does, with its message
+    prob = box_identity_problem()
+    for epsilon, lam in ((0.0, 0.0), (-1.0, -0.5)):
+        messages = []
+        for solve in (fpi_solve, fpi_explicit_solve):
+            with pytest.raises(ValueError) as e:
+                solve(prob, gamma=1.0, relaxation=lam, epsilon=epsilon)
+            messages.append(str(e.value))
+        assert messages == [f"epsilon must lie in ]0, max(1, beta/gamma)[ = "
+                            f"]0, 1.0[; got {epsilon}"] * 2
+    sum_prob = ms.ProductProblem([prob.A, subdifferential_abs(2)], prob.B)
+    with pytest.raises(ValueError) as e:
+        ms.sum_splitting_pi(sum_prob, gamma=1.0, relaxation=0.0, epsilon=0.0)
+    assert str(e.value) == ("epsilon must lie in ]0, max(1, beta/gamma)[ = "
+                            "]0, 1.0[; got 0.0")
 
 
 def test_step_schedules_are_not_relaxations():
@@ -340,7 +361,7 @@ def test_reflected_fixed_point_is_zero_of_partial_inverse_sum():
     z = res.x - gamma * res.y
     r = prob.V.reflect(z)
     forward = gamma * prob.V(prob.B(prob.V(r)))
-    step = ms.partial_inverse_resolvent(prob.A, prob.V, gamma, r - forward)
+    step = partial_inverse_resolvent(prob.A, prob.V, gamma, r - forward)
     assert np.linalg.norm(step - r) <= 1e-10
 
 

@@ -9,7 +9,7 @@ from monosplit import (AveragedOperator, ErrorSchedule, InclusionProblem,
                        linear_monotone, parallel_dr2, polynomial_relaxation,
                        span_projector, sum_splitting_solve, zero_cocoercive,
                        zero_operator)
-from monosplit.km import per_operator_decay_diagnostic
+from theory import per_operator_decay_diagnostic
 
 
 def proj_op(v):

@@ -5,15 +5,15 @@ import pytest
 import scipy.linalg
 
 from monosplit import (AveragedOperator, CocoerciveMap, affine_gradient,
-                       audit_firm_nonexpansiveness, certify_averaged,
                        identity_projector, linear_monotone, normal_cone_box,
-                       normal_cone_of_subspace, partial_inverse_resolvent,
-                       partial_inverse_residual, span_projector,
-                       quadratic_smooth, subdifferential_abs,
-                       translate_operator, zero_cocoercive, zero_operator,
-                       zero_projector)
+                       normal_cone_of_subspace, span_projector,
+                       quadratic_smooth, subdifferential_abs, zero_cocoercive,
+                       zero_operator, zero_projector)
 from monosplit.operators import _CachedAffineSolve, _clamp
 from conftest import matrix_layouts, random_spd, random_subspace_projector
+from theory import (audit_cocoercivity, audit_firm_nonexpansiveness,
+                    certify_averaged, partial_inverse_resolvent,
+                    partial_inverse_residual, translate_operator)
 
 
 def test_reflected_resolvent_zero_operator(rng):
@@ -248,8 +248,6 @@ def test_affine_gradient_validation():
 
 
 def test_audit_cocoercivity_on_subspace(rng):
-    from monosplit import audit_cocoercivity
-    from conftest import random_subspace_projector
     # a map that is cocoercive on a subspace but not globally: double the
     # off-subspace component, identity on the subspace
     P = random_subspace_projector(rng, 4, rank=2)
@@ -262,7 +260,6 @@ def test_audit_cocoercivity_on_subspace(rng):
 
 
 def test_audit_cocoercivity_affine(rng):
-    from monosplit import audit_cocoercivity
     B = affine_gradient(np.diag([1.0, 4.0]))
     assert audit_cocoercivity(B, samples=300).passed
 

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 import monosplit as ms
-from monosplit import (InclusionProblem, ProductProblem, ProductSpace,
-                       ResolventFamily, affine_gradient, audit_cocoercivity,
-                       audit_projector, fdr_solve, identity_projector,
-                       linear_monotone, normal_cone_box, parallel_dr2,
-                       subdifferential_abs, sum_splitting_pi,
-                       sum_splitting_solve, translate_operator,
-                       zero_cocoercive, zero_operator)
+from monosplit import (InclusionProblem, ProductProblem, ResolventFamily,
+                       affine_gradient, audit_projector, fdr_solve,
+                       identity_projector, linear_monotone, normal_cone_box,
+                       parallel_dr2, subdifferential_abs, sum_splitting_pi,
+                       sum_splitting_solve, zero_cocoercive, zero_operator)
 from conftest import (lifted_errors, lifted_problem, lifted_trace,
                       pi_sum_reference)
+from theory import ProductSpace, audit_cocoercivity, translate_operator
 
 
 def test_lift_unlift_roundtrip():
@@ -157,7 +156,7 @@ def test_lifted_forward_map_preserves_diagonal(rng):
     # diagonal is invariant and the cocoercivity constant carries over
     B = affine_gradient(np.diag([1.0, 2.0]), np.array([0.5, -0.5]))
     prob = ProductProblem([zero_operator(2)] * 3, B, weights=[0.2, 0.3, 0.5])
-    space, lifted = prob.space, lifted_problem(prob).B
+    space, lifted = ProductSpace.of(prob), lifted_problem(prob).B
     assert lifted.beta == B.beta
     for _ in range(10):
         x = rng.standard_normal(2)
@@ -207,7 +206,7 @@ def test_lifted_fdr_matches_direct_loop(rng):
                   trace=True)
         direct = sum_splitting_solve(prob, z0=Z0, **kw)
         lifted = fdr_solve(lifted_problem(prob), z0=Z0.reshape(-1), **kw)
-        reference = lifted_trace(prob.space, 0.4, lifted.trace)
+        reference = lifted_trace(ProductSpace.of(prob), 0.4, lifted.trace)
         assert len(direct.trace) == len(reference)
         for (x_d, Z_d), (x_l, Z_l) in zip(direct.trace, reference):
             np.testing.assert_allclose(x_d, x_l, atol=1e-12)
@@ -240,10 +239,10 @@ def test_lifted_fdr_matches_direct_with_errors(rng):
     bs = [ms.geometric_errors(1, 0.2, 0.4), ms.geometric_errors(1, 0.1, 0.6)]
     kw = dict(gamma=0.5, tol=-1.0, max_iters=100, trace=True)
     direct = sum_splitting_solve(prob, a_errors=a, b_errors=bs, **kw)
-    a_lift, b_lift = lifted_errors(prob.space, a, bs)
+    a_lift, b_lift = lifted_errors(ProductSpace.of(prob), a, bs)
     lifted = fdr_solve(lifted_problem(prob), a_errors=a_lift, b_errors=b_lift,
                        **kw)
-    reference = lifted_trace(prob.space, 0.5, lifted.trace)
+    reference = lifted_trace(ProductSpace.of(prob), 0.5, lifted.trace)
     assert len(direct.trace) == len(reference)
     for (x_d, Z_d), (x_l, Z_l) in zip(direct.trace, reference):
         np.testing.assert_allclose(x_d, x_l, atol=1e-12)
@@ -425,7 +424,7 @@ def test_solution_transfer_from_lifted_run():
     prob = ProductProblem(blocks)
     res = fdr_solve(lifted_problem(prob), gamma=1.0, tol=1e-10)
     assert res.status == ms.CONVERGED
-    np.testing.assert_allclose(prob.space.unlift(res.x), [1.0], atol=1e-6)
+    np.testing.assert_allclose(ProductSpace.of(prob).unlift(res.x), [1.0], atol=1e-6)
     # the final lifted blocks z = x - gamma y, handed to the direct loop with
     # no iteration budget, carry the base-space certificate
     cert = sum_splitting_solve(prob, gamma=1.0, z0=res.x - res.y, max_iters=0)
@@ -479,11 +478,11 @@ def test_block_errors_on_a_subset_of_blocks(rng):
     kw = dict(gamma=0.4, relaxation=0.8, tol=-1.0, max_iters=120, trace=True)
     Z0 = rng.standard_normal((prob.m, d))
     direct = sum_splitting_solve(prob, b_errors=[None, e, None], z0=Z0, **kw)
-    a_lift, b_lift = lifted_errors(prob.space, ms.no_errors(d),
+    a_lift, b_lift = lifted_errors(ProductSpace.of(prob), ms.no_errors(d),
                                    [ms.no_errors(d), e, ms.no_errors(d)])
     lifted = fdr_solve(lifted_problem(prob), a_errors=a_lift, b_errors=b_lift,
                        z0=Z0.reshape(-1), **kw)
-    reference = lifted_trace(prob.space, 0.4, lifted.trace)
+    reference = lifted_trace(ProductSpace.of(prob), 0.4, lifted.trace)
     assert len(direct.trace) == len(reference)
     for (x_d, Z_d), (x_l, Z_l) in zip(direct.trace, reference):
         np.testing.assert_allclose(x_d, x_l, atol=1e-12)

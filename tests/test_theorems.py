@@ -1,0 +1,115 @@
+"""The paper's structural results as properties of randomly drawn problems.
+
+Each example builds ``0 in A x + B x + N_V x`` from a drawn seed: ``A`` the
+normal cone of a random box (or ``A = 0``), ``B x = Q x - b`` with ``Q``
+from ``random_spd``, ``V`` from ``random_subspace_projector`` (or the whole
+space), ``gamma in ]0, 2 beta[`` and a constant relaxation.  The oracles are
+the literal recursions of ``conftest`` and the verifiers of ``theory``.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from monosplit import (AveragedOperator, InclusionProblem, affine_gradient,
+                       build_S, build_T, fdr_solve, fpi_explicit_solve,
+                       identity_projector, normal_cone_box, zero_operator)
+from monosplit.fdr import averagedness
+from conftest import (fpi_unit_step_reference, kkt_solution, random_spd,
+                      random_subspace_projector, trace_deviation)
+from theory import certify_averaged
+
+ITERS = 60
+
+
+@st.composite
+def problems(draw, zero_A=False, whole_space=False):
+    """``(prob, gamma, Q, b, rng)``; ``rng`` goes on to draw starting points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(2, 6))
+    if zero_A:
+        A = zero_operator(dim)
+    else:
+        A = normal_cone_box(-np.abs(rng.standard_normal(dim)) - 0.1,
+                            np.abs(rng.standard_normal(dim)) + 0.1)
+    Q, b = random_spd(rng, dim), 2.0 * rng.standard_normal(dim)
+    V = identity_projector(dim) if whole_space else random_subspace_projector(rng, dim)
+    prob = InclusionProblem(A, affine_gradient(Q, b), V)
+    gamma = draw(st.floats(0.02, 0.98)) * 2.0 * prob.beta
+    return prob, gamma, Q, b, rng
+
+
+def open_relaxations(prob, gamma):
+    """Constant relaxations across ``]0, 1/alpha[``."""
+    return st.floats(0.02, 0.98).map(lambda f: f / averagedness(gamma, prob.beta))
+
+
+def rises(values, floor=1e-9, slack=1e-12):
+    """The steps at which ``values`` rose while above ``floor``.  A rise within
+    ``slack`` (relative) is round-off: a residual that is constant in exact
+    arithmetic, as while every clamp of the box is saturated, moves by about
+    1e-14 relative in floats."""
+    return [n for n in range(len(values) - 1)
+            if values[n] > floor and values[n + 1] > values[n] * (1.0 + slack)]
+
+
+@given(problems(), st.floats(0.02, 1.0))
+def test_fdr_and_fpi_traces_follow_the_unit_step_recursion(case, lam):
+    prob, gamma, _, _, rng = case
+    x0 = prob.V(rng.standard_normal(prob.dim))
+    y0 = prob.V.complement(rng.standard_normal(prob.dim))
+    reference = fpi_unit_step_reference(prob, gamma, lam, x0, y0, ITERS)
+    kw = dict(gamma=gamma, relaxation=lam, tol=-1.0, max_iters=ITERS, trace=True)
+    fdr = fdr_solve(prob, z0=x0 - gamma * y0, **kw)
+    fpi = fpi_explicit_solve(prob, x0=x0, y0=y0, **kw)
+    assert trace_deviation(fdr.trace, reference) <= 1e-10
+    assert trace_deviation(fpi.trace, reference) <= 1e-10
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_residuals_never_increase_under_constant_relaxation(data):
+    prob, gamma, _, _, rng = data.draw(problems())
+    lam = data.draw(open_relaxations(prob, gamma))
+    res = fdr_solve(prob, gamma=gamma, relaxation=lam, tol=-1.0,
+                    max_iters=3 * ITERS, z0=3.0 * rng.standard_normal(prob.dim))
+    assert rises([row.residual for row in res.history]) == []
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_iterates_are_fejer_monotone_toward_the_kkt_solution(data):
+    # with A = 0 the only fixed point is z* = x*, the minimizer of
+    # x'Qx/2 - b'x over V, and its dual is 0
+    prob, gamma, Q, b, rng = data.draw(problems(zero_A=True))
+    lam = data.draw(open_relaxations(prob, gamma))
+    res = fdr_solve(prob, gamma=gamma, relaxation=lam, tol=-1.0,
+                    max_iters=3 * ITERS, z0=3.0 * rng.standard_normal(prob.dim),
+                    trace=True)
+    z_star = kkt_solution(Q, b, prob.V)
+    distances = [float(np.linalg.norm(x - gamma * y - z_star)) for x, y in res.trace]
+    assert rises([row.residual for row in res.history]) == []
+    assert rises(distances) == []
+
+
+@given(problems())
+def test_composition_is_averaged_with_the_declared_constant(case):
+    # a constant declared 0.8 times too small fails about every second draw
+    prob, gamma, _, _, _ = case
+    T = build_T(prob.A, prob.V, gamma)
+    S = build_S(prob.B, prob.V, gamma)
+    TS = AveragedOperator(lambda z: T(S(z)), averagedness(gamma, prob.beta),
+                          prob.dim)
+    report = certify_averaged(TS, samples=300)
+    assert report.passed, report
+
+
+@given(st.data())
+def test_whole_space_fdr_is_forward_backward(data):
+    prob, gamma, _, _, rng = data.draw(problems(whole_space=True))
+    lam = data.draw(open_relaxations(prob, gamma))
+    x = 3.0 * rng.standard_normal(prob.dim)
+    res = fdr_solve(prob, gamma=gamma, relaxation=lam, z0=x, tol=-1.0,
+                    max_iters=ITERS, trace=True)
+    for xn, _ in res.trace:
+        assert np.max(np.abs(xn - x)) <= 1e-12 * (1.0 + np.max(np.abs(x)))
+        x = x + lam * (prob.A.resolve(gamma, x - gamma * prob.B(x)) - x)

@@ -6,10 +6,10 @@ from monosplit import (box_function, l1_function, min_over_subspace,
                        prox_indicator_box, prox_l1, quadratic_function,
                        quadratic_smooth, zero_function,
                        zero_mean_projector, zero_smooth)
-from monosplit.operators import audit_firm_nonexpansiveness
 from monosplit.variational import advisory_existence_probe
 from conftest import (kkt_solution, matrix_layouts, random_spd,
                       random_subspace_projector)
+from theory import audit_firm_nonexpansiveness
 
 
 def test_prox_l1_golden_values():
