@@ -52,14 +52,16 @@ class OracleError(RuntimeError):
 class StepSchedule(ScalarSchedule):
     """Sequence of proximal scalings ``delta_n`` for the partial-inverse step.
 
-    Admissible values lie in ``[epsilon, 2*beta/gamma - epsilon]`` for the
-    ``epsilon in ]0, max(1, beta/gamma)[`` that :func:`fpi_solve` checks;
-    they are audited and checked by :meth:`ScalarSchedule.checked`.
+    Admissible values lie in ``[epsilon, 2*beta/gamma - epsilon]`` for an
+    ``epsilon in ]0, max(1, beta/gamma)[``; ``validate`` rejects any other
+    ``epsilon``, and the values are audited and checked by
+    :meth:`ScalarSchedule.checked`.
     """
 
     __slots__ = ()
 
     def validate(self, gamma, beta, epsilon=DEFAULT_EPSILON):
+        _check_epsilon(epsilon, gamma, beta)
         hi = 2.0 * beta / gamma - epsilon
         if epsilon > hi:
             raise ValueError(
@@ -181,7 +183,6 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     epsilon = float(epsilon)
-    _check_epsilon(epsilon, gamma, beta)
     step_sched = as_steps(steps)
     delta_at = step_sched.validate(gamma, beta, epsilon)
     if oracle is None:

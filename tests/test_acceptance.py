@@ -191,7 +191,7 @@ def test_criterion_5_product_space_fidelity():
     median_prob = ProductProblem(median_blocks)
     med = sum_splitting_solve(median_prob, gamma=1.0, tol=1e-10)
     lifted_run = fdr_solve(lifted_problem(median_prob), gamma=1.0, tol=1e-10)
-    xbar = ProductSpace.of(median_prob).unlift(lifted_run.x, tol=1e-9)  # raises if off-diagonal
+    xbar = ProductSpace.of(median_prob).unlift(lifted_run.x)  # raises if off-diagonal
     cert = sum_splitting_solve(median_prob, gamma=1.0, max_iters=0,
                                z0=lifted_run.x - lifted_run.y)
     median_gap = max(abs(med.final[0] - 1.0), abs(xbar[0] - 1.0))
@@ -276,8 +276,8 @@ def test_criterion_8_averagedness_certificates():
     gamma = 1.2 * prob.beta  # inside ]0, 2 beta[, beyond the midpoint
     T = build_T(prob.A, prob.V, gamma)
     S = build_S(prob.B, prob.V, gamma)
-    rT = certify_averaged(T, samples=1000, tol=1e-9)
-    rS = certify_averaged(S, samples=1000, tol=1e-9)
+    rT = certify_averaged(T, samples=1000)
+    rS = certify_averaged(S, samples=1000)
     ok = exact and rT.passed and rS.passed and T.alpha == 0.5 \
         and S.alpha == gamma / (2.0 * prob.beta)
     _report(8, "averagedness constants and sampled certificates",

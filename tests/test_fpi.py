@@ -25,8 +25,9 @@ def test_step_schedule_validation():
     constant_steps(1.0).validate(1.0, 1.0)
     with pytest.raises(ValueError, match="outside admissible range"):
         constant_steps(3.0).validate(1.0, 1.0)  # 2*beta/gamma - eps = 2 - eps
-    with pytest.raises(ValueError, match="epsilon"):
-        constant_steps(1.0).validate(1.0, 1.0, epsilon=2.0)
+    for epsilon in (2.0, 0.0, -1.0):
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \]0, max\(1, beta/gamma\)\["):
+            constant_steps(1.0).validate(1.0, 1.0, epsilon=epsilon)
 
 
 def _count_generator_calls(schedule):

@@ -148,7 +148,7 @@ def test_builtins_firmly_nonexpansive(rng):
         linear_monotone(np.diag([0.5, 1.0, 4.0]) + skew),
     ]
     for A in families:
-        report = audit_firm_nonexpansiveness(A, samples=334, tol=1e-9)
+        report = audit_firm_nonexpansiveness(A, samples=334)
         assert report.passed, (A, report)
         assert report.samples >= 1000
 

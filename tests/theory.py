@@ -10,7 +10,6 @@ import numpy as np
 
 from monosplit import (InnerProduct, ResolventFamily, SubspaceProjector,
                        as_vector, build_S, build_T)
-from monosplit.km import as_relaxation
 from monosplit.productspace import _check_weights
 
 
@@ -42,26 +41,26 @@ class SampleAudit:
     samples: int
 
 
-def _sample_pairs(violations, dim, samples, tol, seed, scale):
+def _sample_pairs(violations, dim, samples):
     """Worst of ``violation(x, y)`` over ``samples`` random pairs for each
-    violation in turn, every pair drawn from one generator."""
-    rng = np.random.default_rng(seed)
+    violation in turn, every pair drawn from one seeded generator; the audit
+    passes when the worst violation stays below 1e-9."""
+    rng = np.random.default_rng(0)
     worst = 0.0
     for violation in violations:
         for _ in range(samples):
-            x = scale * rng.standard_normal(dim)
-            y = scale * rng.standard_normal(dim)
+            x = rng.standard_normal(dim)
+            y = rng.standard_normal(dim)
             worst = max(worst, violation(x, y))
-    return SampleAudit(worst <= tol, worst, samples * len(violations))
+    return SampleAudit(worst <= 1e-9, worst, samples * len(violations))
 
 
-def certify_averaged(T, samples=1000, tol=1e-9, seed=0, scale=1.0, inner=None):
+def certify_averaged(T, samples=1000):
     """Sample, at the declared ``alpha``, the averagedness inequality
-    ``||Tx - Ty||^2 <= ||x - y||^2 - ((1 - alpha)/alpha) ||(Id-T)x - (Id-T)y||^2``;
-    it passes when the worst violation stays below ``tol``."""
+    ``||Tx - Ty||^2 <= ||x - y||^2 - ((1 - alpha)/alpha) ||(Id-T)x - (Id-T)y||^2``."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    inner = InnerProduct(T.dim) if inner is None else inner
+    inner = InnerProduct(T.dim)
     ratio = (1.0 - T.alpha) / T.alpha
 
     def violation(x, y):
@@ -69,13 +68,13 @@ def certify_averaged(T, samples=1000, tol=1e-9, seed=0, scale=1.0, inner=None):
         d, r, e = Tx - Ty, (x - Tx) - (y - Ty), x - y
         return inner.dot(d, d) - (inner.dot(e, e) - ratio * inner.dot(r, r))
 
-    return _sample_pairs([violation], T.dim, samples, tol, seed, scale)
+    return _sample_pairs([violation], T.dim, samples)
 
 
-def audit_firm_nonexpansiveness(A, gammas=(0.5, 1.0, 2.0), samples=334,
-                                tol=1e-9, seed=0, scale=1.0, inner=None):
-    """Sample ``<Jx - Jy, x - y> >= ||Jx - Jy||^2`` on random pairs per gamma."""
-    inner = InnerProduct(A.dim) if inner is None else inner
+def audit_firm_nonexpansiveness(A, samples=334):
+    """Sample ``<Jx - Jy, x - y> >= ||Jx - Jy||^2`` on random pairs for
+    gamma = 0.5, 1 and 2."""
+    inner = InnerProduct(A.dim)
 
     def at(gamma):
         def violation(x, y):
@@ -83,11 +82,10 @@ def audit_firm_nonexpansiveness(A, gammas=(0.5, 1.0, 2.0), samples=334,
             return inner.dot(d, d) - inner.dot(d, x - y)
         return violation
 
-    return _sample_pairs([at(g) for g in gammas], A.dim, samples, tol, seed, scale)
+    return _sample_pairs([at(g) for g in (0.5, 1.0, 2.0)], A.dim, samples)
 
 
-def audit_cocoercivity(B, samples=300, tol=1e-9, seed=0, scale=1.0,
-                       projector=None, inner=None):
+def audit_cocoercivity(B, samples=300, projector=None, inner=None):
     """Sample ``<x - y, Bx - By> >= beta ||Bx - By||^2`` at the declared beta,
     on pairs projected onto the subspace of ``projector`` when given."""
     if inner is None:
@@ -99,7 +97,7 @@ def audit_cocoercivity(B, samples=300, tol=1e-9, seed=0, scale=1.0,
         d = B(x) - B(y)
         return B.beta * inner.dot(d, d) - inner.dot(x - y, d)
 
-    return _sample_pairs([violation], B.dim, samples, tol, seed, scale)
+    return _sample_pairs([violation], B.dim, samples)
 
 
 def translate_operator(A, c):
@@ -131,16 +129,15 @@ def characterization_check(prob, gamma, z):
     return CharacterizationReport(fixed_point, inclusion, x, y)
 
 
-def per_operator_decay_diagnostic(ops, result, relaxation=1.0, reference=None):
-    """The sums ``sum_n lambda_n ||(Id - T_i) C_i z_n - (Id - T_i) C_i zbar||^2``,
-    ``C_i = T_{i+1} ... T_m``, over a traced run, with the final iterate (or
-    ``reference``) for the limit ``zbar``."""
+def per_operator_decay_diagnostic(ops, result):
+    """The sums ``sum_n ||(Id - T_i) C_i z_n - (Id - T_i) C_i zbar||^2``,
+    ``C_i = T_{i+1} ... T_m``, over a traced run at unit relaxation, with
+    the final iterate for the limit ``zbar``."""
     if result.trace is None:
         raise ValueError("diagnostic requires a run with trace=True")
     ops = list(ops)
     m = len(ops)
-    relax = as_relaxation(relaxation)
-    zbar = result.trace[-1] if reference is None else np.asarray(reference, float)
+    zbar = result.trace[-1]
 
     def chain_tail(i, z):
         u = z
@@ -151,12 +148,11 @@ def per_operator_decay_diagnostic(ops, result, relaxation=1.0, reference=None):
     ref_tail = [chain_tail(i, zbar) for i in range(m)]
     ref_gap = [ref_tail[i] - ops[i](ref_tail[i]) for i in range(m)]
     totals = [0.0] * m
-    for n, z in enumerate(result.trace):
-        lam = relax(n)
+    for z in result.trace:
         for i in range(m):
             t = chain_tail(i, z)
             gap = (t - ops[i](t)) - ref_gap[i]
-            totals[i] += lam * float(np.dot(gap, gap))
+            totals[i] += float(np.dot(gap, gap))
     return totals
 
 
@@ -189,11 +185,12 @@ class ProductSpace:
         blocks = self.split(X)
         return float(np.max(np.abs(blocks - self.weights @ blocks)))
 
-    def unlift(self, X, tol=1e-9):
-        """Base-space point of a diagonal lifted vector; rejects off-diagonal input."""
+    def unlift(self, X):
+        """Base-space point of a diagonal lifted vector; rejects off-diagonal
+        input, a block spread above 1e-9 relative."""
         mean = self.weights @ self.split(X)
         spread = self.diagonal_spread(X)
-        if spread > tol * (1.0 + float(np.max(np.abs(mean), initial=0.0))):
+        if spread > 1e-9 * (1.0 + float(np.max(np.abs(mean), initial=0.0))):
             raise ValueError(
                 f"lifted vector is not diagonal: block spread {spread:.3e} exceeds tolerance"
             )
