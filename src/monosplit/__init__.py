@@ -22,9 +22,8 @@ from .km import (CONVERGED, DIVERGED, MAX_ITERS, ErrorSchedule, IterationRow,
                  km_solve, no_errors, polynomial_relaxation)
 from .fdr import (InclusionProblem, PrimalDualResult, build_S, build_T,
                   fdr_solve)
-from .fpi import (OracleError, ScaledResolventOracle, StepSchedule,
-                  closed_form_oracle, constant_steps, fpi_explicit_solve,
-                  fpi_solve)
+from .fpi import (OracleError, StepSchedule, constant_steps,
+                  fpi_explicit_solve, fpi_solve)
 from .productspace import (ProductProblem, ProductSolveResult, parallel_dr2,
                            sum_splitting_pi, sum_splitting_solve)
 from .variational import (ProxFunction, SmoothFunction, box_function,

@@ -98,7 +98,7 @@ def _num(data, key, errors, path, default=None, required=False):
             errors.append(f"{path}{key}: required field is missing")
         return default
     v = data[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or v != v:
         errors.append(f"{path}{key}: expected a number, got {v!r}")
         return default
     return float(v)
@@ -340,6 +340,9 @@ def _init(desc, shape, keys, errors, default_kind=None):
         return lambda rng: np.zeros(shape)
     if kind == "random":
         scale = _num(desc, "scale", errors, "init.", default=1.0)
+        if not np.isfinite(scale):
+            errors.append(f"init.scale: must be finite, got {scale}")
+            return None
         return lambda rng: scale * rng.standard_normal(shape)
     if kind != "value":
         errors.append(f"init.kind: unknown init kind {kind!r}; "
@@ -352,6 +355,9 @@ def _init(desc, shape, keys, errors, default_kind=None):
             errors.append(f"init.{keys[0]}: expected {shape[0]} vectors "
                           f"of length {shape[1]}")
             return None
+        if not np.isfinite(v).all():
+            errors.append(f"init.{keys[0]}: vectors have non-finite entries")
+            return None
     else:
         rows = [_vec(desc.get(k), shape[-1], errors, f"init.{k}") for k in keys]
         if any(r is None for r in rows):
@@ -361,8 +367,8 @@ def _init(desc, shape, keys, errors, default_kind=None):
 
 
 def _positive(value, errors, path):
-    if value is not None and value <= 0:
-        errors.append(f"{path}: must be positive, got {value}")
+    if value is not None and not 0 < value < np.inf:
+        errors.append(f"{path}: must be positive and finite, got {value}")
         return False
     return True
 
@@ -390,7 +396,7 @@ def _build_fdr(data, dim, errors, variational_mode=False):
     if variational_mode:
         f = _required(data, "f", "prox", dim, errors)
         g = _required(data, "g", "smooth", dim, errors)
-        B = None if g is None else _check(errors, "g", g.as_cocoercive)
+        B = None if g is None else g.as_cocoercive()
     else:
         A = _required(data, "A", "operator", dim, errors)
         B = _build("forward-map", data.get("B", _ZERO_B), dim, errors, "B")

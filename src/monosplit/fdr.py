@@ -213,7 +213,7 @@ def fdr_solve(prob, gamma=None, relaxation=1.0, a_errors=None, b_errors=None,
 
 
 def _fdr_run(prob, gamma, lam_at, z, tol, max_iters, log_every, trace,
-             objective, a_errors=None, b_errors=None):
+             objective=None, a_errors=None, b_errors=None):
     """The iteration of :func:`fdr_solve` from ``z``, with ``gamma``, the
     relaxations ``lam_at`` and the error schedules already checked."""
     A, B, V = prob.A, prob.B, prob.V

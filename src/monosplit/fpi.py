@@ -21,8 +21,6 @@ recursion on the traces of :func:`fpi_explicit_solve`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, ScalarSchedule, _constant_schedule,
@@ -33,16 +31,15 @@ from .spaces import as_vector
 __all__ = [
     "DEFAULT_EPSILON",
     "StepSchedule",
-    "ScaledResolventOracle",
     "OracleError",
     "constant_steps",
-    "as_steps",
-    "closed_form_oracle",
     "fpi_solve",
     "fpi_explicit_solve",
 ]
 
 DEFAULT_EPSILON = 1e-3
+# relative tolerance on a user oracle's sum identity and scaled inclusion
+ORACLE_TOL = 1e-9
 
 
 class OracleError(RuntimeError):
@@ -88,43 +85,6 @@ def constant_steps(value):
     return _constant_schedule(StepSchedule, value)
 
 
-def as_steps(value):
-    return value if isinstance(value, StepSchedule) else constant_steps(value)
-
-
-@dataclass(frozen=True)
-class ScaledResolventOracle:
-    """Step-1 solver: ``solve_step1(x, y, delta, gamma, PBx) -> (p, q)``.
-
-    ``PBx`` is the step's ``P_V B x``, evaluated once by the solver.  The
-    pair must satisfy the sum identity
-    ``x - delta*gamma*P_V B x + gamma*y = p + gamma*q`` and the scaled
-    inclusion of the partial-inverse step; both are verified per iteration
-    through the resolvent of ``A`` whenever a user oracle is in play.
-    """
-    solve_step1: object
-
-
-def closed_form_oracle(prob):
-    """Built-in Step-1 solver for ``delta = 1``: with
-    ``s = x - gamma P_V B x + gamma y``, take ``p = J_{gamma A} s`` and
-    ``q = (s - p)/gamma``."""
-    A = prob.A
-
-    def solve_step1(x, y, delta, gamma, PBx):
-        if abs(delta - 1.0) > 1e-12:
-            raise ValueError(
-                "the built-in Step 1 closed form only covers delta = 1; "
-                "supply a ScaledResolventOracle for varying steps"
-            )
-        s = x - gamma * PBx + gamma * y
-        p = A.resolve(gamma, s)
-        q = (s - p) / gamma
-        return p, q
-
-    return ScaledResolventOracle(solve_step1)
-
-
 def _start(prob, x0, y0, tol=1e-9):
     """The starting pair, each point the origin when not given; a given
     ``x0`` outside V or ``y0`` outside its complement is rejected."""
@@ -144,8 +104,7 @@ def _start(prob, x0, y0, tol=1e-9):
 
 def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
               x0=None, y0=None, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS,
-              epsilon=DEFAULT_EPSILON, oracle_tol=1e-9, log_every=1,
-              trace=False, objective=None):
+              epsilon=DEFAULT_EPSILON, log_every=1, trace=False):
     """Solve the inclusion by the forward-partial-inverse routine.
 
     Parameters
@@ -160,17 +119,20 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
         schedule needs a user ``oracle``.
     relaxation : float or RelaxationSchedule
         Relaxations ``lambda_n`` in ``[epsilon, 1]``.
-    oracle : ScaledResolventOracle, optional
-        User Step-1 solver.  Its output is verified each iteration (sum
-        identity plus the scaled inclusion, via the resolvent residual of
-        ``A``); violations above ``oracle_tol`` abort with
+    oracle : callable, optional
+        User Step-1 solver ``oracle(x, y, delta, gamma, PBx) -> (p, q)``,
+        handed the step's ``P_V B x``.  The pair must satisfy the sum
+        identity ``x - delta*gamma*PBx + gamma*y = p + gamma*q`` and the
+        scaled inclusion of the partial-inverse step; both are verified each
+        iteration (the inclusion via the resolvent residual of ``A``), and
+        violations above ``ORACLE_TOL`` relative abort with
         :class:`OracleError`.
     epsilon : float
         The ``epsilon`` of both the step and the relaxation ranges.
     x0, y0 : array_like, optional
         Starting points; ``x0`` must lie in the subspace and ``y0`` in its
         orthogonal complement (both default to the origin).
-    tol, max_iters, log_every, trace, objective : see ``fdr_solve``.
+    tol, max_iters, log_every, trace : see ``fdr_solve``.
 
     Returns
     -------
@@ -183,18 +145,18 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     epsilon = float(epsilon)
-    step_sched = as_steps(steps)
+    step_sched = steps if isinstance(steps, StepSchedule) else constant_steps(steps)
     delta_at = step_sched.validate(gamma, beta, epsilon)
     if oracle is None:
         if step_sched.constant_value != 1.0:
             raise ValueError(
-                "varying or non-unit step schedules require a user "
-                "ScaledResolventOracle; the built-in closed form covers delta = 1 only"
+                "varying or non-unit step schedules require a user oracle; "
+                "the built-in closed form covers delta = 1 only"
             )
         return fpi_explicit_solve(prob, gamma=gamma, relaxation=relaxation,
                                   x0=x0, y0=y0, tol=tol, max_iters=max_iters,
                                   epsilon=epsilon, log_every=log_every,
-                                  trace=trace, objective=objective)
+                                  trace=trace)
     lam_at = as_relaxation(relaxation).validate_closed(epsilon, 1.0)
 
     def step(n, state):
@@ -202,14 +164,14 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
         delta = delta_at(n)
         PBx = V(B(x))
         target = x - delta * gamma * PBx + gamma * y
-        p, q = oracle.solve_step1(x, y, delta, gamma, PBx)
+        p, q = oracle(x, y, delta, gamma, PBx)
         sum_gap = inner.norm(target - (p + gamma * q))
         Pp, Pq = V(p), V(q)
         u = Pp + (p - Pp) / delta
         w = Pq / delta + (q - Pq)
         inclusion_gap = inner.norm(u - A.resolve(1.0, u + w))
-        if (sum_gap > oracle_tol * (1.0 + inner.norm(target))
-                or inclusion_gap > oracle_tol * (1.0 + inner.norm(u))):
+        if (sum_gap > ORACLE_TOL * (1.0 + inner.norm(target))
+                or inclusion_gap > ORACLE_TOL * (1.0 + inner.norm(u))):
             raise OracleError(
                 f"Step 1 oracle residuals too large at iteration {n}: "
                 f"sum identity {sum_gap:.3e}, scaled inclusion {inclusion_gap:.3e}"
@@ -222,13 +184,12 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
     log = _RowLog(V)
     return log.result(_iterate(_start(prob, x0, y0), step, lam_at, tol,
                                max_iters, log_every, trace, inner.norm,
-                               objective, log_dy=True, on_row=log))
+                               log_dy=True, on_row=log))
 
 
 def fpi_explicit_solve(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
                        tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS,
-                       epsilon=DEFAULT_EPSILON, log_every=1, trace=False,
-                       objective=None):
+                       epsilon=DEFAULT_EPSILON, log_every=1, trace=False):
     """Explicit unit-step forward-partial-inverse routine.
 
     Its iterates are those of the recursion
@@ -252,4 +213,4 @@ def fpi_explicit_solve(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
     lam_at = as_relaxation(relaxation).validate_closed(epsilon, 1.0)
     x, y = _start(prob, x0, y0)
     return _fdr_run(prob, gamma, lam_at, x - gamma * y, tol, max_iters,
-                    log_every, trace, objective)
+                    log_every, trace)

@@ -203,16 +203,14 @@ class ErrorSchedule:
     while its ``generator`` and ``bound`` are the ones it was made with.
     """
 
-    __slots__ = ("generator", "bound", "summable", "dim", "label", "_zero",
-                 "_scaled")
+    __slots__ = ("generator", "bound", "summable", "dim", "label", "_scaled")
 
-    def __init__(self, generator, bound, summable, dim, label="", zero=False):
+    def __init__(self, generator, bound, summable, dim, label=""):
         self.generator = generator
         self.bound = bound
         self.summable = bool(summable)
         self.dim = int(dim)
         self.label = label
-        self._zero = bool(zero)
         self._scaled = None
 
     def __call__(self, n):
@@ -220,7 +218,7 @@ class ErrorSchedule:
 
     def active(self, n):
         """Whether the error at iteration ``n`` can be nonzero."""
-        return not self._zero and self.bound(n) != 0.0
+        return self.bound(n) != 0.0
 
     def validate(self, norm=None):
         if norm is None:
@@ -274,7 +272,7 @@ def no_errors(dim):
     """Error-free schedule."""
     z = np.zeros(dim)
     return _mark_scaled(ErrorSchedule(lambda n: z, lambda n: 0.0, True, dim,
-                                      label="zero", zero=True))
+                                      label="zero"))
 
 
 def _unit(direction, dim):
@@ -295,14 +293,14 @@ def geometric_errors(dim, magnitude, rate, direction=None):
     """
     magnitude = float(magnitude)
     rate = float(rate)
-    if magnitude < 0.0 or rate < 0.0:
-        raise ValueError("magnitude and rate must be nonnegative")
+    if not (0.0 <= magnitude < math.inf and 0.0 <= rate < math.inf):
+        raise ValueError("magnitude and rate must be nonnegative and finite, "
+                         f"got {magnitude} and {rate}")
     u = _unit(direction, dim)
     return _mark_scaled(ErrorSchedule(lambda n: magnitude * rate ** n * u,
                                       lambda n: magnitude * rate ** n,
                                       summable=rate < 1.0, dim=dim,
-                                      label=f"geometric(r={rate})",
-                                      zero=magnitude == 0.0))
+                                      label=f"geometric(r={rate})"))
 
 
 def harmonic_errors(dim, magnitude, direction=None):
@@ -398,6 +396,8 @@ def _iterate(state, step, lam_at, tol, max_iters, log_every, trace, norm,
     """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN; a negative tol disables the test")
     if log_every < 1:
         raise ValueError("log_every must be at least 1")
     rows = []

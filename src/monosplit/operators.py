@@ -15,7 +15,7 @@ import threading
 import numpy as np
 import scipy.linalg
 
-from .spaces import _matvec, as_vector
+from .spaces import _matvec, _square_matrix, as_vector
 
 __all__ = [
     "ResolventFamily",
@@ -68,7 +68,7 @@ class ResolventFamily:
 
     def __repr__(self):
         tag = f" '{self.label}'" if self.label else ""
-        return f"ResolventFamily(dim={self.dim}{tag})"
+        return f"{type(self).__name__}(dim={self.dim}{tag})"
 
 
 class CocoerciveMap:
@@ -98,7 +98,7 @@ class CocoerciveMap:
 
     def __repr__(self):
         tag = f" '{self.label}'" if self.label else ""
-        return f"CocoerciveMap(dim={self.dim}, beta={self.beta}{tag})"
+        return f"{type(self).__name__}(dim={self.dim}, beta={self.beta}{tag})"
 
 
 class AveragedOperator:
@@ -243,13 +243,11 @@ def linear_monotone(M, b=None, tol=1e-10):
     arbitrary).  The resolvent solves ``(Id + gamma M) z = x - gamma b`` by a
     dense factorization cached per gamma.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"M must be square, got shape {M.shape}")
+    M, largest = _square_matrix(M, "M")
     dim = M.shape[0]
     sym = 0.5 * (M + M.T)
     lo = float(np.linalg.eigvalsh(sym).min())
-    scale = max(1.0, float(np.abs(M).max()))
+    scale = max(1.0, largest)
     if lo < -tol * scale:
         raise ValueError(f"M is not monotone: symmetric part has eigenvalue {lo:.3e}")
     b = np.zeros(dim) if b is None else as_vector(b, dim)
@@ -262,13 +260,11 @@ def linear_monotone(M, b=None, tol=1e-10):
 
 
 def _symmetric_psd(Q, tol):
-    """``Q`` as a float matrix checked square, symmetric and positive
+    """``Q`` as a float matrix checked square, finite, symmetric and positive
     semidefinite (relative to its largest entry), with its eigenvalues and
     whether it is exactly symmetric."""
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ValueError(f"Q must be square, got shape {Q.shape}")
-    scale = max(1.0, float(np.abs(Q).max()))
+    Q, largest = _square_matrix(Q, "Q")
+    scale = max(1.0, largest)
     asymmetry = float(np.abs(Q - Q.T).max())
     if asymmetry > tol * scale:
         raise ValueError("Q must be symmetric")

@@ -205,8 +205,7 @@ def _add_block_errors(P, errors, n):
 
 def sum_splitting_solve(prob, gamma=None, relaxation=1.0, a_errors=None,
                         b_errors=None, z0=None, tol=DEFAULT_TOL,
-                        max_iters=DEFAULT_MAX_ITERS, log_every=1, trace=False,
-                        objective=None):
+                        max_iters=DEFAULT_MAX_ITERS, log_every=1, trace=False):
     """Direct parallel loop for ``0 in sum_i A_i x + B x``.
 
     Per iteration, with ``x_n`` the weighted mean of the blocks,
@@ -234,11 +233,11 @@ def sum_splitting_solve(prob, gamma=None, relaxation=1.0, a_errors=None,
 
     Z = np.zeros((m, d)) if z0 is None else _as_blocks(z0, m, d)
     return _sum_splitting_run(prob, gamma, lam_at, Z, tol, max_iters,
-                              log_every, trace, objective, a_errors, b_errors)[0]
+                              log_every, trace, a_errors, b_errors)[0]
 
 
 def _sum_splitting_run(prob, gamma, lam_at, Z, tol, max_iters, log_every,
-                       trace, objective, a_errors=None, b_errors=None):
+                       trace, a_errors=None, b_errors=None):
     """The loop of :func:`sum_splitting_solve` from the blocks ``Z``, with
     ``gamma``, the relaxations ``lam_at`` and the error schedules already
     checked (``b_errors`` a list of m); returns the result and the final
@@ -263,7 +262,7 @@ def _sum_splitting_run(prob, gamma, lam_at, Z, tol, max_iters, log_every,
         return residual, x, Z, None, lambda lam: Z + lam * D
 
     run = _iterate(Z, step, lam_at, tol, max_iters, log_every, trace,
-                   InnerProduct(d).norm, objective)
+                   InnerProduct(d).norm)
     # assemble the final certificate from an exact (error-free) block step
     x, Z = run.x, run.y
     Bx = prob.B(x)
@@ -341,8 +340,7 @@ def dr2_relaxation(relaxation):
 
 def sum_splitting_pi(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
                      tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS,
-                     epsilon=DEFAULT_EPSILON, log_every=1, trace=False,
-                     objective=None):
+                     epsilon=DEFAULT_EPSILON, log_every=1, trace=False):
     """Partial-inverse form of the parallel sum splitting.
 
     Its iterates are a base primal ``x_n`` and per-block duals ``y_{i,n}``
@@ -378,7 +376,7 @@ def sum_splitting_pi(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
                 f"(violation {drift:.3e})"
             )
     res, Z = _sum_splitting_run(prob, gamma, lam_at, x - gamma * Y, tol,
-                                max_iters, log_every, trace, objective)
+                                max_iters, log_every, trace)
     res.duals = (res.final - Z) / gamma
     if res.trace is not None:
         res.trace = [(xn, (xn - Zn) / gamma) for xn, Zn in res.trace]

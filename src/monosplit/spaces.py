@@ -195,6 +195,18 @@ def span_projector(v, inner=None):
     return SubspaceProjector(apply, v.shape[0], inner, label="span")
 
 
+def _square_matrix(M, name):
+    """``M`` as a float matrix checked square and finite, with its largest
+    absolute entry (0.0 when empty); errors name ``name``."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {M.shape}")
+    largest = float(np.abs(M).max(initial=0.0))  # NaN or inf when an entry is
+    if not math.isfinite(largest):
+        raise ValueError(f"{name} has non-finite entries")
+    return M, largest
+
+
 def _matvec(M, symmetric, b=None):
     """``x -> M @ x``, or ``x -> M @ x - b``, for a square float matrix ``M``.
 
@@ -226,9 +238,7 @@ def matrix_projector(M, inner=None, tol=1e-8):
     :func:`_matvec`); any other, such as a projector self-adjoint only under
     a weighted ``inner``, as ``M @ x``.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"projector matrix must be square, got shape {M.shape}")
+    M, _ = _square_matrix(M, "projector matrix")
     P = SubspaceProjector(_matvec(M, np.array_equal(M, M.T)), M.shape[0], inner,
                           label="matrix")
     audit = audit_projector(P, samples=8, tol=tol)
@@ -249,17 +259,23 @@ def audit_projector(P, samples=32, tol=1e-8, seed=0):
     """Sample the projector invariants on unit-scale points.
 
     Checks ``P(Px) = Px``, ``<Px, y> = <x, Py>`` and linearity, each within
-    ``tol`` (absolute, default 1e-8), and reports the worst violations.
+    ``tol`` (absolute, default 1e-8), and reports the worst violations; a
+    NaN violation is the worst and fails the audit.
     """
     rng = np.random.default_rng(seed)
-    worst_idem = worst_sym = worst_lin = 0.0
+    idem, sym, lin = [], [], []
     for _ in range(samples):
         x = rng.standard_normal(P.dim)
         y = rng.standard_normal(P.dim)
         a = rng.standard_normal()
         Px = P(x)
-        worst_idem = max(worst_idem, P.inner.norm(P(Px) - Px))
-        worst_sym = max(worst_sym, abs(P.inner.dot(Px, y) - P.inner.dot(x, P(y))))
-        worst_lin = max(worst_lin, P.inner.norm(P(a * x + y) - a * Px - P(y)))
-    passed = max(worst_idem, worst_sym, worst_lin) <= tol
-    return ProjectorAudit(passed, worst_idem, worst_sym, worst_lin)
+        idem.append(P.inner.norm(P(Px) - Px))
+        sym.append(abs(P.inner.dot(Px, y) - P.inner.dot(x, P(y))))
+        lin.append(P.inner.norm(P(a * x + y) - a * Px - P(y)))
+    worst = [_worst(v) for v in (idem, sym, lin)]
+    return ProjectorAudit(all(w <= tol for w in worst), *worst)
+
+
+def _worst(values):
+    """The largest of ``values`` (0.0 when empty), or NaN when any is NaN."""
+    return math.nan if any(v != v for v in values) else max(values, default=0.0)

@@ -3,7 +3,10 @@
 Minimizes ``f(x) + g(x)`` subject to ``x in V`` for a proper lsc convex
 ``f`` reached through its proximity operator and a differentiable convex
 ``g`` with Lipschitz gradient, by handing ``A = subdifferential of f`` and
-``B = gradient of g`` to the subspace splitting solver.  A solution exists
+``B = gradient of g`` to the subspace splitting solver: a
+:class:`ProxFunction` is the resolvent family of ``df`` (prox = resolvent)
+and a :class:`SmoothFunction` the ``1/L``-cocoercive map ``grad g``, so
+both go to the solver as they are.  A solution exists
 whenever the optimality system ``0 in  df(x) + grad g(x) + N_V x`` has a
 zero; establishing that (e.g. through interiority of ``dom f - V`` or shared
 minimizers) is a user obligation which the library only probes heuristically.
@@ -38,64 +41,48 @@ __all__ = [
 ]
 
 
-class ProxFunction:
-    """Convex function accessed through ``prox_{gamma f}``.
+class ProxFunction(ResolventFamily):
+    """Convex function accessed through ``prox_{gamma f}``, the resolvent of
+    its subdifferential.
 
-    ``prox(gamma, x)`` must return the unique minimizer of
-    ``f(.) + ||. - x||^2 / (2 gamma)``; the associated resolvent family is
-    firmly nonexpansive.  ``value`` is optional and used only for diagnostics
-    (the solvers never evaluate the function).
+    ``resolve(gamma, x)`` must return the unique minimizer of
+    ``f(.) + ||. - x||^2 / (2 gamma)``; the family is firmly nonexpansive.
+    ``value`` is optional and used only for diagnostics (the solvers never
+    evaluate the function).
     """
 
-    __slots__ = ("_prox", "dim", "value", "label")
+    __slots__ = ("value",)
 
     def __init__(self, prox, dim, value=None, label=""):
-        self._prox = prox
-        self.dim = int(dim)
+        super().__init__(prox, dim, label)
         self.value = value
-        self.label = label
-
-    def prox(self, gamma, x):
-        if not gamma > 0:
-            raise ValueError(f"prox parameter must be positive, got {gamma}")
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"dimension mismatch: expected ({self.dim},), got {x.shape}")
-        return self._prox(gamma, x)
 
     def as_resolvent(self):
-        """The subdifferential of ``f`` as a resolvent family (prox = resolvent)."""
-        return ResolventFamily(self._prox, self.dim,
-                               label=f"subdifferential({self.label or 'f'})")
+        """The subdifferential of ``f`` as a resolvent family: ``f`` itself."""
+        return self
 
 
-class SmoothFunction:
-    """Differentiable convex function with an L-Lipschitz gradient.
+class SmoothFunction(CocoerciveMap):
+    """Differentiable convex function with an L-Lipschitz gradient, applied
+    by calling it.
 
-    The gradient is then cocoercive with constant ``1/L``, which is the
-    certificate passed to the splitting solvers.
+    The gradient is then cocoercive with constant ``beta = 1/L``
+    (Baillon-Haddad), which is the certificate passed to the splitting
+    solvers.
     """
 
-    __slots__ = ("_grad", "lipschitz", "dim", "value", "label")
+    __slots__ = ("lipschitz", "value")
 
     def __init__(self, grad, lipschitz, dim, value=None, label=""):
         if not (np.isfinite(lipschitz) and lipschitz > 0):
             raise ValueError(f"lipschitz must be a positive finite number, got {lipschitz}")
-        self._grad = grad
         self.lipschitz = float(lipschitz)
-        self.dim = int(dim)
+        super().__init__(grad, 1.0 / self.lipschitz, dim, label)
         self.value = value
-        self.label = label
-
-    def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"dimension mismatch: expected ({self.dim},), got {x.shape}")
-        return self._grad(x)
 
     def as_cocoercive(self):
-        return CocoerciveMap(self._grad, 1.0 / self.lipschitz, self.dim,
-                             label=f"gradient({self.label or 'g'})")
+        """The gradient as a cocoercive map: ``g`` itself."""
+        return self
 
 
 prox_l1 = _soft_threshold
@@ -125,6 +112,17 @@ def box_function(lo, hi):
                         value=value, label="box-indicator")
 
 
+def _quadratic_value(Q, symmetric, b):
+    """``x -> x'Qx/2 - b'x``, applying ``Q`` by :func:`monosplit.spaces._matvec`."""
+    Qx = _matvec(Q, symmetric)
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        return float(0.5 * x.dot(Qx(x)) - b.dot(x))
+
+    return value
+
+
 def quadratic_function(Q, b=None, tol=1e-10):
     """``f(x) = x'Qx/2 - b'x`` for symmetric PSD ``Q``; prox solves
     ``(Id + gamma Q) z = x + gamma b`` with a factorization cached per gamma,
@@ -133,14 +131,8 @@ def quadratic_function(Q, b=None, tol=1e-10):
     dim = Q.shape[0]
     b = np.zeros(dim) if b is None else as_vector(b, dim)
     cache = _CachedAffineSolve(Q)
-    Qx = _matvec(Q, symmetric)
-
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        return float(0.5 * x.dot(Qx(x)) - b.dot(x))
-
     return ProxFunction(lambda gamma, x: cache.solve(gamma, x + gamma * b), dim,
-                        value=value, label="quadratic")
+                        value=_quadratic_value(Q, symmetric, b), label="quadratic")
 
 
 def zero_function(dim):
@@ -163,14 +155,8 @@ def quadratic_smooth(Q, b=None, tol=1e-10):
         raise ValueError("Q must have a positive largest eigenvalue; "
                          "use zero_smooth for a vanishing gradient")
     b = np.zeros(dim) if b is None else as_vector(b, dim)
-    Qx = _matvec(Q, symmetric)
-
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        return float(0.5 * x.dot(Qx(x)) - b.dot(x))
-
-    return SmoothFunction(_matvec(Q, symmetric, b), lam_max, dim, value=value,
-                          label="quadratic")
+    return SmoothFunction(_matvec(Q, symmetric, b), lam_max, dim,
+                          value=_quadratic_value(Q, symmetric, b), label="quadratic")
 
 
 def zero_smooth(dim, lipschitz=1.0):
@@ -181,8 +167,7 @@ def zero_smooth(dim, lipschitz=1.0):
 
 def min_over_subspace(f, g, V, gamma=None, relaxation=1.0, a_errors=None,
                       b_errors=None, z0=None, tol=DEFAULT_TOL,
-                      max_iters=DEFAULT_MAX_ITERS, log_every=1, trace=False,
-                      probe_existence=False):
+                      max_iters=DEFAULT_MAX_ITERS, log_every=1, trace=False):
     """Minimize ``f + g`` over the subspace of ``V``.
 
     Runs the forward-Douglas-Rachford solver with ``A`` the subdifferential
@@ -197,15 +182,13 @@ def min_over_subspace(f, g, V, gamma=None, relaxation=1.0, a_errors=None,
     ``gamma`` ranges over ``]0, 2/L[`` for the gradient's Lipschitz constant
     ``L``.  When both functions are evaluable the objective is recorded on
     logged rows.  Existence of a solution to the optimality system is a user
-    obligation; ``probe_existence`` runs a non-blocking heuristic that warns
-    if the problem looks unbounded below on the subspace.
+    obligation; :func:`advisory_existence_probe` is a non-blocking heuristic
+    that warns if the problem looks unbounded below on the subspace.
 
     Returns the ``PrimalDualResult`` of the underlying run: on convergence
     ``x`` minimizes ``f + g`` over the subspace (fixed-point residual
     certificate at ``tol``).
     """
-    if probe_existence:
-        advisory_existence_probe(f, g, V)
     prob = InclusionProblem(f.as_resolvent(), g.as_cocoercive(), V)
     objective = None
     if f.value is not None and g.value is not None:

@@ -488,3 +488,90 @@ def test_huge_relaxation_exponent_gets_the_range_message():
         parse_spec(json.dumps(spec))
     assert e.value.errors == ["lambda: relaxation value 0.0 at n=1 outside "
                               "admissible range [0.001, 1.0]"]
+
+
+def _numeric_spec(algorithm):
+    """A valid spec of ``algorithm`` whose numeric fields cover every kind of
+    matrix, error schedule, schedule and start the harness reads."""
+    Q = [[2.0, 0.5], [0.5, 1.0]]
+    stop = {"tol": 1e-6, "max_iters": 50}
+    if algorithm == "fdr":
+        return fdr_spec(
+            gamma=0.5, subspace={"kind": "matrix", "rows": [[0.5, 0.5], [0.5, 0.5]]},
+            A={"kind": "linear", "M": [[1.0, 0.0], [0.0, 2.0]], "b": [1.0, 0.0]},
+            B={"kind": "affine_gradient", "Q": Q, "b": [1.0, 1.0]},
+            errors={"a": {"kind": "geometric", "magnitude": 0.5, "rate": 0.5},
+                    "b": {"kind": "geometric", "magnitude": 0.5, "rate": 0.5}},
+            init={"kind": "random", "scale": 1.0}, stop=stop)
+    if algorithm == "variational":
+        return {"schema_version": 1, "algorithm": "variational", "dim": 2,
+                "subspace": {"kind": "zero_mean"},
+                "f": {"kind": "quadratic", "Q": Q, "b": [1.0, 0.0]},
+                "g": {"kind": "quadratic", "Q": Q, "b": [3.0, -3.0]},
+                "lambda": {"kind": "polynomial", "c": 1.0, "p": 0.5}, "stop": stop}
+    if algorithm == "fpi":
+        return {**ALL_ALGORITHM_SPECS["fpi"], "B": {"kind": "zero", "beta": 1.0},
+                "init": {"kind": "value", "x": [1.0, 1.0], "y": [1.0, -1.0]},
+                "stop": stop}
+    if algorithm == "dr2":
+        return {**ALL_ALGORITHM_SPECS["dr2"], "stop": stop}
+    if algorithm == "km":
+        return {"schema_version": 1, "algorithm": "km", "dim": 2,
+                "ops": [{"type": "resolvent", "kind": "zero", "gamma": 1.0},
+                        {"type": "projector", "kind": "identity"}],
+                "errors": [{"kind": "geometric", "magnitude": 0.1, "rate": 0.5}, None],
+                "stop": stop}
+    return {**ALL_ALGORITHM_SPECS["product"], "weights": [0.25, 0.25, 0.5],
+            "init": {"kind": "value", "z": [[1.0], [2.0], [0.0]]}, "stop": stop,
+            "errors": {"b": [{"kind": "geometric", "magnitude": 0.1, "rate": 0.5},
+                             None, None]}}
+
+
+# (algorithm, key path) of a numeric field: every field takes NaN, and those
+# marked True (matrices, error magnitudes, resolvent gammas) take +-Infinity too
+NON_FINITE_FIELDS = {
+    ("fdr", ("subspace", "rows", 0, 1)): True,
+    ("fdr", ("A", "M", 1, 1)): True,
+    ("fdr", ("B", "Q", 0, 0)): True,
+    ("variational", ("f", "Q", 0, 1)): True,
+    ("variational", ("g", "Q", 1, 0)): True,
+    ("fdr", ("errors", "a", "magnitude")): True,
+    ("fdr", ("errors", "b", "magnitude")): True,
+    ("km", ("errors", 0, "magnitude")): True,
+    ("product", ("errors", "b", 0, "magnitude")): True,
+    ("fdr", ("errors", "a", "rate")): False,
+    ("fdr", ("stop", "tol")): False,
+    ("fdr", ("gamma",)): False,
+    ("fdr", ("init", "scale")): False,
+    ("fdr", ("B", "b", 1)): False,
+    ("variational", ("lambda", "c")): False,
+    ("variational", ("lambda", "p")): False,
+    ("fpi", ("delta", "value")): False,
+    ("fpi", ("B", "beta")): False,
+    ("fpi", ("init", "y", 0)): False,
+    ("km", ("ops", 0, "gamma")): True,
+    ("dr2", ("gamma",)): True,
+    ("product", ("init", "z", 1, 0)): False,
+    ("product", ("weights", 2)): False,
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("algorithm, path", list(NON_FINITE_FIELDS),
+                         ids=lambda v: v if isinstance(v, str) else ".".join(map(str, v)))
+def test_non_finite_numbers_are_invalid_specs(tmp_path, capsys, algorithm, path):
+    spec = _numeric_spec(algorithm)
+    assert main([str(write_spec(tmp_path, spec)), "-o", str(tmp_path / "ok.csv")]) \
+        in (EXIT_CONVERGED, EXIT_MAX_ITERS)
+    capsys.readouterr()
+    bad_values = [float("nan")]
+    if NON_FINITE_FIELDS[algorithm, path]:
+        bad_values += [float("inf"), -float("inf")]
+    for bad in bad_values:
+        spec = copy.deepcopy(_numeric_spec(algorithm))
+        parent = spec
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = bad
+        assert main([str(write_spec(tmp_path, spec))]) == EXIT_INVALID, bad
+        assert f": {path[0]}" in capsys.readouterr().err, bad

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import monosplit as ms
-from monosplit import (InclusionProblem, OracleError, ScaledResolventOracle,
-                       StepSchedule, affine_gradient, closed_form_oracle, constant_steps,
+from monosplit import (InclusionProblem, OracleError,
+                       StepSchedule, affine_gradient, constant_steps,
                        fdr_solve, fpi_explicit_solve, fpi_solve,
                        identity_projector, normal_cone_box, span_projector,
                        subdifferential_abs, zero_cocoercive, zero_mean_projector,
@@ -11,7 +11,7 @@ from monosplit import (InclusionProblem, OracleError, ScaledResolventOracle,
 from conftest import (counting_problem, fpi_unit_step_reference, random_spd,
                       random_subspace_projector, relative_memberships,
                       trace_deviation)
-from theory import partial_inverse_resolvent
+from theory import closed_form_oracle, partial_inverse_resolvent
 
 
 def box_identity_problem():
@@ -193,17 +193,34 @@ def test_fpi_bad_oracle_aborts():
     prob = box_identity_problem()
 
     def broken(x, y, delta, gamma, PBx):
-        p, q = closed_form_oracle(prob).solve_step1(x, y, delta, gamma, PBx)
+        p, q = closed_form_oracle(prob)(x, y, delta, gamma, PBx)
         return p + 0.1, q
 
     with pytest.raises(OracleError, match="Step 1 oracle"):
-        fpi_solve(prob, gamma=1.0, oracle=ScaledResolventOracle(broken),
+        fpi_solve(prob, gamma=1.0, oracle=broken,
                   x0=[2.0, 2.0], max_iters=10)
+
+
+def test_fpi_oracle_is_a_plain_callable():
+    prob = box_identity_problem()
+    deltas = []
+
+    def oracle(x, y, delta, gamma, PBx):
+        deltas.append(delta)
+        s = x - gamma * PBx + gamma * y
+        p = prob.A.resolve(gamma, s)
+        return p, (s - p) / gamma
+
+    res = fpi_solve(prob, gamma=1.0, oracle=oracle, x0=[2.0, 2.0])
+    assert res.status == ms.CONVERGED
+    assert deltas == [1.0] * (res.iterations + 1)
+    ref = fpi_solve(prob, gamma=1.0, oracle=closed_form_oracle(prob), x0=[2.0, 2.0])
+    assert res.x.tobytes() == ref.x.tobytes()
 
 
 def test_fpi_varying_delta_requires_oracle():
     prob = box_identity_problem()
-    with pytest.raises(ValueError, match="ScaledResolventOracle"):
+    with pytest.raises(ValueError, match="require a user oracle"):
         fpi_solve(prob, gamma=1.0, steps=0.5)
 
 
@@ -235,7 +252,7 @@ def test_fpi_delta_oracle_with_nonunit_step():
         return p, q
 
     res = fpi_solve(prob, gamma=0.8, steps=1.5,
-                    oracle=ScaledResolventOracle(oracle_fn),
+                    oracle=oracle_fn,
                     tol=1e-10, max_iters=20000)
     assert res.status == ms.CONVERGED
     # the limit solves the inclusion: cross-check against the unit-step run

@@ -7,7 +7,7 @@ import pytest
 import monosplit as ms
 from monosplit import (InclusionProblem, ProductProblem, RelaxationSchedule,
                        StepSchedule, affine_gradient, build_S, build_T,
-                       closed_form_oracle, fdr_solve, fpi_explicit_solve,
+                       fdr_solve, fpi_explicit_solve,
                        fpi_solve, geometric_errors, km_solve, l1_function,
                        linear_monotone, min_over_subspace, normal_cone_box,
                        parallel_dr2, quadratic_function, quadratic_smooth,
@@ -15,6 +15,7 @@ from monosplit import (InclusionProblem, ProductProblem, RelaxationSchedule,
                        zero_mean_projector)
 from monosplit.km import _iterate
 from monosplit.operators import ResolventFamily
+from theory import closed_form_oracle
 
 
 def forward():
@@ -94,6 +95,10 @@ def test_iteration_contract(run):
     res, point = run(expanding(), max_iters=200)
     assert res.status == ms.DIVERGED
     assert np.all(np.isfinite(point))
+
+    # a NaN tol would never stop a run: every comparison with it is false
+    with pytest.raises(ValueError, match="^tol must not be NaN"):
+        run(box(), tol=float("nan"), max_iters=5000)
 
 
 def test_growth_bound_is_relative_to_the_start():

@@ -364,3 +364,18 @@ def test_km_clean_chain_parts_at_the_innermost_error(where, outer_calls):
         z = z + lam * (u - z)
     assert [row.residual for row in res.history] == residuals
     np.testing.assert_array_equal(res.final, final)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+def test_geometric_errors_reject_negative_or_non_finite_terms(bad):
+    for magnitude, rate in ((bad, 0.5), (1.0, bad)):
+        with pytest.raises(ValueError, match=r"^magnitude and rate must be nonnegative and finite"):
+            geometric_errors(2, magnitude, rate)
+
+
+def test_zero_error_schedules_are_never_active():
+    for sched in (ms.no_errors(2), geometric_errors(2, 0.0, 0.5),
+                  geometric_errors(2, -0.0, 0.0)):
+        assert not any(sched.active(n) for n in range(100))
+    assert [geometric_errors(2, 1.0, 0.0).active(n) for n in range(2)] == [True, False]

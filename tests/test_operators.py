@@ -291,7 +291,7 @@ def _symmetric_maps(Q, b):
     """The two constructors whose matrix goes through the symmetric kernel."""
     return {"affine_gradient": affine_gradient(Q, b),
             "quadratic_smooth": quadratic_smooth(Q, b).as_cocoercive(),
-            "gradient": CocoerciveMap(quadratic_smooth(Q, b).gradient, 1.0, Q.shape[0])}
+            "gradient": CocoerciveMap(quadratic_smooth(Q, b), 1.0, Q.shape[0])}
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 33, 1000])
@@ -334,4 +334,15 @@ def test_symmetric_q_maps_reject_wrong_length(shape):
     with pytest.raises(ValueError, match="dimension mismatch"):
         affine_gradient(Q, b)(np.ones(shape))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        quadratic_smooth(Q, b).gradient(np.ones(shape))
+        quadratic_smooth(Q, b)(np.ones(shape))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_matrix_operators_reject_non_finite_entries(bad):
+    Q = np.eye(2)
+    Q[0, 1] = bad
+    with pytest.raises(ValueError, match="^M has non-finite entries$"):
+        linear_monotone(Q)
+    with pytest.raises(ValueError, match="^Q has non-finite entries$"):
+        affine_gradient(Q)

@@ -261,3 +261,19 @@ def test_matrix_projector_rejects_wrong_length(shape):
     P = matrix_projector(np.eye(5) - np.ones((5, 5)) / 5)
     with pytest.raises(ValueError, match="dimension mismatch"):
         P(np.ones(shape))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_matrix_projector_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="^projector matrix has non-finite entries$"):
+        matrix_projector([[bad, 0.0], [0.0, 1.0]])
+
+
+def test_audit_fails_on_a_nan_violation():
+    # max(worst, nan) would keep worst: a NaN must fail the audit instead
+    P = ms.SubspaceProjector(lambda x: np.where(x > 0.0, np.nan, x), 3)
+    audit = audit_projector(P, samples=4)
+    assert not audit.passed
+    assert math.isnan(audit.worst_idempotency)
+    assert audit_projector(identity_projector(3)).passed

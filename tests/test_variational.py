@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import monosplit as ms
-from monosplit import (box_function, l1_function, min_over_subspace,
+from monosplit import (CocoerciveMap, InclusionProblem, ResolventFamily,
+                       box_function, fdr_solve, geometric_errors,
+                       l1_function, min_over_subspace,
                        prox_indicator_box, prox_l1, quadratic_function,
                        quadratic_smooth, zero_function,
                        zero_mean_projector, zero_smooth)
@@ -67,7 +69,7 @@ def test_quadratic_smooth_lipschitz_examples():
     assert quadratic_smooth(np.eye(2)).lipschitz == pytest.approx(1.0)
     assert quadratic_smooth(np.diag([1.0, 4.0])).lipschitz == pytest.approx(4.0)
     g = quadratic_smooth(np.eye(2))
-    np.testing.assert_allclose(g.gradient(np.array([1.0, 1.0])), [1.0, 1.0])
+    np.testing.assert_allclose(g(np.array([1.0, 1.0])), [1.0, 1.0])
 
 
 @pytest.mark.parametrize("d", [2, 3, 8, 200])
@@ -98,7 +100,7 @@ def test_gradient_matches_finite_differences(rng):
               zero_smooth(4)):
         for _ in range(10):
             x = rng.standard_normal(4)
-            grad = g.gradient(x)
+            grad = g(x)
             fd = np.empty(4)
             for k in range(4):
                 e = np.zeros(4)
@@ -181,7 +183,7 @@ def test_quadratic_function_prox_interpolates(rng):
     for _ in range(10):
         x = rng.standard_normal(3)
         gamma = rng.uniform(0.1, 5.0)
-        z = f.prox(gamma, x)
+        z = f.resolve(gamma, x)
         np.testing.assert_allclose(z + gamma * (Q @ z - b), x, atol=1e-10)
 
 
@@ -204,5 +206,43 @@ def test_probe_hook_in_solver():
     f = quadratic_function(np.zeros((1, 1)), b=np.array([1.0]))
     g = zero_smooth(1)
     with pytest.warns(RuntimeWarning, match="unbounded"):
+        advisory_existence_probe(f, g, ms.identity_projector(1))
         min_over_subspace(f, g, ms.identity_projector(1), gamma=1.0,
-                          max_iters=3, probe_existence=True, tol=-1.0)
+                          max_iters=3, tol=-1.0)
+
+
+def test_function_objects_are_the_operators():
+    f = l1_function(2)
+    g = quadratic_smooth(np.diag([1.0, 4.0]), [3.0, -3.0])
+    assert isinstance(f, ResolventFamily) and f.as_resolvent() is f
+    assert isinstance(g, CocoerciveMap) and g.as_cocoercive() is g
+    assert g.lipschitz == 4.0 and g.beta == 1.0 / g.lipschitz
+
+
+@pytest.mark.parametrize("make_f", [l1_function, lambda d: quadratic_function(np.eye(d))])
+def test_min_over_subspace_is_fdr_on_the_functions(make_f):
+    d = 3
+    f, g = make_f(d), quadratic_smooth(np.diag([1.0, 2.0, 3.0]), [3.0, -3.0, 1.0])
+    V = zero_mean_projector(d)
+    kw = dict(gamma=0.4, relaxation=0.9, a_errors=geometric_errors(d, 0.5, 0.5),
+              z0=[1.0, -2.0, 0.5], max_iters=200, log_every=3)
+    ref = fdr_solve(InclusionProblem(f, g, V),
+                    objective=lambda x: float(f.value(x)) + float(g.value(x)), **kw)
+    res = min_over_subspace(f, g, V, **kw)
+    assert res.history[-1].objective is not None
+    for name, value in vars(ref).items():
+        other = getattr(res, name)
+        if isinstance(value, np.ndarray):
+            assert value.tobytes() == other.tobytes(), name
+        else:
+            assert value == other, name
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quadratic_functions_reject_non_finite_entries(bad):
+    Q = np.eye(2)
+    Q[1, 0] = bad
+    for make in (quadratic_function, quadratic_smooth):
+        with pytest.raises(ValueError, match="^Q has non-finite entries$"):
+            make(Q)

@@ -1,5 +1,6 @@
 """Verifiers of the paper's structural results, the oracles of the tests:
-the partial-inverse resolvent and its graph-swap test, sampled inequality
+the partial-inverse resolvent and its graph-swap test, the closed-form
+Step-1 oracle of the forward-partial-inverse routine, sampled inequality
 audits on random pairs, the fixed-point characterization of FDR, the KM
 per-operator decay sums and the weighted product space of the lifted
 reference.  No solver path needs any of them."""
@@ -31,6 +32,22 @@ def partial_inverse_residual(A, P, gamma, s, z):
     u = P(z) + P.complement(s - z)
     w = P(s - z) + P.complement(z)
     return P.inner.norm(u - A.resolve(gamma, u + w))
+
+
+def closed_form_oracle(prob):
+    """The Step-1 oracle of ``fpi_solve`` for ``delta = 1``: with
+    ``s = x - gamma P_V B x + gamma y``, take ``p = J_{gamma A} s`` and
+    ``q = (s - p)/gamma``."""
+    A = prob.A
+
+    def oracle(x, y, delta, gamma, PBx):
+        if abs(delta - 1.0) > 1e-12:
+            raise ValueError("the Step 1 closed form only covers delta = 1")
+        s = x - gamma * PBx + gamma * y
+        p = A.resolve(gamma, s)
+        return p, (s - p) / gamma
+
+    return oracle
 
 
 @dataclass(frozen=True)
