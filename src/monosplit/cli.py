@@ -119,7 +119,7 @@ def _intval(data, key, errors, path, default=None, required=False, minimum=None)
     return v
 
 
-def _vec(value, dim, errors, path):
+def _vec(value, dim, errors, path, finite=True):
     try:
         v = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
@@ -130,7 +130,7 @@ def _vec(value, dim, errors, path):
     if v.ndim != 1 or (dim is not None and v.shape[0] != dim):
         errors.append(f"{path}: expected a vector of length {dim}, got shape {v.shape}")
         return None
-    if not np.all(np.isfinite(v)):
+    if finite and not np.all(np.isfinite(v)):
         errors.append(f"{path}: vector has non-finite entries")
         return None
     return v
@@ -190,8 +190,9 @@ def _identity_map(dim):
 # A field is ``(key, how)``; the constructor receives the fields in order.
 # ``how`` is "dim" (the spec's dimension), "vec" or "mat" (a vector or square
 # matrix of that dimension), "vec?" (a vector, None when the key is absent),
-# "num" (a required number), a float (a number defaulting to it) or a family
-# name (a nested descriptor).
+# "bound" (a vector whose entries may be infinite, a box bound: the
+# constructor rejects NaN), "num" (a required number), a float (a number
+# defaulting to it) or a family name (a nested descriptor).
 _DIM = (None, "dim")
 
 _VOCABULARY = {
@@ -205,7 +206,7 @@ _VOCABULARY = {
     "operator": {
         "zero": (operators.zero_operator, [_DIM]),
         "abs": (operators.subdifferential_abs, [_DIM, ("center", "vec?")]),
-        "box": (operators.normal_cone_box, [("lo", "vec"), ("hi", "vec")]),
+        "box": (operators.normal_cone_box, [("lo", "bound"), ("hi", "bound")]),
         "linear": (operators.linear_monotone, [("M", "mat"), ("b", "vec?")]),
         "normal_cone": (operators.normal_cone_of_subspace, [("subspace", "subspace")]),
         "unstable": (_unstable, [_DIM, ("factor", 1e6)]),
@@ -217,7 +218,7 @@ _VOCABULARY = {
     },
     "prox": {
         "l1": (variational.l1_function, [_DIM]),
-        "box": (variational.box_function, [("lo", "vec"), ("hi", "vec")]),
+        "box": (variational.box_function, [("lo", "bound"), ("hi", "bound")]),
         "quadratic": (variational.quadratic_function, [("Q", "mat"), ("b", "vec?")]),
         "zero": (variational.zero_function, [_DIM]),
     },
@@ -251,8 +252,9 @@ def _field(desc, key, how, dim, errors, path):
         return dim
     if how == "vec?":
         return _vec(desc[key], dim, errors, f"{path}.{key}") if key in desc else None
-    if how == "vec":
-        return _vec(desc.get(key), dim, errors, f"{path}.{key}")
+    if how in ("vec", "bound"):
+        return _vec(desc.get(key), dim, errors, f"{path}.{key}",
+                    finite=how == "vec")
     if how == "mat":
         return _mat(desc.get(key), dim, errors, f"{path}.{key}")
     if how == "num":

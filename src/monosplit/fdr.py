@@ -21,7 +21,7 @@ import numpy as np
 from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, _iterate, as_relaxation,
                  check_errors)
 from .operators import AveragedOperator
-from .spaces import NORMS_CHUNK, as_vector
+from .spaces import as_vector
 
 __all__ = [
     "check_gamma",
@@ -87,8 +87,8 @@ class InclusionProblem:
 
 def build_T(A, V, gamma):
     """Douglas-Rachford operator ``(Id + R_{gamma A} o R_{N_V}) / 2``; 1/2-averaged."""
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
 
     def apply(z):
         return 0.5 * (z + A.reflected(gamma, V.reflect(z)))
@@ -119,43 +119,22 @@ class PrimalDualResult:
     iterations: int
     history: list = field(default_factory=list)
     inclusion_residual: float = float("inf")
-    forward_gap: list = field(default_factory=list)
     membership_violation: float = 0.0
     trace: list | None = None
 
 
-class _RowLog:
-    """Logged-row bookkeeping of the primal-dual solvers.
-
-    On each logged row it keeps ``P_V B x_n`` for ``forward_gap``;
-    :meth:`result` finishes the run into a :class:`PrimalDualResult`, with
-    the step's own ``P_V B x`` as the final forward term and the relative
+def _primal_dual_result(V, run):
+    """The :class:`PrimalDualResult` of a finished run, with the relative
     distances of the returned ``x`` to V and ``y`` to its complement as
-    ``membership_violation``.  The gaps are taken ``NORMS_CHUNK`` rows at a
-    time through ``InnerProduct.norms``.
-    """
-
-    def __init__(self, V):
-        self.V = V
-        self.forward = []
-
-    def __call__(self, x, y, PBx):
-        self.forward.append(PBx.copy())
-
-    def result(self, run):
-        V, inner = self.V, self.V.inner
-        x, y, fw_final = run.x, run.y, run.aux
-        membership = max(inner.norm(x - V(x)) / (1.0 + inner.norm(x)),
-                         inner.norm(V(y)) / (1.0 + inner.norm(y)))
-        forward, gaps = self.forward, []
-        for i in range(0, len(forward), NORMS_CHUNK):
-            gaps += inner.norms(np.subtract(forward[i:i + NORMS_CHUNK], fw_final))
-        return PrimalDualResult(x=x, y=y, status=run.status,
-                                iterations=run.iterations, history=run.history,
-                                inclusion_residual=run.residual,
-                                forward_gap=gaps,
-                                membership_violation=membership,
-                                trace=run.trace)
+    ``membership_violation``."""
+    inner = V.inner
+    x, y = run.x, run.y
+    membership = max(inner.norm(x - V(x)) / (1.0 + inner.norm(x)),
+                     inner.norm(V(y)) / (1.0 + inner.norm(y)))
+    return PrimalDualResult(x=x, y=y, status=run.status,
+                            iterations=run.iterations, history=run.history,
+                            inclusion_residual=run.residual,
+                            membership_violation=membership, trace=run.trace)
 
 
 def fdr_solve(prob, gamma=None, relaxation=1.0, a_errors=None, b_errors=None,
@@ -197,9 +176,8 @@ def fdr_solve(prob, gamma=None, relaxation=1.0, a_errors=None, b_errors=None,
     PrimalDualResult
         On convergence ``x`` solves the inclusion with the residual
         certificate at ``tol`` and ``y`` is the associated dual point; the
-        history rows carry (n, lambda_n, residual, dx, dy, objective),
-        ``forward_gap`` the retro-computed ``||P_V B x_n - P_V B x_final||``
-        and ``membership_violation`` the relative distances of the returned
+        history rows carry (n, lambda_n, residual, dx, dy, objective) and
+        ``membership_violation`` the relative distances of the returned
         ``x`` to V and ``y`` to its complement.
     """
     dim = prob.dim
@@ -233,10 +211,9 @@ def _fdr_run(prob, gamma, lam_at, z, tol, max_iters, log_every, trace,
             p = p + b_errors(n)
         d_clean = p_clean - x
         d = d_clean if p is p_clean else p - x
-        return inner.norm(d_clean), x, y, PBx, lambda lam: z + lam * d
+        return inner.norm(d_clean), x, y, lambda lam: z + lam * d
 
-    log = _RowLog(V)
-    return log.result(_iterate(z, step, lam_at, tol, max_iters, log_every,
-                               trace, inner.norm, objective, log_dy=True,
-                               on_row=log))
+    run = _iterate(z, step, lam_at, tol, max_iters, log_every, trace,
+                   inner.norm, objective, log_dy=True)
+    return _primal_dual_result(V, run)
 

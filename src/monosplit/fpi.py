@@ -25,7 +25,7 @@ import numpy as np
 
 from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, ScalarSchedule, _constant_schedule,
                  _iterate, as_relaxation)
-from .fdr import _fdr_run, _RowLog
+from .fdr import _fdr_run, _primal_dual_result
 from .spaces import as_vector
 
 __all__ = [
@@ -111,7 +111,7 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
     ----------
     prob : InclusionProblem
     gamma : float, optional
-        Any positive proximal parameter (defaults to ``beta``); the step
+        Any positive finite proximal parameter (defaults to ``beta``); the step
         schedule must fit inside ``[epsilon, 2*beta/gamma - epsilon]``.
     steps : float or StepSchedule
         Scalings ``delta_n``.  Without an ``oracle`` they must be the
@@ -142,8 +142,8 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
     inner = V.inner
     beta = prob.beta
     gamma = beta if gamma is None else float(gamma)
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     epsilon = float(epsilon)
     step_sched = steps if isinstance(steps, StepSchedule) else constant_steps(steps)
     delta_at = step_sched.validate(gamma, beta, epsilon)
@@ -179,12 +179,11 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
         rx = Pp - x
         ry = q - Pq - y
         residual = float(np.sqrt(inner.norm(rx) ** 2 + (gamma * inner.norm(ry)) ** 2))
-        return residual, x, y, PBx, lambda lam: (x + lam * rx, y + lam * ry)
+        return residual, x, y, lambda lam: (x + lam * rx, y + lam * ry)
 
-    log = _RowLog(V)
-    return log.result(_iterate(_start(prob, x0, y0), step, lam_at, tol,
-                               max_iters, log_every, trace, inner.norm,
-                               log_dy=True, on_row=log))
+    run = _iterate(_start(prob, x0, y0), step, lam_at, tol, max_iters,
+                   log_every, trace, inner.norm, log_dy=True)
+    return _primal_dual_result(V, run)
 
 
 def fpi_explicit_solve(prob, gamma=None, relaxation=1.0, x0=None, y0=None,

@@ -345,7 +345,6 @@ class _Run(NamedTuple):
     residual: float     # at the last reported iterate
     x: np.ndarray       # last reported (finite) point
     y: object           # second reported point, or None
-    aux: object         # aux of the step that reported x and y
 
 
 def _growth_bound(state):
@@ -372,16 +371,14 @@ def _bounded(state, bound2):
 
 
 def _iterate(state, step, lam_at, tol, max_iters, log_every, trace, norm,
-             objective=None, log_dy=False, on_row=None):
+             objective=None, log_dy=False):
     """The relaxed fixed-point loop shared by every solver.
 
     ``state`` is an array or a tuple of arrays, finite at the start.
-    ``step(n, state)`` returns ``(residual, x, y, aux, advance)``: the
-    error-free fixed-point gap at ``state``, the point ``x`` to report (and a
-    second point ``y``, or None), whatever ``on_row`` needs, and
-    ``advance(lam)``, the next state; the run returns the ``aux`` of the step
-    that reported its final ``x`` and ``y``.  ``lam_at(n)`` is the checked
-    relaxation schedule.
+    ``step(n, state)`` returns ``(residual, x, y, advance)``: the error-free
+    fixed-point gap at ``state``, the point ``x`` to report (and a second
+    point ``y``, or None) and ``advance(lam)``, the next state.  ``lam_at(n)``
+    is the checked relaxation schedule.
 
     Iteration n first checks that no array of the state has outgrown
     ``GROWTH_LIMIT * (1 + max|state_0|)`` in norm, which also rejects a NaN or
@@ -390,9 +387,9 @@ def _iterate(state, step, lam_at, tol, max_iters, log_every, trace, norm,
     ``tol`` (converged), is not finite (diverged) or when ``n == max_iters``.
     Rows ``(n, lambda_n, residual, dx, dy, objective)`` are logged every
     ``log_every`` iterations and at the stop; ``dx`` (and ``dy`` with
-    ``log_dy``) is the ``norm`` of the change from the previous point,
-    ``objective`` is taken at ``x``, and ``on_row(x, y, aux)`` runs on each
-    logged row.  ``trace`` records ``x`` (or ``(x, y)``) at every iteration.
+    ``log_dy``) is the ``norm`` of the change from the previous point and
+    ``objective`` is taken at ``x``.  ``trace`` records ``x`` (or ``(x, y)``)
+    at every iteration.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
@@ -403,14 +400,14 @@ def _iterate(state, step, lam_at, tol, max_iters, log_every, trace, norm,
     rows = []
     points = [] if trace else None
     residual = float("inf")
-    x = y = aux = None
+    x = y = None
     bound2 = _growth_bound(state)
     for n in range(max_iters + 1):
         if not _bounded(state, bound2):
             status = DIVERGED
             break
         prev_x, prev_y = x, y
-        residual, x, y, aux, advance = step(n, state)
+        residual, x, y, advance = step(n, state)
         lam = lam_at(n)
         finite = math.isfinite(residual)
         converged = finite and residual <= tol
@@ -424,13 +421,11 @@ def _iterate(state, step, lam_at, tol, max_iters, log_every, trace, norm,
                 dy = 0.0 if prev_y is None else float(norm(y - prev_y))
             obj = None if objective is None else float(objective(x))
             rows.append(IterationRow(n, lam, residual, dx, dy, obj))
-            if on_row is not None:
-                on_row(x, y, aux)
         if terminal:
             status = CONVERGED if converged else MAX_ITERS if finite else DIVERGED
             break
         state = advance(lam)
-    return _Run(status, n, rows, points, residual, x, y, aux)
+    return _Run(status, n, rows, points, residual, x, y)
 
 
 def km_solve(ops, relaxation=1.0, errors=None, z0=None, tol=DEFAULT_TOL,
@@ -504,7 +499,7 @@ def km_solve(ops, relaxation=1.0, errors=None, z0=None, tol=DEFAULT_TOL,
                 u = u + e(n)
         d = u - z
         d_clean = d if v is None else v - z
-        return inner.norm(d_clean), z, None, None, lambda lam: z + lam * d
+        return inner.norm(d_clean), z, None, lambda lam: z + lam * d
 
     z = np.zeros(dim) if z0 is None else as_vector(z0, dim).copy()
     run = _iterate(z, step, lam_at, tol, max_iters, log_every, trace, inner.norm)

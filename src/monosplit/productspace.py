@@ -59,7 +59,7 @@ def _check_weights(weights, m):
     w = np.asarray(weights, dtype=float)
     if w.shape != (m,):
         raise ValueError(f"expected {m} weights, got shape {w.shape}")
-    if np.any(w <= 0.0) or (m > 1 and np.any(w >= 1.0)):
+    if not (np.all(0.0 < w) and (m == 1 or np.all(w < 1.0))):
         raise ValueError("each weight must lie in ]0, 1[")
     if abs(float(w.sum()) - 1.0) > 1e-12:
         raise ValueError(f"weights must sum to 1 within 1e-12, got {w.sum()!r}")
@@ -259,7 +259,7 @@ def _sum_splitting_run(prob, gamma, lam_at, Z, tol, max_iters, log_every,
         if b_errors and _add_block_errors(P, b_errors, n):
             D = P - x
         residual = math.sqrt((w * (D_clean ** 2).sum(axis=1)).sum())
-        return residual, x, Z, None, lambda lam: Z + lam * D
+        return residual, x, Z, lambda lam: Z + lam * D
 
     run = _iterate(Z, step, lam_at, tol, max_iters, log_every, trace,
                    InnerProduct(d).norm)
@@ -284,14 +284,14 @@ def parallel_dr2(A1, A2, gamma=1.0, relaxation=1.0, b1_errors=None,
         p_{2,n} = J_{2 gamma A_2}(z_{1,n}) + b_{2,n}
         z_{i,n+1} = z_{i,n} + lambda_n (p_{i,n} - x_n)
 
-    Any ``gamma > 0`` is admissible and the relaxations range over
+    Any finite ``gamma > 0`` is admissible and the relaxations range over
     ``]0, 3/2[`` with ``sum_n lambda_n (3 - 2 lambda_n) = +inf``.
     """
     if A1.dim != A2.dim:
         raise ValueError("operator dimensions differ")
     d = A1.dim
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     lam_at = dr2_relaxation(relaxation)
     check_errors([b1_errors, b2_errors], d)
 
@@ -306,7 +306,7 @@ def parallel_dr2(A1, A2, gamma=1.0, relaxation=1.0, b1_errors=None,
         residual = math.sqrt(0.5 * D[0].dot(D[0]) + 0.5 * D[1].dot(D[1]))
         if errors and _add_block_errors(P, errors, n):
             D = P - x
-        return residual, x, Z, None, lambda lam: Z + lam * D
+        return residual, x, Z, lambda lam: Z + lam * D
 
     Z = np.zeros((2, d)) if z0 is None else np.stack([as_vector(z0[0], d),
                                                       as_vector(z0[1], d)])

@@ -28,9 +28,6 @@ __all__ = [
     "audit_projector",
 ]
 
-# rows per stacked product of InnerProduct.norms
-NORMS_CHUNK = 1024
-
 
 def as_vector(x, dim=None):
     """Coerce ``x`` to a finite 1-d float array, optionally checking its length.
@@ -97,27 +94,6 @@ class InnerProduct:
             except AttributeError:
                 return math.sqrt(np.dot(x, x))
         return math.sqrt(max(float((self.weights * x).dot(x)), 0.0))
-
-    def norms(self, X):
-        """``[self.norm(r) for r in X]`` for the rows of a 2-d array ``X``.
-
-        The rows are taken ``NORMS_CHUNK`` at a time, each chunk in one
-        stacked product ``C[:, None, :] @ C[:, :, None]``, which reaches the
-        same BLAS ``ddot`` per row as :meth:`norm` (``einsum`` does not), so
-        every norm has the same bits as :meth:`norm` on its row.
-        """
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise ValueError(f"expected a 2-d array of rows, got shape {X.shape}")
-        out = []
-        for i in range(0, X.shape[0], NORMS_CHUNK):
-            C = X[i:i + NORMS_CHUNK]
-            L = C if self.weights is None else self.weights * C
-            sq = (L[:, None, :] @ C[:, :, None]).ravel()
-            if self.weights is not None:
-                np.maximum(sq, 0.0, out=sq)
-            out += np.sqrt(sq).tolist()
-        return out
 
     def __repr__(self):
         kind = "uniform" if self.is_uniform else "weighted"

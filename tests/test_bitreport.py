@@ -40,7 +40,8 @@ def test_checkout_matches_itself(workload):
                            "--workload", workload, "--seed", "1", "--limit", "20"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"{workload} seed 1: 20 jobs, 0 differ"
+    assert proc.stdout.splitlines()[-2:] == ["differing fields: none",
+                                             f"{workload} seed 1: 20 jobs, 0 differ"]
 
 
 def test_records_compare_exact_bits_and_name_the_first_differing_row():
@@ -62,3 +63,14 @@ def test_records_compare_exact_bits_and_name_the_first_differing_row():
     assert tool.differences(base, change) == [
         ((0, "fdr"), ["history (rows 3 vs 3, first differing row 1)"])]
     assert tool.differences(base, []) == [((0, "fdr"), ["missing in change"])]
+
+
+def test_tally_counts_the_jobs_in_which_each_field_differs():
+    tool = _tool()
+    diff = [((0, "fdr"), ["forward_gap"]),
+            ((1, "fdr"), ["x", "forward_gap", "history (rows 3 vs 3, first differing row 1)"]),
+            ((2, "fpi"), ["history (rows 4 vs 5, first differing row 4)"]),
+            ((3, "km"), ["missing in change"])]
+    assert tool.field_tally(diff) == ("differing fields: forward_gap 2, history 2, "
+                                      "missing in change 1, x 1")
+    assert tool.field_tally([]) == "differing fields: none"

@@ -527,6 +527,32 @@ def _numeric_spec(algorithm):
                              None, None]}}
 
 
+INF = float("inf")
+# box bounds may be rays: x1 >= 1 and x2 <= 2 on the line x1 = x2 (fdr), and
+# x1 <= 1 and x2 >= -1 on the zero-mean line (variational)
+RAY_BOX_SPECS = {
+    "fdr": fdr_spec(A={"kind": "box", "lo": [1.0, -INF], "hi": [INF, 2.0]}),
+    "variational": {**ALL_ALGORITHM_SPECS["variational"],
+                    "f": {"kind": "box", "lo": [-INF, -1.0], "hi": [1.0, INF]}},
+}
+
+
+@pytest.mark.parametrize("algorithm", list(RAY_BOX_SPECS))
+def test_box_bounds_take_infinite_entries(tmp_path, capsys, algorithm):
+    spec = RAY_BOX_SPECS[algorithm]
+    out = tmp_path / "ray.csv"
+    assert main([str(write_spec(tmp_path, spec)), "-o", str(out)]) == EXIT_CONVERGED
+    rows = out.read_text().splitlines()
+    assert rows[0] == "n,lambda,residual,dx,dy,objective"
+    assert float(rows[-1].split(",")[2]) <= 1e-8
+    capsys.readouterr()
+    key = "A" if algorithm == "fdr" else "f"
+    bad = copy.deepcopy(spec)
+    bad[key]["lo"][0] = float("nan")
+    assert main([str(write_spec(tmp_path, bad))]) == EXIT_INVALID
+    assert f"{key}: box bounds must not be NaN" in capsys.readouterr().err
+
+
 # (algorithm, key path) of a numeric field: every field takes NaN, and those
 # marked True (matrices, error magnitudes, resolvent gammas) take +-Infinity too
 NON_FINITE_FIELDS = {

@@ -12,7 +12,7 @@ from monosplit.fdr import averagedness, check_gamma
 from monosplit.operators import ResolventFamily
 from monosplit.productspace import (ProductProblem, sum_splitting_pi,
                                     sum_splitting_solve)
-from theory import certify_averaged, characterization_check
+from theory import certify_averaged, characterization_check, forward_gaps
 
 
 def box_identity_problem():
@@ -61,6 +61,12 @@ def test_build_T_trivial_cases(rng):
     np.testing.assert_allclose(T(x), x)
     T0 = build_T(zero_operator(2), zero_projector(2), 1.0)
     np.testing.assert_allclose(T0(x), np.zeros(2))
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.inf, np.nan])
+def test_build_T_rejects_gamma_outside_the_positive_reals(gamma):
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        build_T(zero_operator(2), identity_projector(2), gamma)
 
 
 def test_build_T_span_case():
@@ -192,8 +198,9 @@ def test_fdr_memberships_and_sequence_changes(rng):
     assert res.history[-1].dx <= 1e-6
     assert res.history[-1].dy <= 1e-6
     # forward term stabilizes: the last two checkpoints essentially agree
-    assert res.forward_gap[-1] <= 1e-12
-    assert res.forward_gap[-2] <= 1e-6
+    gaps = forward_gaps(prob, res)
+    assert gaps[-1] <= 1e-12
+    assert gaps[-2] <= 1e-6
 
 
 def test_fdr_projector_and_forward_call_counts(rng):
@@ -210,10 +217,6 @@ def test_fdr_projector_and_forward_call_counts(rng):
                     trace=True)
     assert res.iterations == 9 and len(res.trace) == 10
     assert counts == {"V": 2 * 10 + 2, "B": 10}
-    # forward_gap reuses the last step's P_V B x, exactly
-    V, B = base.V, base.B
-    final = V(B(res.x))
-    assert res.forward_gap == [V.inner.norm(V(B(x)) - final) for x, _ in res.trace]
 
 
 def test_fdr_matches_km_engine_error_free():

@@ -288,6 +288,18 @@ def test_sum_splitting_weight_validation():
     blocks = [zero_operator(1), zero_operator(1)]
     with pytest.raises(ValueError, match="]0, 1\\["):
         ProductProblem(blocks, weights=[1.0, 0.0])
+    # NaN fails the range check, for one block and for two
+    for weights in ([np.nan], [np.nan, 0.5], [0.5, np.nan]):
+        with pytest.raises(ValueError, match="]0, 1\\["):
+            ProductProblem(blocks[:len(weights)], weights=weights)
+
+
+@pytest.mark.parametrize("gamma", [0.0, np.inf, np.nan])
+def test_parallel_dr2_rejects_gamma_outside_the_positive_reals(gamma):
+    # a linear block would fail inside the run, in lu_factor, on gamma = inf
+    A = linear_monotone(np.eye(1), b=[-4.0])
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        parallel_dr2(A, A, gamma=gamma)
 
 
 def test_parallel_dr2_trivial_stationary():

@@ -50,29 +50,6 @@ def test_norm_and_dot_accept_lists():
         assert inner.dot(np.array([1.0, 2.0]), [3.0, 4.0]) == 11.0
 
 
-def _bits(values):
-    return np.array(values, dtype=float).tobytes()
-
-
-@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
-@pytest.mark.parametrize("d", [1, 2, 7, 33, 1000])
-def test_norms_match_norm_row_by_row(rng, d, weighted):
-    inner = InnerProduct(d, rng.uniform(0.5, 2.0, d) if weighted else None)
-    rows = ms.spaces.NORMS_CHUNK + 5   # more rows than one chunk
-    X = rng.standard_normal((rows, d)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
-    for Y in (X, np.asfortranarray(X), X[:1]):
-        got = inner.norms(Y)
-        assert type(got) is list and len(got) == Y.shape[0]
-        assert all(type(v) is float for v in got)
-        assert _bits(got) == _bits([inner.norm(r) for r in Y])
-    assert inner.norms(np.empty((0, d))) == []
-
-
-def test_norms_rejects_a_vector():
-    with pytest.raises(ValueError, match="2-d"):
-        InnerProduct(2).norms(np.ones(2))
-
-
 def test_inner_product_bilinear_symmetric_positive(rng):
     inner = InnerProduct(4, rng.uniform(0.5, 2.0, 4))
     for _ in range(20):

@@ -16,7 +16,7 @@ from monosplit import (AveragedOperator, InclusionProblem, affine_gradient,
 from monosplit.fdr import averagedness
 from conftest import (fpi_unit_step_reference, kkt_solution, random_spd,
                       random_subspace_projector, trace_deviation)
-from theory import certify_averaged
+from theory import certify_averaged, characterization_check
 
 ITERS = 60
 
@@ -89,6 +89,20 @@ def test_iterates_are_fejer_monotone_toward_the_kkt_solution(data):
     distances = [float(np.linalg.norm(x - gamma * y - z_star)) for x, y in res.trace]
     assert rises([row.residual for row in res.history]) == []
     assert rises(distances) == []
+
+
+@given(problems())
+def test_fixed_point_characterizes_the_solution(case):
+    # z = x - gamma y at the end of a converged run is a fixed point of
+    # T_gamma o S_gamma, and (P_V z, (P_V z - z)/gamma) solves the inclusion
+    prob, gamma, _, _, _ = case
+    res = fdr_solve(prob, gamma=gamma, tol=1e-10)
+    assert res.status == "converged"
+    report = characterization_check(prob, gamma, res.x - gamma * res.y)
+    assert report.fixed_point_residual <= 1e-8
+    assert report.inclusion_residual <= 1e-8
+    assert np.max(np.abs(report.x - res.x)) <= 1e-12
+    assert np.max(np.abs(report.y - res.y)) <= 1e-12
 
 
 @given(problems())

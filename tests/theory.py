@@ -1,7 +1,8 @@
 """Verifiers of the paper's structural results, the oracles of the tests:
 the partial-inverse resolvent and its graph-swap test, the closed-form
 Step-1 oracle of the forward-partial-inverse routine, sampled inequality
-audits on random pairs, the fixed-point characterization of FDR, the KM
+audits on random pairs, the fixed-point characterization of FDR, the
+forward term along a traced run, the KM
 per-operator decay sums and the weighted product space of the lifted
 reference.  No solver path needs any of them."""
 
@@ -144,6 +145,15 @@ def characterization_check(prob, gamma, z):
     s = x - gamma * V(B(x)) + gamma * y
     inclusion = V.inner.norm(x - A.resolve(gamma, s))
     return CharacterizationReport(fixed_point, inclusion, x, y)
+
+
+def forward_gaps(prob, res):
+    """``||P_V B x_n - P_V B x_final||`` under ``V.inner`` along a traced
+    primal-dual run, ``x_final`` the returned ``x``: the forward term the
+    paper proves convergent."""
+    V, B = prob.V, prob.B
+    final = V(B(res.x))
+    return [V.inner.norm(V(B(x)) - final) for x, _ in res.trace]
 
 
 def per_operator_decay_diagnostic(ops, result):

@@ -15,8 +15,10 @@ The report lists every job whose outcome differs:
 - ``cli_batch``: the exit code, the CSV bytes, standard output without its
   ``time=`` field, and standard error.
 
-The last line reads ``<workload> seed <N>: <jobs> jobs, <k> differ``.  The
-exit status is 0 when no job differs and 1 otherwise.
+The line before the last counts the differing jobs by field, most first, as
+``differing fields: history 3, x 1`` (``differing fields: none`` when no job
+differs).  The last line reads ``<workload> seed <N>: <jobs> jobs, <k>
+differ``.  The exit status is 0 when no job differs and 1 otherwise.
 """
 
 import argparse
@@ -28,6 +30,7 @@ import re
 import struct
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 DIGEST = 8          # bytes per history-row digest
@@ -145,6 +148,16 @@ def differences(base, change):
     return diff
 
 
+def field_tally(diff):
+    """``differing fields: name count, ...`` for the output of
+    :func:`differences`: per field (a history counts as ``history``), the
+    number of jobs in which it differs, most first."""
+    counts = Counter(what.split(" (", 1)[0] for _, whats in diff for what in whats)
+    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    return "differing fields: " + (", ".join(f"{name} {k}" for name, k in ranked)
+                                   or "none")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path)
@@ -173,6 +186,7 @@ def main(argv=None):
         print(f"{solver} problem {pid}: {', '.join(what)}")
     if len(diff) > SHOWN:
         print(f"... and {len(diff) - SHOWN} more")
+    print(field_tally(diff))
     print(f"{args.workload} seed {args.seed}: {len(base)} jobs, {len(diff)} differ")
     return 1 if diff else 0
 
