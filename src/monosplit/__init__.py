@@ -27,8 +27,8 @@ from .fpi import (OracleError, StepSchedule, constant_steps,
 from .productspace import (ProductProblem, ProductSolveResult, parallel_dr2,
                            sum_splitting_pi, sum_splitting_solve)
 from .variational import (ProxFunction, SmoothFunction, box_function,
-                          l1_function, min_over_subspace, prox_indicator_box,
-                          prox_l1, quadratic_function, quadratic_smooth,
-                          zero_function, zero_smooth)
+                          l1_function, min_over_subspace, prox_l1,
+                          quadratic_function, quadratic_smooth, zero_function,
+                          zero_smooth)
 
 __version__ = "0.1.0"

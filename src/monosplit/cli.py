@@ -442,9 +442,7 @@ def _build_fpi(data, dim, errors, explicit=False):
         for key, v, gap, where in (
                 ("x", x0, lambda v: v - V(v), "the subspace"),
                 ("y", y0, V, "the orthogonal complement of the subspace")):
-            # only a start given as a full vector is held to its subspace
-            if v is not None and np.ndim(init.get(key)) == 1 and \
-                    np.linalg.norm(gap(v)) > 1e-9 * (1 + np.linalg.norm(v)):
+            if v is not None and np.linalg.norm(gap(v)) > 1e-9 * (1 + np.linalg.norm(v)):
                 errors.append(f"init.{key}: must lie in {where}")
 
     if explicit:

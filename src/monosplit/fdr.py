@@ -50,6 +50,13 @@ def averagedness(gamma, beta):
     return max(2.0 / 3.0, 2.0 * gamma / (gamma + 2.0 * beta))
 
 
+def _check_finite_gamma(gamma):
+    """Reject a ``gamma`` outside ``]0, +inf[``, the range of ``build_T``,
+    ``fpi_solve`` and ``parallel_dr2``."""
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+
+
 @dataclass(frozen=True)
 class InclusionProblem:
     """Problem data for ``0 in A x + B x + N_V x``.
@@ -77,18 +84,10 @@ class InclusionProblem:
     def beta(self):
         return self.B.beta
 
-    def alpha(self, gamma):
-        """Averagedness constant of ``T_gamma o S_gamma``."""
-        return averagedness(gamma, self.beta)
-
-    def check_gamma(self, gamma):
-        return check_gamma(gamma, self.beta)
-
 
 def build_T(A, V, gamma):
     """Douglas-Rachford operator ``(Id + R_{gamma A} o R_{N_V}) / 2``; 1/2-averaged."""
-    if not 0 < gamma < np.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    _check_finite_gamma(gamma)
 
     def apply(z):
         return 0.5 * (z + A.reflected(gamma, V.reflect(z)))
@@ -182,8 +181,8 @@ def fdr_solve(prob, gamma=None, relaxation=1.0, a_errors=None, b_errors=None,
     """
     dim = prob.dim
     gamma = prob.beta if gamma is None else float(gamma)
-    prob.check_gamma(gamma)
-    lam_at = as_relaxation(relaxation).validate_open(prob.alpha(gamma))
+    check_gamma(gamma, prob.beta)
+    lam_at = as_relaxation(relaxation).validate_open(averagedness(gamma, prob.beta))
     check_errors([a_errors, b_errors], dim, prob.V.inner.norm)
     z = np.zeros(dim) if z0 is None else as_vector(z0, dim).copy()
     return _fdr_run(prob, gamma, lam_at, z, tol, max_iters, log_every, trace,

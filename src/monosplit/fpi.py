@@ -25,7 +25,7 @@ import numpy as np
 
 from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, ScalarSchedule, _constant_schedule,
                  _iterate, as_relaxation)
-from .fdr import _fdr_run, _primal_dual_result
+from .fdr import _check_finite_gamma, _fdr_run, _primal_dual_result, check_gamma
 from .spaces import as_vector
 
 __all__ = [
@@ -85,7 +85,7 @@ def constant_steps(value):
     return _constant_schedule(StepSchedule, value)
 
 
-def _start(prob, x0, y0, tol=1e-9):
+def _start(prob, x0, y0):
     """The starting pair, each point the origin when not given; a given
     ``x0`` outside V or ``y0`` outside its complement is rejected."""
     V, dim, inner = prob.V, prob.dim, prob.V.inner
@@ -93,11 +93,11 @@ def _start(prob, x0, y0, tol=1e-9):
     y = np.zeros(dim) if y0 is None else as_vector(y0, dim).copy()
     if x0 is not None:
         vx = inner.norm(x - V(x))
-        if vx > tol * (1.0 + inner.norm(x)):
+        if vx > 1e-9 * (1.0 + inner.norm(x)):
             raise ValueError(f"x0 must lie in the subspace (violation {vx:.3e})")
     if y0 is not None:
         vy = inner.norm(V(y))
-        if vy > tol * (1.0 + inner.norm(y)):
+        if vy > 1e-9 * (1.0 + inner.norm(y)):
             raise ValueError(f"y0 must lie in the orthogonal complement (violation {vy:.3e})")
     return x, y
 
@@ -142,8 +142,7 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
     inner = V.inner
     beta = prob.beta
     gamma = beta if gamma is None else float(gamma)
-    if not 0 < gamma < np.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    _check_finite_gamma(gamma)
     epsilon = float(epsilon)
     step_sched = steps if isinstance(steps, StepSchedule) else constant_steps(steps)
     delta_at = step_sched.validate(gamma, beta, epsilon)
@@ -207,7 +206,7 @@ def fpi_explicit_solve(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
     iteration ``x_{n+1} = x_n + lambda_n (J_{gamma A}(x_n - gamma B x_n) - x_n)``.
     """
     gamma = prob.beta if gamma is None else float(gamma)
-    prob.check_gamma(gamma)
+    check_gamma(gamma, prob.beta)
     _check_epsilon(epsilon, gamma, prob.beta)
     lam_at = as_relaxation(relaxation).validate_closed(epsilon, 1.0)
     x, y = _start(prob, x0, y0)

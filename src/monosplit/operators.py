@@ -30,14 +30,17 @@ __all__ = [
     "zero_cocoercive",
 ]
 
+# relative tolerance of the symmetry and semidefiniteness checks on a matrix
+PSD_TOL = 1e-10
+
 
 class ResolventFamily:
     """A maximally monotone operator represented by its resolvents.
 
     ``resolve(gamma, x)`` evaluates ``(Id + gamma A)^{-1} x``.  It must be
-    defined for every ``gamma > 0`` and every finite ``x`` (full domain) and
-    be firmly nonexpansive in ``x`` for each ``gamma``.  Evaluation must be
-    reentrant: no mutable shared state across calls.
+    defined for every finite ``gamma > 0`` and every finite ``x`` (full
+    domain) and be firmly nonexpansive in ``x`` for each ``gamma``.
+    Evaluation must be reentrant: no mutable shared state across calls.
 
     Built-in families whose resolvent is an elementwise formula also carry it
     as ``_kernel = (kernel, params)``; see :func:`_row_kernel_family`.
@@ -52,8 +55,8 @@ class ResolventFamily:
         self._kernel = None
 
     def resolve(self, gamma, x):
-        if not gamma > 0:
-            raise ValueError(f"resolvent parameter must be positive, got {gamma}")
+        if not 0 < gamma < np.inf:
+            raise ValueError(f"resolvent parameter must be positive and finite, got {gamma}")
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(
@@ -236,7 +239,7 @@ class _CachedAffineSolve:
         return z
 
 
-def linear_monotone(M, b=None, tol=1e-10):
+def linear_monotone(M, b=None):
     """Affine monotone operator ``A x = M x + b``.
 
     ``M`` must be monotone (positive-semidefinite symmetric part, skew part
@@ -248,7 +251,7 @@ def linear_monotone(M, b=None, tol=1e-10):
     sym = 0.5 * (M + M.T)
     lo = float(np.linalg.eigvalsh(sym).min())
     scale = max(1.0, largest)
-    if lo < -tol * scale:
+    if lo < -PSD_TOL * scale:
         raise ValueError(f"M is not monotone: symmetric part has eigenvalue {lo:.3e}")
     b = np.zeros(dim) if b is None else as_vector(b, dim)
     cache = _CachedAffineSolve(M)
@@ -259,30 +262,30 @@ def linear_monotone(M, b=None, tol=1e-10):
     return ResolventFamily(res, dim, label="affine-monotone")
 
 
-def _symmetric_psd(Q, tol):
+def _symmetric_psd(Q):
     """``Q`` as a float matrix checked square, finite, symmetric and positive
     semidefinite (relative to its largest entry), with its eigenvalues and
     whether it is exactly symmetric."""
     Q, largest = _square_matrix(Q, "Q")
     scale = max(1.0, largest)
     asymmetry = float(np.abs(Q - Q.T).max())
-    if asymmetry > tol * scale:
+    if asymmetry > PSD_TOL * scale:
         raise ValueError("Q must be symmetric")
     eigs = np.linalg.eigvalsh(Q)
-    if float(eigs.min()) < -tol * scale:
+    if float(eigs.min()) < -PSD_TOL * scale:
         raise ValueError(f"Q must be positive semidefinite (min eigenvalue {eigs.min():.3e})")
     return Q, eigs, asymmetry == 0.0
 
 
-def affine_gradient(Q, b=None, tol=1e-10):
+def affine_gradient(Q, b=None):
     """Cocoercive map ``x -> Q x - b`` for symmetric PSD ``Q``.
 
     The certified constant is ``beta = 1 / lambda_max(Q)``.  An exactly
     symmetric ``Q`` is applied with a one-triangle BLAS kernel (see
-    :func:`monosplit.spaces._matvec`); a ``Q`` symmetric only within ``tol``
-    is applied as given, ``Q @ x - b``.
+    :func:`monosplit.spaces._matvec`); a ``Q`` symmetric only within
+    ``PSD_TOL`` is applied as given, ``Q @ x - b``.
     """
-    Q, eigs, symmetric = _symmetric_psd(Q, tol)
+    Q, eigs, symmetric = _symmetric_psd(Q)
     dim = Q.shape[0]
     lam_max = float(eigs.max())
     if lam_max <= 0.0:

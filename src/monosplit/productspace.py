@@ -24,7 +24,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .fdr import averagedness, check_gamma
+from .fdr import _check_finite_gamma, averagedness, check_gamma
 from .fpi import DEFAULT_EPSILON, _check_epsilon
 from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, _iterate, as_relaxation,
                  check_errors)
@@ -290,8 +290,7 @@ def parallel_dr2(A1, A2, gamma=1.0, relaxation=1.0, b1_errors=None,
     if A1.dim != A2.dim:
         raise ValueError("operator dimensions differ")
     d = A1.dim
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    _check_finite_gamma(gamma)
     lam_at = dr2_relaxation(relaxation)
     check_errors([b1_errors, b2_errors], d)
 

@@ -205,7 +205,7 @@ def _matvec(M, symmetric, b=None):
     return lambda x: dsymv(1.0, F, x, -1.0, b)
 
 
-def matrix_projector(M, inner=None, tol=1e-8):
+def matrix_projector(M, inner=None):
     """Projector given by a dense matrix.
 
     The matrix is audited for idempotence, self-adjointness (w.r.t.
@@ -217,7 +217,7 @@ def matrix_projector(M, inner=None, tol=1e-8):
     M, _ = _square_matrix(M, "projector matrix")
     P = SubspaceProjector(_matvec(M, np.array_equal(M, M.T)), M.shape[0], inner,
                           label="matrix")
-    audit = audit_projector(P, samples=8, tol=tol)
+    audit = audit_projector(P, samples=8)
     if not audit.passed:
         raise ValueError(f"matrix is not an orthogonal projector: {audit}")
     return P
@@ -231,14 +231,14 @@ class ProjectorAudit:
     worst_linearity: float
 
 
-def audit_projector(P, samples=32, tol=1e-8, seed=0):
-    """Sample the projector invariants on unit-scale points.
+def audit_projector(P, samples=32, tol=1e-8):
+    """Sample the projector invariants on unit-scale points drawn with seed 0.
 
     Checks ``P(Px) = Px``, ``<Px, y> = <x, Py>`` and linearity, each within
     ``tol`` (absolute, default 1e-8), and reports the worst violations; a
     NaN violation is the worst and fails the audit.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     idem, sym, lin = [], [], []
     for _ in range(samples):
         x = rng.standard_normal(P.dim)

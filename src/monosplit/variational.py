@@ -9,12 +9,10 @@ and a :class:`SmoothFunction` the ``1/L``-cocoercive map ``grad g``, so
 both go to the solver as they are.  A solution exists
 whenever the optimality system ``0 in  df(x) + grad g(x) + N_V x`` has a
 zero; establishing that (e.g. through interiority of ``dom f - V`` or shared
-minimizers) is a user obligation which the library only probes heuristically.
+minimizers) is a user obligation.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -29,7 +27,6 @@ __all__ = [
     "ProxFunction",
     "SmoothFunction",
     "prox_l1",
-    "prox_indicator_box",
     "l1_function",
     "box_function",
     "quadratic_function",
@@ -37,7 +34,6 @@ __all__ = [
     "quadratic_smooth",
     "zero_smooth",
     "min_over_subspace",
-    "advisory_existence_probe",
 ]
 
 
@@ -88,13 +84,6 @@ class SmoothFunction(CocoerciveMap):
 prox_l1 = _soft_threshold
 
 
-def prox_indicator_box(lo, hi, gamma, x):
-    """Clamp onto the box ``[lo, hi]``; independent of ``gamma``."""
-    if not gamma > 0:
-        raise ValueError(f"prox parameter must be positive, got {gamma}")
-    return _clamp(gamma, np.asarray(x, dtype=float), lo, hi)
-
-
 def l1_function(dim):
     """``f(x) = ||x||_1``."""
     return ProxFunction(prox_l1, dim,
@@ -123,11 +112,11 @@ def _quadratic_value(Q, symmetric, b):
     return value
 
 
-def quadratic_function(Q, b=None, tol=1e-10):
+def quadratic_function(Q, b=None):
     """``f(x) = x'Qx/2 - b'x`` for symmetric PSD ``Q``; prox solves
     ``(Id + gamma Q) z = x + gamma b`` with a factorization cached per gamma,
     and the value applies ``Q`` as :func:`quadratic_smooth` does."""
-    Q, _, symmetric = _symmetric_psd(Q, tol)
+    Q, _, symmetric = _symmetric_psd(Q)
     dim = Q.shape[0]
     b = np.zeros(dim) if b is None else as_vector(b, dim)
     cache = _CachedAffineSolve(Q)
@@ -141,14 +130,14 @@ def zero_function(dim):
                         value=lambda x: 0.0, label="zero")
 
 
-def quadratic_smooth(Q, b=None, tol=1e-10):
+def quadratic_smooth(Q, b=None):
     """``g(x) = x'Qx/2 - b'x`` with gradient ``Qx - b`` and ``L = lambda_max(Q)``.
 
     The gradient and the value apply an exactly symmetric ``Q`` with a
     one-triangle BLAS kernel (see :func:`monosplit.spaces._matvec`); a ``Q``
-    symmetric only within ``tol`` is applied as given.
+    symmetric only within ``operators.PSD_TOL`` is applied as given.
     """
-    Q, eigs, symmetric = _symmetric_psd(Q, tol)
+    Q, eigs, symmetric = _symmetric_psd(Q)
     dim = Q.shape[0]
     lam_max = float(eigs.max())
     if lam_max <= 0.0:
@@ -167,7 +156,7 @@ def zero_smooth(dim, lipschitz=1.0):
 
 def min_over_subspace(f, g, V, gamma=None, relaxation=1.0, a_errors=None,
                       b_errors=None, z0=None, tol=DEFAULT_TOL,
-                      max_iters=DEFAULT_MAX_ITERS, log_every=1, trace=False):
+                      max_iters=DEFAULT_MAX_ITERS, log_every=1):
     """Minimize ``f + g`` over the subspace of ``V``.
 
     Runs the forward-Douglas-Rachford solver with ``A`` the subdifferential
@@ -182,8 +171,7 @@ def min_over_subspace(f, g, V, gamma=None, relaxation=1.0, a_errors=None,
     ``gamma`` ranges over ``]0, 2/L[`` for the gradient's Lipschitz constant
     ``L``.  When both functions are evaluable the objective is recorded on
     logged rows.  Existence of a solution to the optimality system is a user
-    obligation; :func:`advisory_existence_probe` is a non-blocking heuristic
-    that warns if the problem looks unbounded below on the subspace.
+    obligation.
 
     Returns the ``PrimalDualResult`` of the underlying run: on convergence
     ``x`` minimizes ``f + g`` over the subspace (fixed-point residual
@@ -195,39 +183,5 @@ def min_over_subspace(f, g, V, gamma=None, relaxation=1.0, a_errors=None,
         objective = lambda x: float(f.value(x)) + float(g.value(x))
     return fdr_solve(prob, gamma=gamma, relaxation=relaxation,
                      a_errors=a_errors, b_errors=b_errors, z0=z0, tol=tol,
-                     max_iters=max_iters, log_every=log_every, trace=trace,
+                     max_iters=max_iters, log_every=log_every,
                      objective=objective)
-
-
-def advisory_existence_probe(f, g, V, seed=0, directions=8, radius=1e3):
-    """Coarse unboundedness probe along subspace directions (advisory only).
-
-    Samples directions in the subspace and compares objective values at the
-    origin and at ``radius``; a marked decrease triggers a warning, nothing
-    is ever raised.  Requires both functions to be evaluable; silently skips
-    otherwise.  Returns True when no decrease was seen.
-    """
-    if f.value is None or g.value is None:
-        return True
-    rng = np.random.default_rng(seed)
-    obj = lambda x: float(f.value(x)) + float(g.value(x))
-    origin = obj(np.zeros(V.dim))
-    ok = True
-    for _ in range(directions):
-        d = V(rng.standard_normal(V.dim))
-        nd = np.linalg.norm(d)
-        if nd == 0.0:
-            continue
-        d = d / nd
-        for t in (radius, -radius):
-            if obj(t * d) < origin - 1e-6 * (1.0 + abs(origin)):
-                warnings.warn(
-                    "objective decreases along a subspace direction at scale "
-                    f"{radius:g}; the constrained problem may be unbounded below",
-                    RuntimeWarning,
-                )
-                ok = False
-                break
-        if not ok:
-            break
-    return ok

@@ -372,7 +372,20 @@ def test_all_algorithms_run_end_to_end(tmp_path):
         assert float(final[2]) <= 1e-8, name
 
 
-MALFORMED = (None, "s", 0.5, [1], {}, {"kind": [1]}, True)
+@pytest.mark.parametrize("algorithm", ["fpi", "fpi-explicit"])
+def test_scalar_start_is_held_to_its_subspace(tmp_path, capsys, algorithm):
+    # a scalar start is broadcast to a constant vector: outside the zero-mean
+    # subspace unless it is 0, and inside its complement whatever it is
+    spec = dict(ALL_ALGORITHM_SPECS[algorithm], A={"kind": "abs"},
+                subspace={"kind": "zero_mean"}, init={"kind": "value", "x": 1.0})
+    out = str(tmp_path / "out.csv")
+    assert main([str(write_spec(tmp_path, spec)), "-o", out]) == EXIT_INVALID
+    assert "init.x: must lie in the subspace" in capsys.readouterr().err
+    spec["init"] = {"kind": "value", "x": 0.0, "y": 1.0}
+    assert main([str(write_spec(tmp_path, spec)), "-o", out]) == EXIT_CONVERGED
+
+
+MALFORMED =(None, "s", 0.5, [1], {}, {"kind": [1]}, True)
 
 
 def _depth2_paths(spec):

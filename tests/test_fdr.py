@@ -107,8 +107,8 @@ def test_alpha_bound_formula():
     prob = box_identity_problem()
     for gamma in (0.2, 1.0, 1.9):
         expected = max(2.0 / 3.0, 2.0 * gamma / (gamma + 2.0))
-        assert prob.alpha(gamma) == pytest.approx(expected)
-        assert prob.alpha(gamma) == pytest.approx(
+        assert averagedness(gamma, prob.beta) == pytest.approx(expected)
+        assert averagedness(gamma, prob.beta) == pytest.approx(
             ms.composed_alpha([0.5, gamma / 2.0]))
 
 
@@ -117,8 +117,7 @@ def test_gamma_range_and_alpha_defined_once():
         check_gamma(2.0, 1.0)
     prob = box_identity_problem()
     product = ProductProblem([zero_operator(2)], prob.B)
-    for call in (lambda: prob.check_gamma(2.0),
-                 lambda: build_S(prob.B, prob.V, 2.0),
+    for call in (lambda: build_S(prob.B, prob.V, 2.0),
                  lambda: fdr_solve(prob, gamma=2.0),
                  lambda: sum_splitting_solve(product, gamma=2.0),
                  lambda: sum_splitting_pi(product, gamma=2.0)):
@@ -126,8 +125,6 @@ def test_gamma_range_and_alpha_defined_once():
             call()
         assert str(e.value) == str(ref.value)
     assert check_gamma(1, 1.0) == 1.0
-    for gamma in (0.2, 1.0, 1.9):
-        assert prob.alpha(gamma) == averagedness(gamma, prob.beta)
 
 
 def test_fdr_trivial_everything_zero(rng):

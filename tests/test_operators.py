@@ -44,6 +44,15 @@ def test_resolvent_validation():
         A.resolve(1.0, np.zeros(3))
 
 
+@pytest.mark.parametrize("A", [linear_monotone(np.eye(1)),
+                               normal_cone_box([0.0], [1.0]),
+                               subdifferential_abs(1)],
+                         ids=["linear", "box", "abs"])
+def test_resolvent_parameter_must_be_finite(A):
+    with pytest.raises(ValueError, match="resolvent parameter must be positive and finite"):
+        A.resolve(np.inf, np.array([2.0]))
+
+
 def test_partial_inverse_whole_space(rng):
     A = subdifferential_abs(3)
     P = identity_projector(3)

@@ -7,8 +7,11 @@ space), ``gamma in ]0, 2 beta[`` and a constant relaxation.  The oracles are
 the literal recursions of ``conftest`` and the verifiers of ``theory``.
 """
 
+import math
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from monosplit import (AveragedOperator, InclusionProblem, affine_gradient,
                        build_S, build_T, fdr_solve, fpi_explicit_solve,
@@ -19,6 +22,8 @@ from conftest import (fpi_unit_step_reference, kkt_solution, random_spd,
 from theory import certify_averaged, characterization_check
 
 ITERS = 60
+RATE_ITERS = 400
+RATE_EXAMPLES = 60
 
 
 @st.composite
@@ -89,6 +94,31 @@ def test_iterates_are_fejer_monotone_toward_the_kkt_solution(data):
     distances = [float(np.linalg.norm(x - gamma * y - z_star)) for x, y in res.trace]
     assert rises([row.residual for row in res.history]) == []
     assert rises(distances) == []
+
+
+@pytest.mark.parametrize("zero_A", [True, False], ids=["A=0", "box"])
+@settings(max_examples=RATE_EXAMPLES)
+@given(data=st.data())
+def test_residuals_meet_the_rate_certificate(zero_A, data):
+    # for the alpha-averaged T_gamma o S_gamma and a constant lambda in
+    # ]0, 1/alpha[, the residual r_n = ||T S z_n - z_n|| never exceeds
+    # ||z_0 - z*|| sqrt(alpha / (lambda (1 - alpha lambda) (n + 1)))
+    prob, gamma, Q, b, rng = data.draw(problems(zero_A=zero_A))
+    lam = data.draw(open_relaxations(prob, gamma))
+    if zero_A:
+        z_star = kkt_solution(Q, b, prob.V)
+    else:
+        # a reference stopped by max_iters certifies no z*
+        ref = fdr_solve(prob, gamma=gamma, tol=1e-14, max_iters=20_000)
+        assume(ref.status == "converged")
+        z_star = ref.x - gamma * ref.y
+    z0 = 3.0 * rng.standard_normal(prob.dim)
+    res = fdr_solve(prob, gamma=gamma, relaxation=lam, tol=-1.0,
+                    max_iters=RATE_ITERS, z0=z0)
+    alpha = averagedness(gamma, prob.beta)
+    scale = np.linalg.norm(z0 - z_star) * math.sqrt(alpha / (lam * (1.0 - alpha * lam)))
+    worst = max(row.residual * math.sqrt(row.n + 1) for row in res.history) / scale
+    assert worst <= 1.0 + 1e-9
 
 
 @given(problems())

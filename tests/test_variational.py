@@ -4,11 +4,9 @@ import pytest
 import monosplit as ms
 from monosplit import (CocoerciveMap, InclusionProblem, ResolventFamily,
                        box_function, fdr_solve, geometric_errors,
-                       l1_function, min_over_subspace,
-                       prox_indicator_box, prox_l1, quadratic_function,
-                       quadratic_smooth, zero_function,
+                       l1_function, min_over_subspace, prox_l1,
+                       quadratic_function, quadratic_smooth, zero_function,
                        zero_mean_projector, zero_smooth)
-from monosplit.variational import advisory_existence_probe
 from conftest import (kkt_solution, matrix_layouts, random_spd,
                       random_subspace_projector)
 from theory import audit_firm_nonexpansiveness
@@ -39,16 +37,13 @@ def test_prox_l1_moreau_sanity(rng):
 
 
 def test_prox_box_golden_values():
+    box = box_function([0.0, 0.0], [1.0, 1.0])
     x = np.array([0.5, 0.25])
-    np.testing.assert_allclose(prox_indicator_box([0.0, 0.0], [1.0, 1.0], 1.0, x), x)
-    np.testing.assert_allclose(
-        prox_indicator_box([0.0, 0.0], [1.0, 1.0], 1.0, np.array([5.0, -5.0])),
-        [1.0, 0.0])
-    np.testing.assert_allclose(
-        prox_indicator_box([0.0, 0.0], [1.0, 1.0], 10.0, np.array([5.0, -5.0])),
-        [1.0, 0.0])
+    np.testing.assert_allclose(box.resolve(1.0, x), x)
+    np.testing.assert_allclose(box.resolve(1.0, np.array([5.0, -5.0])), [1.0, 0.0])
+    np.testing.assert_allclose(box.resolve(10.0, np.array([5.0, -5.0])), [1.0, 0.0])
     with pytest.raises(ValueError, match="positive"):
-        prox_indicator_box([0.0], [1.0], 0.0, np.array([5.0]))
+        box_function([0.0], [1.0]).resolve(0.0, np.array([5.0]))
 
 
 def test_prox_functions_firmly_nonexpansive(rng):
@@ -185,30 +180,6 @@ def test_quadratic_function_prox_interpolates(rng):
         gamma = rng.uniform(0.1, 5.0)
         z = f.resolve(gamma, x)
         np.testing.assert_allclose(z + gamma * (Q @ z - b), x, atol=1e-10)
-
-
-def test_existence_probe_flags_linear_descent():
-    # f(x) = -x is unbounded below on the whole line
-    f = quadratic_function(np.zeros((1, 1)), b=np.array([1.0]))
-    g = zero_smooth(1)
-    with pytest.warns(RuntimeWarning, match="unbounded"):
-        ok = advisory_existence_probe(f, g, ms.identity_projector(1))
-    assert not ok
-
-
-def test_existence_probe_quiet_on_coercive():
-    f = l1_function(2)
-    g = quadratic_smooth(np.eye(2))
-    assert advisory_existence_probe(f, g, zero_mean_projector(2))
-
-
-def test_probe_hook_in_solver():
-    f = quadratic_function(np.zeros((1, 1)), b=np.array([1.0]))
-    g = zero_smooth(1)
-    with pytest.warns(RuntimeWarning, match="unbounded"):
-        advisory_existence_probe(f, g, ms.identity_projector(1))
-        min_over_subspace(f, g, ms.identity_projector(1), gamma=1.0,
-                          max_iters=3, tol=-1.0)
 
 
 def test_function_objects_are_the_operators():

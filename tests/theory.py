@@ -12,6 +12,7 @@ import numpy as np
 
 from monosplit import (InnerProduct, ResolventFamily, SubspaceProjector,
                        as_vector, build_S, build_T)
+from monosplit.fdr import check_gamma
 from monosplit.productspace import _check_weights
 
 
@@ -136,7 +137,7 @@ class CharacterizationReport:
 def characterization_check(prob, gamma, z):
     """``||T_gamma(S_gamma z) - z||``, the pair ``(x, y) = (P_V z, (x - z) / gamma)``
     and its resolvent residual for ``0 in A x + B x + N_V x``."""
-    gamma = prob.check_gamma(gamma)
+    gamma = check_gamma(gamma, prob.beta)
     A, B, V = prob.A, prob.B, prob.V
     z = as_vector(z, prob.dim)
     fixed_point = V.inner.norm(build_T(A, V, gamma)(build_S(B, V, gamma)(z)) - z)
