@@ -59,10 +59,6 @@ _STATUS_CODES = {km.CONVERGED: EXIT_CONVERGED,
                  km.MAX_ITERS: EXIT_MAX_ITERS,
                  km.DIVERGED: EXIT_DIVERGED}
 
-ALGORITHMS = ("fdr", "fpi", "fpi-explicit", "km", "product", "dr2",
-              "variational", "pi-sum")
-
-
 class SpecValidationError(ValueError):
     """Carries every validation error found in a problem spec."""
 
@@ -325,19 +321,19 @@ def _no_errors(data, algorithm, errors):
         errors.append(f"errors: algorithm {algorithm!r} takes no error schedules")
 
 
-def _init(desc, shape, keys, errors, default_kind=None):
+def _init(desc, shape, keys, errors):
     """Start point ``rng -> array`` of ``shape`` from an ``init`` descriptor.
 
     Kinds: ``zeros`` (also for an absent descriptor); ``random``, ``scale``
     times standard normals; ``value``, the vectors under ``keys`` stacked,
     or, for one key and a two-dimensional ``shape``, any array of that many
-    numbers.  A descriptor without ``kind`` reads as ``default_kind``.
+    numbers.  Every key of a ``value`` is required.
     """
     if desc is None:
         return lambda rng: np.zeros(shape)
     if not _is_object(desc, errors, "init"):
         return None
-    kind = desc.get("kind", default_kind)
+    kind = desc.get("kind")
     if kind == "zeros":
         return lambda rng: np.zeros(shape)
     if kind == "random":
@@ -350,9 +346,13 @@ def _init(desc, shape, keys, errors, default_kind=None):
         errors.append(f"init.kind: unknown init kind {kind!r}; "
                       "known kinds: zeros, random, value")
         return None
+    missing = [f"init.{k}: required field is missing" for k in keys if k not in desc]
+    if missing:
+        errors.extend(missing)
+        return None
     if len(keys) == 1 and len(shape) == 2:
         try:
-            v = np.asarray(desc.get(keys[0]), dtype=float).reshape(shape)
+            v = np.asarray(desc[keys[0]], dtype=float).reshape(shape)
         except (TypeError, ValueError):
             errors.append(f"init.{keys[0]}: expected {shape[0]} vectors "
                           f"of length {shape[1]}")
@@ -361,18 +361,11 @@ def _init(desc, shape, keys, errors, default_kind=None):
             errors.append(f"init.{keys[0]}: vectors have non-finite entries")
             return None
     else:
-        rows = [_vec(desc.get(k), shape[-1], errors, f"init.{k}") for k in keys]
+        rows = [_vec(desc[k], shape[-1], errors, f"init.{k}") for k in keys]
         if any(r is None for r in rows):
             return None
         v = np.array(rows).reshape(shape)
     return lambda rng: v.copy()
-
-
-def _positive(value, errors, path):
-    if value is not None and not 0 < value < np.inf:
-        errors.append(f"{path}: must be positive and finite, got {value}")
-        return False
-    return True
 
 
 def _forward_ranges(B, gamma, relax, errors, closed=False):
@@ -439,16 +432,13 @@ def _build_fpi(data, dim, errors, explicit=False):
         x_start = lambda rng: V(draw(rng))
     if kind == "value" and V is not None:
         x0 = None if x_start is None else x_start(None)  # a value ignores the rng
-        for key, v, gap, where in (
-                ("x", x0, lambda v: v - V(v), "the subspace"),
-                ("y", y0, V, "the orthogonal complement of the subspace")):
-            if v is not None and np.linalg.norm(gap(v)) > 1e-9 * (1 + np.linalg.norm(v)):
-                errors.append(f"init.{key}: must lie in {where}")
+        _check(errors, "init.x", fpi._start, V, x0, None)
+        _check(errors, "init.y", fpi._start, V, None, y0)
 
     if explicit:
         _forward_ranges(B, gamma, relax, errors, closed=True)
     else:
-        gamma_ok = _positive(gamma, errors, "gamma")
+        gamma_ok = gamma is None or _check(errors, "gamma", fdr._check_finite_gamma, gamma)
         if relax is not None:
             _check(errors, "lambda", relax.validate_closed, fpi.DEFAULT_EPSILON, 1.0)
         if steps is not None and B is not None and gamma_ok:
@@ -485,7 +475,7 @@ def _build_km(data, dim, errors):
         elif ref == "resolvent":
             g = _num(desc, "gamma", errors, f"{path}.", default=1.0)
             A = _build("operator", desc, dim, errors, path)
-            if A is not None and _positive(g, errors, f"{path}.gamma"):
+            if A is not None and _check(errors, f"{path}.gamma", fdr._check_finite_gamma, g):
                 ops.append(operators.AveragedOperator(
                     lambda x, A=A, g=g: A.resolve(g, x), 0.5, dim,
                     label="resolvent"))
@@ -531,8 +521,7 @@ def _build_product(data, dim, errors, pi_form=False):
     if pi_form:
         start = _init(data.get("init") or None, (dim,), ("x",), errors)
     else:
-        start = _init(data.get("init") or None, (m, dim), ("z",), errors,
-                      default_kind="zeros")
+        start = _init(data.get("init") or None, (m, dim), ("z",), errors)
     if errors:
         return None
     prob = _check(errors, "weights", productspace.ProductProblem, blocks, B, weights)
@@ -556,7 +545,7 @@ def _build_dr2(data, dim, errors):
     b1 = _schedule(errs.get("b1"), dim, errors, "errors.b1")
     b2 = _schedule(errs.get("b2"), dim, errors, "errors.b2")
     start = _init(data.get("init") or None, (2, dim), ("z1", "z2"), errors)
-    _positive(gamma, errors, "gamma")
+    _check(errors, "gamma", fdr._check_finite_gamma, gamma)
     if relax is not None:
         _check(errors, "lambda", productspace.dr2_relaxation, relax)
     if errors:
@@ -568,14 +557,15 @@ def _build_dr2(data, dim, errors):
 
 _BUILDERS = {
     "fdr": _build_fdr,
-    "variational": partial(_build_fdr, variational_mode=True),
     "fpi": _build_fpi,
     "fpi-explicit": partial(_build_fpi, explicit=True),
     "km": _build_km,
     "product": _build_product,
-    "pi-sum": partial(_build_product, pi_form=True),
     "dr2": _build_dr2,
+    "variational": partial(_build_fdr, variational_mode=True),
+    "pi-sum": partial(_build_product, pi_form=True),
 }
+ALGORITHMS = tuple(_BUILDERS)
 
 
 def parse_spec(text, overrides=None):

@@ -51,10 +51,11 @@ def averagedness(gamma, beta):
 
 
 def _check_finite_gamma(gamma):
-    """Reject a ``gamma`` outside ``]0, +inf[``, the range of ``build_T``,
-    ``fpi_solve`` and ``parallel_dr2``."""
+    """``gamma`` as a float, checked to lie in ``]0, +inf[``, the range of
+    ``build_T``, ``fpi_solve`` and ``parallel_dr2``."""
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    return float(gamma)
 
 
 @dataclass(frozen=True)

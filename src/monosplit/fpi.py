@@ -85,12 +85,12 @@ def constant_steps(value):
     return _constant_schedule(StepSchedule, value)
 
 
-def _start(prob, x0, y0):
+def _start(V, x0, y0):
     """The starting pair, each point the origin when not given; a given
     ``x0`` outside V or ``y0`` outside its complement is rejected."""
-    V, dim, inner = prob.V, prob.dim, prob.V.inner
-    x = np.zeros(dim) if x0 is None else as_vector(x0, dim).copy()
-    y = np.zeros(dim) if y0 is None else as_vector(y0, dim).copy()
+    dim, inner = V.dim, V.inner
+    x = np.zeros(dim) if x0 is None else as_vector(x0, dim)
+    y = np.zeros(dim) if y0 is None else as_vector(y0, dim)
     if x0 is not None:
         vx = inner.norm(x - V(x))
         if vx > 1e-9 * (1.0 + inner.norm(x)):
@@ -141,8 +141,7 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
     A, B, V = prob.A, prob.B, prob.V
     inner = V.inner
     beta = prob.beta
-    gamma = beta if gamma is None else float(gamma)
-    _check_finite_gamma(gamma)
+    gamma = _check_finite_gamma(beta if gamma is None else gamma)
     epsilon = float(epsilon)
     step_sched = steps if isinstance(steps, StepSchedule) else constant_steps(steps)
     delta_at = step_sched.validate(gamma, beta, epsilon)
@@ -159,7 +158,7 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
     lam_at = as_relaxation(relaxation).validate_closed(epsilon, 1.0)
 
     def step(n, state):
-        x, y = state
+        x, y = state    # the rows of the (2, d) state
         delta = delta_at(n)
         PBx = V(B(x))
         target = x - delta * gamma * PBx + gamma * y
@@ -178,9 +177,9 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
         rx = Pp - x
         ry = q - Pq - y
         residual = float(np.sqrt(inner.norm(rx) ** 2 + (gamma * inner.norm(ry)) ** 2))
-        return residual, x, y, lambda lam: (x + lam * rx, y + lam * ry)
+        return residual, x, y, lambda lam: np.stack((x + lam * rx, y + lam * ry))
 
-    run = _iterate(_start(prob, x0, y0), step, lam_at, tol, max_iters,
+    run = _iterate(np.stack(_start(V, x0, y0)), step, lam_at, tol, max_iters,
                    log_every, trace, inner.norm, log_dy=True)
     return _primal_dual_result(V, run)
 
@@ -209,6 +208,6 @@ def fpi_explicit_solve(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
     check_gamma(gamma, prob.beta)
     _check_epsilon(epsilon, gamma, prob.beta)
     lam_at = as_relaxation(relaxation).validate_closed(epsilon, 1.0)
-    x, y = _start(prob, x0, y0)
+    x, y = _start(prob.V, x0, y0)
     return _fdr_run(prob, gamma, lam_at, x - gamma * y, tol, max_iters,
                     log_every, trace)

@@ -349,38 +349,23 @@ class _Run(NamedTuple):
 
 def _growth_bound(state):
     """Squared-norm bound ``(GROWTH_LIMIT * (1 + max|state|))^2`` for the
-    arrays of a run started at ``state``, capped below the float range so
+    state of a run started at ``state``, capped below the float range so
     that an infinite entry exceeds it."""
-    arrays = state if isinstance(state, tuple) else (state,)
-    scale = GROWTH_LIMIT * (1.0 + max(float(np.abs(s).max(initial=0.0))
-                                      for s in arrays))
+    scale = GROWTH_LIMIT * (1.0 + float(np.abs(state).max(initial=0.0)))
     return min(scale * scale, sys.float_info.max)
-
-
-def _bounded(state, bound2):
-    """Whether each array of ``state`` has squared norm at most ``bound2``;
-    a NaN or infinite entry makes the squared norm fail the test too."""
-    if isinstance(state, tuple):
-        for s in state:
-            r = s.ravel()
-            if not r.dot(r) <= bound2:
-                return False
-        return True
-    r = state.ravel()
-    return r.dot(r) <= bound2
 
 
 def _iterate(state, step, lam_at, tol, max_iters, log_every, trace, norm,
              objective=None, log_dy=False):
     """The relaxed fixed-point loop shared by every solver.
 
-    ``state`` is an array or a tuple of arrays, finite at the start.
-    ``step(n, state)`` returns ``(residual, x, y, advance)``: the error-free
-    fixed-point gap at ``state``, the point ``x`` to report (and a second
-    point ``y``, or None) and ``advance(lam)``, the next state.  ``lam_at(n)``
-    is the checked relaxation schedule.
+    ``state`` is an array, finite at the start.  ``step(n, state)`` returns
+    ``(residual, x, y, advance)``: the error-free fixed-point gap at
+    ``state``, the point ``x`` to report (and a second point ``y``, or None)
+    and ``advance(lam)``, the next state.  ``lam_at(n)`` is the checked
+    relaxation schedule.
 
-    Iteration n first checks that no array of the state has outgrown
+    Iteration n first checks that the state has not outgrown
     ``GROWTH_LIMIT * (1 + max|state_0|)`` in norm, which also rejects a NaN or
     infinite entry; otherwise the run stops as diverged at the last reported
     point.  It then takes the step and stops when the residual is at most
@@ -403,7 +388,8 @@ def _iterate(state, step, lam_at, tol, max_iters, log_every, trace, norm,
     x = y = None
     bound2 = _growth_bound(state)
     for n in range(max_iters + 1):
-        if not _bounded(state, bound2):
+        r = state.ravel()
+        if not r.dot(r) <= bound2:
             status = DIVERGED
             break
         prev_x, prev_y = x, y

@@ -307,8 +307,7 @@ def parallel_dr2(A1, A2, gamma=1.0, relaxation=1.0, b1_errors=None,
             D = P - x
         return residual, x, Z, lambda lam: Z + lam * D
 
-    Z = np.zeros((2, d)) if z0 is None else np.stack([as_vector(z0[0], d),
-                                                      as_vector(z0[1], d)])
+    Z = np.zeros((2, d)) if z0 is None else _as_blocks(z0, 2, d)
     run = _iterate(Z, step, lam_at, tol, max_iters, log_every, trace,
                    InnerProduct(d).norm)
 

@@ -82,6 +82,12 @@ def test_parse_rejects_invalid_json():
         parse_spec("{not json")
 
 
+def test_parse_rejects_a_json_array():
+    with pytest.raises(SpecValidationError) as e:
+        parse_spec(json.dumps([fdr_spec()]))
+    assert e.value.errors == ["spec must be a JSON object"]
+
+
 def test_parse_rejects_wrong_schema_version():
     with pytest.raises(SpecValidationError) as e:
         parse_spec(json.dumps(fdr_spec(schema_version=7)))
@@ -100,7 +106,7 @@ def test_parse_rejects_infeasible_fpi_init():
     with pytest.raises(SpecValidationError) as e:
         parse_spec(json.dumps(spec))
     joined = "\n".join(e.value.errors)
-    assert "init.x: must lie in the subspace" in joined
+    assert "init.x: x0 must lie in the subspace (violation " in joined
     assert "init.y" in joined
 
 
@@ -271,6 +277,18 @@ def test_cli_multiple_specs_share_one_output_dir(tmp_path):
     assert (outdir / "two.csv").exists()
 
 
+def test_cli_writes_the_csv_beside_the_spec_by_default(tmp_path):
+    p = write_spec(tmp_path, fdr_spec(), "beside.json")
+    assert main([str(p)]) == EXIT_CONVERGED
+    assert (tmp_path / "beside.csv").read_text().startswith("n,lambda,residual")
+
+
+def test_cli_unwritable_output_is_a_run_failure(tmp_path, capsys):
+    p = write_spec(tmp_path, fdr_spec())
+    assert main([str(p), "-o", str(tmp_path / "missing_dir" / "x.csv")]) == cli.EXIT_ERROR
+    assert f"{p}: run failed: cannot write CSV to" in capsys.readouterr().err
+
+
 def test_emit_csv_path_context(tmp_path):
     record = run(parse_spec(json.dumps(fdr_spec())))
     target = tmp_path / "missing_dir" / "x.csv"
@@ -380,8 +398,18 @@ def test_scalar_start_is_held_to_its_subspace(tmp_path, capsys, algorithm):
                 subspace={"kind": "zero_mean"}, init={"kind": "value", "x": 1.0})
     out = str(tmp_path / "out.csv")
     assert main([str(write_spec(tmp_path, spec)), "-o", out]) == EXIT_INVALID
-    assert "init.x: must lie in the subspace" in capsys.readouterr().err
+    assert "init.x: x0 must lie in the subspace (violation " in capsys.readouterr().err
     spec["init"] = {"kind": "value", "x": 0.0, "y": 1.0}
+    assert main([str(write_spec(tmp_path, spec)), "-o", out]) == EXIT_CONVERGED
+
+
+@pytest.mark.parametrize("algorithm", ["fpi", "fpi-explicit"])
+def test_random_start_is_projected_onto_the_subspace(tmp_path, algorithm):
+    # a standard normal draw leaves the zero-mean subspace; unprojected, the
+    # solver would refuse it as a start and the run would fail
+    spec = dict(ALL_ALGORITHM_SPECS[algorithm], A={"kind": "abs"},
+                subspace={"kind": "zero_mean"}, init={"kind": "random", "scale": 3.0})
+    out = str(tmp_path / "out.csv")
     assert main([str(write_spec(tmp_path, spec)), "-o", out]) == EXIT_CONVERGED
 
 
@@ -431,6 +459,8 @@ def test_parse_malformed_fields_never_crash(algorithm):
     ("fdr", {"stop": 3}, "stop"),
     ("fpi", {"init": {"kind": "value", "x": "s"}}, "init.x"),
     ("fpi-explicit", {"init": {"kind": "value", "x": [1.0, 1.0], "y": "s"}}, "init.y"),
+    ("km", {"errors": [None]}, "errors"),
+    ("fdr", {"A": {"kind": "normal_cone", "subspace": 0.5}}, "A.subspace"),
 ])
 def test_parse_names_malformed_descriptor(algorithm, fields, path):
     spec = dict(ALL_ALGORITHM_SPECS[algorithm], **fields)
@@ -492,6 +522,31 @@ def test_dr2_rejects_unknown_init_kind(tmp_path, init):
     assert e.value.errors == [f"init.kind: unknown init kind {init.get('kind')!r}; "
                               "known kinds: zeros, random, value"]
     assert main([str(write_spec(tmp_path, spec))]) == EXIT_INVALID
+
+
+@pytest.mark.parametrize("algorithm, fields, message", [
+    ("fpi", {"gamma": 0.0}, "gamma: gamma must be positive and finite, got 0.0"),
+    ("dr2", {"gamma": -1.0}, "gamma: gamma must be positive and finite, got -1.0"),
+    ("km", {"ops": [{"type": "resolvent", "kind": "zero", "gamma": float("inf")}]},
+     "ops[0].gamma: gamma must be positive and finite, got inf"),
+    ("fpi-explicit", {"init": {"kind": "value", "x": [0.0, 0.0], "y": [1.0, -1.0]}},
+     "init.y: y0 must lie in the orthogonal complement (violation "),
+    ("product", {"init": {"z": [[5.0], [5.0], [5.0]]}},
+     "init.kind: unknown init kind None; known kinds: zeros, random, value"),
+    ("fpi", {"init": {"kind": "value"}}, "init.x: required field is missing"),
+    ("dr2", {"init": {"kind": "value", "z1": [1.0]}}, "init.z2: required field is missing"),
+    ("product", {"weights": [0.0, 0.5, 0.5]}, "weights: each weight must lie in ]0, 1["),
+    ("fdr", {"dim": 0}, "dim: must be >= 1, got 0"),
+    ("fdr", {"stop": {"max_iters": -1}}, "stop.max_iters: must be >= 0, got -1"),
+    ("fdr", {"log_every": 0}, "log_every: must be >= 1, got 0"),
+], ids=lambda v: v.split(":")[0] if isinstance(v, str) else None)
+def test_spec_error_is_the_one_message_listed(tmp_path, capsys, algorithm, fields, message):
+    # each spec has one fault; its message is the only line on stderr and
+    # starts as listed (a violation's figure follows the listed prefix)
+    spec = write_spec(tmp_path, dict(ALL_ALGORITHM_SPECS[algorithm], **fields))
+    assert main([str(spec)]) == EXIT_INVALID
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{spec}: {message}"), err
 
 
 def test_huge_relaxation_exponent_gets_the_range_message():
@@ -581,7 +636,7 @@ NON_FINITE_FIELDS = {
     ("fdr", ("errors", "a", "rate")): False,
     ("fdr", ("stop", "tol")): False,
     ("fdr", ("gamma",)): False,
-    ("fdr", ("init", "scale")): False,
+    ("fdr", ("init", "scale")): True,
     ("fdr", ("B", "b", 1)): False,
     ("variational", ("lambda", "c")): False,
     ("variational", ("lambda", "p")): False,

@@ -69,6 +69,11 @@ def test_build_T_rejects_gamma_outside_the_positive_reals(gamma):
         build_T(zero_operator(2), identity_projector(2), gamma)
 
 
+def test_inclusion_problem_dimension_mismatch():
+    with pytest.raises(ValueError, match=r"A on R\^2, B on R\^3, V on R\^2"):
+        InclusionProblem(zero_operator(2), zero_cocoercive(3), identity_projector(2))
+
+
 def test_build_T_span_case():
     A = normal_cone_of_subspace(span_projector([1.0, 1.0]))
     V = span_projector([1.0, 0.0])

@@ -30,6 +30,12 @@ def test_step_schedule_validation():
             constant_steps(1.0).validate(1.0, 1.0, epsilon=epsilon)
 
 
+def test_step_range_empty_for_a_large_gamma():
+    # epsilon = 0.5 is admissible, but 2*beta/gamma - epsilon = -0.3 < epsilon
+    with pytest.raises(ValueError, match=r"^empty step range: .* = \[0.5, -0.3\]"):
+        constant_steps(1.0).validate(10.0, 1.0, epsilon=0.5)
+
+
 def _count_generator_calls(schedule):
     """Wrap the schedule's generator; returns the live one-element call count."""
     calls = [0]

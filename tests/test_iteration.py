@@ -144,9 +144,9 @@ def test_state_checked_where_the_residual_cannot_see_it():
     def step(n, state):
         x, y = state
         y_next = np.full(2, np.nan) if n == 3 else y + 1.0
-        return 1.0, x, y, lambda lam: (x + lam, y_next)
+        return 1.0, x, y, lambda lam: np.stack((x + lam, y_next))
 
-    run = _iterate((np.zeros(2), np.zeros(2)), step, lambda n: 1.0, -1.0, 50,
+    run = _iterate(np.zeros((2, 2)), step, lambda n: 1.0, -1.0, 50,
                    1, False, np.linalg.norm, log_dy=True)
     assert run.status == ms.DIVERGED
     assert run.iterations == 4

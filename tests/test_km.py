@@ -311,6 +311,13 @@ def test_km_dimension_mismatch():
         km_solve([proj_op([1.0, 1.0]), proj_op([1.0, 0.0, 0.0])], z0=[0.0, 0.0])
 
 
+def test_km_needs_operators_and_one_error_schedule_each():
+    with pytest.raises(ValueError, match="ops must be a nonempty list"):
+        km_solve([])
+    with pytest.raises(ValueError, match="expected 2 error schedules, got 1"):
+        km_solve([proj_op([1.0, 1.0]), proj_op([1.0, 0.0])], errors=[None])
+
+
 def test_per_operator_decay_diagnostic():
     ops = [proj_op([1.0, 1.0]), proj_op([1.0, 0.0])]
     res = km_solve(ops, z0=[0.0, 2.0], tol=1e-12, trace=True)

@@ -462,6 +462,33 @@ def test_sum_splitting_rejects_bad_start():
                                tol=1e-10).status == ms.CONVERGED
 
 
+def test_parallel_dr2_rejects_bad_start():
+    A = zero_operator(2)
+    with pytest.raises(ValueError, match="non-finite"):
+        parallel_dr2(A, A, z0=[[np.nan, 0.0], [0.0, 0.0]])
+    # a third block is refused, not ignored
+    with pytest.raises(ValueError, match="dimension mismatch: expected 2 blocks of length 2"):
+        parallel_dr2(A, A, z0=np.zeros((3, 2)))
+    assert parallel_dr2(A, A, z0=np.ones(4), tol=1e-10).status == ms.CONVERGED
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ProductProblem([]), "at least one operator block is required"),
+    (lambda: ProductProblem([zero_operator(1), zero_operator(2)]),
+     "all operator blocks must share the base dimension"),
+    (lambda: ProductProblem([zero_operator(2)], B=zero_cocoercive(3)),
+     "forward map dimension mismatch"),
+    (lambda: ProductProblem([zero_operator(0)]), "m and base_dim must be positive"),
+    (lambda: parallel_dr2(zero_operator(1), zero_operator(2)), "operator dimensions differ"),
+    (lambda: parallel_dr2(zero_operator(1), zero_operator(1),
+                          relaxation=ms.RelaxationSchedule(lambda n: 0.5, divergent_sum=False)),
+     r"declares a convergent sum; .* \(two-operator parallel splitting requires"),
+], ids=["no-blocks", "block-dims", "B-dim", "base-dim-0", "dr2-dims", "dr2-convergent-sum"])
+def test_product_inputs_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_pi_sum_rejects_bad_start():
     prob = ProductProblem([zero_operator(2), zero_operator(2)])
     with pytest.raises(ValueError, match="non-finite"):

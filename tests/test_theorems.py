@@ -13,13 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from monosplit import (AveragedOperator, InclusionProblem, affine_gradient,
-                       build_S, build_T, fdr_solve, fpi_explicit_solve,
-                       identity_projector, normal_cone_box, zero_operator)
+from monosplit import (AveragedOperator, InclusionProblem, RelaxationSchedule,
+                       StepSchedule, affine_gradient, build_S, build_T,
+                       fdr_solve, fpi_explicit_solve, fpi_solve,
+                       identity_projector, matrix_projector, normal_cone_box,
+                       zero_cocoercive, zero_operator)
 from monosplit.fdr import averagedness
 from conftest import (fpi_unit_step_reference, kkt_solution, random_spd,
                       random_subspace_projector, trace_deviation)
-from theory import certify_averaged, characterization_check
+from theory import certify_averaged, characterization_check, closed_form_oracle
 
 ITERS = 60
 RATE_ITERS = 400
@@ -68,6 +70,63 @@ def test_fdr_and_fpi_traces_follow_the_unit_step_recursion(case, lam):
     fpi = fpi_explicit_solve(prob, x0=x0, y0=y0, **kw)
     assert trace_deviation(fdr.trace, reference) <= 1e-10
     assert trace_deviation(fpi.trace, reference) <= 1e-10
+
+
+@settings(max_examples=30)
+@given(problems())
+def test_oracle_run_with_B_zero_is_spingarns_partial_inverse_method(case):
+    # with B = 0 and gamma = lambda = delta = 1 the forward-partial-inverse
+    # iteration is Spingarn's: p = J_A(x + y), x+ = P_V p, y+ = P_{V^perp}(x + y - p)
+    prob, _, _, _, rng = case
+    prob = InclusionProblem(prob.A, zero_cocoercive(prob.dim), prob.V)
+    V = prob.V
+    x, y = V(rng.standard_normal(prob.dim)), V.complement(rng.standard_normal(prob.dim))
+    res = fpi_solve(prob, gamma=1.0, oracle=closed_form_oracle(prob), x0=x, y0=y,
+                    tol=-1.0, max_iters=ITERS, trace=True)
+    reference = [(x, y)]
+    for _ in range(ITERS):
+        p = prob.A.resolve(1.0, x + y)
+        x, y = V(p), V.complement(x + y - p)
+        reference.append((x, y))
+    assert trace_deviation(res.trace, reference) <= 1e-12
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_oracle_run_applies_the_documented_update_to_the_oracle_pair(data):
+    # varying delta_n and lambda_n; V a coordinate subspace, on which the
+    # step-1 pair of a box has a closed form for every delta: clamp t on V,
+    # delta * clamp(t / delta) off V.  The trace is the update
+    # x+ = x + lambda (P_V p - x), y+ = y + lambda ((Id - P_V) q - y)
+    # of the recorded pairs, bit for bit.
+    _, _, Q, b, rng = data.draw(problems())
+    dim = Q.shape[0]
+    mask = rng.permutation(dim) < data.draw(st.integers(1, dim - 1))
+    V = matrix_projector(np.diag(mask.astype(float)))
+    A = normal_cone_box(-np.abs(rng.standard_normal(dim)) - 0.1,
+                        np.abs(rng.standard_normal(dim)) + 0.1)
+    prob = InclusionProblem(A, affine_gradient(Q, b), V)
+    gamma = prob.beta
+    steps = StepSchedule(lambda n: 1.0 + 0.5 * math.sin(n))
+    relax = RelaxationSchedule(lambda n: 0.6 + 0.3 * math.cos(n))
+    pairs = []
+
+    def oracle(x, y, delta, gamma, PBx):
+        t = x - delta * gamma * PBx + gamma * y
+        p = np.where(mask, A.resolve(gamma * delta, t),
+                     delta * A.resolve(gamma / delta, t / delta))
+        pairs.append((p, (t - p) / gamma))
+        return pairs[-1]
+
+    x, y = V(rng.standard_normal(dim)), V.complement(rng.standard_normal(dim))
+    res = fpi_solve(prob, gamma=gamma, steps=steps, relaxation=relax, oracle=oracle,
+                    x0=x, y0=y, tol=-1.0, max_iters=ITERS, trace=True)
+    assert len(res.trace) == len(pairs) == ITERS + 1
+    for n, ((xn, yn), (p, q)) in enumerate(zip(res.trace, pairs)):
+        np.testing.assert_array_equal(xn, x)
+        np.testing.assert_array_equal(yn, y)
+        lam = relax(n)
+        x, y = x + lam * (V(p) - x), y + lam * (q - V(q) - y)
 
 
 @settings(max_examples=200)
