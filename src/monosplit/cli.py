@@ -88,10 +88,8 @@ class RunRecord:
 # field readers (collect all errors, never raise until the end)
 # ---------------------------------------------------------------------------
 
-def _num(data, key, errors, path, default=None, required=False):
+def _num(data, key, errors, path, default=None):
     if key not in data:
-        if required:
-            errors.append(f"{path}{key}: required field is missing")
         return default
     v = data[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)) or v != v:
@@ -246,18 +244,17 @@ _UNIT_DELTA = fpi.constant_steps(1.0)
 def _field(desc, key, how, dim, errors, path):
     if how == "dim":
         return dim
-    if how == "vec?":
-        return _vec(desc[key], dim, errors, f"{path}.{key}") if key in desc else None
-    if how in ("vec", "bound"):
-        return _vec(desc.get(key), dim, errors, f"{path}.{key}",
-                    finite=how == "vec")
+    if key not in desc:
+        if how != "vec?" and not isinstance(how, float):
+            errors.append(f"{path}.{key}: required field is missing")
+        return how if isinstance(how, float) else None
+    if how in ("vec", "vec?", "bound"):
+        return _vec(desc[key], dim, errors, f"{path}.{key}", finite=how != "bound")
     if how == "mat":
-        return _mat(desc.get(key), dim, errors, f"{path}.{key}")
-    if how == "num":
-        return _num(desc, key, errors, f"{path}.", required=True)
-    if isinstance(how, float):
-        return _num(desc, key, errors, f"{path}.", default=how)
-    return _required(desc, key, how, dim, errors, f"{path}.{key}")
+        return _mat(desc[key], dim, errors, f"{path}.{key}")
+    if how == "num" or isinstance(how, float):
+        return _num(desc, key, errors, f"{path}.")
+    return _build(how, desc[key], dim, errors, f"{path}.{key}")
 
 
 def _build(family, desc, dim, errors, path):
@@ -377,7 +374,7 @@ def _forward_ranges(B, gamma, relax, errors, closed=False):
     if _check(errors, "gamma", fdr.check_gamma, g, B.beta) is None or relax is None:
         return
     if closed:
-        _check(errors, "lambda", relax.validate_closed, fpi.DEFAULT_EPSILON, 1.0)
+        _check(errors, "lambda", relax.validate_closed, fpi.EPSILON, 1.0)
     else:
         _check(errors, "lambda", relax.validate_open, fdr.averagedness(g, B.beta))
 
@@ -440,7 +437,7 @@ def _build_fpi(data, dim, errors, explicit=False):
     else:
         gamma_ok = gamma is None or _check(errors, "gamma", fdr._check_finite_gamma, gamma)
         if relax is not None:
-            _check(errors, "lambda", relax.validate_closed, fpi.DEFAULT_EPSILON, 1.0)
+            _check(errors, "lambda", relax.validate_closed, fpi.EPSILON, 1.0)
         if steps is not None and B is not None and gamma_ok:
             g = B.beta if gamma is None else gamma
             _check(errors, "delta", steps.validate, g, B.beta)

@@ -29,7 +29,7 @@ from .fdr import _check_finite_gamma, _fdr_run, _primal_dual_result, check_gamma
 from .spaces import as_vector
 
 __all__ = [
-    "DEFAULT_EPSILON",
+    "EPSILON",
     "StepSchedule",
     "OracleError",
     "constant_steps",
@@ -37,7 +37,10 @@ __all__ = [
     "fpi_explicit_solve",
 ]
 
-DEFAULT_EPSILON = 1e-3
+# the theorem needs some epsilon > 0 keeping delta_n in
+# [epsilon, 2*beta/gamma - epsilon] and lambda_n in [epsilon, 1]; every range
+# of the partial-inverse forms is checked against this one
+EPSILON = 1e-3
 # relative tolerance on a user oracle's sum identity and scaled inclusion
 ORACLE_TOL = 1e-9
 
@@ -49,35 +52,23 @@ class OracleError(RuntimeError):
 class StepSchedule(ScalarSchedule):
     """Sequence of proximal scalings ``delta_n`` for the partial-inverse step.
 
-    Admissible values lie in ``[epsilon, 2*beta/gamma - epsilon]`` for an
-    ``epsilon in ]0, max(1, beta/gamma)[``; ``validate`` rejects any other
-    ``epsilon``, and the values are audited and checked by
-    :meth:`ScalarSchedule.checked`.
+    Admissible values lie in ``[epsilon, 2*beta/gamma - epsilon]`` for the
+    module constant ``epsilon = EPSILON``; the values are audited and
+    checked by :meth:`ScalarSchedule.checked`.
     """
 
     __slots__ = ()
 
-    def validate(self, gamma, beta, epsilon=DEFAULT_EPSILON):
-        _check_epsilon(epsilon, gamma, beta)
-        hi = 2.0 * beta / gamma - epsilon
-        if epsilon > hi:
+    def validate(self, gamma, beta):
+        hi = 2.0 * beta / gamma - EPSILON
+        if EPSILON > hi:
             raise ValueError(
-                f"empty step range: [epsilon, 2*beta/gamma - epsilon] = [{epsilon}, {hi}]"
+                f"empty step range: [epsilon, 2*beta/gamma - epsilon] = [{EPSILON}, {hi}]"
             )
         return self.checked(
-            lambda d: epsilon <= d <= hi,
+            lambda d: EPSILON <= d <= hi,
             lambda d, n: (f"step value {d} at n={n} outside admissible range "
-                          f"[epsilon, 2*beta/gamma - epsilon] = [{epsilon}, {hi}]"))
-
-
-def _check_epsilon(epsilon, gamma, beta):
-    """Reject an ``epsilon`` outside ``]0, max(1, beta/gamma)[``: the paper's
-    step and relaxation ranges need ``epsilon > 0``."""
-    if not 0.0 < epsilon < max(1.0, beta / gamma):
-        raise ValueError(
-            f"epsilon must lie in ]0, max(1, beta/gamma)[ = "
-            f"]0, {max(1.0, beta / gamma)}[; got {epsilon}"
-        )
+                          f"[epsilon, 2*beta/gamma - epsilon] = [{EPSILON}, {hi}]"))
 
 
 def constant_steps(value):
@@ -104,7 +95,7 @@ def _start(V, x0, y0):
 
 def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
               x0=None, y0=None, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS,
-              epsilon=DEFAULT_EPSILON, log_every=1, trace=False):
+              log_every=1, trace=False):
     """Solve the inclusion by the forward-partial-inverse routine.
 
     Parameters
@@ -118,7 +109,8 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
         constant 1, and the run is :func:`fpi_explicit_solve`; any other
         schedule needs a user ``oracle``.
     relaxation : float or RelaxationSchedule
-        Relaxations ``lambda_n`` in ``[epsilon, 1]``.
+        Relaxations ``lambda_n`` in ``[epsilon, 1]``.  Both ranges use the
+        module constant ``epsilon = EPSILON``.
     oracle : callable, optional
         User Step-1 solver ``oracle(x, y, delta, gamma, PBx) -> (p, q)``,
         handed the step's ``P_V B x``.  The pair must satisfy the sum
@@ -127,8 +119,6 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
         iteration (the inclusion via the resolvent residual of ``A``), and
         violations above ``ORACLE_TOL`` relative abort with
         :class:`OracleError`.
-    epsilon : float
-        The ``epsilon`` of both the step and the relaxation ranges.
     x0, y0 : array_like, optional
         Starting points; ``x0`` must lie in the subspace and ``y0`` in its
         orthogonal complement (both default to the origin).
@@ -142,9 +132,8 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
     inner = V.inner
     beta = prob.beta
     gamma = _check_finite_gamma(beta if gamma is None else gamma)
-    epsilon = float(epsilon)
     step_sched = steps if isinstance(steps, StepSchedule) else constant_steps(steps)
-    delta_at = step_sched.validate(gamma, beta, epsilon)
+    delta_at = step_sched.validate(gamma, beta)
     if oracle is None:
         if step_sched.constant_value != 1.0:
             raise ValueError(
@@ -153,9 +142,8 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
             )
         return fpi_explicit_solve(prob, gamma=gamma, relaxation=relaxation,
                                   x0=x0, y0=y0, tol=tol, max_iters=max_iters,
-                                  epsilon=epsilon, log_every=log_every,
-                                  trace=trace)
-    lam_at = as_relaxation(relaxation).validate_closed(epsilon, 1.0)
+                                  log_every=log_every, trace=trace)
+    lam_at = as_relaxation(relaxation).validate_closed(EPSILON, 1.0)
 
     def step(n, state):
         x, y = state    # the rows of the (2, d) state
@@ -186,7 +174,7 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
 
 def fpi_explicit_solve(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
                        tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS,
-                       epsilon=DEFAULT_EPSILON, log_every=1, trace=False):
+                       log_every=1, trace=False):
     """Explicit unit-step forward-partial-inverse routine.
 
     Its iterates are those of the recursion
@@ -196,8 +184,9 @@ def fpi_explicit_solve(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
         y_{n+1} = y_n + (lambda_n / gamma)(P_V p_n - p_n)
         x_{n+1} = x_n + lambda_n (P_V p_n - x_n)
 
-    for ``gamma in ]0, 2*beta[`` and relaxations in ``[epsilon, 1]``.  The
-    run is the forward-Douglas-Rachford iteration of ``fdr_solve`` from
+    for ``gamma in ]0, 2*beta[`` and relaxations in ``[epsilon, 1]``, with
+    ``epsilon`` the module constant ``EPSILON``.  The run is the
+    forward-Douglas-Rachford iteration of ``fdr_solve`` from
     ``z_0 = x_0 - gamma y_0``, whose pairs ``(P_V z_n, (P_V z_n - z_n)/gamma)``
     are the ``(x_n, y_n)`` above; its residual ``||p_n - x_n||`` is
     ``sqrt(||P_V p_n - x_n||^2 + ||p_n - P_V p_n||^2)`` by orthogonality.
@@ -206,8 +195,7 @@ def fpi_explicit_solve(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
     """
     gamma = prob.beta if gamma is None else float(gamma)
     check_gamma(gamma, prob.beta)
-    _check_epsilon(epsilon, gamma, prob.beta)
-    lam_at = as_relaxation(relaxation).validate_closed(epsilon, 1.0)
+    lam_at = as_relaxation(relaxation).validate_closed(EPSILON, 1.0)
     x, y = _start(prob.V, x0, y0)
     return _fdr_run(prob, gamma, lam_at, x - gamma * y, tol, max_iters,
                     log_every, trace)

@@ -25,7 +25,7 @@ from itertools import groupby
 import numpy as np
 
 from .fdr import _check_finite_gamma, averagedness, check_gamma
-from .fpi import DEFAULT_EPSILON, _check_epsilon
+from .fpi import EPSILON
 from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, _iterate, as_relaxation,
                  check_errors)
 from .operators import zero_cocoercive
@@ -62,7 +62,7 @@ def _check_weights(weights, m):
     if not (np.all(0.0 < w) and (m == 1 or np.all(w < 1.0))):
         raise ValueError("each weight must lie in ]0, 1[")
     if abs(float(w.sum()) - 1.0) > 1e-12:
-        raise ValueError(f"weights must sum to 1 within 1e-12, got {w.sum()!r}")
+        raise ValueError(f"weights must sum to 1 within 1e-12, got {float(w.sum())}")
     return w
 
 
@@ -338,7 +338,7 @@ def dr2_relaxation(relaxation):
 
 def sum_splitting_pi(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
                      tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS,
-                     epsilon=DEFAULT_EPSILON, log_every=1, trace=False):
+                     log_every=1, trace=False):
     """Partial-inverse form of the parallel sum splitting.
 
     Its iterates are a base primal ``x_n`` and per-block duals ``y_{i,n}``
@@ -350,8 +350,9 @@ def sum_splitting_pi(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
         x_{n+1} = x_n + lambda_n (pbar_n - x_n)
 
     with ``pbar_n`` the weighted mean of the ``p_{i,n}``.  Relaxations range
-    over ``[epsilon, 1]``.  The run is the loop of :func:`sum_splitting_solve`
-    from ``z_{i,0} = x_0 - gamma y_{i,0}``, with ``y_{i,n} = (x_n - z_{i,n})/gamma``
+    over ``[epsilon, 1]``, with ``epsilon`` the constant ``fpi.EPSILON``.  The
+    run is the loop of :func:`sum_splitting_solve` from
+    ``z_{i,0} = x_0 - gamma y_{i,0}``, with ``y_{i,n} = (x_n - z_{i,n})/gamma``
     in ``duals`` and the trace; its residual
     ``sqrt(sum_i w_i ||p_{i,n} - x_n||^2)`` equals
     ``sqrt(||pbar_n - x_n||^2 + sum_i w_i ||pbar_n - p_{i,n}||^2)``.
@@ -359,8 +360,7 @@ def sum_splitting_pi(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
     m, d, w = prob.m, prob.base_dim, prob.weights
     beta = prob.beta
     gamma = check_gamma(beta if gamma is None else float(gamma), beta)
-    _check_epsilon(epsilon, gamma, beta)
-    lam_at = as_relaxation(relaxation).validate_closed(epsilon, 1.0)
+    lam_at = as_relaxation(relaxation).validate_closed(EPSILON, 1.0)
 
     x = np.zeros(d) if x0 is None else as_vector(x0, d)
     if y0 is None:

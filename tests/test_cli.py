@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -539,6 +542,14 @@ def test_dr2_rejects_unknown_init_kind(tmp_path, init):
     ("fdr", {"dim": 0}, "dim: must be >= 1, got 0"),
     ("fdr", {"stop": {"max_iters": -1}}, "stop.max_iters: must be >= 0, got -1"),
     ("fdr", {"log_every": 0}, "log_every: must be >= 1, got 0"),
+    ("fpi-explicit", {"A": {"kind": "normal_cone", "subspace": {"kind": "span"}}},
+     "A.subspace.vector: required field is missing"),
+    ("fpi", {"A": {"kind": "box", "hi": [1, 1]}}, "A.lo: required field is missing"),
+    ("fpi", {"A": {"kind": "linear"}}, "A.M: required field is missing"),
+    ("product", {"weights": [0.5, 0.25, 0.5]},
+     "weights: weights must sum to 1 within 1e-12, got 1.25"),
+    ("product", {"init": {"kind": "value", "z": [1.0, 2.0]}},
+     "init.z: expected 3 vectors of length 1"),
 ], ids=lambda v: v.split(":")[0] if isinstance(v, str) else None)
 def test_spec_error_is_the_one_message_listed(tmp_path, capsys, algorithm, fields, message):
     # each spec has one fault; its message is the only line on stderr and
@@ -669,3 +680,24 @@ def test_non_finite_numbers_are_invalid_specs(tmp_path, capsys, algorithm, path)
         parent[path[-1]] = bad
         assert main([str(write_spec(tmp_path, spec))]) == EXIT_INVALID, bad
         assert f": {path[0]}" in capsys.readouterr().err, bad
+
+
+@pytest.mark.parametrize("algorithm", ["fdr", "km", "product", "dr2"])
+def test_zeros_init_is_the_default_start(algorithm):
+    spec = {k: v for k, v in ALL_ALGORITHM_SPECS[algorithm].items() if k != "init"}
+    zeros = run(parse_spec(json.dumps(dict(spec, init={"kind": "zeros"}))))
+    assert zeros.rows == run(parse_spec(json.dumps(spec))).rows
+
+
+def test_module_entry_point_runs_a_sample_spec(tmp_path):
+    # python -m monosplit exits with main's code and writes main's CSV
+    root = Path(__file__).resolve().parent.parent
+    spec = str(root / "specs" / "box_identity_fdr.json")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "monosplit", spec,
+                           "-o", str(tmp_path / "module.csv")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_CONVERGED, done.stderr
+    assert main([spec, "-o", str(tmp_path / "main.csv")]) == EXIT_CONVERGED
+    assert (tmp_path / "module.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()

@@ -25,15 +25,12 @@ def test_step_schedule_validation():
     constant_steps(1.0).validate(1.0, 1.0)
     with pytest.raises(ValueError, match="outside admissible range"):
         constant_steps(3.0).validate(1.0, 1.0)  # 2*beta/gamma - eps = 2 - eps
-    for epsilon in (2.0, 0.0, -1.0):
-        with pytest.raises(ValueError, match=r"^epsilon must lie in \]0, max\(1, beta/gamma\)\["):
-            constant_steps(1.0).validate(1.0, 1.0, epsilon=epsilon)
 
 
 def test_step_range_empty_for_a_large_gamma():
-    # epsilon = 0.5 is admissible, but 2*beta/gamma - epsilon = -0.3 < epsilon
-    with pytest.raises(ValueError, match=r"^empty step range: .* = \[0.5, -0.3\]"):
-        constant_steps(1.0).validate(10.0, 1.0, epsilon=0.5)
+    # 2*beta/gamma - epsilon = 0.0008 - 0.001 < epsilon
+    with pytest.raises(ValueError, match=r"^empty step range"):
+        constant_steps(1.0).validate(2500.0, 1.0)
 
 
 def _count_generator_calls(schedule):
@@ -83,44 +80,39 @@ def test_custom_steps_keep_prefix_audit():
         delta_at(64)
 
 
-def test_fpi_solve_epsilon_sets_every_range():
-    # relaxations in [epsilon, 1] = [0.5, 1.0] reject 0.2 whether the unit
-    # step comes as a float or as a constant schedule
+def test_fpi_solve_one_epsilon_sets_every_range():
+    # relaxations in [epsilon, 1] = [0.001, 1.0] reject 0.0005 whether the
+    # unit step comes as a float or as a constant schedule
     prob = box_identity_problem()
     messages = []
     for steps in (1.0, constant_steps(1.0)):
         with pytest.raises(ValueError) as e:
-            fpi_solve(prob, gamma=1.0, steps=steps, relaxation=0.2, epsilon=0.5)
+            fpi_solve(prob, gamma=1.0, steps=steps, relaxation=0.0005)
         messages.append(str(e.value))
-    assert messages == ["relaxation value 0.2 at n=0 outside admissible range "
-                        "[0.5, 1.0]"] * 2
+    assert messages == ["relaxation value 0.0005 at n=0 outside admissible range "
+                        "[0.001, 1.0]"] * 2
     # with a user oracle the steps lie in [epsilon, 2*beta/gamma - epsilon]
     oracle = closed_form_oracle(prob)
-    for steps in (constant_steps(0.4), StepSchedule(lambda n: 1.7)):
+    for steps in (constant_steps(0.0005), StepSchedule(lambda n: 1.9995)):
         with pytest.raises(ValueError) as e:
-            fpi_solve(prob, gamma=1.0, steps=steps, oracle=oracle, epsilon=0.5)
+            fpi_solve(prob, gamma=1.0, steps=steps, oracle=oracle)
         assert str(e.value) == (f"step value {steps(0)} at n=0 outside admissible range "
-                                "[epsilon, 2*beta/gamma - epsilon] = [0.5, 1.5]")
+                                "[epsilon, 2*beta/gamma - epsilon] = [0.001, 1.999]")
 
 
-def test_every_partial_inverse_form_rejects_a_nonpositive_epsilon():
-    # epsilon = 0 admitted lambda = 0, a run that never moves, and epsilon < 0
-    # a negative relaxation that blew up; both forms now reject them as
-    # fpi_solve does, with its message
+def test_every_partial_inverse_form_rejects_a_zero_relaxation():
+    # lambda = 0 gives a run that never moves; all three partial-inverse
+    # forms refuse it with fpi_solve's message
     prob = box_identity_problem()
-    for epsilon, lam in ((0.0, 0.0), (-1.0, -0.5)):
-        messages = []
-        for solve in (fpi_solve, fpi_explicit_solve):
-            with pytest.raises(ValueError) as e:
-                solve(prob, gamma=1.0, relaxation=lam, epsilon=epsilon)
-            messages.append(str(e.value))
-        assert messages == [f"epsilon must lie in ]0, max(1, beta/gamma)[ = "
-                            f"]0, 1.0[; got {epsilon}"] * 2
     sum_prob = ms.ProductProblem([prob.A, subdifferential_abs(2)], prob.B)
-    with pytest.raises(ValueError) as e:
-        ms.sum_splitting_pi(sum_prob, gamma=1.0, relaxation=0.0, epsilon=0.0)
-    assert str(e.value) == ("epsilon must lie in ]0, max(1, beta/gamma)[ = "
-                            "]0, 1.0[; got 0.0")
+    messages = []
+    for solve, p in ((fpi_solve, prob), (fpi_explicit_solve, prob),
+                     (ms.sum_splitting_pi, sum_prob)):
+        with pytest.raises(ValueError) as e:
+            solve(p, gamma=1.0, relaxation=0.0)
+        messages.append(str(e.value))
+    assert messages == ["relaxation value 0.0 at n=0 outside admissible range "
+                        "[0.001, 1.0]"] * 3
 
 
 def test_step_schedules_are_not_relaxations():

@@ -386,3 +386,16 @@ def test_zero_error_schedules_are_never_active():
                   geometric_errors(2, -0.0, 0.0)):
         assert not any(sched.active(n) for n in range(100))
     assert [geometric_errors(2, 1.0, 0.0).active(n) for n in range(2)] == [True, False]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: constant_relaxation(1.0).validate_open(1.0), r"^alpha must lie in \]0, 1\[, got 1.0$"),
+    (lambda: constant_relaxation(1.0).validate_open(0.0), r"^alpha must lie in \]0, 1\[, got 0.0$"),
+    (lambda: km_solve([proj_op([1.0, 1.0])], z0=[1.0, 0.0], max_iters=-1),
+     "^max_iters must be nonnegative$"),
+    (lambda: km_solve([proj_op([1.0, 1.0])], z0=[1.0, 0.0], log_every=0),
+     "^log_every must be at least 1$"),
+], ids=["alpha-1", "alpha-0", "max-iters", "log-every"])
+def test_library_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -355,3 +355,14 @@ def test_matrix_operators_reject_non_finite_entries(bad):
         linear_monotone(Q)
     with pytest.raises(ValueError, match="^Q has non-finite entries$"):
         affine_gradient(Q)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: AveragedOperator(lambda x: x, 0.5, 2)(np.zeros(3)),
+     r"^dimension mismatch: operator acts on R\^2, got shape \(3,\)$"),
+    (lambda: normal_cone_box([0.0, 0.0], [1.0, 1.0, 1.0]),
+     r"^bound shapes differ: \(2,\) vs \(3,\)$"),
+], ids=["averaged-shape", "box-shapes"])
+def test_operator_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -483,7 +483,12 @@ def test_parallel_dr2_rejects_bad_start():
     (lambda: parallel_dr2(zero_operator(1), zero_operator(1),
                           relaxation=ms.RelaxationSchedule(lambda n: 0.5, divergent_sum=False)),
      r"declares a convergent sum; .* \(two-operator parallel splitting requires"),
-], ids=["no-blocks", "block-dims", "B-dim", "base-dim-0", "dr2-dims", "dr2-convergent-sum"])
+    (lambda: ProductProblem([zero_operator(1)] * 2, weights=[1.0]),
+     r"^expected 2 weights, got shape \(1,\)$"),
+    (lambda: sum_splitting_solve(ProductProblem([zero_operator(1)] * 2), b_errors=[None]),
+     "^expected 2 per-block error schedules, got 1$"),
+], ids=["no-blocks", "block-dims", "B-dim", "base-dim-0", "dr2-dims", "dr2-convergent-sum",
+        "weights-length", "block-error-count"])
 def test_product_inputs_are_refused(build, message):
     with pytest.raises(ValueError, match=message):
         build()

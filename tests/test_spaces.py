@@ -254,3 +254,15 @@ def test_audit_fails_on_a_nan_violation():
     assert not audit.passed
     assert math.isnan(audit.worst_idempotency)
     assert audit_projector(identity_projector(3)).passed
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: InnerProduct(0), "^dim must be positive$"),
+    (lambda: InnerProduct(2, [1.0]), r"^weights must have shape \(2,\), got \(1,\)$"),
+    (lambda: identity_projector(2, InnerProduct(3)),
+     "^inner product dimension does not match the projector$"),
+    (lambda: span_projector([0.0, 0.0]), "^span vector must be nonzero$"),
+], ids=["dim-0", "weights-shape", "inner-dim", "zero-span"])
+def test_space_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

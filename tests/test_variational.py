@@ -217,3 +217,15 @@ def test_quadratic_functions_reject_non_finite_entries(bad):
     for make in (quadratic_function, quadratic_smooth):
         with pytest.raises(ValueError, match="^Q has non-finite entries$"):
             make(Q)
+
+
+@pytest.mark.parametrize("call, message", [
+    *[(lambda L=L: ms.SmoothFunction(lambda x: x, L, 2),
+       f"^lipschitz must be a positive finite number, got {L}$")
+      for L in (0.0, -1.0, np.inf, np.nan)],
+    (lambda: quadratic_smooth(np.zeros((2, 2))),
+     "^Q must have a positive largest eigenvalue; use zero_smooth"),
+], ids=["lipschitz-0", "lipschitz-negative", "lipschitz-inf", "lipschitz-nan", "zero-Q"])
+def test_smooth_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
