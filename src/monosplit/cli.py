@@ -6,9 +6,10 @@ and describing the operators, schedules, initialization and stopping rule
 from the built-in constructors (field-by-field schema in the README).  Every
 descriptor is read through one vocabulary table (family -> kind ->
 constructor and fields), and every admissible range is checked by the
-library's own validators.  All validation errors are collected and reported
-together, each citing the admissible range it violates, before any
-iteration runs.
+library's own validators.  A field set to JSON null is a missing field: an
+optional one takes its default and a required one is reported missing.  All
+validation errors are collected and reported together, each citing the
+admissible range it violates, before any iteration runs.
 
 Output: a CSV with the fixed columns ``n,lambda,residual,dx,dy,objective``
 (one row per logged iteration) and a summary line on stdout.  Sequential
@@ -88,18 +89,15 @@ class RunRecord:
 # field readers (collect all errors, never raise until the end)
 # ---------------------------------------------------------------------------
 
-def _num(data, key, errors, path, default=None):
-    if key not in data:
-        return default
-    v = data[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or v != v:
-        errors.append(f"{path}{key}: expected a number, got {v!r}")
-        return default
-    return float(v)
+def _num(value, errors, path):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
+        errors.append(f"{path}: expected a number, got {value!r}")
+        return None
+    return float(value)
 
 
 def _intval(data, key, errors, path, default=None, required=False, minimum=None):
-    if key not in data:
+    if data.get(key) is None:
         if required:
             errors.append(f"{path}{key}: required field is missing")
         return default
@@ -161,9 +159,9 @@ def _is_object(value, errors, path, what="an object with a 'kind' field"):
 
 
 def _section(data, key, errors):
-    """The object ``data[key]`` of named fields; absent or empty reads as {}."""
-    value = data.get(key) or {}
-    return value if _is_object(value, errors, key, "an object") else {}
+    """The object ``data[key]`` of named fields; missing or null reads as {}."""
+    value = data.get(key)
+    return {} if value is None or not _is_object(value, errors, key, "an object") else value
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +180,12 @@ def _identity_map(dim):
 
 
 # A field is ``(key, how)``; the constructor receives the fields in order.
-# ``how`` is "dim" (the spec's dimension), "vec" or "mat" (a vector or square
-# matrix of that dimension), "vec?" (a vector, None when the key is absent),
-# "bound" (a vector whose entries may be infinite, a box bound: the
-# constructor rejects NaN), "num" (a required number), a float (a number
-# defaulting to it) or a family name (a nested descriptor).
+# ``how`` is "dim" (the spec's dimension), or a required field: "vec" or "mat"
+# (a vector or square matrix of that dimension), "bound" (a vector whose
+# entries may be infinite, a box bound: the constructor rejects NaN), "num",
+# a family name (a nested descriptor) or a reader ``how(value, dim, errors,
+# path)``; or an optional one: "vec?" or "num?" (None when missing), a float
+# (a number) or ``(family, descriptor)`` (a nested descriptor) defaulting to it.
 _DIM = (None, "dim")
 
 _VOCABULARY = {
@@ -236,25 +235,32 @@ _VOCABULARY = {
     },
 }
 
-_ZERO_B = {"kind": "zero", "beta": 1.0}
-_UNIT_LAMBDA = km.constant_relaxation(1.0)
-_UNIT_DELTA = fpi.constant_steps(1.0)
+_B = ("B", ("forward-map", {"kind": "zero", "beta": 1.0}))
+_LAMBDA = ("lambda", ("relaxation", {"kind": "constant", "value": 1.0}))
 
 
-def _field(desc, key, how, dim, errors, path):
+def _field(data, key, how, dim, errors, path=""):
+    """The field ``key`` of the object ``data`` at ``path`` (the spec itself
+    when empty), read as ``how`` declares; None once an error is recorded."""
     if how == "dim":
         return dim
-    if key not in desc:
-        if how != "vec?" and not isinstance(how, float):
-            errors.append(f"{path}.{key}: required field is missing")
+    where = f"{path}.{key}" if path else key
+    value = data.get(key)
+    if isinstance(how, tuple):
+        how, value = how[0], (how[1] if value is None else value)
+    if value is None:
+        if how not in ("vec?", "num?") and not isinstance(how, float):
+            errors.append(f"{where}: required field is missing")
         return how if isinstance(how, float) else None
     if how in ("vec", "vec?", "bound"):
-        return _vec(desc[key], dim, errors, f"{path}.{key}", finite=how != "bound")
+        return _vec(value, dim, errors, where, finite=how != "bound")
     if how == "mat":
-        return _mat(desc[key], dim, errors, f"{path}.{key}")
-    if how == "num" or isinstance(how, float):
-        return _num(desc, key, errors, f"{path}.")
-    return _build(how, desc[key], dim, errors, f"{path}.{key}")
+        return _mat(value, dim, errors, where)
+    if how in ("num", "num?") or isinstance(how, float):
+        return _num(value, errors, where)
+    if callable(how):
+        return how(value, dim, errors, where)
+    return _build(how, value, dim, errors, where)
 
 
 def _build(family, desc, dim, errors, path):
@@ -277,20 +283,6 @@ def _build(family, desc, dim, errors, path):
     if len(errors) > before:
         return None
     return _check(errors, path, make, *args)
-
-
-def _required(data, key, family, dim, errors, path=None):
-    path = key if path is None else path
-    if key not in data:
-        errors.append(f"{path}: required field is missing")
-        return None
-    return _build(family, data[key], dim, errors, path)
-
-
-def _optional(data, key, family, errors, default):
-    """``data[key]`` built as a ``family`` descriptor; missing or null is ``default``."""
-    desc = data.get(key)
-    return default if desc is None else _build(family, desc, None, errors, key)
 
 
 def _schedule(desc, dim, errors, path):
@@ -321,10 +313,10 @@ def _no_errors(data, algorithm, errors):
 def _init(desc, shape, keys, errors):
     """Start point ``rng -> array`` of ``shape`` from an ``init`` descriptor.
 
-    Kinds: ``zeros`` (also for an absent descriptor); ``random``, ``scale``
-    times standard normals; ``value``, the vectors under ``keys`` stacked,
-    or, for one key and a two-dimensional ``shape``, any array of that many
-    numbers.  Every key of a ``value`` is required.
+    Kinds: ``zeros`` (also for a missing or null descriptor); ``random``,
+    ``scale`` times standard normals; ``value``, the vectors under ``keys``
+    stacked, or, for one key and a two-dimensional ``shape``, any array of
+    that many numbers.  Every key of a ``value`` is required.
     """
     if desc is None:
         return lambda rng: np.zeros(shape)
@@ -334,7 +326,9 @@ def _init(desc, shape, keys, errors):
     if kind == "zeros":
         return lambda rng: np.zeros(shape)
     if kind == "random":
-        scale = _num(desc, "scale", errors, "init.", default=1.0)
+        scale = _field(desc, "scale", 1.0, None, errors, "init")
+        if scale is None:
+            return None
         if not np.isfinite(scale):
             errors.append(f"init.scale: must be finite, got {scale}")
             return None
@@ -343,26 +337,25 @@ def _init(desc, shape, keys, errors):
         errors.append(f"init.kind: unknown init kind {kind!r}; "
                       "known kinds: zeros, random, value")
         return None
-    missing = [f"init.{k}: required field is missing" for k in keys if k not in desc]
-    if missing:
-        errors.extend(missing)
-        return None
     if len(keys) == 1 and len(shape) == 2:
-        try:
-            v = np.asarray(desc[keys[0]], dtype=float).reshape(shape)
-        except (TypeError, ValueError):
-            errors.append(f"init.{keys[0]}: expected {shape[0]} vectors "
-                          f"of length {shape[1]}")
-            return None
-        if not np.isfinite(v).all():
-            errors.append(f"init.{keys[0]}: vectors have non-finite entries")
-            return None
+        v = _field(desc, keys[0], _blocks, shape, errors, "init")
     else:
-        rows = [_vec(desc[k], shape[-1], errors, f"init.{k}") for k in keys]
-        if any(r is None for r in rows):
-            return None
-        v = np.array(rows).reshape(shape)
-    return lambda rng: v.copy()
+        rows = [_field(desc, k, "vec", shape[-1], errors, "init") for k in keys]
+        v = None if any(r is None for r in rows) else np.array(rows).reshape(shape)
+    return None if v is None else lambda rng: v.copy()
+
+
+def _blocks(value, shape, errors, path):
+    """``value``, any array of ``shape[0] * shape[1]`` finite numbers, in ``shape``."""
+    try:
+        v = np.asarray(value, dtype=float).reshape(shape)
+    except (TypeError, ValueError):
+        errors.append(f"{path}: expected {shape[0]} vectors of length {shape[1]}")
+        return None
+    if not np.isfinite(v).all():
+        errors.append(f"{path}: vectors have non-finite entries")
+        return None
+    return v
 
 
 def _forward_ranges(B, gamma, relax, errors, closed=False):
@@ -384,16 +377,16 @@ def _forward_ranges(B, gamma, relax, errors, closed=False):
 # ---------------------------------------------------------------------------
 
 def _build_fdr(data, dim, errors, variational_mode=False):
-    V = _required(data, "subspace", "subspace", dim, errors)
+    V = _field(data, "subspace", "subspace", dim, errors)
     if variational_mode:
-        f = _required(data, "f", "prox", dim, errors)
-        g = _required(data, "g", "smooth", dim, errors)
+        f = _field(data, "f", "prox", dim, errors)
+        g = _field(data, "g", "smooth", dim, errors)
         B = None if g is None else g.as_cocoercive()
     else:
-        A = _required(data, "A", "operator", dim, errors)
-        B = _build("forward-map", data.get("B", _ZERO_B), dim, errors, "B")
-    gamma = _num(data, "gamma", errors, "")
-    relax = _optional(data, "lambda", "relaxation", errors, _UNIT_LAMBDA)
+        A = _field(data, "A", "operator", dim, errors)
+        B = _field(data, *_B, dim, errors)
+    gamma = _field(data, "gamma", "num?", dim, errors)
+    relax = _field(data, *_LAMBDA, dim, errors)
     errs = _section(data, "errors", errors)
     a_errors = _schedule(errs.get("a"), dim, errors, "errors.a")
     b_errors = _schedule(errs.get("b"), dim, errors, "errors.b")
@@ -411,19 +404,18 @@ def _build_fdr(data, dim, errors, variational_mode=False):
 
 
 def _build_fpi(data, dim, errors, explicit=False):
-    V = _required(data, "subspace", "subspace", dim, errors)
-    A = _required(data, "A", "operator", dim, errors)
-    B = _build("forward-map", data.get("B", _ZERO_B), dim, errors, "B")
-    gamma = _num(data, "gamma", errors, "")
-    relax = _optional(data, "lambda", "relaxation", errors, _UNIT_LAMBDA)
-    steps = None if explicit else _optional(data, "delta", "step", errors, _UNIT_DELTA)
+    V = _field(data, "subspace", "subspace", dim, errors)
+    A = _field(data, "A", "operator", dim, errors)
+    B = _field(data, *_B, dim, errors)
+    gamma = _field(data, "gamma", "num?", dim, errors)
+    relax = _field(data, *_LAMBDA, dim, errors)
+    steps = None if explicit else _field(
+        data, "delta", ("step", {"kind": "constant", "value": 1.0}), dim, errors)
     _no_errors(data, "fpi-explicit" if explicit else "fpi", errors)
-    init = data.get("init") or None
+    init = data.get("init")
     x_start = _init(init, (dim,), ("x",), errors)
     kind = init.get("kind") if isinstance(init, dict) else None
-    y0 = np.zeros(dim)
-    if kind == "value" and "y" in init:
-        y0 = _vec(init["y"], dim, errors, "init.y")
+    y0 = _field(init, "y", "vec?", dim, errors, "init") if kind == "value" else None
     if kind == "random" and V is not None and x_start is not None:
         draw = x_start  # a random start must still lie in the subspace
         x_start = lambda rng: V(draw(rng))
@@ -470,16 +462,17 @@ def _build_km(data, dim, errors):
             if P is not None:
                 ops.append(operators.AveragedOperator(P, 0.5, dim, label="projection"))
         elif ref == "resolvent":
-            g = _num(desc, "gamma", errors, f"{path}.", default=1.0)
+            g = _field(desc, "gamma", 1.0, dim, errors, path)
             A = _build("operator", desc, dim, errors, path)
-            if A is not None and _check(errors, f"{path}.gamma", fdr._check_finite_gamma, g):
+            if A is not None and g is not None and _check(
+                    errors, f"{path}.gamma", fdr._check_finite_gamma, g):
                 ops.append(operators.AveragedOperator(
                     lambda x, A=A, g=g: A.resolve(g, x), 0.5, dim,
                     label="resolvent"))
         else:
             errors.append(f"{path}.type: unknown operator type {ref!r}; "
                           "known types: projector, resolvent")
-    relax = _optional(data, "lambda", "relaxation", errors, _UNIT_LAMBDA)
+    relax = _field(data, *_LAMBDA, dim, errors)
     schedules = None
     if data.get("errors") is not None:
         schedules = _schedules(data["errors"], len(descs), dim, errors, "errors")
@@ -502,10 +495,10 @@ def _build_product(data, dim, errors, pi_form=False):
     m = len(descs)
     blocks = [_build("operator", d, dim, errors, f"blocks[{i}]")
               for i, d in enumerate(descs)]
-    B = _build("forward-map", data.get("B", _ZERO_B), dim, errors, "B")
-    weights = _vec(data["weights"], m, errors, "weights") if "weights" in data else None
-    gamma = _num(data, "gamma", errors, "")
-    relax = _optional(data, "lambda", "relaxation", errors, _UNIT_LAMBDA)
+    B = _field(data, *_B, dim, errors)
+    weights = _field(data, "weights", "vec?", m, errors)
+    gamma = _field(data, "gamma", "num?", dim, errors)
+    relax = _field(data, *_LAMBDA, dim, errors)
     a_errors = b_errors = None
     if pi_form:
         _no_errors(data, "pi-sum", errors)
@@ -515,10 +508,8 @@ def _build_product(data, dim, errors, pi_form=False):
         if errs.get("b") is not None:
             b_errors = _schedules(errs["b"], m, dim, errors, "errors.b")
     _forward_ranges(B, gamma, relax, errors, closed=pi_form)
-    if pi_form:
-        start = _init(data.get("init") or None, (dim,), ("x",), errors)
-    else:
-        start = _init(data.get("init") or None, (m, dim), ("z",), errors)
+    start = _init(data.get("init"), (dim,) if pi_form else (m, dim),
+                  ("x",) if pi_form else ("z",), errors)
     if errors:
         return None
     prob = _check(errors, "weights", productspace.ProductProblem, blocks, B, weights)
@@ -534,15 +525,16 @@ def _build_product(data, dim, errors, pi_form=False):
 
 
 def _build_dr2(data, dim, errors):
-    A1 = _required(data, "A1", "operator", dim, errors)
-    A2 = _required(data, "A2", "operator", dim, errors)
-    gamma = _num(data, "gamma", errors, "", default=1.0)
-    relax = _optional(data, "lambda", "relaxation", errors, _UNIT_LAMBDA)
+    A1 = _field(data, "A1", "operator", dim, errors)
+    A2 = _field(data, "A2", "operator", dim, errors)
+    gamma = _field(data, "gamma", 1.0, dim, errors)
+    relax = _field(data, *_LAMBDA, dim, errors)
     errs = _section(data, "errors", errors)
     b1 = _schedule(errs.get("b1"), dim, errors, "errors.b1")
     b2 = _schedule(errs.get("b2"), dim, errors, "errors.b2")
-    start = _init(data.get("init") or None, (2, dim), ("z1", "z2"), errors)
-    _check(errors, "gamma", fdr._check_finite_gamma, gamma)
+    start = _init(data.get("init"), (2, dim), ("z1", "z2"), errors)
+    if gamma is not None:
+        _check(errors, "gamma", fdr._check_finite_gamma, gamma)
     if relax is not None:
         _check(errors, "lambda", productspace.dr2_relaxation, relax)
     if errors:
@@ -586,7 +578,7 @@ def parse_spec(text, overrides=None):
             if value is None:
                 continue
             if key in ("tol", "max_iters"):
-                stop = data.get("stop") or {}
+                stop = {} if data.get("stop") is None else data["stop"]
                 if isinstance(stop, dict):
                     data["stop"] = {**stop, key: value}
             else:
@@ -602,7 +594,7 @@ def parse_spec(text, overrides=None):
         raise SpecValidationError(errors)
 
     stop = _section(data, "stop", errors)
-    tol = _num(stop, "tol", errors, "stop.", default=km.DEFAULT_TOL)
+    tol = _field(stop, "tol", km.DEFAULT_TOL, None, errors, "stop")
     max_iters = _intval(stop, "max_iters", errors, "stop.",
                         default=km.DEFAULT_MAX_ITERS, minimum=0)
     seed = _intval(data, "seed", errors, "", default=0)

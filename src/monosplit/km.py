@@ -468,6 +468,8 @@ def km_solve(ops, relaxation=1.0, errors=None, z0=None, tol=DEFAULT_TOL,
         if len(errors) != m:
             raise ValueError(f"expected {m} error schedules, got {len(errors)}")
     inner = InnerProduct(dim) if inner is None else inner
+    if getattr(inner, "dim", dim) != dim:  # a duck-typed product may omit dim
+        raise ValueError("inner product dimension does not match the operators")
     check_errors(errors, dim, inner.norm)
 
     def step(n, z):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from monosplit import cli, fdr, productspace
+from monosplit import cli, fdr, km, productspace
 from monosplit.cli import (EXIT_CONVERGED, EXIT_DIVERGED, EXIT_INVALID,
                            EXIT_MAX_ITERS, SpecValidationError, emit_csv, main,
                            parse_spec, run)
@@ -464,6 +464,10 @@ def test_parse_malformed_fields_never_crash(algorithm):
     ("fpi-explicit", {"init": {"kind": "value", "x": [1.0, 1.0], "y": "s"}}, "init.y"),
     ("km", {"errors": [None]}, "errors"),
     ("fdr", {"A": {"kind": "normal_cone", "subspace": 0.5}}, "A.subspace"),
+    ("fdr", {"stop": 0}, "stop"),
+    ("fdr", {"errors": False}, "errors"),
+    ("product", {"init": []}, "init"),
+    ("dr2", {"init": 0}, "init"),
 ])
 def test_parse_names_malformed_descriptor(algorithm, fields, path):
     spec = dict(ALL_ALGORITHM_SPECS[algorithm], **fields)
@@ -550,6 +554,12 @@ def test_dr2_rejects_unknown_init_kind(tmp_path, init):
      "weights: weights must sum to 1 within 1e-12, got 1.25"),
     ("product", {"init": {"kind": "value", "z": [1.0, 2.0]}},
      "init.z: expected 3 vectors of length 1"),
+    ("fpi", {"A": {"kind": "box", "lo": None, "hi": [1, 1]}},
+     "A.lo: required field is missing"),
+    ("fpi", {"A": {"kind": "linear", "M": None}}, "A.M: required field is missing"),
+    ("fpi-explicit", {"A": {"kind": "normal_cone",
+                            "subspace": {"kind": "span", "vector": None}}},
+     "A.subspace.vector: required field is missing"),
 ], ids=lambda v: v.split(":")[0] if isinstance(v, str) else None)
 def test_spec_error_is_the_one_message_listed(tmp_path, capsys, algorithm, fields, message):
     # each spec has one fault; its message is the only line on stderr and
@@ -701,3 +711,54 @@ def test_module_entry_point_runs_a_sample_spec(tmp_path):
     assert done.returncode == EXIT_CONVERGED, done.stderr
     assert main([spec, "-o", str(tmp_path / "main.csv")]) == EXIT_CONVERGED
     assert (tmp_path / "module.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALL_ALGORITHM_SPECS))
+def test_init_without_a_kind_is_invalid(algorithm):
+    spec = dict(ALL_ALGORITHM_SPECS[algorithm], init={})
+    with pytest.raises(SpecValidationError) as e:
+        parse_spec(json.dumps(spec))
+    assert e.value.errors == ["init.kind: unknown init kind None; "
+                              "known kinds: zeros, random, value"]
+
+
+def test_stop_overrides_keep_a_malformed_stop():
+    for overrides in ({"tol": 1e-6}, {"max_iters": 5}):
+        with pytest.raises(SpecValidationError) as e:
+            parse_spec(json.dumps(fdr_spec(stop=0)), overrides)
+        assert e.value.errors == ["stop: expected an object"]
+    spec = parse_spec(json.dumps(fdr_spec(stop=None)), {"tol": 1e-6})
+    assert (spec.tol, spec.max_iters) == (1e-6, km.DEFAULT_MAX_ITERS)
+
+
+def _outcome(spec):
+    try:
+        return run(parse_spec(json.dumps(spec))).rows
+    except SpecValidationError as e:
+        return e.errors
+
+
+def test_null_is_a_missing_field():
+    # a field set to null and the same field left out are one spec: the same
+    # errors, or the same run
+    specs = list(ALL_ALGORITHM_SPECS.values()) + [
+        _numeric_spec(a) for a in ("fdr", "variational", "fpi", "dr2", "km", "product")]
+    differ, paths = [], 0
+    for spec in specs:
+        for path in _depth2_paths(spec):
+            if isinstance(path[-1], int):
+                continue
+            paths += 1
+            outcomes = []
+            for null in (True, False):
+                bad = copy.deepcopy(spec)
+                parent = bad if len(path) == 1 else bad[path[0]]
+                if null:
+                    parent[path[-1]] = None
+                else:
+                    del parent[path[-1]]
+                outcomes.append(_outcome(bad))
+            if outcomes[0] != outcomes[1]:
+                differ.append(f"{spec['algorithm']} {path}: {outcomes[0]!r:.200}")
+    assert paths == 204
+    assert not differ

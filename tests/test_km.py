@@ -311,6 +311,14 @@ def test_km_dimension_mismatch():
         km_solve([proj_op([1.0, 1.0]), proj_op([1.0, 0.0, 0.0])], z0=[0.0, 0.0])
 
 
+@pytest.mark.parametrize("weights", [None, [1.0, 2.0, 3.0]])
+def test_km_inner_product_must_match_the_operators(weights):
+    # a uniform product of the wrong dimension once ran unnoticed, and a
+    # weighted one failed mid-run with a broadcasting error
+    with pytest.raises(ValueError, match="^inner product dimension does not match"):
+        km_solve([proj_op([1.0, 1.0])], z0=[1.0, 0.0], inner=ms.InnerProduct(3, weights))
+
+
 def test_km_needs_operators_and_one_error_schedule_each():
     with pytest.raises(ValueError, match="ops must be a nonempty list"):
         km_solve([])
