@@ -409,6 +409,9 @@ def _build_fpi(data, dim, errors, explicit=False):
     B = _field(data, *_B, dim, errors)
     gamma = _field(data, "gamma", "num?", dim, errors)
     relax = _field(data, *_LAMBDA, dim, errors)
+    if explicit and data.get("delta") is not None:
+        errors.append("delta: algorithm 'fpi-explicit' takes no step schedule; "
+                      "it always runs delta = 1")
     steps = None if explicit else _field(
         data, "delta", ("step", {"kind": "constant", "value": 1.0}), dim, errors)
     _no_errors(data, "fpi-explicit" if explicit else "fpi", errors)

@@ -21,7 +21,7 @@ import numpy as np
 from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, _iterate, as_relaxation,
                  check_errors)
 from .operators import AveragedOperator
-from .spaces import as_vector
+from .spaces import _matvec, as_vector
 
 __all__ = [
     "check_gamma",
@@ -96,12 +96,33 @@ def build_T(A, V, gamma):
     return AveragedOperator(apply, 0.5, V.dim, label="douglas-rachford")
 
 
+def _fused_forward(B, V):
+    """``x -> K x - P_V b`` with ``K = P_V Q P_V``, which is ``P_V B P_V x``
+    in one matvec, when ``B x = Q x - b`` exposes an exactly symmetric ``Q``
+    and ``V`` an exactly symmetric matrix; None for any other pair.
+
+    Both are read with ``getattr``, so wrappers that forward attributes fuse
+    as the objects they wrap do.  ``K`` comes from ``V``'s cache (built there
+    on first use); ``P_V b`` costs one projection per call of this helper.
+    """
+    affine = getattr(B, "_affine", None)
+    sandwich = getattr(V, "_sandwich", None)
+    if affine is None or sandwich is None:
+        return None
+    Q, b, key = affine
+    return _matvec(sandwich.product(Q, key), True, V(b))
+
+
 def build_S(B, V, gamma):
-    """Forward operator ``Id - gamma P_V o B o P_V``; gamma/(2 beta)-averaged."""
+    """Forward operator ``Id - gamma P_V o B o P_V``; gamma/(2 beta)-averaged.
+
+    An affine ``B`` and a matrix ``V`` are applied fused, as
+    ``z - gamma (K z - P_V b)`` (see :func:`_fused_forward`)."""
     check_gamma(gamma, B.beta)
+    forward = _fused_forward(B, V) or (lambda z: V(B(V(z))))
 
     def apply(z):
-        return z - gamma * V(B(V(z)))
+        return z - gamma * forward(z)
 
     return AveragedOperator(apply, gamma / (2.0 * B.beta), V.dim, label="forward")
 
@@ -193,14 +214,17 @@ def fdr_solve(prob, gamma=None, relaxation=1.0, a_errors=None, b_errors=None,
 def _fdr_run(prob, gamma, lam_at, z, tol, max_iters, log_every, trace,
              objective=None, a_errors=None, b_errors=None):
     """The iteration of :func:`fdr_solve` from ``z``, with ``gamma``, the
-    relaxations ``lam_at`` and the error schedules already checked."""
+    relaxations ``lam_at`` and the error schedules already checked.  An
+    affine ``B`` and a matrix ``V`` take ``P_V B x`` fused (see
+    :func:`_fused_forward`)."""
     A, B, V = prob.A, prob.B, prob.V
     inner = V.inner
+    fused = _fused_forward(B, V)
 
     def step(n, z):
         x = V(z)
         y = (x - z) / gamma
-        PBx = V(B(x))
+        PBx = V(B(x)) if fused is None else fused(x)
         s_clean = x - gamma * PBx + gamma * y
         if a_errors is not None and a_errors.active(n):
             p = A.resolve(gamma, s_clean - gamma * V(a_errors(n)))

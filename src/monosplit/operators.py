@@ -10,6 +10,7 @@ cone, affine monotone, affine gradient) have closed-form resolvents or maps.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 
 import numpy as np
@@ -79,9 +80,13 @@ class CocoerciveMap:
 
     The constant is a semantic input to step-size bounds; it is declared by
     the caller, never inferred.
+
+    A built-in map ``x -> Q x - b`` with an exactly symmetric ``Q`` also
+    carries ``_affine = (Q, b, key)``, ``key`` a content digest of ``Q``;
+    see :func:`_affine_data`.  Any other map carries None.
     """
 
-    __slots__ = ("_func", "beta", "dim", "label")
+    __slots__ = ("_func", "beta", "dim", "label", "_affine")
 
     def __init__(self, func, beta, dim, label=""):
         if not (np.isfinite(beta) and beta > 0):
@@ -90,6 +95,7 @@ class CocoerciveMap:
         self.beta = float(beta)
         self.dim = int(dim)
         self.label = label
+        self._affine = None
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -277,13 +283,25 @@ def _symmetric_psd(Q):
     return Q, eigs, asymmetry == 0.0
 
 
+def _affine_data(Q, b, symmetric):
+    """``(Q, b, key)`` for the ``_affine`` attribute of a map ``x -> Q x - b``,
+    with ``key`` the SHA-256 digest of ``Q``'s entries, or None when ``Q``
+    is not ``symmetric``.  The digest is taken here, once per map, so that
+    the solvers can share ``P Q P`` between maps built from equal matrices
+    (see :class:`monosplit.spaces._SandwichCache`)."""
+    if not symmetric:
+        return None
+    return Q, b, hashlib.sha256(np.ascontiguousarray(Q)).digest()
+
+
 def affine_gradient(Q, b=None):
     """Cocoercive map ``x -> Q x - b`` for symmetric PSD ``Q``.
 
     The certified constant is ``beta = 1 / lambda_max(Q)``.  An exactly
     symmetric ``Q`` is applied with a one-triangle BLAS kernel (see
-    :func:`monosplit.spaces._matvec`); a ``Q`` symmetric only within
-    ``PSD_TOL`` is applied as given, ``Q @ x - b``.
+    :func:`monosplit.spaces._matvec`) and exposed as ``_affine``; a ``Q``
+    symmetric only within ``PSD_TOL`` is applied as given, ``Q @ x - b``.
+    ``Q`` and ``b`` are kept by reference.
     """
     Q, eigs, symmetric = _symmetric_psd(Q)
     dim = Q.shape[0]
@@ -292,8 +310,10 @@ def affine_gradient(Q, b=None):
         raise ValueError("Q must have a positive largest eigenvalue; "
                          "use zero_cocoercive for a vanishing forward map")
     b = np.zeros(dim) if b is None else as_vector(b, dim)
-    return CocoerciveMap(_matvec(Q, symmetric, b), 1.0 / lam_max, dim,
-                         label="affine-gradient")
+    B = CocoerciveMap(_matvec(Q, symmetric, b), 1.0 / lam_max, dim,
+                      label="affine-gradient")
+    B._affine = _affine_data(Q, b, symmetric)
+    return B
 
 
 def zero_cocoercive(dim, beta=1.0):

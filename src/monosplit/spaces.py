@@ -2,14 +2,17 @@
 
 Vectors are plain 1-d numpy arrays.  The ambient geometry is carried by
 :class:`InnerProduct` (uniform or diagonally weighted), and closed subspaces
-are represented by their orthogonal projectors.  Everything here is a pure
-function of its inputs; all objects are immutable after construction and
-safe to share across threads.
+are represented by their orthogonal projectors.  Objects keep the arrays
+they are given by reference, so an array changed after construction changes
+the object built from it.  Each object is safe to share across threads: the
+only state that changes after construction is the lock-guarded cache of a
+matrix projector's products ``P Q P`` (see :class:`_SandwichCache`).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,9 +110,13 @@ class SubspaceProjector:
     ``inner``; :func:`audit_projector` samples those properties.  Projectors
     are supplied (as structured callables or dense matrices), never derived
     from spanning sets.
+
+    A projector given by an exactly symmetric matrix also carries
+    ``_sandwich``, the :class:`_SandwichCache` of that matrix; any other
+    carries None.
     """
 
-    __slots__ = ("_apply", "dim", "inner", "label")
+    __slots__ = ("_apply", "dim", "inner", "label", "_sandwich")
 
     def __init__(self, apply, dim, inner=None, label=""):
         self._apply = apply
@@ -118,6 +125,7 @@ class SubspaceProjector:
         if self.inner.dim != self.dim:
             raise ValueError("inner product dimension does not match the projector")
         self.label = label
+        self._sandwich = None
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -205,21 +213,60 @@ def _matvec(M, symmetric, b=None):
     return lambda x: dsymv(1.0, F, x, -1.0, b)
 
 
+class _SandwichCache:
+    """The products ``K = P Q P`` of an exactly symmetric projector matrix
+    ``P`` with exactly symmetric matrices ``Q``, one per ``Q``.
+
+    ``K`` is built on first request, made exactly symmetric and
+    Fortran-ordered, so that :func:`_matvec` applies it with ``dsymv`` and no
+    copy.  Entries are keyed by a content digest of ``Q`` that the caller
+    supplies, so equal matrices share one entry and a changed matrix gets its
+    own.  The cache is guarded so concurrent callers observe a consistent
+    value; a product is immutable once stored.  Each entry holds a d x d
+    matrix, and entries are never evicted.
+    """
+
+    __slots__ = ("P", "_cache", "_lock")
+
+    def __init__(self, P):
+        self.P = P
+        self._cache = {}
+        self._lock = threading.Lock()
+
+    def product(self, Q, key):
+        K = self._cache.get(key)
+        if K is None:
+            with self._lock:
+                K = self._cache.get(key)
+                if K is None:
+                    # in place, so that the build holds at most two d x d
+                    # arrays beside P and Q; K.T of the symmetric C-ordered
+                    # K is the same matrix, Fortran-ordered
+                    K = self.P @ (Q @ self.P)
+                    K += K.T
+                    K *= 0.5
+                    K = self._cache[key] = K.T
+        return K
+
+
 def matrix_projector(M, inner=None):
     """Projector given by a dense matrix.
 
     The matrix is audited for idempotence, self-adjointness (w.r.t.
     ``inner``) and linearity on random samples and rejected if it fails.  An
     exactly symmetric matrix is applied with a one-triangle BLAS kernel (see
-    :func:`_matvec`); any other, such as a projector self-adjoint only under
-    a weighted ``inner``, as ``M @ x``.
+    :func:`_matvec`) and carries a :class:`_SandwichCache`; any other, such
+    as a projector self-adjoint only under a weighted ``inner``, is applied
+    as ``M @ x``.  ``M`` is kept by reference.
     """
     M, _ = _square_matrix(M, "projector matrix")
-    P = SubspaceProjector(_matvec(M, np.array_equal(M, M.T)), M.shape[0], inner,
-                          label="matrix")
+    symmetric = np.array_equal(M, M.T)
+    P = SubspaceProjector(_matvec(M, symmetric), M.shape[0], inner, label="matrix")
     audit = audit_projector(P, samples=8)
     if not audit.passed:
         raise ValueError(f"matrix is not an orthogonal projector: {audit}")
+    if symmetric:
+        P._sandwich = _SandwichCache(M)
     return P
 
 

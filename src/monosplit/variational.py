@@ -18,9 +18,9 @@ import numpy as np
 
 from .fdr import InclusionProblem, fdr_solve
 from .km import DEFAULT_MAX_ITERS, DEFAULT_TOL
-from .operators import (CocoerciveMap, ResolventFamily, _box_bounds,
-                        _CachedAffineSolve, _clamp, _soft_threshold,
-                        _symmetric_psd)
+from .operators import (CocoerciveMap, ResolventFamily, _affine_data,
+                        _box_bounds, _CachedAffineSolve, _clamp,
+                        _soft_threshold, _symmetric_psd)
 from .spaces import _matvec, as_vector
 
 __all__ = [
@@ -134,8 +134,9 @@ def quadratic_smooth(Q, b=None):
     """``g(x) = x'Qx/2 - b'x`` with gradient ``Qx - b`` and ``L = lambda_max(Q)``.
 
     The gradient and the value apply an exactly symmetric ``Q`` with a
-    one-triangle BLAS kernel (see :func:`monosplit.spaces._matvec`); a ``Q``
-    symmetric only within ``operators.PSD_TOL`` is applied as given.
+    one-triangle BLAS kernel (see :func:`monosplit.spaces._matvec`), and the
+    gradient exposes it as ``affine_gradient`` does; a ``Q`` symmetric only
+    within ``operators.PSD_TOL`` is applied as given.
     """
     Q, eigs, symmetric = _symmetric_psd(Q)
     dim = Q.shape[0]
@@ -144,8 +145,10 @@ def quadratic_smooth(Q, b=None):
         raise ValueError("Q must have a positive largest eigenvalue; "
                          "use zero_smooth for a vanishing gradient")
     b = np.zeros(dim) if b is None else as_vector(b, dim)
-    return SmoothFunction(_matvec(Q, symmetric, b), lam_max, dim,
-                          value=_quadratic_value(Q, symmetric, b), label="quadratic")
+    g = SmoothFunction(_matvec(Q, symmetric, b), lam_max, dim,
+                       value=_quadratic_value(Q, symmetric, b), label="quadratic")
+    g._affine = _affine_data(Q, b, symmetric)
+    return g
 
 
 def zero_smooth(dim, lipschitz=1.0):

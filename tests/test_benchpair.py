@@ -9,8 +9,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "benchpair.py"
-END_TO_END = [m["name"] for m in
-              json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+CONFIG = json.loads((ROOT / "BENCHMARK.json").read_text())
+END_TO_END = [m["name"] for m in CONFIG["end_to_end"]]
+PER_LAYER = [m["name"] for m in CONFIG["per_layer"]]
 
 
 def _tool():
@@ -75,3 +76,38 @@ def test_bounds_wins_and_quartiles():
     assert rate["relative_gain"] == 0.1
     assert p90["change_wins"] == 0 and not p90["within_bound"]
     assert abs(p90["relative_gain"] + 0.3) < 1e-12
+
+
+def test_traced_pairs_report_per_layer_metrics_without_bounds(tmp_path):
+    out = tmp_path / "pairs.json"
+    proc = subprocess.run([sys.executable, str(TOOL), str(ROOT), str(ROOT),
+                           "--workload", "product_blocks", "--seeds", "1",
+                           "--seconds", "0", "--trace", "1", "--out", str(out)],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    doc = json.loads(out.read_text())["product_blocks.traced"]
+    assert doc["trace"] == 1 and doc["failures_within"]
+    [pair] = doc["pairs"]
+    assert list(doc["metrics"]) == PER_LAYER
+    for side in ("base", "change"):
+        assert pair[side]["correct"] is True
+        assert sorted(pair[side]["metrics"]) == sorted(PER_LAYER)
+    for name, m in doc["metrics"].items():
+        assert "bound" not in m and "within_bound" not in m
+        assert m["base"]["median"] == pair["base"]["metrics"][name]
+    # iteration counts repeat exactly on the same source and seed
+    assert doc["metrics"]["productspace.iters"]["relative_gain"] == 0.0
+    assert json.loads(proc.stdout.splitlines()[-1])["productspace.iters"] == {
+        "base": doc["metrics"]["productspace.iters"]["base"]["median"],
+        "change": doc["metrics"]["productspace.iters"]["change"]["median"],
+        "wins": 0}
+
+
+def test_metrics_without_a_bound_are_not_checked():
+    tool = _tool()
+    per_layer = [{"name": "fdr.iters", "unit": "count", "better": "lower"}]
+    pairs = [{"base": {"metrics": {"fdr.iters": 10.0}},
+              "change": {"metrics": {"fdr.iters": 15.0}}}]
+    m = tool.summarize(pairs, per_layer)["fdr.iters"]
+    assert m["relative_gain"] == -0.5 and m["change_wins"] == 0
+    assert "bound" not in m and "within_bound" not in m

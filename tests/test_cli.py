@@ -521,6 +521,19 @@ def test_errors_rejected_where_the_solver_takes_none(tmp_path, algorithm):
     assert main([str(write_spec(tmp_path, spec))]) == EXIT_INVALID
 
 
+@pytest.mark.parametrize("delta", [{"kind": "constant", "value": 0.5},
+                                   {"kind": "constant", "value": 1.0}])
+def test_fpi_explicit_rejects_a_delta_field(tmp_path, delta):
+    spec = dict(ALL_ALGORITHM_SPECS["fpi-explicit"], delta=delta)
+    with pytest.raises(SpecValidationError) as e:
+        parse_spec(json.dumps(spec))
+    assert e.value.errors == ["delta: algorithm 'fpi-explicit' takes no step "
+                              "schedule; it always runs delta = 1"]
+    assert main([str(write_spec(tmp_path, spec))]) == EXIT_INVALID
+    # null is a missing field
+    parse_spec(json.dumps(dict(spec, delta=None)))
+
+
 @pytest.mark.parametrize("init", [{"kind": "ones"}, {"scale": 2.0}])
 def test_dr2_rejects_unknown_init_kind(tmp_path, init):
     spec = dict(ALL_ALGORITHM_SPECS["dr2"], init=init)

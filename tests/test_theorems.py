@@ -15,9 +15,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from monosplit import (AveragedOperator, InclusionProblem, RelaxationSchedule,
                        StepSchedule, affine_gradient, build_S, build_T,
-                       fdr_solve, fpi_explicit_solve, fpi_solve,
-                       identity_projector, matrix_projector, normal_cone_box,
-                       zero_cocoercive, zero_operator)
+                       composed_alpha, fdr_solve, fpi_explicit_solve,
+                       fpi_solve, identity_projector, km_solve,
+                       matrix_projector, normal_cone_box, zero_cocoercive,
+                       zero_operator)
 from monosplit.fdr import averagedness
 from conftest import (fpi_unit_step_reference, kkt_solution, random_spd,
                       random_subspace_projector, trace_deviation)
@@ -175,6 +176,34 @@ def test_residuals_meet_the_rate_certificate(zero_A, data):
     res = fdr_solve(prob, gamma=gamma, relaxation=lam, tol=-1.0,
                     max_iters=RATE_ITERS, z0=z0)
     alpha = averagedness(gamma, prob.beta)
+    scale = np.linalg.norm(z0 - z_star) * math.sqrt(alpha / (lam * (1.0 - alpha * lam)))
+    worst = max(row.residual * math.sqrt(row.n + 1) for row in res.history) / scale
+    assert worst <= 1.0 + 1e-9
+
+
+@settings(max_examples=RATE_EXAMPLES)
+@given(st.data())
+def test_km_residuals_meet_the_rate_certificate(data):
+    # km_solve on the composition T_gamma o S_gamma, with alpha from
+    # composed_alpha of the declared constants; S is fused when Q is exactly
+    # symmetric (V is then a symmetric matrix projector) and unfused when not
+    zero_A = data.draw(st.booleans())
+    prob, gamma, Q, b, rng = data.draw(problems(zero_A=zero_A))
+    if data.draw(st.booleans()):
+        Q = 0.5 * (Q + Q.T)
+        prob = InclusionProblem(prob.A, affine_gradient(Q, b), prob.V)
+        assert prob.B._affine is not None and prob.V._sandwich is not None
+    T, S = build_T(prob.A, prob.V, gamma), build_S(prob.B, prob.V, gamma)
+    alpha = composed_alpha([T.alpha, S.alpha])
+    lam = data.draw(st.floats(0.02, 0.98)) / alpha
+    if zero_A:
+        z_star = kkt_solution(Q, b, prob.V)
+    else:
+        ref = km_solve([T, S], tol=1e-14, max_iters=20_000)
+        assume(ref.status == "converged")
+        z_star = ref.final
+    z0 = 3.0 * rng.standard_normal(prob.dim)
+    res = km_solve([T, S], relaxation=lam, tol=-1.0, max_iters=RATE_ITERS, z0=z0)
     scale = np.linalg.norm(z0 - z_star) * math.sqrt(alpha / (lam * (1.0 - alpha * lam)))
     worst = max(row.residual * math.sqrt(row.n + 1) for row in res.history) / scale
     assert worst <= 1.0 + 1e-9

@@ -1,31 +1,35 @@
 #!/usr/bin/env python3
-"""Paired end-to-end benchmark runs of two checkouts on one workload.
+"""Paired benchmark runs of two checkouts on one workload.
 
-    python3 tools/benchpair.py BASE CHANGE --workload W --seeds A-B --seconds S --out FILE
+    python3 tools/benchpair.py BASE CHANGE --workload W --seeds A-B --seconds S --out FILE [--trace 0|1]
 
 For each seed from A to B (one pair per seed) runs each checkout's own
-``bench/run.py --workload W --seed N --seconds S --trace 0`` in a fresh
+``bench/run.py --workload W --seed N --seconds S --trace T`` in a fresh
 process, one run at a time; BASE goes first in the first pair and the order
 alternates from pair to pair, so a drift of the host's speed weighs on both
-sides alike.  ``FILE`` holds one JSON object keyed by workload; the run
-writes the entry of ``W`` and keeps the others.  Each entry holds:
+sides alike.  ``--trace 0`` (the default) compares the end-to-end metrics
+of BASE's ``BENCHMARK.json``, each against its bound; ``--trace 1`` compares
+its per-layer metrics, which have no bounds.  ``FILE`` holds one JSON
+object keyed by workload, with traced pairs under ``W.traced``; the run
+writes the entry of ``W`` (or ``W.traced``) and keeps the others.  Each
+entry holds:
 
 - ``pairs``: per pair the seed, which side ran first, and each side's
-  end-to-end metrics, ``correct``, ``attempted`` and ``failed``;
-- ``metrics``: per end-to-end metric of BASE's ``BENCHMARK.json`` its unit,
-  direction and bound, each side's median and quartiles over the pairs, the
-  change's relative move of the median (positive is better), the number of
-  pairs the change wins (strictly better than BASE in the same pair), and
-  ``within_bound``: whether the change's median is worse than BASE's by no
-  more than the bound;
+  metrics, ``correct``, ``attempted`` and ``failed``;
+- ``metrics``: per compared metric its unit and direction, each side's
+  median and quartiles over the pairs, the change's relative move of the
+  median (positive is better) and the number of pairs the change wins
+  (strictly better than BASE in the same pair); an end-to-end metric also
+  carries its bound and ``within_bound``: whether the change's median is
+  worse than BASE's by no more than the bound;
 - ``failures_within``: whether the change's runs failed no larger share of
   their solves than BASE's;
 - ``provenance``: both checkouts' report provenance (commit, source digest,
   versions, host), from their first run.
 
 The last line of standard output sums up each metric.  The exit status is 0
-when every metric is within its bound and the change failed no larger share
-of solves, and 1 otherwise.
+when every metric with a bound is within it and the change failed no larger
+share of solves, and 1 otherwise.
 """
 
 import argparse
@@ -46,12 +50,12 @@ def parse_seeds(text):
     return list(range(lo, hi + 1))
 
 
-def run_bench(checkout, workload, seed, seconds):
-    """One untraced run of ``checkout``'s own benchmark: ``(result, report)``,
-    the last two lines of its standard output."""
+def run_bench(checkout, workload, seed, seconds, trace=0):
+    """One run of ``checkout``'s own benchmark: ``(result, report)``, the last
+    two lines of its standard output."""
     cmd = [sys.executable, str(Path(checkout) / "bench" / "run.py"),
            "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -69,11 +73,12 @@ def spread(values):
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarize(pairs, end_to_end):
-    """Per-metric spreads, wins and bound checks for the ``pairs`` of runs,
-    against the ``end_to_end`` metric list of a ``BENCHMARK.json``."""
+def summarize(pairs, specs):
+    """Per-metric spreads and wins for the ``pairs`` of runs, over a metric
+    list of a ``BENCHMARK.json``; a metric with a ``bound`` is also checked
+    against it."""
     out = {}
-    for spec in end_to_end:
+    for spec in specs:
         name, higher = spec["name"], spec["better"] == "higher"
         base = [p["base"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
@@ -81,11 +86,12 @@ def summarize(pairs, end_to_end):
         sign = 1.0 if higher else -1.0
         move = sign * (sc["median"] - sb["median"]) / sb["median"] if sb["median"] else 0.0
         out[name] = {"unit": spec["unit"], "better": spec["better"],
-                     "bound": spec["bound"], "base": sb, "change": sc,
-                     "relative_gain": move,
+                     "base": sb, "change": sc, "relative_gain": move,
                      "change_wins": sum(sign * (c - b) > 0.0
                                         for b, c in zip(base, change)),
-                     "pairs": len(pairs), "within_bound": move >= -spec["bound"]}
+                     "pairs": len(pairs)}
+        if "bound" in spec:
+            out[name].update(bound=spec["bound"], within_bound=move >= -spec["bound"])
     return out
 
 
@@ -102,6 +108,7 @@ def main(argv=None):
     parser.add_argument("--seeds", required=True, help="A-B or A")
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     for checkout in (args.base, args.change):
         if not (checkout / "bench" / "run.py").is_file():
@@ -111,6 +118,8 @@ def main(argv=None):
     except ValueError as e:
         parser.error(str(e))
     config = json.loads((args.base / "BENCHMARK.json").read_text())
+    specs = config["per_layer" if args.trace else "end_to_end"]
+    headline = "trace_overhead_frac" if args.trace else "solves_per_s"
 
     sides = {"base": args.base, "change": args.change}
     pairs, provenance = [], {}
@@ -118,7 +127,8 @@ def main(argv=None):
         order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            result, report = run_bench(sides[side], args.workload, seed, args.seconds)
+            result, report = run_bench(sides[side], args.workload, seed,
+                                       args.seconds, args.trace)
             pair[side] = {"correct": result["correct"],
                           "attempted": result["attempted"],
                           "failed": result["failed"],
@@ -127,23 +137,25 @@ def main(argv=None):
             provenance.setdefault(side, report["provenance"])
         pairs.append(pair)
         print(f"seed {seed}: " + ", ".join(
-            f"{s} {pair[s]['metrics']['solves_per_s']:.1f}" for s in order)
-            + " solves/s", flush=True)
+            f"{s} {pair[s]['metrics'][headline]:.4g}" for s in order)
+            + f" {headline}", flush=True)
 
-    metrics = summarize(pairs, config["end_to_end"])
+    metrics = summarize(pairs, specs)
     failures_within = failed_share(pairs, "change") <= failed_share(pairs, "base")
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    record[args.workload] = {"seeds": seeds, "seconds": args.seconds,
-                             "pairs": pairs, "metrics": metrics,
-                             "failures_within": failures_within,
-                             "provenance": provenance}
+    key = f"{args.workload}.traced" if args.trace else args.workload
+    record[key] = {"seeds": seeds, "seconds": args.seconds, "trace": args.trace,
+                   "pairs": pairs, "metrics": metrics,
+                   "failures_within": failures_within, "provenance": provenance}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-    ok = failures_within and all(m["within_bound"] for m in metrics.values())
-    print(json.dumps({name: {"base": m["base"]["median"],
-                             "change": m["change"]["median"],
-                             "wins": m["change_wins"],
-                             "within_bound": m["within_bound"]}
-                      for name, m in metrics.items()}))
+    ok = failures_within and all(m.get("within_bound", True) for m in metrics.values())
+    summary = {}
+    for name, m in metrics.items():
+        summary[name] = {"base": m["base"]["median"], "change": m["change"]["median"],
+                         "wins": m["change_wins"]}
+        if "within_bound" in m:
+            summary[name]["within_bound"] = m["within_bound"]
+    print(json.dumps(summary))
     return 0 if ok else 1
 
 
