@@ -102,15 +102,21 @@ def _fused_forward(B, V):
     and ``V`` an exactly symmetric matrix; None for any other pair.
 
     Both are read with ``getattr``, so wrappers that forward attributes fuse
-    as the objects they wrap do.  ``K`` comes from ``V``'s cache (built there
-    on first use); ``P_V b`` costs one projection per call of this helper.
+    as the objects they wrap do.  ``K`` comes from ``V``'s one-slot cache:
+    a map's first call digests ``Q`` and, unless the slot holds that content
+    already, builds ``K`` with two d x d matrix products; the map keeps the
+    digest, so later calls read neither while the slot holds it.  ``P_V b``
+    costs one projection per call of this helper.
+
+    Every call fuses an eligible pair, whether or not ``K`` is cached, so a
+    solve's bits depend on its inputs alone and not on what ran before it.
     """
     affine = getattr(B, "_affine", None)
     sandwich = getattr(V, "_sandwich", None)
     if affine is None or sandwich is None:
         return None
-    Q, b, key = affine
-    return _matvec(sandwich.product(Q, key), True, V(b))
+    K, affine.key = sandwich.product(affine.Q, affine.key)
+    return _matvec(K, True, V(affine.b))
 
 
 def build_S(B, V, gamma):

@@ -10,7 +10,6 @@ cone, affine monotone, affine gradient) have closed-form resolvents or maps.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 
 import numpy as np
@@ -82,8 +81,7 @@ class CocoerciveMap:
     the caller, never inferred.
 
     A built-in map ``x -> Q x - b`` with an exactly symmetric ``Q`` also
-    carries ``_affine = (Q, b, key)``, ``key`` a content digest of ``Q``;
-    see :func:`_affine_data`.  Any other map carries None.
+    carries ``_affine``, an :class:`_AffineData`; any other map carries None.
     """
 
     __slots__ = ("_func", "beta", "dim", "label", "_affine")
@@ -283,15 +281,19 @@ def _symmetric_psd(Q):
     return Q, eigs, asymmetry == 0.0
 
 
-def _affine_data(Q, b, symmetric):
-    """``(Q, b, key)`` for the ``_affine`` attribute of a map ``x -> Q x - b``,
-    with ``key`` the SHA-256 digest of ``Q``'s entries, or None when ``Q``
-    is not ``symmetric``.  The digest is taken here, once per map, so that
-    the solvers can share ``P Q P`` between maps built from equal matrices
-    (see :class:`monosplit.spaces._SandwichCache`)."""
-    if not symmetric:
-        return None
-    return Q, b, hashlib.sha256(np.ascontiguousarray(Q)).digest()
+class _AffineData:
+    """``Q`` and ``b`` of a map ``x -> Q x - b`` with an exactly symmetric
+    ``Q``, both kept by reference, for the solvers' fused forward step (see
+    :func:`monosplit.fdr._fused_forward`).  ``key`` is the content digest of
+    ``Q`` that step last used (see :class:`monosplit.spaces._SandwichCache`);
+    None until its first use, so a map never fused takes no digest."""
+
+    __slots__ = ("Q", "b", "key")
+
+    def __init__(self, Q, b):
+        self.Q = Q
+        self.b = b
+        self.key = None
 
 
 def affine_gradient(Q, b=None):
@@ -312,7 +314,7 @@ def affine_gradient(Q, b=None):
     b = np.zeros(dim) if b is None else as_vector(b, dim)
     B = CocoerciveMap(_matvec(Q, symmetric, b), 1.0 / lam_max, dim,
                       label="affine-gradient")
-    B._affine = _affine_data(Q, b, symmetric)
+    B._affine = _AffineData(Q, b) if symmetric else None
     return B
 
 

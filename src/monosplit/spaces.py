@@ -5,12 +5,13 @@ Vectors are plain 1-d numpy arrays.  The ambient geometry is carried by
 are represented by their orthogonal projectors.  Objects keep the arrays
 they are given by reference, so an array changed after construction changes
 the object built from it.  Each object is safe to share across threads: the
-only state that changes after construction is the lock-guarded cache of a
-matrix projector's products ``P Q P`` (see :class:`_SandwichCache`).
+only state that changes after construction is the lock-guarded slot where a
+matrix projector keeps its product ``P Q P`` (see :class:`_SandwichCache`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import threading
 from dataclasses import dataclass
@@ -214,39 +215,44 @@ def _matvec(M, symmetric, b=None):
 
 
 class _SandwichCache:
-    """The products ``K = P Q P`` of an exactly symmetric projector matrix
-    ``P`` with exactly symmetric matrices ``Q``, one per ``Q``.
+    """The product ``K = P Q P`` of an exactly symmetric projector matrix
+    ``P`` with the exactly symmetric matrix ``Q`` it was last asked for.
 
-    ``K`` is built on first request, made exactly symmetric and
-    Fortran-ordered, so that :func:`_matvec` applies it with ``dsymv`` and no
-    copy.  Entries are keyed by a content digest of ``Q`` that the caller
-    supplies, so equal matrices share one entry and a changed matrix gets its
-    own.  The cache is guarded so concurrent callers observe a consistent
-    value; a product is immutable once stored.  Each entry holds a d x d
-    matrix, and entries are never evicted.
+    One slot holds ``K`` and the SHA-256 digest of the entries of the ``Q``
+    it was built from, both taken in the same step, so the key always names
+    the content ``K`` was built from: maps built from equal matrices share
+    ``K``, and another ``Q`` replaces it.  ``K`` is made exactly symmetric
+    and Fortran-ordered, so that :func:`_matvec` applies it with ``dsymv``
+    and no copy.  Memory is one d x d matrix per projector.  The slot is
+    guarded so concurrent callers observe a consistent pair.
     """
 
-    __slots__ = ("P", "_cache", "_lock")
+    __slots__ = ("P", "_key", "_K", "_lock")
 
     def __init__(self, P):
         self.P = P
-        self._cache = {}
+        self._key = self._K = None
         self._lock = threading.Lock()
 
     def product(self, Q, key):
-        K = self._cache.get(key)
-        if K is None:
-            with self._lock:
-                K = self._cache.get(key)
-                if K is None:
+        """``(K, key)`` with ``key`` the digest under which ``K`` is stored.
+
+        A ``key`` equal to the stored one, as returned by an earlier call for
+        the same map, reuses ``K`` without reading ``Q``; any other ``key``,
+        or None, digests ``Q`` and builds ``K`` unless the digest matches.
+        """
+        with self._lock:
+            if key is None or key != self._key:
+                key = hashlib.sha256(np.ascontiguousarray(Q)).digest()
+                if key != self._key:
                     # in place, so that the build holds at most two d x d
                     # arrays beside P and Q; K.T of the symmetric C-ordered
                     # K is the same matrix, Fortran-ordered
                     K = self.P @ (Q @ self.P)
                     K += K.T
                     K *= 0.5
-                    K = self._cache[key] = K.T
-        return K
+                    self._key, self._K = key, K.T
+            return self._K, key
 
 
 def matrix_projector(M, inner=None):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .fdr import InclusionProblem, fdr_solve
 from .km import DEFAULT_MAX_ITERS, DEFAULT_TOL
-from .operators import (CocoerciveMap, ResolventFamily, _affine_data,
+from .operators import (CocoerciveMap, ResolventFamily, _AffineData,
                         _box_bounds, _CachedAffineSolve, _clamp,
                         _soft_threshold, _symmetric_psd)
 from .spaces import _matvec, as_vector
@@ -147,7 +147,7 @@ def quadratic_smooth(Q, b=None):
     b = np.zeros(dim) if b is None else as_vector(b, dim)
     g = SmoothFunction(_matvec(Q, symmetric, b), lam_max, dim,
                        value=_quadratic_value(Q, symmetric, b), label="quadratic")
-    g._affine = _affine_data(Q, b, symmetric)
+    g._affine = _AffineData(Q, b) if symmetric else None
     return g
 
 

@@ -2,7 +2,7 @@
 
 When ``B x = Q x - b`` has an exactly symmetric ``Q`` and ``V`` is given by an
 exactly symmetric matrix ``P``, the solvers apply ``P_V B P_V`` as
-``K x - P b`` with ``K = P Q P`` cached on the projector.  The reference is
+``K x - P b`` with ``K = P Q P`` kept in one slot on the projector.  The reference is
 the same ``V`` wrapped so that its matrix is hidden, which runs the unfused
 path: ``V(B(V(z)))``.
 """
@@ -127,12 +127,23 @@ def test_forward_maps_of_equal_matrices_share_one_product():
     maps += [affine_gradient(Q.copy(), rng.standard_normal(dim)),
              affine_gradient(np.asfortranarray(Q), rng.standard_normal(dim)),
              quadratic_smooth(Q.copy(), rng.standard_normal(dim))]
+    assert all(B._affine.key is None for B in maps)     # no digest before use
     A = normal_cone_box(-np.ones(dim), np.ones(dim))
+    cache = V._sandwich
+    products = set()
     for B in maps:
         assert fdr_solve(InclusionProblem(A, B, V), tol=1e-10).status == "converged"
-    assert len(V._sandwich._cache) == 1
+        assert B._affine.key == cache._key
+        products.add(id(cache._K))
+    assert len(products) == 1
+    K = cache._K
+    # another Q takes the one slot; a map of the first Q then rebuilds the
+    # same product
     build_S(affine_gradient(symmetric_spd(rng, dim)), V, 0.1)
-    assert len(V._sandwich._cache) == 2
+    assert cache._K is not K and cache._key != maps[0]._affine.key
+    build_S(maps[0], V, 0.1)
+    assert cache._K is not K
+    np.testing.assert_array_equal(cache._K, K)
 
 
 def test_a_matrix_changed_in_place_gets_its_own_product():
@@ -143,14 +154,39 @@ def test_a_matrix_changed_in_place_gets_its_own_product():
     V = matrix_projector(random_subspace_matrix(rng, dim, 3))
     Q, b = symmetric_spd(rng, dim), rng.standard_normal(dim)
     A = zero_operator(dim)
-    first = fdr_solve(InclusionProblem(A, affine_gradient(Q, b), V), tol=1e-12)
+    B = affine_gradient(Q, b)
+    first = fdr_solve(InclusionProblem(A, B, V), tol=1e-12)
     np.testing.assert_allclose(first.x, kkt_solution(Q, b, V), atol=1e-9)
     Q[...] = symmetric_spd(rng, dim)
-    second = fdr_solve(InclusionProblem(A, affine_gradient(Q, b), V), tol=1e-12)
+    C = affine_gradient(Q, b)
+    second = fdr_solve(InclusionProblem(A, C, V), tol=1e-12)
     assert second.status == "converged"
     np.testing.assert_allclose(second.x, kkt_solution(Q, b, V), atol=1e-9)
     assert np.max(np.abs(second.x - first.x)) > 1e-3
-    assert len(V._sandwich._cache) == 2
+    assert C._affine.key != B._affine.key
+
+
+def test_a_product_is_keyed_by_the_content_it_was_built_from():
+    # Q changes after B is built but before its first solve: the product is
+    # built from, and stored under the digest of, the new content, so a map
+    # of a copy of the old content does not pick it up
+    rng = np.random.default_rng(13)
+    dim = 7
+    V = matrix_projector(random_subspace_matrix(rng, dim, 3))
+    Q, b = symmetric_spd(rng, dim), rng.standard_normal(dim)
+    old = Q.copy()
+    A = zero_operator(dim)
+    B = affine_gradient(Q, b)
+    # the new matrix's largest eigenvalue stays below the old one's, so the
+    # beta that B certified for the old content still holds
+    new = symmetric_spd(rng, dim)
+    Q[...] = new * (0.9 * np.linalg.eigvalsh(old).max() / np.linalg.eigvalsh(new).max())
+    changed = fdr_solve(InclusionProblem(A, B, V), tol=1e-12)
+    np.testing.assert_allclose(changed.x, kkt_solution(Q, b, V), atol=1e-9)
+    fresh = fdr_solve(InclusionProblem(A, affine_gradient(old, b), V), tol=1e-12)
+    assert fresh.status == "converged"
+    np.testing.assert_allclose(fresh.x, kkt_solution(old, b, V), atol=1e-9)
+    assert np.max(np.abs(fresh.x - changed.x)) > 1e-3
 
 
 @pytest.mark.parametrize("case", ["Q within tolerance", "weighted projector"])
