@@ -122,7 +122,7 @@ def _vec(value, dim, errors, path, finite=True):
     if v.ndim != 1 or (dim is not None and v.shape[0] != dim):
         errors.append(f"{path}: expected a vector of length {dim}, got shape {v.shape}")
         return None
-    if finite and not np.all(np.isfinite(v)):
+    if finite and not np.isfinite(v).all():
         errors.append(f"{path}: vector has non-finite entries")
         return None
     return v

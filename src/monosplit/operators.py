@@ -6,6 +6,12 @@ cocoercivity constant and averaged operators a declared averagedness
 constant, both inputs to the step-size bounds, never inferred.  The
 built-in families (zero, subspace normal cone, soft threshold, box normal
 cone, affine monotone, affine gradient) have closed-form resolvents or maps.
+
+The module keeps one piece of shared state: the lock-guarded slot in which
+:func:`_symmetric_psd` keeps the eigenvalues of the last symmetric positive
+semidefinite ``Q`` it certified, under the digest of its entries (see
+:class:`_CertifiedSlot`), so that maps built from equal matrices take one
+eigendecomposition between them.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import threading
 import numpy as np
 import scipy.linalg
 
-from .spaces import _matvec, _square_matrix, as_vector
+from .spaces import _digest, _matvec, _square_matrix, as_vector
 
 __all__ = [
     "ResolventFamily",
@@ -193,9 +199,9 @@ def _box_bounds(lo, hi):
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     if lo.ndim != 1 or hi.shape != lo.shape:
         raise ValueError(f"bound shapes differ: {lo.shape} vs {hi.shape}")
-    if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+    if np.isnan(lo).any() or np.isnan(hi).any():
         raise ValueError("box bounds must not be NaN")
-    if np.any(lo > hi):
+    if (lo > hi).any():
         raise ValueError("empty box: lo > hi in some coordinate")
     return lo, hi
 
@@ -266,11 +272,53 @@ def linear_monotone(M, b=None):
     return ResolventFamily(res, dim, label="affine-monotone")
 
 
+class _CertifiedSlot:
+    """The eigenvalues and exact-symmetry flag of the last matrix that
+    :func:`_symmetric_psd` certified, under the digest of its entries.
+
+    One slot holds the digest (see :func:`monosplit.spaces._digest`), the
+    eigenvalues, stored read-only, and the flag, taken from the same content
+    and replaced together, so maps built from equal matrices share one
+    eigendecomposition and another matrix replaces it.  Memory is one
+    eigenvalue vector.  The slot is guarded so concurrent callers observe a
+    consistent triple; the check itself runs outside the lock.
+    """
+
+    __slots__ = ("_key", "_value", "_lock")
+
+    def __init__(self):
+        self._key = self._value = None
+        self._lock = threading.Lock()
+
+    def lookup(self, key):
+        """``(eigs, symmetric)`` stored under ``key``, or None."""
+        with self._lock:
+            return self._value if key == self._key else None
+
+    def store(self, key, eigs, symmetric):
+        eigs.flags.writeable = False
+        with self._lock:
+            self._key, self._value = key, (eigs, symmetric)
+
+
+_CERTIFIED = _CertifiedSlot()
+
+
 def _symmetric_psd(Q):
     """``Q`` as a float matrix checked square, finite, symmetric and positive
-    semidefinite (relative to its largest entry), with its eigenvalues and
-    whether it is exactly symmetric."""
+    semidefinite (relative to its largest entry), with its eigenvalues, which
+    are read-only, and whether it is exactly symmetric.
+
+    A ``Q`` whose entries match the last one to pass (see
+    :class:`_CertifiedSlot`) is checked square and finite and takes the
+    stored result; any other is checked in full and stored only once it has
+    passed.
+    """
     Q, largest = _square_matrix(Q, "Q")
+    key = _digest(Q)
+    certified = _CERTIFIED.lookup(key)
+    if certified is not None:
+        return (Q,) + certified
     scale = max(1.0, largest)
     asymmetry = float(np.abs(Q - Q.T).max())
     if asymmetry > PSD_TOL * scale:
@@ -278,7 +326,9 @@ def _symmetric_psd(Q):
     eigs = np.linalg.eigvalsh(Q)
     if float(eigs.min()) < -PSD_TOL * scale:
         raise ValueError(f"Q must be positive semidefinite (min eigenvalue {eigs.min():.3e})")
-    return Q, eigs, asymmetry == 0.0
+    symmetric = asymmetry == 0.0
+    _CERTIFIED.store(key, eigs, symmetric)
+    return Q, eigs, symmetric
 
 
 class _AffineData:
@@ -286,7 +336,8 @@ class _AffineData:
     ``Q``, both kept by reference, for the solvers' fused forward step (see
     :func:`monosplit.fdr._fused_forward`).  ``key`` is the content digest of
     ``Q`` that step last used (see :class:`monosplit.spaces._SandwichCache`);
-    None until its first use, so a map never fused takes no digest."""
+    None until its first use: the digest :func:`_symmetric_psd` takes at
+    build time is not reused, as ``Q`` may change before that use."""
 
     __slots__ = ("Q", "b", "key")
 

@@ -59,7 +59,7 @@ def _check_weights(weights, m):
     w = np.asarray(weights, dtype=float)
     if w.shape != (m,):
         raise ValueError(f"expected {m} weights, got shape {w.shape}")
-    if not (np.all(0.0 < w) and (m == 1 or np.all(w < 1.0))):
+    if not ((0.0 < w).all() and (m == 1 or (w < 1.0).all())):
         raise ValueError("each weight must lie in ]0, 1[")
     if abs(float(w.sum()) - 1.0) > 1e-12:
         raise ValueError(f"weights must sum to 1 within 1e-12, got {float(w.sum())}")

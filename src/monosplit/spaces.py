@@ -46,7 +46,7 @@ def as_vector(x, dim=None):
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected length {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite coordinates")
     return v
 
@@ -72,7 +72,7 @@ class InnerProduct:
             w = np.asarray(weights, dtype=float)
             if w.shape != (dim,):
                 raise ValueError(f"weights must have shape ({dim},), got {w.shape}")
-            if not np.all(w > 0):
+            if not (w > 0).all():
                 raise ValueError("inner product weights must be strictly positive")
             self.weights = w
 
@@ -192,6 +192,15 @@ def _square_matrix(M, name):
     return M, largest
 
 
+def _digest(M):
+    """SHA-256 digest of the entries of the float array ``M`` in C order.
+
+    Arrays of equal entries share a digest whatever their memory layout.
+    The digest does not hold the shape; a square matrix's byte length fixes
+    it."""
+    return hashlib.sha256(np.ascontiguousarray(M)).digest()
+
+
 def _matvec(M, symmetric, b=None):
     """``x -> M @ x``, or ``x -> M @ x - b``, for a square float matrix ``M``.
 
@@ -243,7 +252,7 @@ class _SandwichCache:
         """
         with self._lock:
             if key is None or key != self._key:
-                key = hashlib.sha256(np.ascontiguousarray(Q)).digest()
+                key = _digest(Q)
                 if key != self._key:
                     # in place, so that the build holds at most two d x d
                     # arrays beside P and Q; K.T of the symmetric C-ordered

@@ -48,6 +48,8 @@ def test_checkout_against_itself(tmp_path):
         assert m["base"]["q1"] == m["base"]["median"] == m["base"]["q3"] \
             == pair["base"]["metrics"][name]
         assert m["within_bound"] == (m["relative_gain"] >= -m["bound"])
+    for side in ("base", "change"):
+        assert doc["cold_setup_s"][side]["median"] == pair[side]["setup_raw_s"][0]
     ok = doc["failures_within"] and all(m["within_bound"]
                                         for m in doc["metrics"].values())
     assert proc.returncode == (0 if ok else 1)
@@ -62,13 +64,17 @@ def test_bounds_wins_and_quartiles():
                   {"name": "solve_ms_p90", "unit": "ms", "better": "lower",
                    "bound": 0.25}]
 
-    def pair(base, change):
-        return {"base": {"metrics": dict(zip(("solves_per_s", "solve_ms_p90"), base))},
-                "change": {"metrics": dict(zip(("solves_per_s", "solve_ms_p90"), change))}}
+    def pair(base, change, base_builds, change_builds):
+        return {"base": {"metrics": dict(zip(("solves_per_s", "solve_ms_p90"), base)),
+                         "setup_raw_s": base_builds},
+                "change": {"metrics": dict(zip(("solves_per_s", "solve_ms_p90"), change)),
+                           "setup_raw_s": change_builds}}
 
-    # the change is faster in 2 of 3 pairs, and its p90 is 30 % worse
-    pairs = [pair((100.0, 1.0), (110.0, 1.3)), pair((100.0, 1.0), (90.0, 1.3)),
-             pair((120.0, 1.0), (130.0, 1.3))]
+    # the change is faster in 2 of 3 pairs, and its p90 is 30 % worse; its
+    # first build in each process is slow and the later ones fast
+    pairs = [pair((100.0, 1.0), (110.0, 1.3), [0.4, 0.4, 0.4], [0.1, 0.04, 0.04]),
+             pair((100.0, 1.0), (90.0, 1.3), [0.5, 0.4, 0.4], [0.2, 0.04, 0.04]),
+             pair((120.0, 1.0), (130.0, 1.3), [0.6, 0.4, 0.4], [0.3, 0.04, 0.04])]
     m = tool.summarize(pairs, end_to_end)
     rate, p90 = m["solves_per_s"], m["solve_ms_p90"]
     assert rate["change_wins"] == 2 and rate["within_bound"]
@@ -76,6 +82,9 @@ def test_bounds_wins_and_quartiles():
     assert rate["relative_gain"] == 0.1
     assert p90["change_wins"] == 0 and not p90["within_bound"]
     assert abs(p90["relative_gain"] + 0.3) < 1e-12
+    cold = tool.cold_setup(pairs)
+    assert cold["base"] == {"median": 0.5, "q1": 0.45, "q3": 0.55}
+    assert cold["change"]["median"] == 0.2
 
 
 def test_traced_pairs_report_per_layer_metrics_without_bounds(tmp_path):

@@ -1,15 +1,20 @@
 import concurrent.futures
+import sys
+import threading
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from monosplit import (AveragedOperator, CocoerciveMap, affine_gradient,
                        identity_projector, linear_monotone, normal_cone_box,
                        normal_cone_of_subspace, span_projector,
-                       quadratic_smooth, subdifferential_abs, zero_cocoercive,
-                       zero_operator, zero_projector)
-from monosplit.operators import _CachedAffineSolve, _clamp
+                       quadratic_function, quadratic_smooth,
+                       subdifferential_abs, zero_cocoercive, zero_operator,
+                       zero_projector)
+from monosplit import operators
+from monosplit.operators import _CachedAffineSolve, _clamp, _symmetric_psd
 from conftest import matrix_layouts, random_spd, random_subspace_projector
 from theory import (audit_cocoercivity, audit_firm_nonexpansiveness,
                     certify_averaged, partial_inverse_resolvent,
@@ -366,3 +371,146 @@ def test_matrix_operators_reject_non_finite_entries(bad):
 def test_operator_inputs_are_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# ---------------------------------------------------------------------------
+# the certified slot: one eigendecomposition per symmetric Q content
+# ---------------------------------------------------------------------------
+
+def _fresh_slot(mp):
+    """Empty the certified slot and count the matrices ``eigvalsh`` is called
+    on, through the monkeypatch ``mp``; returns the list of calls."""
+    mp.setattr(operators, "_CERTIFIED", operators._CertifiedSlot())
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    mp.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    return _fresh_slot(monkeypatch)
+
+
+def test_maps_of_one_q_take_one_eigendecomposition(eigvalsh_calls, rng):
+    Q = random_spd(rng, 12)
+    beta = 1.0 / np.linalg.eigvalsh(Q).max()
+    eigvalsh_calls.clear()
+    maps = [affine_gradient(Q, rng.standard_normal(12)) for _ in range(6)]
+    assert len(eigvalsh_calls) == 1
+    assert all(B.beta == beta for B in maps)
+    # equal entries in another layout hit as well
+    for Ql in matrix_layouts(Q).values():
+        assert affine_gradient(Ql).beta == beta
+    assert len(eigvalsh_calls) == 1
+
+
+def test_gradient_smooth_and_quadratic_function_share_the_slot(eigvalsh_calls, rng):
+    Q = random_spd(rng, 8)
+    b = rng.standard_normal(8)
+    B = affine_gradient(Q, b)
+    g = quadratic_smooth(Q, b)
+    f = quadratic_function(Q, b)
+    assert len(eigvalsh_calls) == 1
+    assert g.beta == B.beta
+    x = rng.standard_normal(8)
+    np.testing.assert_allclose(f.resolve(0.5, x),
+                               np.linalg.solve(np.eye(8) + 0.5 * Q, x + 0.5 * b))
+
+
+def test_q_changed_in_place_is_checked_again(eigvalsh_calls, rng):
+    Q = random_spd(rng, 6)
+    B1 = affine_gradient(Q)
+    beta = B1.beta
+    Q *= 4.0
+    B2 = affine_gradient(Q)
+    assert len(eigvalsh_calls) == 2
+    assert B2.beta == pytest.approx(B1.beta / 4.0, rel=1e-12)
+    Q[0, 0] = -1.0          # still symmetric, no longer semidefinite
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        affine_gradient(Q)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        quadratic_smooth(Q)
+    assert B1.beta == beta      # a map keeps the constant it was built with
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([[1.0, 2.0], [0.0, 1.0]], "symmetric"),
+    ([[-1.0, 0.0], [0.0, 1.0]], "positive semidefinite"),
+    ([[1.0, 2.0], [2.0, 1.0]], "positive semidefinite"),
+], ids=["asymmetric", "negative-diagonal", "indefinite"])
+def test_refused_q_raises_on_every_call(eigvalsh_calls, bad, message):
+    good = np.diag([1.0, 2.0])
+    beta = affine_gradient(good).beta
+    for build in (affine_gradient, quadratic_smooth, quadratic_function) * 2:
+        with pytest.raises(ValueError, match=message):
+            build(np.array(bad))
+    # the refused matrix never took the slot from the one that passed
+    calls = len(eigvalsh_calls)
+    assert affine_gradient(good).beta == beta
+    assert len(eigvalsh_calls) == calls
+
+
+def test_zero_q_is_refused_on_every_call(eigvalsh_calls):
+    for _ in range(3):
+        with pytest.raises(ValueError, match="zero_cocoercive"):
+            affine_gradient(np.zeros((3, 3)))
+
+
+def test_certified_eigenvalues_are_read_only(eigvalsh_calls, rng):
+    Q = random_spd(rng, 5)
+    for _ in range(2):       # a miss, then a hit
+        _, eigs, _ = _symmetric_psd(Q)
+        assert not eigs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            eigs[0] = 0.0
+    assert len(eigvalsh_calls) == 1
+
+
+def test_threads_alternating_two_q_get_their_own_beta(eigvalsh_calls, rng):
+    Qs = [random_spd(rng, 100, lo=0.5, hi=2.0), random_spd(rng, 100, lo=3.0, hi=5.0)]
+    expected = [1.0 / np.linalg.eigvalsh(Q).max() for Q in Qs]
+    start_together = threading.Barrier(4)
+
+    def worker(start):
+        start_together.wait(timeout=60)
+        return [(k % 2, affine_gradient(Qs[k % 2]).beta)
+                for k in range(start, start + 50)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(worker, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 4
+    for built in results:
+        assert all(beta == expected[i] for i, beta in built)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from(["C", "F", "strided"]))
+def test_beta_from_a_hit_equals_a_cold_build(d, seed, low_rank, layout):
+    rng = np.random.default_rng(seed)
+    if low_rank:
+        G = rng.standard_normal((d, max(1, d // 2)))
+        Q = G @ G.T
+    else:
+        Q = random_spd(rng, d)
+    Ql = matrix_layouts(Q)[layout]
+    with pytest.MonkeyPatch.context() as mp:
+        _fresh_slot(mp)
+        cold = affine_gradient(Ql).beta
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _fresh_slot(mp)
+        affine_gradient(Q.copy())
+        hit = affine_gradient(Ql).beta
+        assert len(calls) == 1
+    assert hit == cold

@@ -15,21 +15,25 @@ writes the entry of ``W`` (or ``W.traced``) and keeps the others.  Each
 entry holds:
 
 - ``pairs``: per pair the seed, which side ran first, and each side's
-  metrics, ``correct``, ``attempted`` and ``failed``;
+  metrics, ``correct``, ``attempted``, ``failed`` and ``setup_raw_s``, the
+  raw times of its report's builds in the order they ran;
 - ``metrics``: per compared metric its unit and direction, each side's
   median and quartiles over the pairs, the change's relative move of the
   median (positive is better) and the number of pairs the change wins
   (strictly better than BASE in the same pair); an end-to-end metric also
   carries its bound and ``within_bound``: whether the change's median is
   worse than BASE's by no more than the bound;
+- ``cold_setup_s``: per side the median and quartiles over the pairs of
+  the first build's raw time, which no cache of an earlier build in the
+  same process can shorten; it has no bound;
 - ``failures_within``: whether the change's runs failed no larger share of
   their solves than BASE's;
 - ``provenance``: both checkouts' report provenance (commit, source digest,
   versions, host), from their first run.
 
-The last line of standard output sums up each metric.  The exit status is 0
-when every metric with a bound is within it and the change failed no larger
-share of solves, and 1 otherwise.
+The last line of standard output sums up each metric and the medians of
+``cold_setup_s``.  The exit status is 0 when every metric with a bound is
+within it and the change failed no larger share of solves, and 1 otherwise.
 """
 
 import argparse
@@ -95,6 +99,12 @@ def summarize(pairs, specs):
     return out
 
 
+def cold_setup(pairs):
+    """Per side the spread of the first build's raw time over the pairs."""
+    return {side: spread([p[side]["setup_raw_s"][0] for p in pairs])
+            for side in ("base", "change")}
+
+
 def failed_share(pairs, side):
     attempted = sum(p[side]["attempted"] for p in pairs)
     return sum(p[side]["failed"] for p in pairs) / attempted if attempted else 0.0
@@ -133,7 +143,8 @@ def main(argv=None):
                           "attempted": result["attempted"],
                           "failed": result["failed"],
                           "metrics": {k: v["value"]
-                                      for k, v in result["metrics"].items()}}
+                                      for k, v in result["metrics"].items()},
+                          "setup_raw_s": report["setup_raw_s"]}
             provenance.setdefault(side, report["provenance"])
         pairs.append(pair)
         print(f"seed {seed}: " + ", ".join(
@@ -141,11 +152,13 @@ def main(argv=None):
             + f" {headline}", flush=True)
 
     metrics = summarize(pairs, specs)
+    cold = cold_setup(pairs)
     failures_within = failed_share(pairs, "change") <= failed_share(pairs, "base")
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     key = f"{args.workload}.traced" if args.trace else args.workload
     record[key] = {"seeds": seeds, "seconds": args.seconds, "trace": args.trace,
                    "pairs": pairs, "metrics": metrics,
+                   "cold_setup_s": cold,
                    "failures_within": failures_within, "provenance": provenance}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     ok = failures_within and all(m.get("within_bound", True) for m in metrics.values())
@@ -155,6 +168,7 @@ def main(argv=None):
                          "wins": m["change_wins"]}
         if "within_bound" in m:
             summary[name]["within_bound"] = m["within_bound"]
+    summary["cold_setup_s"] = {side: s["median"] for side, s in cold.items()}
     print(json.dumps(summary))
     return 0 if ok else 1
 
