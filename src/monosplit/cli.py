@@ -3,11 +3,14 @@
 The input is a JSON document with ``schema_version: 1`` selecting one of the
 algorithms {fdr, fpi, fpi-explicit, km, product, dr2, variational, pi-sum}
 and describing the operators, schedules, initialization and stopping rule
-from the built-in constructors (field-by-field schema in the README).  Every
-descriptor is read through one vocabulary table (family -> kind ->
-constructor and fields), and every admissible range is checked by the
-library's own validators.  A field set to JSON null is a missing field: an
-optional one takes its default and a required one is reported missing.  All
+from the built-in constructors (field-by-field schema in the README).  One
+row per algorithm (``_ALGORITHMS``) declares its top-level fields, and one
+vocabulary table (family -> kind -> constructor and fields) those of every
+descriptor; every admissible range is checked by the library's own
+validators.  A field set to JSON null is a missing field: an optional one
+takes its default and a required one is reported missing.  A key that no
+row or kind declares is an unknown field and makes the spec invalid (exit
+64), unless it is null: a null key is a missing one, known or not.  All
 validation errors are collected and reported together, each citing the
 admissible range it violates, before any iteration runs.
 
@@ -89,26 +92,23 @@ class RunRecord:
 # field readers (collect all errors, never raise until the end)
 # ---------------------------------------------------------------------------
 
-def _num(value, errors, path):
+def _num(value, dim, errors, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
         errors.append(f"{path}: expected a number, got {value!r}")
         return None
     return float(value)
 
 
-def _intval(data, key, errors, path, default=None, required=False, minimum=None):
-    if data.get(key) is None:
-        if required:
-            errors.append(f"{path}{key}: required field is missing")
-        return default
-    v = data[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        errors.append(f"{path}{key}: expected an integer, got {v!r}")
-        return default
-    if minimum is not None and v < minimum:
-        errors.append(f"{path}{key}: must be >= {minimum}, got {v}")
-        return default
-    return v
+def _integer(minimum):
+    """Reader of an integer field that must be at least ``minimum``."""
+    def read(value, dim, errors, path):
+        if isinstance(value, bool) or not isinstance(value, int):
+            errors.append(f"{path}: expected an integer, got {value!r}")
+        elif value < minimum:
+            errors.append(f"{path}: must be >= {minimum}, got {value}")
+        else:
+            return value
+    return read
 
 
 def _vec(value, dim, errors, path, finite=True):
@@ -158,12 +158,6 @@ def _is_object(value, errors, path, what="an object with a 'kind' field"):
     return False
 
 
-def _section(data, key, errors):
-    """The object ``data[key]`` of named fields; missing or null reads as {}."""
-    value = data.get(key)
-    return {} if value is None or not _is_object(value, errors, key, "an object") else value
-
-
 # ---------------------------------------------------------------------------
 # descriptor vocabularies: family -> kind -> (constructor, fields)
 # ---------------------------------------------------------------------------
@@ -183,9 +177,12 @@ def _identity_map(dim):
 # ``how`` is "dim" (the spec's dimension), or a required field: "vec" or "mat"
 # (a vector or square matrix of that dimension), "bound" (a vector whose
 # entries may be infinite, a box bound: the constructor rejects NaN), "num",
-# a family name (a nested descriptor) or a reader ``how(value, dim, errors,
-# path)``; or an optional one: "vec?" or "num?" (None when missing), a float
-# (a number) or ``(family, descriptor)`` (a nested descriptor) defaulting to it.
+# a family name (a nested descriptor), a reader ``how(value, dim, errors,
+# path)`` or a list of fields (an object of named fields, read as a dict); or
+# an optional one: "vec?" or "num?" (None when missing), a float (a number
+# defaulting to it) or ``(how, default)``, read as ``how`` and ``default``
+# when missing: a dict default is read as the field's value would be, any
+# other default is the value itself.
 _DIM = (None, "dim")
 
 _VOCABULARY = {
@@ -235,39 +232,58 @@ _VOCABULARY = {
     },
 }
 
-_B = ("B", ("forward-map", {"kind": "zero", "beta": 1.0}))
-_LAMBDA = ("lambda", ("relaxation", {"kind": "constant", "value": 1.0}))
-
 
 def _field(data, key, how, dim, errors, path=""):
     """The field ``key`` of the object ``data`` at ``path`` (the spec itself
     when empty), read as ``how`` declares; None once an error is recorded."""
     if how == "dim":
         return dim
-    where = f"{path}.{key}" if path else key
     value = data.get(key)
     if isinstance(how, tuple):
-        how, value = how[0], (how[1] if value is None else value)
+        how, default = how
+        if value is None and not isinstance(default, dict):
+            return default
+        value = default if value is None else value
+    where = f"{path}.{key}" if path else key
     if value is None:
         if how not in ("vec?", "num?") and not isinstance(how, float):
             errors.append(f"{where}: required field is missing")
         return how if isinstance(how, float) else None
+    if callable(how):
+        return how(value, dim, errors, where)
+    if isinstance(how, list):
+        if not _is_object(value, errors, where, "an object"):
+            value = {}
+        return _read(value, how, dim, errors, where)
     if how in ("vec", "vec?", "bound"):
         return _vec(value, dim, errors, where, finite=how != "bound")
     if how == "mat":
         return _mat(value, dim, errors, where)
     if how in ("num", "num?") or isinstance(how, float):
-        return _num(value, errors, where)
-    if callable(how):
-        return how(value, dim, errors, where)
+        return _num(value, dim, errors, where)
     return _build(how, value, dim, errors, where)
 
 
-def _build(family, desc, dim, errors, path):
+def _read(data, fields, dim, errors, path="", known=()):
+    """``{key: value}`` of the ``fields`` of the object ``data`` at ``path``.
+
+    Any other key but those in ``known`` is an unknown field, and an error
+    unless its value is null (a missing field, known or not)."""
+    values = {key: _field(data, key, how, dim, errors, path) for key, how in fields}
+    for key, value in data.items():
+        if value is not None and key not in values and key not in known:
+            names = [*known, *(k for k, _ in fields if k is not None)]
+            errors.append(f"{f'{path}.{key}' if path else key}: unknown field; "
+                          f"known fields: {', '.join(names)}")
+    return values
+
+
+def _build(family, desc, dim, errors, path, known=()):
     """Construct the ``family`` descriptor ``desc`` found at ``path``.
 
     Reads the fields its kind declares, then calls the kind's constructor;
     None once any problem with the descriptor is recorded in ``errors``.
+    ``desc`` may also hold the keys in ``known``, which the caller reads.
     """
     if not _is_object(desc, errors, path):
         return None
@@ -279,14 +295,24 @@ def _build(family, desc, dim, errors, path):
         return None
     make, fields = kinds[kind]
     before = len(errors)
-    args = [_field(desc, key, how, dim, errors, path) for key, how in fields]
+    args = _read(desc, fields, dim, errors, path, ("kind", *known))
     if len(errors) > before:
         return None
-    return _check(errors, path, make, *args)
+    return _check(errors, path, make, *args.values())
+
+
+def _list_of(read, what):
+    """Reader of a nonempty list of ``what``, each entry read by ``read``."""
+    def read_list(value, dim, errors, path):
+        if not isinstance(value, list) or not value:
+            errors.append(f"{path}: expected a nonempty list of {what}")
+            return None
+        return [read(v, dim, errors, f"{path}[{i}]") for i, v in enumerate(value)]
+    return read_list
 
 
 def _schedule(desc, dim, errors, path):
-    """Error schedule (None when absent), audited for summability."""
+    """Error schedule (None when null), audited for summability."""
     if desc is None:
         return None
     sched = _build("error-schedule", desc, dim, errors, path)
@@ -295,54 +321,65 @@ def _schedule(desc, dim, errors, path):
     return sched
 
 
-def _schedules(descs, n, dim, errors, path):
-    """One error schedule (or null) per operator block."""
-    if not isinstance(descs, list) or len(descs) != n:
-        errors.append(f"{path}: expected a list of {n} schedules")
+def _km_operator(desc, dim, errors, path):
+    """A 1/2-averaged km operator: the ``projector`` of a subspace descriptor
+    or the ``resolvent`` of an operator descriptor with step ``gamma``."""
+    if not _is_object(desc, errors, path):
         return None
-    return [_schedule(d, dim, errors, f"{path}[{i}]") for i, d in enumerate(descs)]
+    ref = desc.get("type")
+    if ref == "projector":
+        P = _build("subspace", desc, dim, errors, path, ("type",))
+        return None if P is None else operators.AveragedOperator(
+            P, 0.5, dim, label="projection")
+    if ref != "resolvent":
+        errors.append(f"{path}.type: unknown operator type {ref!r}; "
+                      "known types: projector, resolvent")
+        return None
+    g = _field(desc, "gamma", 1.0, dim, errors, path)
+    A = _build("operator", desc, dim, errors, path, ("type", "gamma"))
+    if A is None or g is None or not _check(
+            errors, f"{path}.gamma", fdr._check_finite_gamma, g):
+        return None
+    return operators.AveragedOperator(lambda x: A.resolve(g, x), 0.5, dim,
+                                      label="resolvent")
 
 
-def _no_errors(data, algorithm, errors):
-    """Reject ``errors`` on an algorithm whose solver takes no error schedules,
-    rather than run without them."""
-    if data.get("errors") is not None:
-        errors.append(f"errors: algorithm {algorithm!r} takes no error schedules")
-
-
-def _init(desc, shape, keys, errors):
+def _init(desc, shape, keys, errors, extra=()):
     """Start point ``rng -> array`` of ``shape`` from an ``init`` descriptor.
 
     Kinds: ``zeros`` (also for a missing or null descriptor); ``random``,
     ``scale`` times standard normals; ``value``, the vectors under ``keys``
     stacked, or, for one key and a two-dimensional ``shape``, any array of
-    that many numbers.  Every key of a ``value`` is required.
+    that many numbers.  Every key of a ``value`` is required; it may also
+    hold the keys in ``extra``, which the caller reads.
     """
     if desc is None:
         return lambda rng: np.zeros(shape)
     if not _is_object(desc, errors, "init"):
         return None
     kind = desc.get("kind")
+    if kind not in ("zeros", "random", "value"):
+        errors.append(f"init.kind: unknown init kind {kind!r}; "
+                      "known kinds: zeros, random, value")
+        return None
+    blocks = len(keys) == 1 and len(shape) == 2
+    fields = {"zeros": [], "random": [("scale", 1.0)],
+              "value": [(k, _blocks if blocks else "vec") for k in keys]}[kind]
+    before = len(errors)
+    v = _read(desc, fields, shape if blocks else shape[-1], errors, "init",
+              ("kind", *(extra if kind == "value" else ())))
+    if len(errors) > before:
+        return None
     if kind == "zeros":
         return lambda rng: np.zeros(shape)
     if kind == "random":
-        scale = _field(desc, "scale", 1.0, None, errors, "init")
-        if scale is None:
-            return None
+        scale = v["scale"]
         if not np.isfinite(scale):
             errors.append(f"init.scale: must be finite, got {scale}")
             return None
         return lambda rng: scale * rng.standard_normal(shape)
-    if kind != "value":
-        errors.append(f"init.kind: unknown init kind {kind!r}; "
-                      "known kinds: zeros, random, value")
-        return None
-    if len(keys) == 1 and len(shape) == 2:
-        v = _field(desc, keys[0], _blocks, shape, errors, "init")
-    else:
-        rows = [_field(desc, k, "vec", shape[-1], errors, "init") for k in keys]
-        v = None if any(r is None for r in rows) else np.array(rows).reshape(shape)
-    return None if v is None else lambda rng: v.copy()
+    x = np.array(list(v.values())).reshape(shape)
+    return lambda rng: x.copy()
 
 
 def _blocks(value, shape, errors, path):
@@ -373,50 +410,30 @@ def _forward_ranges(B, gamma, relax, errors, closed=False):
 
 
 # ---------------------------------------------------------------------------
-# per-algorithm builders: fields, range check and solver call
+# algorithms: a builder takes the row's fields ``v`` (a dict), the ``init``
+# descriptor, the dimension, the error list and the row's solver; it checks
+# what crosses fields, reads the start and returns ``launch(rng, **stop)``
 # ---------------------------------------------------------------------------
 
-def _build_fdr(data, dim, errors, variational_mode=False):
-    V = _field(data, "subspace", "subspace", dim, errors)
-    if variational_mode:
-        f = _field(data, "f", "prox", dim, errors)
-        g = _field(data, "g", "smooth", dim, errors)
-        B = None if g is None else g.as_cocoercive()
-    else:
-        A = _field(data, "A", "operator", dim, errors)
-        B = _field(data, *_B, dim, errors)
-    gamma = _field(data, "gamma", "num?", dim, errors)
-    relax = _field(data, *_LAMBDA, dim, errors)
-    errs = _section(data, "errors", errors)
-    a_errors = _schedule(errs.get("a"), dim, errors, "errors.a")
-    b_errors = _schedule(errs.get("b"), dim, errors, "errors.b")
-    start = _init(data.get("init"), (dim,), ("z",), errors)
-    _forward_ranges(B, gamma, relax, errors)
+def _build_fdr(v, init, dim, errors, solve):
+    """fdr, and variational: FDR on the prox of ``f`` and the gradient of ``g``."""
+    V, g = v["subspace"], v.get("g")
+    B = v["B"] if "B" in v else (None if g is None else g.as_cocoercive())
+    start = _init(init, (dim,), ("z",), errors)
+    _forward_ranges(B, v["gamma"], v["lambda"], errors)
     if errors:
         return None
-    if variational_mode:
-        solve = partial(variational.min_over_subspace, f, g, V)
-    else:
-        solve = partial(fdr.fdr_solve, fdr.InclusionProblem(A, B, V))
-    return lambda rng, tol, max_iters, log_every: solve(
-        gamma=gamma, relaxation=relax, a_errors=a_errors, b_errors=b_errors,
-        z0=start(rng), tol=tol, max_iters=max_iters, log_every=log_every)
+    args = (v["f"], g, V) if "g" in v else (fdr.InclusionProblem(v["A"], B, V),)
+    return lambda rng, **stop: solve(
+        *args, gamma=v["gamma"], relaxation=v["lambda"], a_errors=v["errors"]["a"],
+        b_errors=v["errors"]["b"], z0=start(rng), **stop)
 
 
-def _build_fpi(data, dim, errors, explicit=False):
-    V = _field(data, "subspace", "subspace", dim, errors)
-    A = _field(data, "A", "operator", dim, errors)
-    B = _field(data, *_B, dim, errors)
-    gamma = _field(data, "gamma", "num?", dim, errors)
-    relax = _field(data, *_LAMBDA, dim, errors)
-    if explicit and data.get("delta") is not None:
-        errors.append("delta: algorithm 'fpi-explicit' takes no step schedule; "
-                      "it always runs delta = 1")
-    steps = None if explicit else _field(
-        data, "delta", ("step", {"kind": "constant", "value": 1.0}), dim, errors)
-    _no_errors(data, "fpi-explicit" if explicit else "fpi", errors)
-    init = data.get("init")
-    x_start = _init(init, (dim,), ("x",), errors)
+def _build_fpi(v, init, dim, errors, solve):
+    """fpi, which declares ``delta``, and fpi-explicit, its closed form for
+    delta = 1."""
+    V, B, gamma, relax = v["subspace"], v["B"], v["gamma"], v["lambda"]
+    x_start = _init(init, (dim,), ("x",), errors, ("y",))
     kind = init.get("kind") if isinstance(init, dict) else None
     y0 = _field(init, "y", "vec?", dim, errors, "init") if kind == "value" else None
     if kind == "random" and V is not None and x_start is not None:
@@ -426,10 +443,10 @@ def _build_fpi(data, dim, errors, explicit=False):
         x0 = None if x_start is None else x_start(None)  # a value ignores the rng
         _check(errors, "init.x", fpi._start, V, x0, None)
         _check(errors, "init.y", fpi._start, V, None, y0)
-
-    if explicit:
+    if "delta" not in v:
         _forward_ranges(B, gamma, relax, errors, closed=True)
     else:
+        steps = v["delta"]
         gamma_ok = gamma is None or _check(errors, "gamma", fdr._check_finite_gamma, gamma)
         if relax is not None:
             _check(errors, "lambda", relax.validate_closed, fpi.EPSILON, 1.0)
@@ -441,123 +458,103 @@ def _build_fpi(data, dim, errors, explicit=False):
                               "closed form; varying steps need the library oracle API")
     if errors:
         return None
-    prob = fdr.InclusionProblem(A, B, V)
-    solve = (partial(fpi.fpi_explicit_solve, prob) if explicit
-             else partial(fpi.fpi_solve, prob, steps=steps))
-    return lambda rng, tol, max_iters, log_every: solve(
-        gamma=gamma, relaxation=relax, x0=x_start(rng), y0=y0, tol=tol,
-        max_iters=max_iters, log_every=log_every)
+    prob = fdr.InclusionProblem(v["A"], B, V)
+    kw = {"steps": v["delta"]} if "delta" in v else {}
+    return lambda rng, **stop: solve(prob, gamma=gamma, relaxation=relax,
+                                     x0=x_start(rng), y0=y0, **kw, **stop)
 
 
-def _build_km(data, dim, errors):
-    descs = data.get("ops")
-    if not isinstance(descs, list) or not descs:
-        errors.append("ops: expected a nonempty list of operator descriptors")
-        return None
-    ops = []
-    for i, desc in enumerate(descs):
-        path = f"ops[{i}]"
-        if not _is_object(desc, errors, path):
-            continue
-        ref = desc.get("type")
-        if ref == "projector":
-            P = _build("subspace", desc, dim, errors, path)
-            if P is not None:
-                ops.append(operators.AveragedOperator(P, 0.5, dim, label="projection"))
-        elif ref == "resolvent":
-            g = _field(desc, "gamma", 1.0, dim, errors, path)
-            A = _build("operator", desc, dim, errors, path)
-            if A is not None and g is not None and _check(
-                    errors, f"{path}.gamma", fdr._check_finite_gamma, g):
-                ops.append(operators.AveragedOperator(
-                    lambda x, A=A, g=g: A.resolve(g, x), 0.5, dim,
-                    label="resolvent"))
-        else:
-            errors.append(f"{path}.type: unknown operator type {ref!r}; "
-                          "known types: projector, resolvent")
-    relax = _field(data, *_LAMBDA, dim, errors)
-    schedules = None
-    if data.get("errors") is not None:
-        schedules = _schedules(data["errors"], len(descs), dim, errors, "errors")
-    start = _init(data.get("init"), (dim,), ("z",), errors)
-    if len(ops) == len(descs) and relax is not None:
+def _build_km(v, init, dim, errors, solve):
+    ops, relax, schedules = v["ops"], v["lambda"], v["errors"]
+    start = _init(init, (dim,), ("z",), errors)
+    if ops is not None and schedules is not None and len(schedules) != len(ops):
+        errors.append(f"errors: expected a list of {len(ops)} schedules")
+    if ops is not None and None not in ops and relax is not None:
         alpha = km.composed_alpha([T.alpha for T in ops])
         _check(errors, "lambda", relax.validate_open, alpha)
     if errors:
         return None
-    return lambda rng, tol, max_iters, log_every: km.km_solve(
-        ops, relaxation=relax, errors=schedules, z0=start(rng), tol=tol,
-        max_iters=max_iters, log_every=log_every)
+    return lambda rng, **stop: solve(ops, relaxation=relax, errors=schedules,
+                                     z0=start(rng), **stop)
 
 
-def _build_product(data, dim, errors, pi_form=False):
-    descs = data.get("blocks")
-    if not isinstance(descs, list) or not descs:
-        errors.append("blocks: expected a nonempty list of operator descriptors")
+def _build_product(v, init, dim, errors, solve):
+    """product, which declares ``errors`` and runs on one block per operator,
+    and pi-sum, its partial-inverse form on the base space."""
+    blocks, lifted = v["blocks"], "errors" in v
+    _forward_ranges(v["B"], v["gamma"], v["lambda"], errors, closed=not lifted)
+    if blocks is None:
         return None
-    m = len(descs)
-    blocks = [_build("operator", d, dim, errors, f"blocks[{i}]")
-              for i, d in enumerate(descs)]
-    B = _field(data, *_B, dim, errors)
-    weights = _field(data, "weights", "vec?", m, errors)
-    gamma = _field(data, "gamma", "num?", dim, errors)
-    relax = _field(data, *_LAMBDA, dim, errors)
-    a_errors = b_errors = None
-    if pi_form:
-        _no_errors(data, "pi-sum", errors)
-    else:
-        errs = _section(data, "errors", errors)
-        a_errors = _schedule(errs.get("a"), dim, errors, "errors.a")
-        if errs.get("b") is not None:
-            b_errors = _schedules(errs["b"], m, dim, errors, "errors.b")
-    _forward_ranges(B, gamma, relax, errors, closed=pi_form)
-    start = _init(data.get("init"), (dim,) if pi_form else (m, dim),
-                  ("x",) if pi_form else ("z",), errors)
+    b_errors = v["errors"]["b"] if lifted else None
+    if b_errors is not None and len(b_errors) != len(blocks):
+        errors.append(f"errors.b: expected a list of {len(blocks)} schedules")
+    start = _init(init, (len(blocks), dim) if lifted else (dim,),
+                  ("z",) if lifted else ("x",), errors)
     if errors:
         return None
-    prob = _check(errors, "weights", productspace.ProductProblem, blocks, B, weights)
+    prob = _check(errors, "weights", productspace.ProductProblem, blocks, v["B"],
+                  v["weights"])
     if prob is None:
         return None
-    if pi_form:
-        return lambda rng, tol, max_iters, log_every: productspace.sum_splitting_pi(
-            prob, gamma=gamma, relaxation=relax, x0=start(rng), tol=tol,
-            max_iters=max_iters, log_every=log_every)
-    return lambda rng, tol, max_iters, log_every: productspace.sum_splitting_solve(
-        prob, gamma=gamma, relaxation=relax, a_errors=a_errors, b_errors=b_errors,
-        z0=start(rng), tol=tol, max_iters=max_iters, log_every=log_every)
+    if not lifted:
+        return lambda rng, **stop: solve(prob, gamma=v["gamma"], relaxation=v["lambda"],
+                                         x0=start(rng), **stop)
+    return lambda rng, **stop: solve(
+        prob, gamma=v["gamma"], relaxation=v["lambda"], a_errors=v["errors"]["a"],
+        b_errors=b_errors, z0=start(rng), **stop)
 
 
-def _build_dr2(data, dim, errors):
-    A1 = _field(data, "A1", "operator", dim, errors)
-    A2 = _field(data, "A2", "operator", dim, errors)
-    gamma = _field(data, "gamma", 1.0, dim, errors)
-    relax = _field(data, *_LAMBDA, dim, errors)
-    errs = _section(data, "errors", errors)
-    b1 = _schedule(errs.get("b1"), dim, errors, "errors.b1")
-    b2 = _schedule(errs.get("b2"), dim, errors, "errors.b2")
-    start = _init(data.get("init"), (2, dim), ("z1", "z2"), errors)
+def _build_dr2(v, init, dim, errors, solve):
+    gamma, relax = v["gamma"], v["lambda"]
+    start = _init(init, (2, dim), ("z1", "z2"), errors)
     if gamma is not None:
         _check(errors, "gamma", fdr._check_finite_gamma, gamma)
     if relax is not None:
         _check(errors, "lambda", productspace.dr2_relaxation, relax)
     if errors:
         return None
-    return lambda rng, tol, max_iters, log_every: productspace.parallel_dr2(
-        A1, A2, gamma=gamma, relaxation=relax, b1_errors=b1, b2_errors=b2,
-        z0=start(rng), tol=tol, max_iters=max_iters, log_every=log_every)
+    return lambda rng, **stop: solve(
+        v["A1"], v["A2"], gamma=gamma, relaxation=relax, b1_errors=v["errors"]["b1"],
+        b2_errors=v["errors"]["b2"], z0=start(rng), **stop)
 
 
-_BUILDERS = {
-    "fdr": _build_fdr,
-    "fpi": _build_fpi,
-    "fpi-explicit": partial(_build_fpi, explicit=True),
-    "km": _build_km,
-    "product": _build_product,
-    "dr2": _build_dr2,
-    "variational": partial(_build_fdr, variational_mode=True),
-    "pi-sum": partial(_build_product, pi_form=True),
+_B = ("B", ("forward-map", {"kind": "zero", "beta": 1.0}))
+_GAMMA = ("gamma", "num?")
+_LAMBDA = ("lambda", ("relaxation", km.constant_relaxation(1.0)))
+_INCLUSION = [("subspace", "subspace"), ("A", "operator"), _B, _GAMMA, _LAMBDA]
+_SCHEDULE = (_schedule, None)
+_SCHEDULES = (_list_of(_schedule, "schedules"), None)
+_ERRORS = ("errors", ([("a", _SCHEDULE), ("b", _SCHEDULE)], {}))
+_BLOCKS = ("blocks", _list_of(partial(_build, "operator"), "operator descriptors"))
+_WEIGHTS = ("weights", (_list_of(_num, "weights"), None))  # counted by ProductProblem
+
+# One row per algorithm: its top-level fields, its builder and its solver.
+# Every algorithm also takes the fields of ``_COMMON`` and an ``init``, which
+# its builder reads; a spec may hold no other top-level key.
+_ALGORITHMS = {
+    "fdr": (_INCLUSION + [_ERRORS], _build_fdr, fdr.fdr_solve),
+    "fpi": (_INCLUSION + [("delta", ("step", fpi.constant_steps(1.0)))], _build_fpi,
+            fpi.fpi_solve),
+    "fpi-explicit": (_INCLUSION, _build_fpi, fpi.fpi_explicit_solve),
+    "km": ([("ops", _list_of(_km_operator, "operator descriptors")), _LAMBDA,
+            ("errors", _SCHEDULES)], _build_km, km.km_solve),
+    "product": ([_BLOCKS, _B, _WEIGHTS, _GAMMA, _LAMBDA,
+                 ("errors", ([("a", _SCHEDULE), ("b", _SCHEDULES)], {}))],
+                _build_product, productspace.sum_splitting_solve),
+    "dr2": ([("A1", "operator"), ("A2", "operator"), ("gamma", 1.0), _LAMBDA,
+             ("errors", ([("b1", _SCHEDULE), ("b2", _SCHEDULE)], {}))],
+            _build_dr2, productspace.parallel_dr2),
+    "variational": ([("subspace", "subspace"), ("f", "prox"), ("g", "smooth"), _GAMMA,
+                     _LAMBDA, _ERRORS],
+                    _build_fdr, variational.min_over_subspace),
+    "pi-sum": ([_BLOCKS, _B, _WEIGHTS, _GAMMA, _LAMBDA], _build_product,
+               productspace.sum_splitting_pi),
 }
-ALGORITHMS = tuple(_BUILDERS)
+ALGORITHMS = tuple(_ALGORITHMS)
+_COMMON = [("stop", ([("tol", km.DEFAULT_TOL),
+                      ("max_iters", (_integer(0), km.DEFAULT_MAX_ITERS))], {})),
+           ("seed", (_integer(0), 0)), ("log_every", (_integer(1), 1)),
+           ("dim", _integer(1))]
 
 
 def parse_spec(text, overrides=None):
@@ -576,16 +573,15 @@ def parse_spec(text, overrides=None):
     if not isinstance(data, dict):
         raise SpecValidationError(["spec must be a JSON object"])
     data = dict(data)
-    if overrides:
-        for key, value in overrides.items():
-            if value is None:
-                continue
-            if key in ("tol", "max_iters"):
-                stop = {} if data.get("stop") is None else data["stop"]
-                if isinstance(stop, dict):
-                    data["stop"] = {**stop, key: value}
-            else:
-                data[key] = value
+    for key, value in (overrides or {}).items():
+        if value is None:
+            continue
+        if key in ("tol", "max_iters"):
+            stop = {} if data.get("stop") is None else data["stop"]
+            if isinstance(stop, dict):
+                data["stop"] = {**stop, key: value}
+        else:
+            data[key] = value
 
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
@@ -596,26 +592,26 @@ def parse_spec(text, overrides=None):
                       f"known algorithms: {', '.join(ALGORITHMS)}")
         raise SpecValidationError(errors)
 
-    stop = _section(data, "stop", errors)
-    tol = _field(stop, "tol", km.DEFAULT_TOL, None, errors, "stop")
-    max_iters = _intval(stop, "max_iters", errors, "stop.",
-                        default=km.DEFAULT_MAX_ITERS, minimum=0)
-    seed = _intval(data, "seed", errors, "", default=0)
-    log_every = _intval(data, "log_every", errors, "", default=1, minimum=1)
-    dim = _intval(data, "dim", errors, "", required=True, minimum=1)
-
-    launch = None if dim is None else _BUILDERS[algorithm](data, dim, errors)
+    fields, build, solve = _ALGORITHMS[algorithm]
+    common = _read(data, _COMMON, None, errors, known=(
+        "schema_version", "algorithm", *(key for key, _ in fields), "init"))
+    dim = common["dim"]
+    launch = None if dim is None else build(
+        {key: _field(data, key, how, dim, errors) for key, how in fields},
+        data.get("init"), dim, errors, solve)
     if errors:
         raise SpecValidationError(errors)
-    return ProblemSpec(algorithm=algorithm, tol=tol, max_iters=max_iters,
-                       seed=seed, log_every=log_every, launch=launch)
+    stop = common["stop"]
+    return ProblemSpec(algorithm=algorithm, tol=stop["tol"], max_iters=stop["max_iters"],
+                       seed=common["seed"], log_every=common["log_every"], launch=launch)
 
 
 def run(spec):
     """Execute a validated spec and return its :class:`RunRecord`."""
     rng = np.random.default_rng(spec.seed)
     start = time.perf_counter()
-    result = spec.launch(rng, spec.tol, spec.max_iters, spec.log_every)
+    result = spec.launch(rng, tol=spec.tol, max_iters=spec.max_iters,
+                         log_every=spec.log_every)
     wall = time.perf_counter() - start
     summary = {
         "algorithm": spec.algorithm,

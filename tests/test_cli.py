@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -124,6 +125,10 @@ def test_run_converged_and_csv(tmp_path):
     record = run(parse_spec(json.dumps(fdr_spec())))
     assert record.summary["status"] == "converged"
     assert record.rows[-1].residual <= 1e-9
+    # the residual is exactly 0.0 at n=1, and a residual equal to tol converges
+    exact = run(parse_spec(json.dumps(fdr_spec(stop={"tol": 0.0, "max_iters": 50}))))
+    assert exact.summary["status"] == "converged"
+    assert [row.n for row in exact.rows] == [0, 1] and exact.rows[-1].residual == 0.0
     out = tmp_path / "run.csv"
     emit_csv(record, out)
     lines = out.read_text().splitlines()
@@ -228,13 +233,16 @@ def test_cli_seed_changes_random_init(tmp_path):
     assert out1.read_bytes() != out2.read_bytes()
 
 
-def test_cli_overrides(tmp_path):
+def test_cli_overrides(tmp_path, capsys):
     p = write_spec(tmp_path, fdr_spec(), "ovr.json")
     out = tmp_path / "ovr.csv"
     code = main([str(p), "-o", str(out), "--max-iters", "0", "--tol", "1e-12"])
     assert code == EXIT_MAX_ITERS
     lines = out.read_text().splitlines()
     assert len(lines) == 2  # header + initial row
+    # a negative seed is refused before the run, not a failed run
+    assert main([str(p), "-o", str(out), "--seed", "-3"]) == EXIT_INVALID
+    assert capsys.readouterr().err == f"{p}: seed: must be >= 0, got -3\n"
 
 
 def test_cli_successive_calls_parse_independently(tmp_path, capsys):
@@ -511,14 +519,47 @@ def test_readme_lists_every_descriptor_kind():
             assert f'"{kind}"' in bullets[family], (family, kind)
 
 
+def test_readme_lists_every_algorithm_row():
+    # one bullet per row of the table, in its order, naming the row's
+    # top-level fields in order before its first semicolon
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("Per-algorithm fields")[1].split("\n\n")[1]
+    rows = [re.findall(r"`([^`]+)`", b.split(";")[0]) for b in section.split("\n- ")]
+    assert [row[0] for row in rows] == list(cli._ALGORITHMS)
+    for name, *fields in rows:
+        assert fields == [key for key, _ in cli._ALGORITHMS[name][0]], name
+    assert "unknown field" in readme.split("Per-algorithm fields")[1]
+
+
+# every algorithm's top-level fields, in the order of the message that
+# refuses any other key
+TOP_LEVEL = {
+    "fdr": "subspace, A, B, gamma, lambda, errors",
+    "fpi": "subspace, A, B, gamma, lambda, delta",
+    "fpi-explicit": "subspace, A, B, gamma, lambda",
+    "km": "ops, lambda, errors",
+    "product": "blocks, B, weights, gamma, lambda, errors",
+    "pi-sum": "blocks, B, weights, gamma, lambda",
+    "dr2": "A1, A2, gamma, lambda, errors",
+    "variational": "subspace, f, g, gamma, lambda, errors",
+}
+
+
+def unknown_field(key, algorithm):
+    return (f"{key}: unknown field; known fields: schema_version, algorithm, "
+            f"{TOP_LEVEL[algorithm]}, init, stop, seed, log_every, dim")
+
+
 @pytest.mark.parametrize("algorithm", ["fpi", "fpi-explicit", "pi-sum"])
 def test_errors_rejected_where_the_solver_takes_none(tmp_path, algorithm):
     spec = dict(ALL_ALGORITHM_SPECS[algorithm],
                 errors={"a": {"kind": "geometric", "magnitude": 0.1, "rate": 0.5}})
     with pytest.raises(SpecValidationError) as e:
         parse_spec(json.dumps(spec))
-    assert e.value.errors == [f"errors: algorithm {algorithm!r} takes no error schedules"]
+    assert e.value.errors == [unknown_field("errors", algorithm)]
     assert main([str(write_spec(tmp_path, spec))]) == EXIT_INVALID
+    # null is a missing field
+    parse_spec(json.dumps(dict(spec, errors=None)))
 
 
 @pytest.mark.parametrize("delta", [{"kind": "constant", "value": 0.5},
@@ -527,8 +568,7 @@ def test_fpi_explicit_rejects_a_delta_field(tmp_path, delta):
     spec = dict(ALL_ALGORITHM_SPECS["fpi-explicit"], delta=delta)
     with pytest.raises(SpecValidationError) as e:
         parse_spec(json.dumps(spec))
-    assert e.value.errors == ["delta: algorithm 'fpi-explicit' takes no step "
-                              "schedule; it always runs delta = 1"]
+    assert e.value.errors == [unknown_field("delta", "fpi-explicit")]
     assert main([str(write_spec(tmp_path, spec))]) == EXIT_INVALID
     # null is a missing field
     parse_spec(json.dumps(dict(spec, delta=None)))
@@ -573,6 +613,7 @@ def test_dr2_rejects_unknown_init_kind(tmp_path, init):
     ("fpi-explicit", {"A": {"kind": "normal_cone",
                             "subspace": {"kind": "span", "vector": None}}},
      "A.subspace.vector: required field is missing"),
+    ("fdr", {"seed": -1}, "seed: must be >= 0, got -1"),
 ], ids=lambda v: v.split(":")[0] if isinstance(v, str) else None)
 def test_spec_error_is_the_one_message_listed(tmp_path, capsys, algorithm, fields, message):
     # each spec has one fault; its message is the only line on stderr and
@@ -775,3 +816,37 @@ def test_null_is_a_missing_field():
                 differ.append(f"{spec['algorithm']} {path}: {outcomes[0]!r:.200}")
     assert paths == 204
     assert not differ
+
+
+def _object_paths(spec):
+    """The root and each object at a key path of depth 1 or 2, with its path
+    as the error messages print it."""
+    yield spec, ""
+    for path in _depth2_paths(spec):
+        value = spec[path[0]] if len(path) == 1 else spec[path[0]][path[1]]
+        if isinstance(value, dict):
+            yield value, "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                                 for k in path).lstrip(".")
+
+
+def test_unknown_keys_are_refused_at_every_depth(tmp_path, capsys):
+    # one unknown key in any object of a spec makes it invalid, with one
+    # message naming the key; the same key set to null is a missing field
+    specs = list(ALL_ALGORITHM_SPECS.values()) + [
+        _numeric_spec(a) for a in ("fdr", "variational", "fpi", "dr2", "km", "product")]
+    objects = 0
+    for spec in specs:
+        for i, (_, path) in enumerate(_object_paths(spec)):
+            objects += 1
+            for value in ({"kind": "constant", "value": 1.9}, None):
+                bad = copy.deepcopy(spec)
+                target, _ = list(_object_paths(bad))[i]
+                target["lamda"] = value
+                if value is None:
+                    assert _outcome(bad) == _outcome(spec), (spec["algorithm"], path)
+                    continue
+                assert main([str(write_spec(tmp_path, bad))]) == EXIT_INVALID, path
+                err = capsys.readouterr().err.splitlines()
+                key = f"{path}.lamda" if path else "lamda"
+                assert len(err) == 1 and f": {key}: unknown field; known fields: " in err[0], err
+    assert objects == 76

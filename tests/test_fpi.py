@@ -313,6 +313,9 @@ def test_fpi_initial_membership_validation():
         fpi_solve(prob, gamma=1.0, x0=[1.0, 0.0])
     with pytest.raises(ValueError, match="orthogonal complement"):
         fpi_solve(prob, gamma=1.0, y0=[1.0, 1.0])
+    # a violation of 7.07e-7 on the diagonal is far above the 1e-9 tolerance
+    with pytest.raises(ValueError, match="x0 must lie in the subspace"):
+        fpi_solve(prob, gamma=1.0, x0=[1.0, 1.0 + 1e-6])
 
 
 def test_fpi_memberships_along_run(rng):

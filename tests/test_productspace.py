@@ -292,6 +292,9 @@ def test_sum_splitting_weight_validation():
     for weights in ([np.nan], [np.nan, 0.5], [0.5, np.nan]):
         with pytest.raises(ValueError, match="]0, 1\\["):
             ProductProblem(blocks[:len(weights)], weights=weights)
+    # the sum must be 1 within 1e-12, so 1e-9 off is refused
+    with pytest.raises(ValueError, match="sum to 1"):
+        ProductProblem(blocks, weights=[0.5, 0.5 + 1e-9])
 
 
 @pytest.mark.parametrize("gamma", [0.0, np.inf, np.nan])
