@@ -165,12 +165,13 @@ def _is_object(value, errors, path, what="an object with a 'kind' field"):
 def _unstable(dim, factor):
     # fault-injection hook: an expansive pseudo-resolvent that violates
     # nonexpansiveness so runs blow up and exercise divergence handling
-    return operators.ResolventFamily(lambda gamma, x: factor * x, dim,
-                                     label="unstable")
+    return spaces._mark_built(operators.ResolventFamily(lambda gamma, x: factor * x,
+                                                        dim, label="unstable"))
 
 
 def _identity_map(dim):
-    return operators.CocoerciveMap(lambda x: x.copy(), 1.0, dim, label="identity")
+    return spaces._mark_built(operators.CocoerciveMap(lambda x: x.copy(), 1.0, dim,
+                                                      label="identity"))
 
 
 # A field is ``(key, how)``; the constructor receives the fields in order.
@@ -329,8 +330,8 @@ def _km_operator(desc, dim, errors, path):
     ref = desc.get("type")
     if ref == "projector":
         P = _build("subspace", desc, dim, errors, path, ("type",))
-        return None if P is None else operators.AveragedOperator(
-            P, 0.5, dim, label="projection")
+        return None if P is None else spaces._mark_built(operators.AveragedOperator(
+            P, 0.5, dim, label="projection"))
     if ref != "resolvent":
         errors.append(f"{path}.type: unknown operator type {ref!r}; "
                       "known types: projector, resolvent")
@@ -340,8 +341,8 @@ def _km_operator(desc, dim, errors, path):
     if A is None or g is None or not _check(
             errors, f"{path}.gamma", fdr._check_finite_gamma, g):
         return None
-    return operators.AveragedOperator(lambda x: A.resolve(g, x), 0.5, dim,
-                                      label="resolvent")
+    return spaces._mark_built(operators.AveragedOperator(lambda x: A.resolve(g, x),
+                                                         0.5, dim, label="resolvent"))
 
 
 def _init(desc, shape, keys, errors, extra=()):

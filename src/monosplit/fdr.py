@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, _iterate, as_relaxation,
+from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, _bind, _iterate, as_relaxation,
                  check_errors)
-from .operators import AveragedOperator
-from .spaces import _matvec, as_vector
+from .operators import AveragedOperator, _check_finite_gamma
+from .spaces import _mark_built, _matvec, as_vector
 
 __all__ = [
     "check_gamma",
@@ -48,14 +48,6 @@ def averagedness(gamma, beta):
     """Averagedness constant ``max(2/3, 2 gamma/(gamma + 2 beta))`` of
     ``T_gamma o S_gamma``; relaxations range over ``]0, 1/alpha[``."""
     return max(2.0 / 3.0, 2.0 * gamma / (gamma + 2.0 * beta))
-
-
-def _check_finite_gamma(gamma):
-    """``gamma`` as a float, checked to lie in ``]0, +inf[``, the range of
-    ``build_T``, ``fpi_solve`` and ``parallel_dr2``."""
-    if not 0 < gamma < np.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    return float(gamma)
 
 
 @dataclass(frozen=True)
@@ -93,7 +85,7 @@ def build_T(A, V, gamma):
     def apply(z):
         return 0.5 * (z + A.reflected(gamma, V.reflect(z)))
 
-    return AveragedOperator(apply, 0.5, V.dim, label="douglas-rachford")
+    return _mark_built(AveragedOperator(apply, 0.5, V.dim, label="douglas-rachford"))
 
 
 def _fused_forward(B, V):
@@ -125,12 +117,14 @@ def build_S(B, V, gamma):
     An affine ``B`` and a matrix ``V`` are applied fused, as
     ``z - gamma (K z - P_V b)`` (see :func:`_fused_forward`)."""
     check_gamma(gamma, B.beta)
-    forward = _fused_forward(B, V) or (lambda z: V(B(V(z))))
+    project, apply_B = _bind((V, B))
+    forward = _fused_forward(B, V) or (lambda z: project(apply_B(project(z))))
 
     def apply(z):
         return z - gamma * forward(z)
 
-    return AveragedOperator(apply, gamma / (2.0 * B.beta), V.dim, label="forward")
+    return _mark_built(AveragedOperator(apply, gamma / (2.0 * B.beta), V.dim,
+                                        label="forward"))
 
 
 @dataclass
@@ -226,22 +220,23 @@ def _fdr_run(prob, gamma, lam_at, z, tol, max_iters, log_every, trace,
     A, B, V = prob.A, prob.B, prob.V
     inner = V.inner
     fused = _fused_forward(B, V)
+    project, apply_B, resolve = _bind((V, B, A.resolve), [gamma], (a_errors, b_errors))
 
     def step(n, z):
-        x = V(z)
+        x = project(z)
         y = (x - z) / gamma
-        PBx = V(B(x)) if fused is None else fused(x)
+        PBx = project(apply_B(x)) if fused is None else fused(x)
         s_clean = x - gamma * PBx + gamma * y
         if a_errors is not None and a_errors.active(n):
-            p = A.resolve(gamma, s_clean - gamma * V(a_errors(n)))
-            p_clean = A.resolve(gamma, s_clean)
+            p = resolve(gamma, s_clean - gamma * project(a_errors(n)))
+            p_clean = resolve(gamma, s_clean)
         else:
-            p = p_clean = A.resolve(gamma, s_clean)
+            p = p_clean = resolve(gamma, s_clean)
         if b_errors is not None and b_errors.active(n):
             p = p + b_errors(n)
         d_clean = p_clean - x
         d = d_clean if p is p_clean else p - x
-        return inner.norm(d_clean), x, y, lambda lam: z + lam * d
+        return inner.norm(d_clean), x, y, d
 
     run = _iterate(z, step, lam_at, tol, max_iters, log_every, trace,
                    inner.norm, objective, log_dy=True)

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, ScalarSchedule, _constant_schedule,
-                 _iterate, as_relaxation)
-from .fdr import _check_finite_gamma, _fdr_run, _primal_dual_result, check_gamma
+from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, ScalarSchedule, _bind,
+                 _constant_schedule, _iterate, as_relaxation)
+from .fdr import _fdr_run, _primal_dual_result, check_gamma
+from .operators import _check_finite_gamma
 from .spaces import as_vector
 
 __all__ = [
@@ -144,11 +145,13 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
                                   x0=x0, y0=y0, tol=tol, max_iters=max_iters,
                                   log_every=log_every, trace=trace)
     lam_at = as_relaxation(relaxation).validate_closed(EPSILON, 1.0)
+    # the oracle's pair is user data: V and A see it through their public calls
+    project, apply_B = _bind((V, B))
 
     def step(n, state):
         x, y = state    # the rows of the (2, d) state
         delta = delta_at(n)
-        PBx = V(B(x))
+        PBx = project(apply_B(x))
         target = x - delta * gamma * PBx + gamma * y
         p, q = oracle(x, y, delta, gamma, PBx)
         sum_gap = inner.norm(target - (p + gamma * q))
@@ -165,7 +168,7 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
         rx = Pp - x
         ry = q - Pq - y
         residual = float(np.sqrt(inner.norm(rx) ** 2 + (gamma * inner.norm(ry)) ** 2))
-        return residual, x, y, lambda lam: np.stack((x + lam * rx, y + lam * ry))
+        return residual, x, y, np.stack((rx, ry))
 
     run = _iterate(np.stack(_start(V, x0, y0)), step, lam_at, tol, max_iters,
                    log_every, trace, inner.norm, log_dy=True)

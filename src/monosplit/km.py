@@ -16,7 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spaces import InnerProduct, as_vector
+from .operators import (AveragedOperator, CocoerciveMap, ResolventFamily,
+                        _check_finite_gamma)
+from .spaces import InnerProduct, SubspaceProjector, as_vector
 
 __all__ = [
     "CONVERGED",
@@ -200,7 +202,8 @@ class ErrorSchedule:
     will be paired with.  The certificate is declared, and the bound is
     audited on a prefix before any iteration.  A schedule made by
     :func:`geometric_errors` or :func:`no_errors` is audited on ``e_0`` alone
-    while its ``generator`` and ``bound`` are the ones it was made with.
+    while its ``generator`` and ``bound`` are the ones it was made with: it
+    is then built in, and every term has the shape of ``e_0``.
     """
 
     __slots__ = ("generator", "bound", "summable", "dim", "label", "_scaled")
@@ -228,9 +231,7 @@ class ErrorSchedule:
                 f"error schedule '{self.label or 'custom'}' declares a non-summable "
                 "pairing; sum_n lambda_n*||e_n|| must be finite"
             )
-        scaled = self._scaled
-        one_term = (scaled is not None and scaled[0] is self.generator
-                    and scaled[1] is self.bound)
+        one_term = self._scaled == (self.generator, self.bound)
         for n in range(1 if one_term else VALIDATION_PREFIX):
             e = self(n)
             if e.shape != (self.dim,):
@@ -355,15 +356,40 @@ def _growth_bound(state):
     return min(scale * scale, sys.float_info.max)
 
 
+_KERNELS = {SubspaceProjector.__call__: "_apply", CocoerciveMap.__call__: "_func",
+            AveragedOperator.__call__: "_func", ResolventFamily.resolve: "_resolve"}
+
+
+def _bind(entries, gammas=(), errors=()):
+    """What a solve calls for ``entries``, the public entry points of its
+    objects (a map, or a family's ``resolve``), each found on the class.
+    If each is a library class's own, on an object the library built (see
+    :func:`monosplit.spaces._mark_built`), and each of ``errors`` is None or
+    built in, every argument comes from the loop, of the right shape: the
+    entries give way to their unchecked kernels (``_KERNELS``) once the
+    resolvent parameters ``gammas`` are checked.  Otherwise they stay."""
+    objs = [getattr(f, "__self__", f) for f in entries]
+    names = [_KERNELS.get(getattr(f, "__func__", None) or type(f).__call__)
+             for f in entries]
+    if not (all(names) and all(getattr(obj, "_built", False) for obj in objs)
+            and all(e is None or type(e) is ErrorSchedule
+                    and e._scaled == (e.generator, e.bound) for e in errors)):
+        return list(entries)
+    for gamma in gammas:
+        _check_finite_gamma(gamma, "resolvent parameter")
+    return [getattr(obj, name) for obj, name in zip(objs, names)]
+
+
 def _iterate(state, step, lam_at, tol, max_iters, log_every, trace, norm,
              objective=None, log_dy=False):
     """The relaxed fixed-point loop shared by every solver.
 
     ``state`` is an array, finite at the start.  ``step(n, state)`` returns
-    ``(residual, x, y, advance)``: the error-free fixed-point gap at
-    ``state``, the point ``x`` to report (and a second point ``y``, or None)
-    and ``advance(lam)``, the next state.  ``lam_at(n)`` is the checked
-    relaxation schedule.
+    ``(residual, x, y, d)``: the error-free fixed-point gap at ``state``, the
+    point ``x`` to report (and a second point ``y``, or None) and the
+    direction ``d`` of the state's shape; the next state is
+    ``state + lambda_n * d``.  ``lam_at(n)`` is the checked relaxation
+    schedule.
 
     Iteration n first checks that the state has not outgrown
     ``GROWTH_LIMIT * (1 + max|state_0|)`` in norm, which also rejects a NaN or
@@ -393,7 +419,7 @@ def _iterate(state, step, lam_at, tol, max_iters, log_every, trace, norm,
             status = DIVERGED
             break
         prev_x, prev_y = x, y
-        residual, x, y, advance = step(n, state)
+        residual, x, y, d = step(n, state)
         lam = lam_at(n)
         finite = math.isfinite(residual)
         converged = finite and residual <= tol
@@ -410,7 +436,7 @@ def _iterate(state, step, lam_at, tol, max_iters, log_every, trace, norm,
         if terminal:
             status = CONVERGED if converged else MAX_ITERS if finite else DIVERGED
             break
-        state = advance(lam)
+        state = state + lam * d
     return _Run(status, n, rows, points, residual, x, y)
 
 
@@ -471,15 +497,16 @@ def km_solve(ops, relaxation=1.0, errors=None, z0=None, tol=DEFAULT_TOL,
     if getattr(inner, "dim", dim) != dim:  # a duck-typed product may omit dim
         raise ValueError("inner product dimension does not match the operators")
     check_errors(errors, dim, inner.norm)
+    apply = _bind(ops, errors=errors)
 
     def step(n, z):
         # u = T_1(...T_m z) with the errors of iteration n; the error-free
         # chain v parts from u at the innermost active error
         u, v = z, None
         for i in range(m - 1, -1, -1):
-            u = ops[i](u)
+            u = apply[i](u)
             if v is not None:
-                v = ops[i](v)
+                v = apply[i](v)
             e = errors[i]
             if e is not None and e.active(n):
                 if v is None:
@@ -487,7 +514,7 @@ def km_solve(ops, relaxation=1.0, errors=None, z0=None, tol=DEFAULT_TOL,
                 u = u + e(n)
         d = u - z
         d_clean = d if v is None else v - z
-        return inner.norm(d_clean), z, None, lambda lam: z + lam * d
+        return inner.norm(d_clean), z, None, d
 
     z = np.zeros(dim) if z0 is None else as_vector(z0, dim).copy()
     run = _iterate(z, step, lam_at, tol, max_iters, log_every, trace, inner.norm)

@@ -21,7 +21,7 @@ import threading
 import numpy as np
 import scipy.linalg
 
-from .spaces import _digest, _matvec, _square_matrix, as_vector
+from .spaces import _digest, _mark_built, _matvec, _square_matrix, as_vector
 
 __all__ = [
     "ResolventFamily",
@@ -40,6 +40,14 @@ __all__ = [
 PSD_TOL = 1e-10
 
 
+def _check_finite_gamma(gamma, name="gamma"):
+    """``gamma`` as a float, checked to lie in ``]0, +inf[``, the range of
+    ``resolve``, ``build_T``, ``fpi_solve`` and ``parallel_dr2``."""
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {gamma}")
+    return float(gamma)
+
+
 class ResolventFamily:
     """A maximally monotone operator represented by its resolvents.
 
@@ -52,7 +60,7 @@ class ResolventFamily:
     as ``_kernel = (kernel, params)``; see :func:`_row_kernel_family`.
     """
 
-    __slots__ = ("_resolve", "dim", "label", "_kernel")
+    __slots__ = ("_resolve", "dim", "label", "_kernel", "_built")
 
     def __init__(self, resolve, dim, label=""):
         self._resolve = resolve
@@ -61,8 +69,7 @@ class ResolventFamily:
         self._kernel = None
 
     def resolve(self, gamma, x):
-        if not 0 < gamma < np.inf:
-            raise ValueError(f"resolvent parameter must be positive and finite, got {gamma}")
+        _check_finite_gamma(gamma, "resolvent parameter")
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(
@@ -90,7 +97,7 @@ class CocoerciveMap:
     carries ``_affine``, an :class:`_AffineData`; any other map carries None.
     """
 
-    __slots__ = ("_func", "beta", "dim", "label", "_affine")
+    __slots__ = ("_func", "beta", "dim", "label", "_affine", "_built")
 
     def __init__(self, func, beta, dim, label=""):
         if not (np.isfinite(beta) and beta > 0):
@@ -117,7 +124,7 @@ class CocoerciveMap:
 class AveragedOperator:
     """Operator declared to be ``alpha``-averaged for some ``alpha`` in (0, 1)."""
 
-    __slots__ = ("_func", "alpha", "dim", "label")
+    __slots__ = ("_func", "alpha", "dim", "label", "_built")
 
     def __init__(self, func, alpha, dim, label=""):
         if not 0.0 < alpha < 1.0:
@@ -146,7 +153,7 @@ class AveragedOperator:
 
 def zero_operator(dim):
     """A = 0; the resolvent is the identity for every gamma."""
-    return ResolventFamily(lambda gamma, x: x.copy(), dim, label="zero")
+    return _mark_built(ResolventFamily(lambda gamma, x: x.copy(), dim, label="zero"))
 
 
 def normal_cone_of_subspace(P):
@@ -167,7 +174,7 @@ def _row_kernel_family(kernel, params, dim, label):
     family = ResolventFamily(lambda gamma, x: kernel(gamma, x, *params), dim,
                              label=label)
     family._kernel = (kernel, params)
-    return family
+    return _mark_built(family)
 
 
 def _soft_threshold(gamma, x):
@@ -269,7 +276,7 @@ def linear_monotone(M, b=None):
     def res(gamma, x):
         return cache.solve(gamma, x - gamma * b)
 
-    return ResolventFamily(res, dim, label="affine-monotone")
+    return _mark_built(ResolventFamily(res, dim, label="affine-monotone"))
 
 
 class _CertifiedSlot:
@@ -366,7 +373,7 @@ def affine_gradient(Q, b=None):
     B = CocoerciveMap(_matvec(Q, symmetric, b), 1.0 / lam_max, dim,
                       label="affine-gradient")
     B._affine = _AffineData(Q, b) if symmetric else None
-    return B
+    return _mark_built(B)
 
 
 def zero_cocoercive(dim, beta=1.0):
@@ -375,5 +382,5 @@ def zero_cocoercive(dim, beta=1.0):
     ``beta`` only sets the admissible step range downstream; pick it as large
     as the step sizes you intend to use require.
     """
-    return CocoerciveMap(lambda x: np.zeros_like(x), beta, dim, label="zero")
+    return _mark_built(CocoerciveMap(lambda x: np.zeros_like(x), beta, dim, label="zero"))
 

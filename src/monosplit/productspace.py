@@ -24,11 +24,11 @@ from itertools import groupby
 
 import numpy as np
 
-from .fdr import _check_finite_gamma, averagedness, check_gamma
+from .fdr import averagedness, check_gamma
 from .fpi import EPSILON
-from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, _iterate, as_relaxation,
+from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, _bind, _iterate, as_relaxation,
                  check_errors)
-from .operators import zero_cocoercive
+from .operators import _check_finite_gamma, zero_cocoercive
 from .spaces import InnerProduct, as_vector
 
 __all__ = [
@@ -71,8 +71,9 @@ def _block_plan(blocks):
 
     Consecutive blocks that carry the same row kernel form one run, each
     parameter stacked over the run; every other block is a run of one with
-    ``kernel`` None.  Kernels are looked up by attribute, so wrappers that
-    forward attribute access resolve through the stacked path too.
+    ``kernel`` its ``resolve`` and ``params`` None.  Row kernels are looked
+    up by attribute, so wrappers that forward attribute access resolve
+    through the stacked path too.
     """
     specs = [getattr(A, "_kernel", None) for A in blocks]
     plan = []
@@ -81,7 +82,7 @@ def _block_plan(blocks):
         run = list(run)
         stop = start + len(run)
         if kernel is None:
-            plan += [(i, i + 1, None, ()) for i in range(start, stop)]
+            plan += [(i, i + 1, blocks[i].resolve, None) for i in range(start, stop)]
         else:
             params = tuple(np.stack(col) for col in zip(*(s[1] for s in run)))
             plan.append((start, stop, kernel, params))
@@ -122,6 +123,13 @@ class ProductProblem:
     def beta(self):
         return self.B.beta
 
+    @property
+    def _runs(self):
+        if self._plan is None:
+            # concurrent first calls build equal plans; either may be kept
+            self._plan = _block_plan(self.blocks)
+        return self._plan
+
     def resolve_blocks(self, gammas, S):
         """Rows ``J_{gammas[i] A_i} S[i]`` for all blocks, as an ``(m, d)`` array.
 
@@ -130,18 +138,18 @@ class ProductProblem:
         blocks go through their own ``resolve``.  ``gammas`` must be positive
         and ``S`` of shape ``(m, d)``: the callers check both once per solve.
         """
-        plan = self._plan
-        if plan is None:
-            # concurrent first calls build equal plans; either may be kept
-            plan = self._plan = _block_plan(self.blocks)
-        P = np.empty_like(S)
-        for start, stop, kernel, params in plan:
-            if kernel is None:
-                P[start] = self.blocks[start].resolve(gammas[start], S[start])
-            else:
-                P[start:stop] = kernel(gammas[start:stop, None], S[start:stop],
-                                       *params)
-        return P
+        return _resolve_runs(self._runs, gammas, S)
+
+
+def _resolve_runs(plan, gammas, S):
+    """The rows of :meth:`ProductProblem.resolve_blocks` along ``plan``."""
+    P = np.empty_like(S)
+    for start, stop, kernel, params in plan:
+        if params is None:
+            P[start] = kernel(gammas[start], S[start])
+        else:
+            P[start:stop] = kernel(gammas[start:stop, None], S[start:stop], *params)
+    return P
 
 
 @dataclass
@@ -246,20 +254,25 @@ def _sum_splitting_run(prob, gamma, lam_at, Z, tol, max_iters, log_every,
     b_errors = [(i, e) for i, e in enumerate(b_errors or ()) if e is not None]
     _warn_scaled_gamma(gamma, w)
     gammas = gamma / w
+    solo = [r for r in prob._runs if r[3] is None]   # blocks resolved one at a time
+    apply_B, *kernels = _bind([prob.B] + [r[2] for r in solo], gammas[[r[0] for r in solo]],
+                              [a_errors] + [e for _, e in b_errors])
+    kernels = iter(kernels)
+    plan = [r if r[3] is not None else r[:2] + (next(kernels), None) for r in prob._runs]
 
     def step(n, Z):
         x = w @ Z
-        Bx = prob.B(x)
+        Bx = apply_B(x)
         a_active = a_errors is not None and a_errors.active(n)
         forward = Bx + a_errors(n) if a_active else Bx
-        P = prob.resolve_blocks(gammas, 2.0 * x - gamma * forward - Z)
+        P = _resolve_runs(plan, gammas, 2.0 * x - gamma * forward - Z)
         D = D_clean = P - x
         if a_active:
-            D_clean = prob.resolve_blocks(gammas, 2.0 * x - gamma * Bx - Z) - x
+            D_clean = _resolve_runs(plan, gammas, 2.0 * x - gamma * Bx - Z) - x
         if b_errors and _add_block_errors(P, b_errors, n):
             D = P - x
-        residual = math.sqrt((w * (D_clean ** 2).sum(axis=1)).sum())
-        return residual, x, Z, lambda lam: Z + lam * D
+        residual = math.sqrt(np.add.reduce(w * np.add.reduce(D_clean ** 2, 1)))
+        return residual, x, Z, D
 
     run = _iterate(Z, step, lam_at, tol, max_iters, log_every, trace,
                    InnerProduct(d).norm)
@@ -295,17 +308,18 @@ def parallel_dr2(A1, A2, gamma=1.0, relaxation=1.0, b1_errors=None,
     check_errors([b1_errors, b2_errors], d)
 
     errors = [(i, e) for i, e in enumerate((b1_errors, b2_errors)) if e is not None]
+    J1, J2 = _bind((A1.resolve, A2.resolve), [2.0 * gamma], (b1_errors, b2_errors))
 
     def step(n, Z):
         x = 0.5 * (Z[0] + Z[1])
         P = np.empty_like(Z)
-        P[0] = A1.resolve(2.0 * gamma, Z[1])
-        P[1] = A2.resolve(2.0 * gamma, Z[0])
+        P[0] = J1(2.0 * gamma, Z[1])
+        P[1] = J2(2.0 * gamma, Z[0])
         D = P - x
         residual = math.sqrt(0.5 * D[0].dot(D[0]) + 0.5 * D[1].dot(D[1]))
         if errors and _add_block_errors(P, errors, n):
             D = P - x
-        return residual, x, Z, lambda lam: Z + lam * D
+        return residual, x, Z, D
 
     Z = np.zeros((2, d)) if z0 is None else _as_blocks(z0, 2, d)
     run = _iterate(Z, step, lam_at, tol, max_iters, log_every, trace,

@@ -117,7 +117,7 @@ class SubspaceProjector:
     carries None.
     """
 
-    __slots__ = ("_apply", "dim", "inner", "label", "_sandwich")
+    __slots__ = ("_apply", "dim", "inner", "label", "_sandwich", "_built")
 
     def __init__(self, apply, dim, inner=None, label=""):
         self._apply = apply
@@ -151,19 +151,26 @@ class SubspaceProjector:
         return f"SubspaceProjector(dim={self.dim}{tag})"
 
 
+def _mark_built(obj):
+    """``obj``, marked as built by the library (see :func:`monosplit.km._bind`)."""
+    obj._built = True
+    return obj
+
+
 def identity_projector(dim, inner=None):
     """Projector onto the whole space."""
-    return SubspaceProjector(lambda x: x.copy(), dim, inner, label="identity")
+    return _mark_built(SubspaceProjector(lambda x: x.copy(), dim, inner, label="identity"))
 
 
 def zero_projector(dim, inner=None):
     """Projector onto the trivial subspace {0}."""
-    return SubspaceProjector(lambda x: np.zeros_like(x), dim, inner, label="zero")
+    return _mark_built(SubspaceProjector(np.zeros_like, dim, inner, label="zero"))
 
 
 def zero_mean_projector(dim):
     """Projector onto {x : sum_k x_k = 0} under the uniform inner product."""
-    return SubspaceProjector(lambda x: x - x.sum() / dim, dim, label="zero-mean")
+    return _mark_built(SubspaceProjector(lambda x: x - np.add.reduce(x) / dim, dim,
+                                         label="zero-mean"))
 
 
 def span_projector(v, inner=None):
@@ -177,7 +184,7 @@ def span_projector(v, inner=None):
     def apply(x):
         return v * (inner.dot(v, x) / vv)
 
-    return SubspaceProjector(apply, v.shape[0], inner, label="span")
+    return _mark_built(SubspaceProjector(apply, v.shape[0], inner, label="span"))
 
 
 def _square_matrix(M, name):
@@ -282,7 +289,7 @@ def matrix_projector(M, inner=None):
         raise ValueError(f"matrix is not an orthogonal projector: {audit}")
     if symmetric:
         P._sandwich = _SandwichCache(M)
-    return P
+    return _mark_built(P)
 
 
 @dataclass(frozen=True)

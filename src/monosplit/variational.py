@@ -21,7 +21,7 @@ from .km import DEFAULT_MAX_ITERS, DEFAULT_TOL
 from .operators import (CocoerciveMap, ResolventFamily, _AffineData,
                         _box_bounds, _CachedAffineSolve, _clamp,
                         _soft_threshold, _symmetric_psd)
-from .spaces import _matvec, as_vector
+from .spaces import _mark_built, _matvec, as_vector
 
 __all__ = [
     "ProxFunction",
@@ -86,8 +86,8 @@ prox_l1 = _soft_threshold
 
 def l1_function(dim):
     """``f(x) = ||x||_1``."""
-    return ProxFunction(prox_l1, dim,
-                        value=lambda x: float(np.abs(x).sum()), label="l1")
+    return _mark_built(ProxFunction(prox_l1, dim,
+                                    value=lambda x: float(np.abs(x).sum()), label="l1"))
 
 
 def box_function(lo, hi):
@@ -97,8 +97,8 @@ def box_function(lo, hi):
     def value(x):
         return 0.0 if np.all((x >= lo - 1e-12) & (x <= hi + 1e-12)) else float("inf")
 
-    return ProxFunction(lambda gamma, x: _clamp(gamma, x, lo, hi), lo.shape[0],
-                        value=value, label="box-indicator")
+    return _mark_built(ProxFunction(lambda gamma, x: _clamp(gamma, x, lo, hi),
+                                    lo.shape[0], value=value, label="box-indicator"))
 
 
 def _quadratic_value(Q, symmetric, b):
@@ -120,14 +120,15 @@ def quadratic_function(Q, b=None):
     dim = Q.shape[0]
     b = np.zeros(dim) if b is None else as_vector(b, dim)
     cache = _CachedAffineSolve(Q)
-    return ProxFunction(lambda gamma, x: cache.solve(gamma, x + gamma * b), dim,
-                        value=_quadratic_value(Q, symmetric, b), label="quadratic")
+    return _mark_built(ProxFunction(lambda gamma, x: cache.solve(gamma, x + gamma * b),
+                                    dim, value=_quadratic_value(Q, symmetric, b),
+                                    label="quadratic"))
 
 
 def zero_function(dim):
     """``f = 0``; the prox is the identity."""
-    return ProxFunction(lambda gamma, x: x.copy(), dim,
-                        value=lambda x: 0.0, label="zero")
+    return _mark_built(ProxFunction(lambda gamma, x: x.copy(), dim,
+                                    value=lambda x: 0.0, label="zero"))
 
 
 def quadratic_smooth(Q, b=None):
@@ -148,13 +149,13 @@ def quadratic_smooth(Q, b=None):
     g = SmoothFunction(_matvec(Q, symmetric, b), lam_max, dim,
                        value=_quadratic_value(Q, symmetric, b), label="quadratic")
     g._affine = _AffineData(Q, b) if symmetric else None
-    return g
+    return _mark_built(g)
 
 
 def zero_smooth(dim, lipschitz=1.0):
     """``g = 0``; the declared Lipschitz constant only sets the step range."""
-    return SmoothFunction(lambda x: np.zeros_like(x), lipschitz, dim,
-                          value=lambda x: 0.0, label="zero")
+    return _mark_built(SmoothFunction(lambda x: np.zeros_like(x), lipschitz, dim,
+                                      value=lambda x: 0.0, label="zero"))
 
 
 def min_over_subspace(f, g, V, gamma=None, relaxation=1.0, a_errors=None,

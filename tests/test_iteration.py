@@ -143,8 +143,8 @@ def test_state_checked_where_the_residual_cannot_see_it():
     # per-iteration state check stops the run, at the last finite pair
     def step(n, state):
         x, y = state
-        y_next = np.full(2, np.nan) if n == 3 else y + 1.0
-        return 1.0, x, y, lambda lam: np.stack((x + lam, y_next))
+        dy = np.full(2, np.nan) if n == 3 else np.ones(2)
+        return 1.0, x, y, np.stack((np.ones(2), dy))
 
     run = _iterate(np.zeros((2, 2)), step, lambda n: 1.0, -1.0, 50,
                    1, False, np.linalg.norm, log_dy=True)

@@ -559,3 +559,23 @@ def test_parallel_dr2_errors_on_the_second_block_only():
                                                   + 0.5 * np.dot(p2 - x, p2 - x))
         p2 = p2 + e(n)
         z1, z2 = z1 + lam * (p1 - x), z2 + lam * (p2 - x)
+
+
+def test_sum_splitting_residual_is_weighted():
+    # each logged residual is sqrt(sum_i w_i ||p_i - x_n||^2) with the block
+    # points p_i recomputed from the traced (x_n, Z_n); the unweighted mean
+    # sqrt(sum_i ||p_i - x_n||^2 / m) differs at these weights
+    blocks = [normal_cone_box([-1.0, -1.0], [1.0, 2.0]),
+              subdifferential_abs(2, center=[3.0, -1.0]),
+              linear_monotone(np.diag([1.0, 4.0]), b=[0.5, -2.0])]
+    B = affine_gradient(np.diag([1.0, 2.0]), np.array([1.0, -1.0]))
+    w, gamma = np.array([0.2, 0.3, 0.5]), 0.4
+    prob = ProductProblem(blocks, B, weights=w)
+    res = sum_splitting_solve(prob, gamma=gamma, tol=-1.0, max_iters=40, trace=True)
+    assert [row.n for row in res.history] == list(range(41))
+    for row, (x, Z) in zip(res.history, res.trace):
+        S = 2.0 * x - gamma * B(x) - Z
+        P = np.stack([A.resolve(gamma / wi, s) for A, wi, s in zip(blocks, w, S)])
+        sq = np.sum((P - x) ** 2, axis=1)
+        assert row.residual == pytest.approx(np.sqrt(w @ sq), rel=1e-12, abs=1e-15)
+        assert abs(row.residual - np.sqrt(sq.mean())) > 1e-3 * row.residual
