@@ -25,7 +25,6 @@ Exit codes: 0 converged, 2 iteration budget exhausted, 3 diverged,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -346,16 +345,17 @@ def _km_operator(desc, dim, errors, path):
 
 
 def _init(desc, shape, keys, errors, extra=()):
-    """Start point ``rng -> array`` of ``shape`` from an ``init`` descriptor.
+    """Start point ``seed -> array`` of ``shape`` from an ``init`` descriptor.
 
     Kinds: ``zeros`` (also for a missing or null descriptor); ``random``,
-    ``scale`` times standard normals; ``value``, the vectors under ``keys``
+    ``scale`` times standard normals drawn from a Generator seeded with
+    ``seed``, the only kind that reads it; ``value``, the vectors under ``keys``
     stacked, or, for one key and a two-dimensional ``shape``, any array of
     that many numbers.  Every key of a ``value`` is required; it may also
     hold the keys in ``extra``, which the caller reads.
     """
     if desc is None:
-        return lambda rng: np.zeros(shape)
+        return lambda seed: np.zeros(shape)
     if not _is_object(desc, errors, "init"):
         return None
     kind = desc.get("kind")
@@ -372,15 +372,15 @@ def _init(desc, shape, keys, errors, extra=()):
     if len(errors) > before:
         return None
     if kind == "zeros":
-        return lambda rng: np.zeros(shape)
+        return lambda seed: np.zeros(shape)
     if kind == "random":
         scale = v["scale"]
         if not np.isfinite(scale):
             errors.append(f"init.scale: must be finite, got {scale}")
             return None
-        return lambda rng: scale * rng.standard_normal(shape)
+        return lambda seed: scale * np.random.default_rng(seed).standard_normal(shape)
     x = np.array(list(v.values())).reshape(shape)
-    return lambda rng: x.copy()
+    return lambda seed: x.copy()
 
 
 def _blocks(value, shape, errors, path):
@@ -413,7 +413,7 @@ def _forward_ranges(B, gamma, relax, errors, closed=False):
 # ---------------------------------------------------------------------------
 # algorithms: a builder takes the row's fields ``v`` (a dict), the ``init``
 # descriptor, the dimension, the error list and the row's solver; it checks
-# what crosses fields, reads the start and returns ``launch(rng, **stop)``
+# what crosses fields, reads the start and returns ``launch(seed, **stop)``
 # ---------------------------------------------------------------------------
 
 def _build_fdr(v, init, dim, errors, solve):
@@ -425,9 +425,9 @@ def _build_fdr(v, init, dim, errors, solve):
     if errors:
         return None
     args = (v["f"], g, V) if "g" in v else (fdr.InclusionProblem(v["A"], B, V),)
-    return lambda rng, **stop: solve(
+    return lambda seed, **stop: solve(
         *args, gamma=v["gamma"], relaxation=v["lambda"], a_errors=v["errors"]["a"],
-        b_errors=v["errors"]["b"], z0=start(rng), **stop)
+        b_errors=v["errors"]["b"], z0=start(seed), **stop)
 
 
 def _build_fpi(v, init, dim, errors, solve):
@@ -439,9 +439,9 @@ def _build_fpi(v, init, dim, errors, solve):
     y0 = _field(init, "y", "vec?", dim, errors, "init") if kind == "value" else None
     if kind == "random" and V is not None and x_start is not None:
         draw = x_start  # a random start must still lie in the subspace
-        x_start = lambda rng: V(draw(rng))
+        x_start = lambda seed: V(draw(seed))
     if kind == "value" and V is not None:
-        x0 = None if x_start is None else x_start(None)  # a value ignores the rng
+        x0 = None if x_start is None else x_start(None)  # a value ignores the seed
         _check(errors, "init.x", fpi._start, V, x0, None)
         _check(errors, "init.y", fpi._start, V, None, y0)
     if "delta" not in v:
@@ -461,8 +461,8 @@ def _build_fpi(v, init, dim, errors, solve):
         return None
     prob = fdr.InclusionProblem(v["A"], B, V)
     kw = {"steps": v["delta"]} if "delta" in v else {}
-    return lambda rng, **stop: solve(prob, gamma=gamma, relaxation=relax,
-                                     x0=x_start(rng), y0=y0, **kw, **stop)
+    return lambda seed, **stop: solve(prob, gamma=gamma, relaxation=relax,
+                                      x0=x_start(seed), y0=y0, **kw, **stop)
 
 
 def _build_km(v, init, dim, errors, solve):
@@ -475,8 +475,8 @@ def _build_km(v, init, dim, errors, solve):
         _check(errors, "lambda", relax.validate_open, alpha)
     if errors:
         return None
-    return lambda rng, **stop: solve(ops, relaxation=relax, errors=schedules,
-                                     z0=start(rng), **stop)
+    return lambda seed, **stop: solve(ops, relaxation=relax, errors=schedules,
+                                      z0=start(seed), **stop)
 
 
 def _build_product(v, init, dim, errors, solve):
@@ -498,11 +498,11 @@ def _build_product(v, init, dim, errors, solve):
     if prob is None:
         return None
     if not lifted:
-        return lambda rng, **stop: solve(prob, gamma=v["gamma"], relaxation=v["lambda"],
-                                         x0=start(rng), **stop)
-    return lambda rng, **stop: solve(
+        return lambda seed, **stop: solve(prob, gamma=v["gamma"], relaxation=v["lambda"],
+                                          x0=start(seed), **stop)
+    return lambda seed, **stop: solve(
         prob, gamma=v["gamma"], relaxation=v["lambda"], a_errors=v["errors"]["a"],
-        b_errors=b_errors, z0=start(rng), **stop)
+        b_errors=b_errors, z0=start(seed), **stop)
 
 
 def _build_dr2(v, init, dim, errors, solve):
@@ -514,9 +514,9 @@ def _build_dr2(v, init, dim, errors, solve):
         _check(errors, "lambda", productspace.dr2_relaxation, relax)
     if errors:
         return None
-    return lambda rng, **stop: solve(
+    return lambda seed, **stop: solve(
         v["A1"], v["A2"], gamma=gamma, relaxation=relax, b1_errors=v["errors"]["b1"],
-        b2_errors=v["errors"]["b2"], z0=start(rng), **stop)
+        b2_errors=v["errors"]["b2"], z0=start(seed), **stop)
 
 
 _B = ("B", ("forward-map", {"kind": "zero", "beta": 1.0}))
@@ -609,9 +609,8 @@ def parse_spec(text, overrides=None):
 
 def run(spec):
     """Execute a validated spec and return its :class:`RunRecord`."""
-    rng = np.random.default_rng(spec.seed)
     start = time.perf_counter()
-    result = spec.launch(rng, tol=spec.tol, max_iters=spec.max_iters,
+    result = spec.launch(spec.seed, tol=spec.tol, max_iters=spec.max_iters,
                          log_every=spec.log_every)
     wall = time.perf_counter() - start
     summary = {
@@ -624,19 +623,22 @@ def run(spec):
     return RunRecord(rows=list(result.history), summary=summary)
 
 
-def _fmt(value):
-    return "" if value is None else repr(float(value))
-
-
 def emit_csv(record, path):
-    """Write the run history: header plus one row per logged iteration."""
+    """Write the run history: header plus one row per logged iteration.
+
+    The bytes are those of ``csv.writer``'s default dialect: CRLF line ends,
+    each float as its ``repr``, which reads back to the same bits, and an
+    empty cell for a missing ``dy`` or ``objective``.  The file is formatted
+    whole and written in one call.
+    """
+    text = "n,lambda,residual,dx,dy,objective\r\n" + "".join([
+        f"{r.n},{float(r.lam)!r},{float(r.residual)!r},{float(r.dx)!r},"
+        f"{'' if r.dy is None else repr(float(r.dy))},"
+        f"{'' if r.objective is None else repr(float(r.objective))}\r\n"
+        for r in record.rows])
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "lambda", "residual", "dx", "dy", "objective"])
-            for row in record.rows:
-                writer.writerow([str(row.n), _fmt(row.lam), _fmt(row.residual),
-                                 _fmt(row.dx), _fmt(row.dy), _fmt(row.objective)])
+            fh.write(text)
     except OSError as e:
         raise OSError(f"cannot write CSV to {path}: {e}") from e
 

@@ -313,10 +313,10 @@ def audit_projector(P, samples=32, tol=1e-8):
         x = rng.standard_normal(P.dim)
         y = rng.standard_normal(P.dim)
         a = rng.standard_normal()
-        Px = P(x)
+        Px, Py = P(x), P(y)
         idem.append(P.inner.norm(P(Px) - Px))
-        sym.append(abs(P.inner.dot(Px, y) - P.inner.dot(x, P(y))))
-        lin.append(P.inner.norm(P(a * x + y) - a * Px - P(y)))
+        sym.append(abs(P.inner.dot(Px, y) - P.inner.dot(x, Py)))
+        lin.append(P.inner.norm(P(a * x + y) - a * Px - Py))
     worst = [_worst(v) for v in (idem, sym, lin)]
     return ProjectorAudit(all(w <= tol for w in worst), *worst)
 

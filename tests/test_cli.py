@@ -1,4 +1,6 @@
 import copy
+import csv
+import hashlib
 import json
 import os
 import re
@@ -6,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from monosplit import cli, fdr, km, productspace
@@ -305,6 +308,29 @@ def test_emit_csv_path_context(tmp_path):
     target = tmp_path / "missing_dir" / "x.csv"
     with pytest.raises(OSError, match="cannot write CSV"):
         emit_csv(record, target)
+
+
+def test_emit_csv_writes_the_bytes_of_the_csv_module(tmp_path):
+    # the reference is the csv module's default dialect with repr cells
+    nan, inf = float("nan"), float("inf")
+    rows = [km.IterationRow(0, 1.0, inf, 0.0),
+            km.IterationRow(1, np.float64(0.5), -inf, nan, None, -0.0),
+            km.IterationRow(2, 1.9, 1e-300, -0.0, 5e-324, None),
+            km.IterationRow(3, np.float64(1.0), np.float64(1 / 3), np.float64(-2.5),
+                            np.float64(nan), np.float64(-inf)),
+            km.IterationRow(10**6, 0.1, 1.7976931348623157e308, 2.0, 0.0, 1e16)]
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "lambda", "residual", "dx", "dy", "objective"])
+        for r in rows:
+            writer.writerow([str(r.n)] + ["" if v is None else repr(float(v))
+                                          for v in r[1:]])
+    out = tmp_path / "ours.csv"
+    emit_csv(cli.RunRecord(rows=rows, summary={}), out)
+    assert out.read_bytes() == ref.read_bytes()
+    emit_csv(cli.RunRecord(rows=[], summary={}), out)
+    assert out.read_bytes() == b"n,lambda,residual,dx,dy,objective\r\n"
 
 
 def test_variational_spec_records_objective(tmp_path):
@@ -850,3 +876,44 @@ def test_unknown_keys_are_refused_at_every_depth(tmp_path, capsys):
                 key = f"{path}.lamda" if path else "lamda"
                 assert len(err) == 1 and f": {key}: unknown field; known fields: " in err[0], err
     assert objects == 76
+
+
+# SHA-256 of the CSV of each spec below, recorded before the seed was handed
+# to the start readers in place of a Generator: a random start draws the same
+# numbers (numpy's PCG64 stream), so the bytes are those of the old CLI
+RANDOM_START_DIGESTS = {
+    "fdr": "fba2a75c087fcb3d3044d01e0c480421d8b016f1c34710306fb8d599cb2a6a1d",
+    "fpi-explicit": "2fa182fbab5cbac5ae2a6f341782026741168b326fc04940b906cbc76c9ac4be",
+    "product": "7228919e9c1c7a992187fb0932c34aed09ed325566304b2c11d133aeed548645",
+    "dr2": "0582e78623440c6ac114985565dd9d67ee77ca50384c619deff6ef2ff93826b3",
+}
+
+
+@pytest.mark.parametrize("algorithm", RANDOM_START_DIGESTS)
+def test_random_starts_keep_their_bytes(tmp_path, algorithm):
+    # fdr draws z, fpi-explicit an x it projects onto the zero-mean subspace,
+    # product a block per operator and dr2 two blocks
+    spec = dict(ALL_ALGORITHM_SPECS[algorithm], init={"kind": "random", "scale": 2.0},
+                stop={"tol": -1.0, "max_iters": 12}, seed=5)
+    out = tmp_path / "random.csv"
+    assert main([str(write_spec(tmp_path, spec)), "-o", str(out)]) == EXIT_MAX_ITERS
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RANDOM_START_DIGESTS[algorithm]
+
+
+FIXED_STARTS = [(algorithm, {"kind": "zeros"}) for algorithm in ALL_ALGORITHM_SPECS] + [
+    ("fdr", {"kind": "value", "z": [1.0, 2.0]}),
+    ("fpi", {"kind": "value", "x": [1.0, 1.0], "y": [1.0, -1.0]}),
+    ("km", {"kind": "value", "z": [0.0, 2.0]}),
+    ("product", {"kind": "value", "z": [[1.0], [2.0], [3.0]]}),
+    ("dr2", {"kind": "value", "z1": [1.0], "z2": [-1.0]}),
+]
+
+
+@pytest.mark.parametrize("algorithm, init", FIXED_STARTS)
+def test_fixed_starts_build_no_generator(tmp_path, monkeypatch, algorithm, init):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fixed start built a Generator")
+
+    p = write_spec(tmp_path, dict(ALL_ALGORITHM_SPECS[algorithm], init=init))
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert main([str(p), "-o", str(tmp_path / "fixed.csv")]) == EXIT_CONVERGED

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import monosplit as ms
-from monosplit import (InnerProduct, as_vector, audit_projector,
+from monosplit import (InnerProduct, SubspaceProjector, as_vector, audit_projector,
                        identity_projector, matrix_projector, span_projector,
                        zero_mean_projector, zero_projector)
+from monosplit.spaces import ProjectorAudit
 from conftest import (matrix_layouts, random_subspace_matrix,
                       random_subspace_projector)
 
@@ -266,3 +267,29 @@ def test_audit_fails_on_a_nan_violation():
 def test_space_inputs_are_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_audit_projects_each_sample_four_times(rng):
+    # one call each for x, y, Px and a x + y; the fields are those of the
+    # formula that projected y twice
+    M = random_subspace_matrix(rng, 6, 3)
+    P = matrix_projector(M)
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return P(x)
+
+    samples = 5
+    audit = audit_projector(SubspaceProjector(counted, 6), samples=samples)
+    assert calls[0] == 4 * samples
+    draws = np.random.default_rng(0)
+    idem, sym, lin = [], [], []
+    for _ in range(samples):
+        x, y = draws.standard_normal(6), draws.standard_normal(6)
+        a = draws.standard_normal()
+        Px = P(x)
+        idem.append(P.inner.norm(P(Px) - Px))
+        sym.append(abs(P.inner.dot(Px, y) - P.inner.dot(x, P(y))))
+        lin.append(P.inner.norm(P(a * x + y) - a * Px - P(y)))
+    assert audit == ProjectorAudit(True, max(idem), max(sym), max(lin))
