@@ -79,20 +79,11 @@ class InclusionProblem:
 
 
 def build_T(A, V, gamma):
-    """Douglas-Rachford operator ``(Id + R_{gamma A} o R_{N_V}) / 2``; 1/2-averaged.
-
-    Library-built ``V`` and ``A`` are applied through their kernels (see
-    :func:`monosplit.km._bind`); any other pair through ``V.reflect`` and
-    ``A.reflected``, which a wrapper may override."""
+    """Douglas-Rachford operator ``(Id + R_{gamma A} o R_{N_V}) / 2``; 1/2-averaged."""
     _check_finite_gamma(gamma)
-    project, resolve = _bind((V, A.resolve), [gamma])
-    if project is V:
-        def apply(z):
-            return 0.5 * (z + A.reflected(gamma, V.reflect(z)))
-    else:
-        def apply(z):
-            r = 2.0 * project(z) - z
-            return 0.5 * (z + (2.0 * resolve(gamma, r) - r))
+
+    def apply(z):
+        return 0.5 * (z + A.reflected(gamma, V.reflect(z)))
 
     return _mark_built(AveragedOperator(apply, 0.5, V.dim, label="douglas-rachford"))
 

@@ -17,7 +17,6 @@ eigendecomposition between them.
 from __future__ import annotations
 
 import threading
-import warnings
 
 import numpy as np
 import scipy.linalg
@@ -226,21 +225,18 @@ class _CachedAffineSolve:
     """Solves ``(Id + gamma M) z = rhs`` with an LU factorization cached per gamma.
 
     The cache is guarded so concurrent callers observe a consistent value;
-    a factorization is immutable once stored.  Factorizations and solves
-    call LAPACK ``getrf`` and ``getrs`` directly, which return the bits of
-    ``scipy.linalg.lu_factor`` and ``lu_solve`` without their per-call
-    wrapper cost; the finiteness checks, and ``lu_factor``'s warning on a
-    singular matrix, are kept.
+    a factorization is immutable once stored.  Solves call LAPACK ``getrs``
+    directly, which returns the bits of ``scipy.linalg.lu_solve`` without
+    its per-call wrapper cost; the finiteness check on ``rhs`` is kept.
     """
 
-    __slots__ = ("M", "_cache", "_lock", "_getrf", "_getrs")
+    __slots__ = ("M", "_cache", "_lock", "_getrs")
 
     def __init__(self, M):
         self.M = np.asarray(M, dtype=float)
         self._cache = {}
         self._lock = threading.Lock()
-        self._getrf, self._getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"),
-                                                                 (self.M,))
+        self._getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (self.M,))
 
     def solve(self, gamma, rhs):
         key = float(gamma)
@@ -249,7 +245,8 @@ class _CachedAffineSolve:
             with self._lock:
                 lu = self._cache.get(key)
                 if lu is None:
-                    lu = self._factor(np.eye(self.M.shape[0]) + key * self.M)
+                    n = self.M.shape[0]
+                    lu = scipy.linalg.lu_factor(np.eye(n) + key * self.M)
                     self._cache[key] = lu
         if not np.isfinite(rhs).all():
             raise ValueError("array must not contain infs or NaNs")
@@ -257,19 +254,6 @@ class _CachedAffineSolve:
         if info != 0:
             raise ValueError(f"illegal value in {-info}th argument of getrs")
         return z
-
-    def _factor(self, a):
-        """``(lu, piv)`` of ``a``, a matrix this class owns, as ``lu_factor``
-        returns them."""
-        if not np.isfinite(a).all():
-            raise ValueError("array must not contain infs or NaNs")
-        lu, piv, info = self._getrf(a, overwrite_a=True)
-        if info < 0:
-            raise ValueError(f"illegal value in {-info}th argument of internal getrf")
-        if info > 0:
-            warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
-                          scipy.linalg.LinAlgWarning, stacklevel=3)
-        return lu, piv
 
 
 def linear_monotone(M, b=None):

@@ -227,35 +227,6 @@ def test_cached_affine_solve_matches_lu_solve(rng, d):
         assert str(ours.value) == str(ref.value)
 
 
-@pytest.mark.parametrize("d", [1, 2, 4, 32])
-def test_cached_affine_factor_matches_lu_factor(rng, d):
-    M = rng.standard_normal((d, d))
-    solver = _CachedAffineSolve(M)
-    for gamma in (0.3, 1.0, 7.5):
-        lu, piv = scipy.linalg.lu_factor(np.eye(d) + gamma * M)
-        ours, our_piv = solver._factor(np.eye(d) + gamma * M)
-        assert np.array_equal(ours, lu) and np.array_equal(our_piv, piv)
-    for bad in (np.nan, np.inf):
-        a = np.eye(d)
-        a[-1, -1] = bad
-        with pytest.raises(ValueError) as ours:
-            solver._factor(a.copy())
-        with pytest.raises(ValueError) as ref:
-            scipy.linalg.lu_factor(a)
-        assert str(ours.value) == str(ref.value)
-
-
-def test_singular_resolvent_system_warns_as_lu_factor_does():
-    # I + M with M = diag(-1, 1) is singular: both warn with the same message
-    solver = _CachedAffineSolve(np.diag([-1.0, 1.0]))
-    with pytest.warns(scipy.linalg.LinAlgWarning) as ours:
-        solver.solve(1.0, np.ones(2))
-    with pytest.warns(scipy.linalg.LinAlgWarning) as ref:
-        scipy.linalg.lu_factor(np.diag([0.0, 2.0]))
-    assert [str(w.message) for w in ours] == [str(w.message) for w in ref] \
-        == ["Diagonal number 1 is exactly zero. Singular matrix."]
-
-
 def test_clamp_matches_clip_bytes():
     special = [np.nan, -np.inf, np.inf, -0.0, 0.0, -1.5, 1.5, 2.0, 5e-324]
     bounds = [-np.inf, np.inf, -0.0, 0.0, -1.0, 1.0, 2.0]
