@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,13 @@ def test_build_T_trivial_cases(rng):
 def test_build_T_rejects_gamma_outside_the_positive_reals(gamma):
     with pytest.raises(ValueError, match="gamma must be positive and finite"):
         build_T(zero_operator(2), identity_projector(2), gamma)
+
+
+def test_build_T_of_mismatched_dimensions_fails_when_applied():
+    T = build_T(zero_operator(3), identity_projector(2), 1.0)
+    with pytest.raises(ValueError, match=re.escape(
+            "dimension mismatch: operator acts on R^3, got shape (2,)")):
+        T(np.ones(2))
 
 
 def test_inclusion_problem_dimension_mismatch():
