@@ -275,8 +275,9 @@ def matrix_projector(M, inner=None):
     """Projector given by a dense matrix.
 
     The matrix is audited for idempotence, self-adjointness (w.r.t.
-    ``inner``) and linearity on random samples and rejected if it fails.  An
-    exactly symmetric matrix is applied with a one-triangle BLAS kernel (see
+    ``inner``) and linearity on the 8 seeded samples of :func:`audit_projector`,
+    blocked (see :func:`_audit_matrix`), and rejected if it fails or a
+    violation overflows.  An exactly symmetric matrix is applied with a one-triangle BLAS kernel (see
     :func:`_matvec`) and carries a :class:`_SandwichCache`; any other, such
     as a projector self-adjoint only under a weighted ``inner``, is applied
     as ``M @ x``.  ``M`` is kept by reference.
@@ -284,7 +285,7 @@ def matrix_projector(M, inner=None):
     M, _ = _square_matrix(M, "projector matrix")
     symmetric = np.array_equal(M, M.T)
     P = SubspaceProjector(_matvec(M, symmetric), M.shape[0], inner, label="matrix")
-    audit = audit_projector(P, samples=8)
+    audit = _audit_matrix(M, P.inner, samples=8)
     if not audit.passed:
         raise ValueError(f"matrix is not an orthogonal projector: {audit}")
     if symmetric:
@@ -303,10 +304,14 @@ class ProjectorAudit:
 def audit_projector(P, samples=32, tol=1e-8):
     """Sample the projector invariants on unit-scale points drawn with seed 0.
 
-    Checks ``P(Px) = Px``, ``<Px, y> = <x, Py>`` and linearity, each within
-    ``tol`` (absolute, default 1e-8), and reports the worst violations; a
-    NaN violation is the worst and fails the audit.
+    Checks ``P(Px) = Px``, ``<Px, y> = <x, Py>`` and linearity on
+    ``samples >= 1`` points, each within ``tol`` (absolute, default 1e-8),
+    and reports the worst violations; a NaN or overflowing violation fails
+    the audit.  Each sample makes four calls of ``P`` in O(dim) memory; a
+    matrix projector is audited on the same samples, blocked.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(0)
     idem, sym, lin = [], [], []
     for _ in range(samples):
@@ -314,11 +319,34 @@ def audit_projector(P, samples=32, tol=1e-8):
         y = rng.standard_normal(P.dim)
         a = rng.standard_normal()
         Px, Py = P(x), P(y)
-        idem.append(P.inner.norm(P(Px) - Px))
-        sym.append(abs(P.inner.dot(Px, y) - P.inner.dot(x, Py)))
-        lin.append(P.inner.norm(P(a * x + y) - a * Px - Py))
+        PPx, Pz = P(Px), P(a * x + y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            idem.append(P.inner.norm(PPx - Px))
+            sym.append(abs(P.inner.dot(Px, y) - P.inner.dot(x, Py)))
+            lin.append(P.inner.norm(Pz - a * Px - Py))
     worst = [_worst(v) for v in (idem, sym, lin)]
     return ProjectorAudit(all(w <= tol for w in worst), *worst)
+
+
+def _audit_matrix(M, inner, samples):
+    """:func:`audit_projector` of ``x -> M @ x`` under ``inner``, blocked:
+    row i of one seeded draw holds sample i's ``x``, ``y`` and ``a`` in the
+    order it draws them, one product projects every ``x``, ``y`` and
+    ``a x + y`` and a second every ``M x``; the violations agree to rounding,
+    and the tolerance is the default 1e-8."""
+    d = M.shape[0]
+    Z = np.random.default_rng(0).standard_normal((samples, 2 * d + 1))
+    X, Y, a = Z[:, :d], Z[:, d:-1], Z[:, -1:]
+    w = 1.0 if inner.is_uniform else inner.weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = np.concatenate((X, Y, a * X + Y)) @ M.T
+        PX, PY, PZ = B[:samples], B[samples:-samples], B[-samples:]
+        D, L = PX @ M.T - PX, PZ - a * PX - PY
+        idem = np.sqrt((w * D * D).sum(axis=1))
+        sym = np.abs((w * PX * Y).sum(axis=1) - (w * X * PY).sum(axis=1))
+        lin = np.sqrt((w * L * L).sum(axis=1))
+    worst = np.stack((idem, sym, lin)).max(axis=1).tolist()  # NaN if any is
+    return ProjectorAudit(all(v <= 1e-8 for v in worst), *worst)
 
 
 def _worst(values):

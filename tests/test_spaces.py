@@ -293,3 +293,77 @@ def test_audit_projects_each_sample_four_times(rng):
         sym.append(abs(P.inner.dot(Px, y) - P.inner.dot(x, P(y))))
         lin.append(P.inner.norm(P(a * x + y) - a * Px - P(y)))
     assert audit == ProjectorAudit(True, max(idem), max(sym), max(lin))
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 33])
+def test_matrix_audit_block_rows_are_the_per_sample_draws(d):
+    samples = 8
+    Z = np.random.default_rng(0).standard_normal((samples, 2 * d + 1))
+    draws = np.random.default_rng(0)
+    for row in Z:
+        x, y = draws.standard_normal(d), draws.standard_normal(d)
+        a = draws.standard_normal()
+        assert np.array_equal(row[:d], x) and np.array_equal(row[d:2 * d], y)
+        assert row[2 * d] == a
+
+
+def weighted_projector(rng, d):
+    """A projector self-adjoint under random weights only, with its inner
+    product: ``U (U^T W U)^{-1} U^T W``."""
+    w = rng.uniform(0.5, 2.0, d)
+    U = rng.standard_normal((d, max(1, d // 2)))
+    return U @ np.linalg.solve(U.T @ (w[:, None] * U), U.T * w), InnerProduct(d, w)
+
+
+def audit_cases():
+    rng = np.random.default_rng(26)
+    for d in (1, 2, 8, 33, 200):
+        M = random_subspace_matrix(rng, d, max(1, d // 2))
+        yield f"uniform-{d}", M, InnerProduct(d), True
+        yield f"weighted-{d}", *weighted_projector(rng, d), True
+        yield f"perturbed-{d}", M + 1e-6 * rng.standard_normal((d, d)), InnerProduct(d), False
+    yield "shear", np.array([[1.0, 1.0], [0.0, 1.0]]), InnerProduct(2), False
+
+
+@pytest.mark.parametrize("M, inner, projector",
+                         [case[1:] for case in audit_cases()],
+                         ids=[case[0] for case in audit_cases()])
+def test_matrix_audit_agrees_with_the_per_sample_audit(M, inner, projector):
+    blocked = ms.spaces._audit_matrix(M, inner, 8)
+    sampled = audit_projector(SubspaceProjector(lambda x: M @ x, M.shape[0], inner),
+                              samples=8)
+    assert blocked.passed == sampled.passed == projector
+    for field in ("worst_idempotency", "worst_self_adjointness", "worst_linearity"):
+        got, want = getattr(blocked, field), getattr(sampled, field)
+        assert abs(got - want) <= max(1e-12, 1e-9 * abs(want)), field
+    if projector:
+        matrix_projector(M, inner)
+    else:
+        with pytest.raises(ValueError, match="not an orthogonal projector"):
+            matrix_projector(M, inner)
+
+
+def test_matrix_projector_does_not_call_audit_projector(monkeypatch, rng):
+    def refuse(*args, **kwargs):
+        raise AssertionError("audit_projector called")
+
+    monkeypatch.setattr(ms.spaces, "audit_projector", refuse)
+    matrix_projector(random_subspace_matrix(rng, 6, 3))
+    with pytest.raises(ValueError, match="not an orthogonal projector"):
+        matrix_projector([[1.0, 1.0], [0.0, 1.0]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_audit_refuses_the_projector():
+    with pytest.raises(ValueError, match="not an orthogonal projector"):
+        matrix_projector([[1e200, 0.0], [0.0, 1.0]])
+    # the residual of linearity, about 1e200, overflows its squared norm
+    audit = audit_projector(SubspaceProjector(lambda x: np.full(2, 1e200), 2))
+    assert not audit.passed
+    assert audit.worst_linearity == math.inf
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_audit_projector_rejects_fewer_than_one_sample(samples):
+    with pytest.raises(ValueError, match=f"^samples must be at least 1, got {samples}$"):
+        audit_projector(SubspaceProjector(lambda x: 3 * x, 2), samples=samples)
