@@ -337,15 +337,15 @@ def _audit_matrix(M, inner, samples):
     d = M.shape[0]
     Z = np.random.default_rng(0).standard_normal((samples, 2 * d + 1))
     X, Y, a = Z[:, :d], Z[:, d:-1], Z[:, -1:]
-    w = 1.0 if inner.is_uniform else inner.weights
+    w = np.ones(d) if inner.is_uniform else inner.weights
     with np.errstate(over="ignore", invalid="ignore"):
         B = np.concatenate((X, Y, a * X + Y)) @ M.T
         PX, PY, PZ = B[:samples], B[samples:-samples], B[-samples:]
         D, L = PX @ M.T - PX, PZ - a * PX - PY
-        idem = np.sqrt((w * D * D).sum(axis=1))
-        sym = np.abs((w * PX * Y).sum(axis=1) - (w * X * PY).sum(axis=1))
-        lin = np.sqrt((w * L * L).sum(axis=1))
-    worst = np.stack((idem, sym, lin)).max(axis=1).tolist()  # NaN if any is
+        idem = np.sqrt((D * D) @ w)
+        sym = np.abs((PX * Y - X * PY) @ w)
+        lin = np.sqrt((L * L) @ w)
+    worst = [float(v.max()) for v in (idem, sym, lin)]  # NaN if any is
     return ProjectorAudit(all(v <= 1e-8 for v in worst), *worst)
 
 
