@@ -81,9 +81,9 @@ class InclusionProblem:
 def build_T(A, V, gamma):
     """Douglas-Rachford operator ``(Id + R_{gamma A} o R_{N_V}) / 2``; 1/2-averaged.
 
-    Library-built ``A`` and ``V`` of one dimension and with the library's
-    reflections are applied through their kernels (see :func:`km._bind`);
-    any other pair through ``V.reflect`` and ``A.reflected``, which check it."""
+    Library-built ``A`` and ``V`` of one dimension, with the library's own
+    reflections, are applied through their kernels (see :func:`km._bind`);
+    any other pair through ``V.reflect`` and ``A.reflected`` and their checks."""
     _check_finite_gamma(gamma)
     project, resolve = _bind((V, A.resolve), [gamma])
     if (project is not V and A.dim == V.dim and type(V).reflect is SubspaceProjector.reflect

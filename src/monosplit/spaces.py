@@ -277,10 +277,11 @@ def matrix_projector(M, inner=None):
     The matrix is audited for idempotence, self-adjointness (w.r.t.
     ``inner``) and linearity on the 8 seeded samples of :func:`audit_projector`,
     blocked (see :func:`_audit_matrix`), and rejected if it fails or a
-    violation overflows.  An exactly symmetric matrix is applied with a one-triangle BLAS kernel (see
-    :func:`_matvec`) and carries a :class:`_SandwichCache`; any other, such
-    as a projector self-adjoint only under a weighted ``inner``, is applied
-    as ``M @ x``.  ``M`` is kept by reference.
+    violation overflows.  An exactly symmetric matrix is applied with a
+    one-triangle BLAS kernel (see :func:`_matvec`) and carries a
+    :class:`_SandwichCache`; any other, such as a projector self-adjoint only
+    under a weighted ``inner``, is applied as ``M @ x``.  ``M`` is kept by
+    reference.
     """
     M, _ = _square_matrix(M, "projector matrix")
     symmetric = np.array_equal(M, M.T)

@@ -316,6 +316,7 @@ def weighted_projector(rng, d):
 
 
 def audit_cases():
+    """``(id, M, inner, is_projector)``: projectors, and the same plus noise."""
     rng = np.random.default_rng(26)
     for d in (1, 2, 8, 33, 200):
         M = random_subspace_matrix(rng, d, max(1, d // 2))
@@ -325,9 +326,11 @@ def audit_cases():
     yield "shear", np.array([[1.0, 1.0], [0.0, 1.0]]), InnerProduct(2), False
 
 
-@pytest.mark.parametrize("M, inner, projector",
-                         [case[1:] for case in audit_cases()],
-                         ids=[case[0] for case in audit_cases()])
+AUDIT_CASES = list(audit_cases())
+
+
+@pytest.mark.parametrize("M, inner, projector", [case[1:] for case in AUDIT_CASES],
+                         ids=[case[0] for case in AUDIT_CASES])
 def test_matrix_audit_agrees_with_the_per_sample_audit(M, inner, projector):
     blocked = ms.spaces._audit_matrix(M, inner, 8)
     sampled = audit_projector(SubspaceProjector(lambda x: M @ x, M.shape[0], inner),
