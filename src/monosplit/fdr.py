@@ -20,8 +20,8 @@ import numpy as np
 
 from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, _bind, _iterate, as_relaxation,
                  check_errors)
-from .operators import AveragedOperator, ResolventFamily, _check_finite_gamma
-from .spaces import SubspaceProjector, _mark_built, _matvec, as_vector
+from .operators import AveragedOperator, _check_finite_gamma
+from .spaces import _mark_built, _matvec, as_vector
 
 __all__ = [
     "check_gamma",
@@ -79,21 +79,11 @@ class InclusionProblem:
 
 
 def build_T(A, V, gamma):
-    """Douglas-Rachford operator ``(Id + R_{gamma A} o R_{N_V}) / 2``; 1/2-averaged.
-
-    Library-built ``A`` and ``V`` of one dimension, with the library's own
-    reflections, are applied through their kernels (see :func:`km._bind`);
-    any other pair through ``V.reflect`` and ``A.reflected`` and their checks."""
+    """Douglas-Rachford operator ``(Id + R_{gamma A} o R_{N_V}) / 2``; 1/2-averaged."""
     _check_finite_gamma(gamma)
-    project, resolve = _bind((V, A.resolve), [gamma])
-    if (project is not V and A.dim == V.dim and type(V).reflect is SubspaceProjector.reflect
-            and type(A).reflected is ResolventFamily.reflected):
-        def apply(z):
-            r = 2.0 * project(z) - z
-            return 0.5 * (z + (2.0 * resolve(gamma, r) - r))
-    else:
-        def apply(z):
-            return 0.5 * (z + A.reflected(gamma, V.reflect(z)))
+
+    def apply(z):
+        return 0.5 * (z + A.reflected(gamma, V.reflect(z)))
 
     return _mark_built(AveragedOperator(apply, 0.5, V.dim, label="douglas-rachford"))
 

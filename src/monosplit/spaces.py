@@ -286,7 +286,7 @@ def matrix_projector(M, inner=None):
     M, _ = _square_matrix(M, "projector matrix")
     symmetric = np.array_equal(M, M.T)
     P = SubspaceProjector(_matvec(M, symmetric), M.shape[0], inner, label="matrix")
-    audit = _audit_matrix(M, P.inner, samples=8)
+    audit = _audit_matrix(M, P.inner)
     if not audit.passed:
         raise ValueError(f"matrix is not an orthogonal projector: {audit}")
     if symmetric:
@@ -302,7 +302,13 @@ class ProjectorAudit:
     worst_linearity: float
 
 
-def audit_projector(P, samples=32, tol=1e-8):
+# The audit policy: the absolute tolerance of every projector audit, and the
+# number of seeded samples a matrix projector is audited on.
+_AUDIT_TOL = 1e-8
+_MATRIX_AUDIT_SAMPLES = 8
+
+
+def audit_projector(P, samples=32, tol=_AUDIT_TOL):
     """Sample the projector invariants on unit-scale points drawn with seed 0.
 
     Checks ``P(Px) = Px``, ``<Px, y> = <x, Py>`` and linearity on
@@ -329,13 +335,13 @@ def audit_projector(P, samples=32, tol=1e-8):
     return ProjectorAudit(all(w <= tol for w in worst), *worst)
 
 
-def _audit_matrix(M, inner, samples):
+def _audit_matrix(M, inner):
     """:func:`audit_projector` of ``x -> M @ x`` under ``inner``, blocked:
     row i of one seeded draw holds sample i's ``x``, ``y`` and ``a`` in the
     order it draws them, one product projects every ``x``, ``y`` and
-    ``a x + y`` and a second every ``M x``; the violations agree to rounding,
-    and the tolerance is the default 1e-8."""
-    d = M.shape[0]
+    ``a x + y`` and a second every ``M x``; the violations agree to rounding.
+    Audits ``_MATRIX_AUDIT_SAMPLES`` samples within ``_AUDIT_TOL``."""
+    d, samples = M.shape[0], _MATRIX_AUDIT_SAMPLES
     Z = np.random.default_rng(0).standard_normal((samples, 2 * d + 1))
     X, Y, a = Z[:, :d], Z[:, d:-1], Z[:, -1:]
     w = np.ones(d) if inner.is_uniform else inner.weights
@@ -347,7 +353,7 @@ def _audit_matrix(M, inner, samples):
         sym = np.abs((PX * Y - X * PY) @ w)
         lin = np.sqrt((L * L) @ w)
     worst = [float(v.max()) for v in (idem, sym, lin)]  # NaN if any is
-    return ProjectorAudit(all(v <= 1e-8 for v in worst), *worst)
+    return ProjectorAudit(all(v <= _AUDIT_TOL for v in worst), *worst)
 
 
 def _worst(values):

@@ -11,7 +11,6 @@ from monosplit import (ErrorSchedule, InclusionProblem, SubspaceProjector,
                        affine_gradient, build_S, build_T, fdr_solve,
                        fpi_explicit_solve, km_solve, linear_monotone,
                        normal_cone_box, parallel_dr2, zero_mean_projector)
-from monosplit.operators import ResolventFamily
 
 D = 5
 
@@ -162,61 +161,3 @@ def test_error_terms_of_the_wrong_shape_fail_as_before():
     with pytest.raises(ValueError, match=re.escape(
             "dimension mismatch: operator acts on R^5, got shape (1, 5)")):
         km_solve(ops, errors=[wide_after_prefix(), None], tol=-1.0, max_iters=100)
-
-
-def test_library_build_T_makes_no_public_reflection_call(monkeypatch):
-    prob = problem()
-    z = np.random.default_rng(9).standard_normal(D)
-    public = 0.5 * (z + prob.A.reflected(prob.beta, prob.V.reflect(z)))
-    ops = [build_T(prob.A, prob.V, prob.beta), build_S(prob.B, prob.V, prob.beta)]
-    before = km_solve(ops, inner=prob.V.inner, max_iters=200)
-
-    def refuse(*args):
-        raise AssertionError("public reflection called")
-
-    monkeypatch.setattr(SubspaceProjector, "reflect", refuse)
-    monkeypatch.setattr(ResolventFamily, "reflected", refuse)
-    T = build_T(prob.A, prob.V, prob.beta)
-    assert np.array_equal(T(z), public)
-    ops = [T, build_S(prob.B, prob.V, prob.beta)]
-    assert_same_run(km_solve(ops, inner=prob.V.inner, max_iters=200), before)
-
-
-class Reflecting(SubspaceProjector):
-    """A zero-mean projector, marked as the library's, whose ``reflect`` is
-    its own and counted."""
-
-    def __init__(self):
-        super().__init__(lambda x: x - x.sum() / D, D)
-        self._built = True
-        self.calls = 0
-
-    def reflect(self, x):
-        self.calls += 1
-        return super().reflect(x)
-
-
-class Reflected(ResolventFamily):
-    """The box of :func:`problem`, marked as the library's, whose
-    ``reflected`` is its own and counted."""
-
-    def __init__(self):
-        box = normal_cone_box(-np.ones(D), np.ones(D))
-        super().__init__(box._resolve, D)
-        self._built = True
-        self.calls = 0
-
-    def reflected(self, gamma, x):
-        self.calls += 1
-        return super().reflected(gamma, x)
-
-
-def test_build_T_calls_an_overriding_reflection():
-    prob = problem()
-    V, A = Reflecting(), Reflected()
-    ops = [build_T(prob.A, V, prob.beta), build_S(prob.B, V, prob.beta)]
-    res = km_solve(ops, max_iters=200)
-    assert V.calls == res.iterations + 1
-    ops = [build_T(A, prob.V, prob.beta), build_S(prob.B, prob.V, prob.beta)]
-    assert_same_run(km_solve(ops, max_iters=200), res)
-    assert A.calls == res.iterations + 1

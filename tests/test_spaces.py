@@ -297,7 +297,7 @@ def test_audit_projects_each_sample_four_times(rng):
 
 @pytest.mark.parametrize("d", [1, 2, 8, 33])
 def test_matrix_audit_block_rows_are_the_per_sample_draws(d):
-    samples = 8
+    samples = ms.spaces._MATRIX_AUDIT_SAMPLES
     Z = np.random.default_rng(0).standard_normal((samples, 2 * d + 1))
     draws = np.random.default_rng(0)
     for row in Z:
@@ -332,9 +332,9 @@ AUDIT_CASES = list(audit_cases())
 @pytest.mark.parametrize("M, inner, projector", [case[1:] for case in AUDIT_CASES],
                          ids=[case[0] for case in AUDIT_CASES])
 def test_matrix_audit_agrees_with_the_per_sample_audit(M, inner, projector):
-    blocked = ms.spaces._audit_matrix(M, inner, 8)
+    blocked = ms.spaces._audit_matrix(M, inner)
     sampled = audit_projector(SubspaceProjector(lambda x: M @ x, M.shape[0], inner),
-                              samples=8)
+                              samples=ms.spaces._MATRIX_AUDIT_SAMPLES)
     assert blocked.passed == sampled.passed == projector
     for field in ("worst_idempotency", "worst_self_adjointness", "worst_linearity"):
         got, want = getattr(blocked, field), getattr(sampled, field)
