@@ -94,20 +94,22 @@ def _fused_forward(B, V):
     and ``V`` an exactly symmetric matrix; None for any other pair.
 
     Both are read with ``getattr``, so wrappers that forward attributes fuse
-    as the objects they wrap do.  ``K`` comes from ``V``'s one-slot cache:
-    a map's first call digests ``Q`` and, unless the slot holds that content
-    already, builds ``K`` with two d x d matrix products; the map keeps the
-    digest, so later calls read neither while the slot holds it.  ``P_V b``
-    costs one projection per call of this helper.
+    as the objects they wrap do.  ``K`` is kept on the record of the content
+    ``Q`` was certified for (see :class:`monosplit.operators._Certified`),
+    which maps of equal matrices share, in one slot keyed by the identity of
+    ``V``'s own view of its matrix: when the slot holds another projector, or
+    none, the call digests ``Q``, refuses a ``Q`` that changed since its map
+    was built, and builds ``K`` with two d x d matrix products; later calls
+    read neither.  ``P_V b`` costs one projection per call of this helper.
 
     Every call fuses an eligible pair, whether or not ``K`` is cached, so a
     solve's bits depend on its inputs alone and not on what ran before it.
     """
     affine = getattr(B, "_affine", None)
-    sandwich = getattr(V, "_sandwich", None)
-    if affine is None or sandwich is None:
+    P = getattr(V, "_matrix", None)
+    if affine is None or P is None:
         return None
-    K, affine.key = sandwich.product(affine.Q, affine.key)
+    K = affine.certified.sandwich(P, affine.Q)
     return _matvec(K, True, V(affine.b))
 
 

@@ -7,21 +7,24 @@ constant, both inputs to the step-size bounds, never inferred.  The
 built-in families (zero, subspace normal cone, soft threshold, box normal
 cone, affine monotone, affine gradient) have closed-form resolvents or maps.
 
-The module keeps one piece of shared state: the lock-guarded slot in which
-:func:`_symmetric_psd` keeps the eigenvalues of the last symmetric positive
-semidefinite ``Q`` it certified, under the digest of its entries (see
-:class:`_CertifiedSlot`), so that maps built from equal matrices take one
-eigendecomposition between them.
+The module keeps one piece of shared state, a slot holding the
+:class:`_Certified` record of the last symmetric positive semidefinite ``Q``
+that :func:`_symmetric_psd` certified: maps built from equal matrices share
+that record, and with it one eigendecomposition and the fused forward
+step's product ``K = P Q P``.  One module lock guards the slot and every
+build of ``K``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .spaces import _digest, _mark_built, _matvec, _square_matrix, as_vector
+from .spaces import _mark_built, _matvec, _square_matrix, as_vector
 
 __all__ = [
     "ResolventFamily",
@@ -279,53 +282,72 @@ def linear_monotone(M, b=None):
     return _mark_built(ResolventFamily(res, dim, label="affine-monotone"))
 
 
-class _CertifiedSlot:
-    """The eigenvalues and exact-symmetry flag of the last matrix that
-    :func:`_symmetric_psd` certified, under the digest of its entries.
+def _digest(M):
+    """SHA-256 digest of the entries of the float array ``M`` in C order.
 
-    One slot holds the digest (see :func:`monosplit.spaces._digest`), the
-    eigenvalues, stored read-only, and the flag, taken from the same content
-    and replaced together, so maps built from equal matrices share one
-    eigendecomposition and another matrix replaces it.  Memory is one
-    eigenvalue vector.  The slot is guarded so concurrent callers observe a
-    consistent triple; the check itself runs outside the lock.
+    Arrays of equal entries share a digest whatever their memory layout.
+    The digest does not hold the shape; a square matrix's byte length fixes
+    it."""
+    return hashlib.sha256(np.ascontiguousarray(M)).digest()
+
+
+# guards _last and every build of a _Certified record's K
+_LOCK = threading.Lock()
+_last = None
+
+
+class _Certified:
+    """What :func:`_symmetric_psd` derives from one content of ``Q``: ``key``,
+    the digest of its entries, the read-only ``eigs``, whether ``Q`` is
+    exactly ``symmetric``, and one slot holding ``K = P Q P`` for the last
+    projector matrix ``P`` that ``Q`` was fused with (see :meth:`sandwich`).
     """
 
-    __slots__ = ("_key", "_value", "_lock")
+    __slots__ = ("key", "eigs", "symmetric", "_slot")
 
-    def __init__(self):
-        self._key = self._value = None
-        self._lock = threading.Lock()
-
-    def lookup(self, key):
-        """``(eigs, symmetric)`` stored under ``key``, or None."""
-        with self._lock:
-            return self._value if key == self._key else None
-
-    def store(self, key, eigs, symmetric):
+    def __init__(self, key, eigs, symmetric):
         eigs.flags.writeable = False
-        with self._lock:
-            self._key, self._value = key, (eigs, symmetric)
+        self.key, self.eigs, self.symmetric = key, eigs, symmetric
+        self._slot = (None, None)
 
-
-_CERTIFIED = _CertifiedSlot()
+    def sandwich(self, P, Q):
+        """``K = P Q P`` for the projector matrix ``P``, compared by identity,
+        and a ``Q`` that this record certified, exactly symmetric and
+        Fortran-ordered so that :func:`monosplit.spaces._matvec` applies it
+        with ``dsymv`` and no copy.  ``K`` is built only once the digest of
+        ``Q`` is found to still equal ``key``: the map's ``beta`` was certified
+        for that content."""
+        with _LOCK:
+            if self._slot[0] is not P:
+                self._slot = (None, None)   # the last K goes before the next is built
+                if _digest(Q) != self.key:
+                    raise ValueError("Q changed after its map was built; rebuild the map")
+                # in place, so that the build holds at most two d x d arrays
+                # beside P and Q; K.T of the symmetric C-ordered K is the
+                # same matrix, Fortran-ordered
+                K = P @ (Q @ P)
+                K += K.T
+                K *= 0.5
+                self._slot = (P, K.T)
+            return self._slot[1]
 
 
 def _symmetric_psd(Q):
     """``Q`` as a float matrix checked square, finite, symmetric and positive
-    semidefinite (relative to its largest entry), with its eigenvalues, which
-    are read-only, and whether it is exactly symmetric.
+    semidefinite (relative to its largest entry), with its :class:`_Certified`
+    record.
 
-    A ``Q`` whose entries match the last one to pass (see
-    :class:`_CertifiedSlot`) is checked square and finite and takes the
-    stored result; any other is checked in full and stored only once it has
-    passed.
+    A ``Q`` whose entries match those of the last one to pass is checked
+    square and finite and takes that record; any other is checked in full
+    and its record is kept only once it has passed.
     """
+    global _last
     Q, largest = _square_matrix(Q, "Q")
     key = _digest(Q)
-    certified = _CERTIFIED.lookup(key)
-    if certified is not None:
-        return (Q,) + certified
+    with _LOCK:
+        last = _last
+    if last is not None and last.key == key:
+        return Q, last
     scale = max(1.0, largest)
     asymmetry = float(np.abs(Q - Q.T).max())
     if asymmetry > PSD_TOL * scale:
@@ -333,25 +355,21 @@ def _symmetric_psd(Q):
     eigs = np.linalg.eigvalsh(Q)
     if float(eigs.min()) < -PSD_TOL * scale:
         raise ValueError(f"Q must be positive semidefinite (min eigenvalue {eigs.min():.3e})")
-    symmetric = asymmetry == 0.0
-    _CERTIFIED.store(key, eigs, symmetric)
-    return Q, eigs, symmetric
+    certified = _Certified(key, eigs, asymmetry == 0.0)
+    with _LOCK:
+        _last = certified
+    return Q, certified
 
 
-class _AffineData:
+class _AffineData(NamedTuple):
     """``Q`` and ``b`` of a map ``x -> Q x - b`` with an exactly symmetric
-    ``Q``, both kept by reference, for the solvers' fused forward step (see
-    :func:`monosplit.fdr._fused_forward`).  ``key`` is the content digest of
-    ``Q`` that step last used (see :class:`monosplit.spaces._SandwichCache`);
-    None until its first use: the digest :func:`_symmetric_psd` takes at
-    build time is not reused, as ``Q`` may change before that use."""
+    ``Q``, both kept by reference, and the :class:`_Certified` record of the
+    content ``Q`` had when the map was built, for the solvers' fused forward
+    step (see :func:`monosplit.fdr._fused_forward`)."""
 
-    __slots__ = ("Q", "b", "key")
-
-    def __init__(self, Q, b):
-        self.Q = Q
-        self.b = b
-        self.key = None
+    Q: np.ndarray
+    b: np.ndarray
+    certified: _Certified
 
 
 def affine_gradient(Q, b=None):
@@ -363,16 +381,16 @@ def affine_gradient(Q, b=None):
     symmetric only within ``PSD_TOL`` is applied as given, ``Q @ x - b``.
     ``Q`` and ``b`` are kept by reference.
     """
-    Q, eigs, symmetric = _symmetric_psd(Q)
+    Q, certified = _symmetric_psd(Q)
     dim = Q.shape[0]
-    lam_max = float(eigs.max())
+    lam_max = float(certified.eigs.max())
     if lam_max <= 0.0:
         raise ValueError("Q must have a positive largest eigenvalue; "
                          "use zero_cocoercive for a vanishing forward map")
     b = np.zeros(dim) if b is None else as_vector(b, dim)
-    B = CocoerciveMap(_matvec(Q, symmetric, b), 1.0 / lam_max, dim,
+    B = CocoerciveMap(_matvec(Q, certified.symmetric, b), 1.0 / lam_max, dim,
                       label="affine-gradient")
-    B._affine = _AffineData(Q, b) if symmetric else None
+    B._affine = _AffineData(Q, b, certified) if certified.symmetric else None
     return _mark_built(B)
 
 

@@ -4,16 +4,13 @@ Vectors are plain 1-d numpy arrays.  The ambient geometry is carried by
 :class:`InnerProduct` (uniform or diagonally weighted), and closed subspaces
 are represented by their orthogonal projectors.  Objects keep the arrays
 they are given by reference, so an array changed after construction changes
-the object built from it.  Each object is safe to share across threads: the
-only state that changes after construction is the lock-guarded slot where a
-matrix projector keeps its product ``P Q P`` (see :class:`_SandwichCache`).
+the object built from it.  The module keeps no mutable state and its objects
+hold none, so each is safe to share across threads.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,11 +110,11 @@ class SubspaceProjector:
     from spanning sets.
 
     A projector given by an exactly symmetric matrix also carries
-    ``_sandwich``, the :class:`_SandwichCache` of that matrix; any other
-    carries None.
+    ``_matrix``, a view of that matrix of its own, for the fused forward step
+    of :mod:`monosplit.fdr`; any other carries None.
     """
 
-    __slots__ = ("_apply", "dim", "inner", "label", "_sandwich", "_built")
+    __slots__ = ("_apply", "dim", "inner", "label", "_matrix", "_built")
 
     def __init__(self, apply, dim, inner=None, label=""):
         self._apply = apply
@@ -126,7 +123,7 @@ class SubspaceProjector:
         if self.inner.dim != self.dim:
             raise ValueError("inner product dimension does not match the projector")
         self.label = label
-        self._sandwich = None
+        self._matrix = None
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -188,24 +185,17 @@ def span_projector(v, inner=None):
 
 
 def _square_matrix(M, name):
-    """``M`` as a float matrix checked square and finite, with its largest
-    absolute entry (0.0 when empty); errors name ``name``."""
+    """``M`` as a float matrix checked square, nonempty and finite, with its
+    largest absolute entry; errors name ``name``."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
-    largest = float(np.abs(M).max(initial=0.0))  # NaN or inf when an entry is
+    if M.size == 0:
+        raise ValueError(f"{name} must be nonempty")
+    largest = float(np.abs(M).max())  # NaN or inf when an entry is
     if not math.isfinite(largest):
         raise ValueError(f"{name} has non-finite entries")
     return M, largest
-
-
-def _digest(M):
-    """SHA-256 digest of the entries of the float array ``M`` in C order.
-
-    Arrays of equal entries share a digest whatever their memory layout.
-    The digest does not hold the shape; a square matrix's byte length fixes
-    it."""
-    return hashlib.sha256(np.ascontiguousarray(M)).digest()
 
 
 def _matvec(M, symmetric, b=None):
@@ -230,47 +220,6 @@ def _matvec(M, symmetric, b=None):
     return lambda x: dsymv(1.0, F, x, -1.0, b)
 
 
-class _SandwichCache:
-    """The product ``K = P Q P`` of an exactly symmetric projector matrix
-    ``P`` with the exactly symmetric matrix ``Q`` it was last asked for.
-
-    One slot holds ``K`` and the SHA-256 digest of the entries of the ``Q``
-    it was built from, both taken in the same step, so the key always names
-    the content ``K`` was built from: maps built from equal matrices share
-    ``K``, and another ``Q`` replaces it.  ``K`` is made exactly symmetric
-    and Fortran-ordered, so that :func:`_matvec` applies it with ``dsymv``
-    and no copy.  Memory is one d x d matrix per projector.  The slot is
-    guarded so concurrent callers observe a consistent pair.
-    """
-
-    __slots__ = ("P", "_key", "_K", "_lock")
-
-    def __init__(self, P):
-        self.P = P
-        self._key = self._K = None
-        self._lock = threading.Lock()
-
-    def product(self, Q, key):
-        """``(K, key)`` with ``key`` the digest under which ``K`` is stored.
-
-        A ``key`` equal to the stored one, as returned by an earlier call for
-        the same map, reuses ``K`` without reading ``Q``; any other ``key``,
-        or None, digests ``Q`` and builds ``K`` unless the digest matches.
-        """
-        with self._lock:
-            if key is None or key != self._key:
-                key = _digest(Q)
-                if key != self._key:
-                    # in place, so that the build holds at most two d x d
-                    # arrays beside P and Q; K.T of the symmetric C-ordered
-                    # K is the same matrix, Fortran-ordered
-                    K = self.P @ (Q @ self.P)
-                    K += K.T
-                    K *= 0.5
-                    self._key, self._K = key, K.T
-            return self._K, key
-
-
 def matrix_projector(M, inner=None):
     """Projector given by a dense matrix.
 
@@ -278,10 +227,9 @@ def matrix_projector(M, inner=None):
     ``inner``) and linearity on the 8 seeded samples of :func:`audit_projector`,
     blocked (see :func:`_audit_matrix`), and rejected if it fails or a
     violation overflows.  An exactly symmetric matrix is applied with a
-    one-triangle BLAS kernel (see :func:`_matvec`) and carries a
-    :class:`_SandwichCache`; any other, such as a projector self-adjoint only
-    under a weighted ``inner``, is applied as ``M @ x``.  ``M`` is kept by
-    reference.
+    one-triangle BLAS kernel (see :func:`_matvec`) and carries a view of it
+    as ``_matrix``; any other, such as a projector self-adjoint only under a
+    weighted ``inner``, is applied as ``M @ x``.  ``M`` is kept by reference.
     """
     M, _ = _square_matrix(M, "projector matrix")
     symmetric = np.array_equal(M, M.T)
@@ -290,7 +238,7 @@ def matrix_projector(M, inner=None):
     if not audit.passed:
         raise ValueError(f"matrix is not an orthogonal projector: {audit}")
     if symmetric:
-        P._sandwich = _SandwichCache(M)
+        P._matrix = M.view()
     return _mark_built(P)
 
 

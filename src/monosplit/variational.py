@@ -116,12 +116,12 @@ def quadratic_function(Q, b=None):
     """``f(x) = x'Qx/2 - b'x`` for symmetric PSD ``Q``; prox solves
     ``(Id + gamma Q) z = x + gamma b`` with a factorization cached per gamma,
     and the value applies ``Q`` as :func:`quadratic_smooth` does."""
-    Q, _, symmetric = _symmetric_psd(Q)
+    Q, certified = _symmetric_psd(Q)
     dim = Q.shape[0]
     b = np.zeros(dim) if b is None else as_vector(b, dim)
     cache = _CachedAffineSolve(Q)
     return _mark_built(ProxFunction(lambda gamma, x: cache.solve(gamma, x + gamma * b),
-                                    dim, value=_quadratic_value(Q, symmetric, b),
+                                    dim, value=_quadratic_value(Q, certified.symmetric, b),
                                     label="quadratic"))
 
 
@@ -139,16 +139,17 @@ def quadratic_smooth(Q, b=None):
     gradient exposes it as ``affine_gradient`` does; a ``Q`` symmetric only
     within ``operators.PSD_TOL`` is applied as given.
     """
-    Q, eigs, symmetric = _symmetric_psd(Q)
+    Q, certified = _symmetric_psd(Q)
     dim = Q.shape[0]
-    lam_max = float(eigs.max())
+    lam_max = float(certified.eigs.max())
     if lam_max <= 0.0:
         raise ValueError("Q must have a positive largest eigenvalue; "
                          "use zero_smooth for a vanishing gradient")
     b = np.zeros(dim) if b is None else as_vector(b, dim)
+    symmetric = certified.symmetric
     g = SmoothFunction(_matvec(Q, symmetric, b), lam_max, dim,
                        value=_quadratic_value(Q, symmetric, b), label="quadratic")
-    g._affine = _AffineData(Q, b) if symmetric else None
+    g._affine = _AffineData(Q, b, certified) if symmetric else None
     return _mark_built(g)
 
 

@@ -82,6 +82,15 @@ def test_bounds_wins_and_quartiles():
     assert rate["relative_gain"] == 0.1
     assert p90["change_wins"] == 0 and not p90["within_bound"]
     assert abs(p90["relative_gain"] + 0.3) < 1e-12
+    assert not rate["gain_resolved"] and not p90["gain_resolved"]
+    # a gain is resolved from 10 pairs on, when at least 9 of every 10 are
+    # won and the medians differ by more than the base's quartile distance
+    base = [100.0 + i for i in range(10)]       # quartiles 102.25 and 106.75
+    for lifts, resolved in (([5.0] * 10, True), ([4.5] * 10, False),
+                            ([5.0] * 3, False), ([-1.0] * 2 + [5.0] * 8, False)):
+        m = tool.summarize([pair((b, 1.0), (b + lift, 1.0), [0.4], [0.4])
+                            for b, lift in zip(base, lifts)], end_to_end)
+        assert m["solves_per_s"]["gain_resolved"] is resolved
     cold = tool.cold_setup(pairs)
     assert cold["base"] == {"median": 0.5, "q1": 0.45, "q3": 0.55}
     assert cold["change"]["median"] == 0.2
@@ -109,7 +118,7 @@ def test_traced_pairs_report_per_layer_metrics_without_bounds(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1])["productspace.iters"] == {
         "base": doc["metrics"]["productspace.iters"]["base"]["median"],
         "change": doc["metrics"]["productspace.iters"]["change"]["median"],
-        "wins": 0}
+        "wins": 0, "gain_resolved": False}
 
 
 def test_metrics_without_a_bound_are_not_checked():

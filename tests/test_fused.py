@@ -2,10 +2,15 @@
 
 When ``B x = Q x - b`` has an exactly symmetric ``Q`` and ``V`` is given by an
 exactly symmetric matrix ``P``, the solvers apply ``P_V B P_V`` as
-``K x - P b`` with ``K = P Q P`` kept in one slot on the projector.  The reference is
-the same ``V`` wrapped so that its matrix is hidden, which runs the unfused
-path: ``V(B(V(z)))``.
+``K x - P b`` with ``K = P Q P`` kept in one slot on the certified record of
+``Q``'s content, which maps of equal matrices share.  The reference is the
+same ``V`` wrapped so that its matrix is hidden, which runs the unfused path:
+``V(B(V(z)))``.
 """
+
+import concurrent.futures
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from monosplit import (InclusionProblem, InnerProduct, SubspaceProjector,
                        l1_function, linear_monotone, matrix_projector,
                        min_over_subspace, normal_cone_box, quadratic_smooth,
                        subdifferential_abs, zero_operator)
+from monosplit import operators
 from conftest import kkt_solution, random_spd, random_subspace_matrix
 
 
@@ -70,7 +76,7 @@ def fused_cases(draw):
     dim = draw(st.integers(2, 12))
     rank = draw(st.integers(1, dim - 1))
     V = matrix_projector(random_subspace_matrix(rng, dim, rank))
-    assert V._sandwich is not None
+    assert V._matrix is not None
     return symmetric_spd(rng, dim), 3.0 * rng.standard_normal(dim), V, rng
 
 
@@ -118,6 +124,11 @@ def test_fused_forward_operator_matches_its_definition_off_the_subspace(case, f)
     assert relative_gap(got, expected) <= 1e-12
 
 
+def product(B):
+    """The ``K`` that ``B``'s certified record holds, or None."""
+    return B._affine.certified._slot[1]
+
+
 def test_forward_maps_of_equal_matrices_share_one_product():
     rng = np.random.default_rng(5)
     dim = 9
@@ -127,28 +138,30 @@ def test_forward_maps_of_equal_matrices_share_one_product():
     maps += [affine_gradient(Q.copy(), rng.standard_normal(dim)),
              affine_gradient(np.asfortranarray(Q), rng.standard_normal(dim)),
              quadratic_smooth(Q.copy(), rng.standard_normal(dim))]
-    assert all(B._affine.key is None for B in maps)     # no digest before use
+    assert len({id(B._affine.certified) for B in maps}) == 1
+    assert product(maps[0]) is None     # no product before the first solve
     A = normal_cone_box(-np.ones(dim), np.ones(dim))
-    cache = V._sandwich
     products = set()
     for B in maps:
         assert fdr_solve(InclusionProblem(A, B, V), tol=1e-10).status == "converged"
-        assert B._affine.key == cache._key
-        products.add(id(cache._K))
+        products.add(id(product(B)))
     assert len(products) == 1
-    K = cache._K
-    # another Q takes the one slot; a map of the first Q then rebuilds the
-    # same product
+    K = product(maps[0])
+    # another Q has a record of its own and leaves this one's product alone
     build_S(affine_gradient(symmetric_spd(rng, dim)), V, 0.1)
-    assert cache._K is not K and cache._key != maps[0]._affine.key
+    assert product(maps[0]) is K
+    # a projector built anew from the same matrix takes the one slot; V then
+    # rebuilds the same product
+    build_S(maps[0], matrix_projector(V._matrix), 0.1)
+    assert product(maps[0]) is not K
     build_S(maps[0], V, 0.1)
-    assert cache._K is not K
-    np.testing.assert_array_equal(cache._K, K)
+    assert product(maps[0]) is not K
+    np.testing.assert_array_equal(product(maps[0]), K)
 
 
 def test_a_matrix_changed_in_place_gets_its_own_product():
-    # the cache is keyed by content: after Q is overwritten and B rebuilt, the
-    # solve reaches the new problem's solution, not the old one's
+    # the record is keyed by content: after Q is overwritten and B rebuilt,
+    # the solve reaches the new problem's solution, not the old one's
     rng = np.random.default_rng(11)
     dim = 7
     V = matrix_projector(random_subspace_matrix(rng, dim, 3))
@@ -163,13 +176,12 @@ def test_a_matrix_changed_in_place_gets_its_own_product():
     assert second.status == "converged"
     np.testing.assert_allclose(second.x, kkt_solution(Q, b, V), atol=1e-9)
     assert np.max(np.abs(second.x - first.x)) > 1e-3
-    assert C._affine.key != B._affine.key
+    assert C._affine.certified is not B._affine.certified
 
 
-def test_a_product_is_keyed_by_the_content_it_was_built_from():
-    # Q changes after B is built but before its first solve: the product is
-    # built from, and stored under the digest of, the new content, so a map
-    # of a copy of the old content does not pick it up
+def test_q_changed_before_its_first_fused_solve_is_refused():
+    # B's beta was certified for the content Q had when B was built, so the
+    # fused step checks that content before it builds K
     rng = np.random.default_rng(13)
     dim = 7
     V = matrix_projector(random_subspace_matrix(rng, dim, 3))
@@ -177,16 +189,67 @@ def test_a_product_is_keyed_by_the_content_it_was_built_from():
     old = Q.copy()
     A = zero_operator(dim)
     B = affine_gradient(Q, b)
-    # the new matrix's largest eigenvalue stays below the old one's, so the
-    # beta that B certified for the old content still holds
-    new = symmetric_spd(rng, dim)
-    Q[...] = new * (0.9 * np.linalg.eigvalsh(old).max() / np.linalg.eigvalsh(new).max())
-    changed = fdr_solve(InclusionProblem(A, B, V), tol=1e-12)
-    np.testing.assert_allclose(changed.x, kkt_solution(Q, b, V), atol=1e-9)
-    fresh = fdr_solve(InclusionProblem(A, affine_gradient(old, b), V), tol=1e-12)
-    assert fresh.status == "converged"
-    np.testing.assert_allclose(fresh.x, kkt_solution(old, b, V), atol=1e-9)
-    assert np.max(np.abs(fresh.x - changed.x)) > 1e-3
+    Q[...] = symmetric_spd(rng, dim)
+    for build in (lambda: fdr_solve(InclusionProblem(A, B, V)),
+                  lambda: build_S(B, V, B.beta)):
+        with pytest.raises(ValueError, match="^Q changed after its map was built; "
+                                             "rebuild the map$"):
+            build()
+    # a map of the old content shares B's record and solves the old problem
+    kept = fdr_solve(InclusionProblem(A, affine_gradient(old, b), V), tol=1e-12)
+    np.testing.assert_allclose(kept.x, kkt_solution(old, b, V), atol=1e-9)
+    rebuilt = fdr_solve(InclusionProblem(A, affine_gradient(Q, b), V), tol=1e-12)
+    np.testing.assert_allclose(rebuilt.x, kkt_solution(Q, b, V), atol=1e-9)
+
+
+def test_concurrent_fused_solves_build_each_product_once(monkeypatch):
+    # six threads start each round together on maps that share one record,
+    # all with the first projector, then all with the second: each round
+    # builds K once, under the module lock, and every result has the bits of
+    # a serial run
+    rng = np.random.default_rng(17)
+    dim, threads = 40, 6
+    Q = symmetric_spd(rng, dim)
+    maps = [affine_gradient(Q, rng.standard_normal(dim)) for _ in range(threads)]
+    assert len({id(B._affine.certified) for B in maps}) == 1
+    projectors = [matrix_projector(random_subspace_matrix(rng, dim, rank))
+                  for rank in (10, 25)]
+    A = normal_cone_box(-np.ones(dim), np.ones(dim))
+    digests = []
+    digest = operators._digest
+
+    def counted(M):
+        digests.append(M)
+        return digest(M)
+
+    monkeypatch.setattr(operators, "_digest", counted)
+    start_together = threading.Barrier(threads)
+
+    def solve(V, B):
+        return fdr_solve(InclusionProblem(A, B, V), tol=1e-10)
+
+    def worker(V, B):
+        start_together.wait(timeout=60)
+        return solve(V, B)
+
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            for k, V in enumerate(projectors):
+                futures = [pool.submit(worker, V, B) for B in maps]
+                runs.append([f.result(timeout=120) for f in futures])
+                assert len(digests) == k + 1    # one K per (record, projector)
+    finally:
+        sys.setswitchinterval(interval)
+    for V, round_runs in zip(projectors, runs):
+        for B, run in zip(maps, round_runs):
+            serial = solve(V, B)
+            assert run.status == serial.status == "converged"
+            assert run.iterations == serial.iterations
+            np.testing.assert_array_equal(run.x, serial.x)
+            np.testing.assert_array_equal(run.y, serial.y)
 
 
 @pytest.mark.parametrize("case", ["Q within tolerance", "weighted projector"])
@@ -205,7 +268,7 @@ def test_other_inputs_run_unfused_with_the_same_bits(case):
         M = random_subspace_matrix(rng, dim, 3) * D[None, :] / D[:, None]
         V = matrix_projector(M, InnerProduct(dim, w))
     B = affine_gradient(Q, rng.standard_normal(dim))
-    assert (B._affine is None) != (V._sandwich is None)
+    assert (B._affine is None) != (V._matrix is None)
     A = normal_cone_box(-np.ones(dim), np.ones(dim))
     runs = [fdr_solve(InclusionProblem(A, B, W), tol=1e-10, max_iters=300,
                       z0=np.ones(dim)) for W in (V, hidden(V))]

@@ -8,8 +8,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from monosplit import (AveragedOperator, CocoerciveMap, affine_gradient,
-                       identity_projector, linear_monotone, normal_cone_box,
-                       normal_cone_of_subspace, span_projector,
+                       identity_projector, linear_monotone, matrix_projector,
+                       normal_cone_box, normal_cone_of_subspace, span_projector,
                        quadratic_function, quadratic_smooth,
                        subdifferential_abs, zero_cocoercive, zero_operator,
                        zero_projector)
@@ -362,6 +362,15 @@ def test_matrix_operators_reject_non_finite_entries(bad):
         affine_gradient(Q)
 
 
+@pytest.mark.parametrize("build, name", [
+    (affine_gradient, "Q"), (quadratic_function, "Q"), (linear_monotone, "M"),
+    (matrix_projector, "projector matrix"),
+], ids=["affine-gradient", "quadratic-function", "linear-monotone", "matrix-projector"])
+def test_empty_matrices_are_refused(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must be nonempty$"):
+        build(np.zeros((0, 0)))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: AveragedOperator(lambda x: x, 0.5, 2)(np.zeros(3)),
      r"^dimension mismatch: operator acts on R\^2, got shape \(3,\)$"),
@@ -380,7 +389,7 @@ def test_operator_inputs_are_refused(call, message):
 def _fresh_slot(mp):
     """Empty the certified slot and count the matrices ``eigvalsh`` is called
     on, through the monkeypatch ``mp``; returns the list of calls."""
-    mp.setattr(operators, "_CERTIFIED", operators._CertifiedSlot())
+    mp.setattr(operators, "_last", None)
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -465,7 +474,7 @@ def test_zero_q_is_refused_on_every_call(eigvalsh_calls):
 def test_certified_eigenvalues_are_read_only(eigvalsh_calls, rng):
     Q = random_spd(rng, 5)
     for _ in range(2):       # a miss, then a hit
-        _, eigs, _ = _symmetric_psd(Q)
+        eigs = _symmetric_psd(Q)[1].eigs
         assert not eigs.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             eigs[0] = 0.0

@@ -192,7 +192,7 @@ def test_km_residuals_meet_the_rate_certificate(data):
     if data.draw(st.booleans()):
         Q = 0.5 * (Q + Q.T)
         prob = InclusionProblem(prob.A, affine_gradient(Q, b), prob.V)
-        assert prob.B._affine is not None and prob.V._sandwich is not None
+        assert prob.B._affine is not None and prob.V._matrix is not None
     T, S = build_T(prob.A, prob.V, gamma), build_S(prob.B, prob.V, gamma)
     alpha = composed_alpha([T.alpha, S.alpha])
     lam = data.draw(st.floats(0.02, 0.98)) / alpha

@@ -19,8 +19,11 @@ entry holds:
   raw times of its report's builds in the order they ran;
 - ``metrics``: per compared metric its unit and direction, each side's
   median and quartiles over the pairs, the change's relative move of the
-  median (positive is better) and the number of pairs the change wins
-  (strictly better than BASE in the same pair); an end-to-end metric also
+  median (positive is better), the number of pairs the change wins
+  (strictly better than BASE in the same pair) and ``gain_resolved``: whether
+  at least 10 pairs ran, the change won at least 9 of every 10 of them and
+  its median is better than BASE's by more than BASE's quartile distance
+  (the distance between BASE's quartiles); an end-to-end metric also
   carries its bound and ``within_bound``: whether the change's median is
   worse than BASE's by no more than the bound;
 - ``cold_setup_s``: per side the median and quartiles over the pairs of
@@ -89,11 +92,13 @@ def summarize(pairs, specs):
         sb, sc = spread(base), spread(change)
         sign = 1.0 if higher else -1.0
         move = sign * (sc["median"] - sb["median"]) / sb["median"] if sb["median"] else 0.0
+        wins = sum(sign * (c - b) > 0.0 for b, c in zip(base, change))
+        resolved = (len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
+                    and sign * (sc["median"] - sb["median"]) > sb["q3"] - sb["q1"])
         out[name] = {"unit": spec["unit"], "better": spec["better"],
                      "base": sb, "change": sc, "relative_gain": move,
-                     "change_wins": sum(sign * (c - b) > 0.0
-                                        for b, c in zip(base, change)),
-                     "pairs": len(pairs)}
+                     "change_wins": wins, "pairs": len(pairs),
+                     "gain_resolved": resolved}
         if "bound" in spec:
             out[name].update(bound=spec["bound"], within_bound=move >= -spec["bound"])
     return out
@@ -165,7 +170,7 @@ def main(argv=None):
     summary = {}
     for name, m in metrics.items():
         summary[name] = {"base": m["base"]["median"], "change": m["change"]["median"],
-                         "wins": m["change_wins"]}
+                         "wins": m["change_wins"], "gain_resolved": m["gain_resolved"]}
         if "within_bound" in m:
             summary[name]["within_bound"] = m["within_bound"]
     summary["cold_setup_s"] = {side: s["median"] for side, s in cold.items()}
