@@ -97,10 +97,11 @@ def _fused_forward(B, V):
     as the objects they wrap do.  ``K`` is kept on the record of the content
     ``Q`` was certified for (see :class:`monosplit.operators._Certified`),
     which maps of equal matrices share, in one slot keyed by the identity of
-    ``V``'s own view of its matrix: when the slot holds another projector, or
-    none, the call digests ``Q``, refuses a ``Q`` that changed since its map
-    was built, and builds ``K`` with two d x d matrix products; later calls
-    read neither.  ``P_V b`` costs one projection per call of this helper.
+    ``V``'s own view of its matrix and emptied when that view is collected:
+    when the slot holds another projector, or none, the call digests ``Q``,
+    refuses a ``Q`` that changed since its map was built, and builds ``K``
+    with two d x d matrix products; later calls read neither.  ``P_V b``
+    costs one projection per call of this helper.
 
     Every call fuses an eligible pair, whether or not ``K`` is cached, so a
     solve's bits depend on its inputs alone and not on what ran before it.

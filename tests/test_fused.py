@@ -9,8 +9,10 @@ same ``V`` wrapped so that its matrix is hidden, which runs the unfused path:
 """
 
 import concurrent.futures
+import gc
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -200,6 +202,41 @@ def test_q_changed_before_its_first_fused_solve_is_refused():
     np.testing.assert_allclose(kept.x, kkt_solution(old, b, V), atol=1e-9)
     rebuilt = fdr_solve(InclusionProblem(A, affine_gradient(Q, b), V), tol=1e-12)
     np.testing.assert_allclose(rebuilt.x, kkt_solution(Q, b, V), atol=1e-9)
+
+
+@pytest.mark.parametrize("dim", [362, 363])     # either side of the digest's split
+@pytest.mark.parametrize("where", ["first half", "second half", "last entry"])
+def test_q_changed_after_a_fused_solve_is_refused_for_another_projector(dim, where):
+    rng = np.random.default_rng(23)
+    Q, b = symmetric_spd(rng, dim), rng.standard_normal(dim)
+    V, W = (matrix_projector(random_subspace_matrix(rng, dim, rank))
+            for rank in (dim // 3, dim // 2))
+    B = affine_gradient(Q, b)
+    fdr_solve(InclusionProblem(zero_operator(dim), B, V), max_iters=3)
+    assert product(B) is not None
+    k = {"first half": 1, "second half": dim - 2, "last entry": dim - 1}[where]
+    Q[k, k] = np.nextafter(Q[k, k], np.inf)
+    with pytest.raises(ValueError, match="^Q changed after its map was built; "
+                                         "rebuild the map$"):
+        build_S(B, W, B.beta)
+
+
+def test_a_record_drops_its_product_with_the_projector():
+    rng = np.random.default_rng(19)
+    dim = 30
+    B = affine_gradient(symmetric_spd(rng, dim), rng.standard_normal(dim))
+    V = matrix_projector(random_subspace_matrix(rng, dim, 10))
+    A = normal_cone_box(-np.ones(dim), np.ones(dim))
+    assert fdr_solve(InclusionProblem(A, B, V), tol=1e-10).status == "converged"
+    K, P = weakref.ref(product(B)), weakref.ref(V._matrix)
+    del V
+    gc.collect()
+    assert P() is None and K() is None
+    assert B._affine.certified._slot == (None, None)
+    # the next projector builds a product of its own
+    W = matrix_projector(random_subspace_matrix(rng, dim, 10))
+    assert fdr_solve(InclusionProblem(A, B, W), tol=1e-10).status == "converged"
+    assert product(B) is not None
 
 
 def test_concurrent_fused_solves_build_each_product_once(monkeypatch):

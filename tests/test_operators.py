@@ -523,3 +523,92 @@ def test_beta_from_a_hit_equals_a_cold_build(d, seed, low_rank, layout):
         hit = affine_gradient(Ql).beta
         assert len(calls) == 1
     assert hit == cold
+
+
+# ---------------------------------------------------------------------------
+# the digest: taken once per build, in two halves from _SPLIT_BYTES on
+# ---------------------------------------------------------------------------
+
+# the largest d whose d x d matrix is digested in one pass, and the smallest
+# split in two halves
+BELOW, ABOVE = 362, 363
+
+
+def test_split_dimensions_straddle_the_split_size():
+    assert 8 * BELOW**2 < operators._SPLIT_BYTES <= 8 * ABOVE**2
+
+
+@pytest.mark.parametrize("d", [BELOW, ABOVE])
+def test_equal_entries_share_a_record_either_side_of_the_split(eigvalsh_calls, rng, d):
+    Q = random_spd(rng, d)
+    record = _symmetric_psd(Q)[1]
+    for layout, Ql in matrix_layouts(Q).items():
+        assert _symmetric_psd(Ql)[1] is record, layout
+    assert len(eigvalsh_calls) == 1
+
+
+@pytest.mark.parametrize("d", [BELOW, ABOVE])
+@pytest.mark.parametrize("where", ["first half", "second half", "last entry"])
+def test_a_one_entry_change_misses_the_record(eigvalsh_calls, rng, d, where):
+    Q = random_spd(rng, d)
+    record = _symmetric_psd(Q)[1]
+    # a diagonal entry one ulp larger keeps Q symmetric and definite
+    k = {"first half": 1, "second half": d - 2, "last entry": d - 1}[where]
+    Q[k, k] = np.nextafter(Q[k, k], np.inf)
+    changed = _symmetric_psd(Q)[1]
+    assert changed is not record and changed.key != record.key
+    assert len(eigvalsh_calls) == 2
+
+
+@pytest.mark.parametrize("d", [2, ABOVE])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_q_of_the_certified_shape_is_refused(eigvalsh_calls, rng, d, bad):
+    Q = random_spd(rng, d)
+    affine_gradient(Q)
+    Q[d - 1, d - 1] = bad
+    for build in (affine_gradient, quadratic_smooth, quadratic_function):
+        with pytest.raises(ValueError, match="^Q has non-finite entries$"):
+            build(Q)
+    with pytest.raises(ValueError, match=r"^Q must be square, got shape \(2, 3\)$"):
+        affine_gradient(np.ones((2, 3)))
+    assert len(eigvalsh_calls) == 1
+
+
+@pytest.mark.parametrize("d", [8, ABOVE])
+def test_each_build_digests_q_once(eigvalsh_calls, monkeypatch, rng, d):
+    digests = []
+    digest = operators._digest
+
+    def counted(M):
+        digests.append(M)
+        return digest(M)
+
+    monkeypatch.setattr(operators, "_digest", counted)
+    Q = random_spd(rng, d)
+    for build in (affine_gradient, quadratic_smooth, quadratic_function):
+        monkeypatch.setattr(operators, "_last", None)
+        for _ in range(2):      # a miss, then a hit
+            digests.clear()
+            build(Q)
+            assert len(digests) == 1, build.__name__
+    assert len(eigvalsh_calls) == 3     # one miss per builder
+
+
+@pytest.mark.parametrize("d, threads", [(BELOW, 0), (ABOVE, 1)])
+def test_a_build_leaves_no_thread_running(eigvalsh_calls, monkeypatch, rng, d, threads):
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    Q = random_spd(rng, d)
+    before = threading.active_count()
+    for _ in range(2):          # a miss, then a hit
+        started.clear()
+        affine_gradient(Q)
+        assert len(started) == threads
+        assert not any(t.is_alive() for t in started)
+        assert threading.active_count() == before
