@@ -207,14 +207,21 @@ def subdifferential_abs(dim, center=None):
 
 
 def _box_bounds(lo, hi):
-    """Bounds of a nonempty box as float vectors; infinite bounds are allowed."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    """Bounds of a nonempty box as float vectors (a scalar as shape (1,), a
+    1-d float one by reference); infinite bounds are allowed.  A valid box
+    costs one comparison, ``lo <= hi``, false at a NaN too; only a refused
+    box is diagnosed, NaN first."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if lo.ndim == 0:
+        lo = lo.reshape(1)
+    if hi.ndim == 0:
+        hi = hi.reshape(1)
     if lo.ndim != 1 or hi.shape != lo.shape:
         raise ValueError(f"bound shapes differ: {lo.shape} vs {hi.shape}")
-    if np.isnan(lo).any() or np.isnan(hi).any():
-        raise ValueError("box bounds must not be NaN")
-    if (lo > hi).any():
+    if not (lo <= hi).all():
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ValueError("box bounds must not be NaN")
         raise ValueError("empty box: lo > hi in some coordinate")
     return lo, hi
 
@@ -338,10 +345,12 @@ def _releaser(record):
 
 class _Certified:
     """What :func:`_symmetric_psd` derives from one content of ``Q``: ``key``,
-    the digest of its entries, the read-only ``eigs``, whether ``Q`` is
-    exactly ``symmetric``, and one slot holding ``K = P Q P`` for the last
-    projector matrix ``P`` that ``Q`` was fused with (see :meth:`sandwich`).
-    The slot refers to ``P`` weakly and is emptied when ``P`` is collected.
+    the digest of its entries, the read-only ``eigs`` in ``eigvalsh``'s
+    ascending order (``eigs[0]`` is lambda_min, ``eigs[-1]`` lambda_max),
+    whether ``Q`` is exactly ``symmetric``, and one slot holding ``K = P Q P``
+    for the last projector matrix ``P`` that ``Q`` was fused with (see
+    :meth:`sandwich`).  The slot refers to ``P`` weakly and is emptied when
+    ``P`` is collected.
     """
 
     __slots__ = ("key", "eigs", "symmetric", "_slot", "__weakref__")
@@ -404,8 +413,8 @@ def _symmetric_psd(Q):
     if asymmetry > PSD_TOL * scale:
         raise ValueError("Q must be symmetric")
     eigs = np.linalg.eigvalsh(Q)
-    if float(eigs.min()) < -PSD_TOL * scale:
-        raise ValueError(f"Q must be positive semidefinite (min eigenvalue {eigs.min():.3e})")
+    if float(eigs[0]) < -PSD_TOL * scale:
+        raise ValueError(f"Q must be positive semidefinite (min eigenvalue {eigs[0]:.3e})")
     certified = _Certified(key, eigs, asymmetry == 0.0)
     with _LOCK:
         _last = certified
@@ -434,7 +443,7 @@ def affine_gradient(Q, b=None):
     """
     Q, certified = _symmetric_psd(Q)
     dim = Q.shape[0]
-    lam_max = float(certified.eigs.max())
+    lam_max = float(certified.eigs[-1])
     if lam_max <= 0.0:
         raise ValueError("Q must have a positive largest eigenvalue; "
                          "use zero_cocoercive for a vanishing forward map")

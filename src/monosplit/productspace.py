@@ -54,12 +54,15 @@ def _warn_scaled_gamma(gamma, weights):
 
 
 def _check_weights(weights, m):
+    """``weights`` as ``m`` floats in ]0, 1[ (1 when ``m`` is 1) summing to 1
+    within 1e-12, equal ones when None; the range is read from ``w.min()``
+    and ``w.max()``, through which a NaN propagates and is refused."""
     if weights is None:
         return np.full(m, 1.0 / m)
     w = np.asarray(weights, dtype=float)
     if w.shape != (m,):
         raise ValueError(f"expected {m} weights, got shape {w.shape}")
-    if not ((0.0 < w).all() and (m == 1 or (w < 1.0).all())):
+    if not (w.min() > 0.0 and (m == 1 or w.max() < 1.0)):
         raise ValueError("each weight must lie in ]0, 1[")
     if abs(float(w.sum()) - 1.0) > 1e-12:
         raise ValueError(f"weights must sum to 1 within 1e-12, got {float(w.sum())}")

@@ -3,9 +3,10 @@
 Vectors are plain 1-d numpy arrays.  The ambient geometry is carried by
 :class:`InnerProduct` (uniform or diagonally weighted), and closed subspaces
 are represented by their orthogonal projectors.  Objects keep the arrays
-they are given by reference, so an array changed after construction changes
-the object built from it.  The module keeps no mutable state and its objects
-hold none, so each is safe to share across threads.
+they are given by reference (``span_projector`` keeps a rescaled copy), so an
+array changed after construction changes the object built from it.  The
+module keeps no mutable state and its objects hold none, so each is safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -171,8 +172,14 @@ def zero_mean_projector(dim):
 
 
 def span_projector(v, inner=None):
-    """Rank-one projector onto the line spanned by ``v``."""
+    """Rank-one projector onto the line spanned by ``v``.
+
+    ``v`` is kept as a copy scaled by the power of two that brings its
+    largest entry into [0.5, 1), so ``<v, v>`` neither overflows nor
+    underflows; in the normal range the scaling is exact and the results
+    keep the bits of the unscaled formula."""
     v = as_vector(v)
+    v = np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])
     inner = InnerProduct(v.shape[0]) if inner is None else inner
     vv = inner.dot(v, v)
     if vv <= 0.0:

@@ -141,7 +141,7 @@ def quadratic_smooth(Q, b=None):
     """
     Q, certified = _symmetric_psd(Q)
     dim = Q.shape[0]
-    lam_max = float(certified.eigs.max())
+    lam_max = float(certified.eigs[-1])
     if lam_max <= 0.0:
         raise ValueError("Q must have a positive largest eigenvalue; "
                          "use zero_smooth for a vanishing gradient")

@@ -697,6 +697,7 @@ def _numeric_spec(algorithm):
 
 
 INF = float("inf")
+NAN = float("nan")
 # box bounds may be rays: x1 >= 1 and x2 <= 2 on the line x1 = x2 (fdr), and
 # x1 <= 1 and x2 >= -1 on the zero-mean line (variational)
 RAY_BOX_SPECS = {
@@ -720,6 +721,27 @@ def test_box_bounds_take_infinite_entries(tmp_path, capsys, algorithm):
     bad[key]["lo"][0] = float("nan")
     assert main([str(write_spec(tmp_path, bad))]) == EXIT_INVALID
     assert f"{key}: box bounds must not be NaN" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, key", [("fdr", "A"), ("variational", "f")])
+@pytest.mark.parametrize("lo, hi, message", [
+    ([NAN, 1.0], [2.0, 2.0], "box bounds must not be NaN"),
+    ([1.0, 1.0], [2.0, NAN], "box bounds must not be NaN"),
+    ([NAN, 3.0], [2.0, 2.0], "box bounds must not be NaN"),
+    ([3.0, 1.0], [2.0, 2.0], "empty box: lo > hi in some coordinate"),
+    ([1.0, 1.0], [1.0, 1.0], None),
+    ([-INF, 1.0], [INF, 1.0], None),
+], ids=["nan-lo", "nan-hi", "nan-and-empty", "empty", "equal", "infinite"])
+def test_box_kind_keeps_the_library_contract(family, key, lo, hi, message):
+    spec = copy.deepcopy(fdr_spec() if family == "fdr"
+                         else ALL_ALGORITHM_SPECS["variational"])
+    spec[key] = {"kind": "box", "lo": lo, "hi": hi}
+    if message is None:
+        parse_spec(json.dumps(spec))
+        return
+    with pytest.raises(SpecValidationError) as e:
+        parse_spec(json.dumps(spec))
+    assert e.value.errors == [f"{key}: {message}"]
 
 
 # (algorithm, key path) of a numeric field: every field takes NaN, and those

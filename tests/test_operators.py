@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from monosplit import (AveragedOperator, CocoerciveMap, affine_gradient,
-                       identity_projector, linear_monotone, matrix_projector,
+                       box_function, identity_projector, linear_monotone, matrix_projector,
                        normal_cone_box, normal_cone_of_subspace, span_projector,
                        quadratic_function, quadratic_smooth,
                        subdifferential_abs, zero_cocoercive, zero_operator,
@@ -382,6 +382,48 @@ def test_operator_inputs_are_refused(call, message):
         call()
 
 
+NAN = np.nan
+INF = np.inf
+
+
+@pytest.mark.parametrize("build", [normal_cone_box, box_function],
+                         ids=["normal-cone-box", "box-function"])
+@pytest.mark.parametrize("lo, hi, message", [
+    ([NAN, 0.0], [1.0, 1.0], "^box bounds must not be NaN$"),
+    ([0.0, 0.0], [1.0, NAN], "^box bounds must not be NaN$"),
+    # a NaN in one coordinate outranks lo > hi in another
+    ([NAN, 2.0], [1.0, 1.0], "^box bounds must not be NaN$"),
+    ([2.0, 2.0], [1.0, NAN], "^box bounds must not be NaN$"),
+    ([0.0, 2.0], [1.0, 1.0], "^empty box: lo > hi in some coordinate$"),
+    (INF, -INF, "^empty box: lo > hi in some coordinate$"),
+    ([0.0, 0.0], [1.0, 1.0, 1.0], r"^bound shapes differ: \(2,\) vs \(3,\)$"),
+    ([[0.0, 0.0]], [[1.0, 1.0]], r"^bound shapes differ: \(1, 2\) vs \(1, 2\)$"),
+    (0.0, [1.0, 1.0], r"^bound shapes differ: \(1,\) vs \(2,\)$"),
+], ids=["nan-lo", "nan-hi", "nan-and-empty", "empty-and-nan-hi", "empty",
+        "empty-infinite", "shapes", "2-d", "scalar-vs-vector"])
+def test_box_refusals_keep_their_messages_and_order(build, lo, hi, message):
+    with pytest.raises(ValueError, match=message):
+        build(lo, hi)
+
+
+@pytest.mark.parametrize("build", [normal_cone_box, box_function],
+                         ids=["normal-cone-box", "box-function"])
+def test_valid_boxes_take_one_comparison_and_keep_their_bounds(build, monkeypatch):
+    lo, hi = np.array([1.0, -INF, 0.0]), np.array([1.0, 2.0, INF])
+    # a valid box never reaches the NaN diagnosis
+    monkeypatch.setattr(np, "isnan", lambda *a, **k: pytest.fail("isnan called"))
+    A = build(lo, hi)
+    np.testing.assert_array_equal(A.resolve(1.0, np.array([5.0, 5.0, -5.0])),
+                                  [1.0, 2.0, 0.0])
+    kept_lo, kept_hi = operators._box_bounds(lo, hi)
+    assert kept_lo is lo and kept_hi is hi
+    # scalar bounds become shape (1,), equal ones included
+    for a, b in ((0.5, 0.5), (-INF, INF), (np.float64(0.0), 1)):
+        A = build(a, b)
+        assert A.dim == 1
+        assert [x.shape for x in operators._box_bounds(a, b)] == [(1,), (1,)]
+
+
 # ---------------------------------------------------------------------------
 # the certified slot: one eigendecomposition per symmetric Q content
 # ---------------------------------------------------------------------------
@@ -612,3 +654,19 @@ def test_a_build_leaves_no_thread_running(eigvalsh_calls, monkeypatch, rng, d, t
         assert len(started) == threads
         assert not any(t.is_alive() for t in started)
         assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 33])
+def test_eigenvalue_ends_are_the_extremes(d, rng):
+    # eigvalsh returns ascending eigenvalues: the ends are min() and max(),
+    # and beta keeps the bits of 1 / max()
+    G = rng.standard_normal((d, max(1, d // 2)))
+    U, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    repeated = (U * np.repeat([3.0, 1.0], [d // 2, d - d // 2])) @ U.T
+    for Q in (G @ G.T + np.eye(d), repeated, G @ G.T):
+        Q = (Q + Q.T) / 2.0
+        eigs = _symmetric_psd(Q)[1].eigs
+        assert eigs[0] == eigs.min() and eigs[-1] == eigs.max()
+        assert affine_gradient(Q).beta == 1.0 / eigs.max()
+        g = quadratic_smooth(Q)
+        assert g.lipschitz == eigs.max() and g.beta == 1.0 / eigs.max()

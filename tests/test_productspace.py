@@ -297,6 +297,34 @@ def test_sum_splitting_weight_validation():
         ProductProblem(blocks, weights=[0.5, 0.5 + 1e-9])
 
 
+RANGE = r"^each weight must lie in \]0, 1\[$"
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([0.5], r"^expected 2 weights, got shape \(1,\)$"),
+    ([[0.5, 0.5]], r"^expected 2 weights, got shape \(1, 2\)$"),
+    ([0.0, 1.0], RANGE),
+    ([1.5, -0.5], RANGE),           # sums to 1: the range is checked first
+    ([1.0, 1e-300], RANGE),
+    ([np.nan, 0.5], RANGE),
+    ([0.5, np.nan], RANGE),
+    ([np.inf, 0.5], RANGE),
+    ([0.5, 0.25], r"^weights must sum to 1 within 1e-12, got 0.75$"),
+], ids=["length", "2-d", "zero", "negative", "one", "nan-first", "nan-last", "inf",
+        "sum"])
+def test_weight_refusals_keep_their_messages(weights, message):
+    with pytest.raises(ValueError, match=message):
+        ProductProblem([zero_operator(1)] * 2, weights=weights)
+
+
+def test_one_block_takes_weight_one_only():
+    assert ProductProblem([zero_operator(1)], weights=[1.0]).weights.tolist() == [1.0]
+    with pytest.raises(ValueError, match=RANGE):
+        ProductProblem([zero_operator(1)], weights=[np.nan])
+    with pytest.raises(ValueError, match=r"^weights must sum to 1 within 1e-12, got 0.5$"):
+        ProductProblem([zero_operator(1)], weights=[0.5])
+
+
 @pytest.mark.parametrize("gamma", [0.0, np.inf, np.nan])
 def test_parallel_dr2_rejects_gamma_outside_the_positive_reals(gamma):
     # a linear block would fail inside the run, in lu_factor, on gamma = inf

@@ -269,6 +269,29 @@ def test_space_inputs_are_refused(call, message):
         call()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-160, 1e-310, 1e308])
+def test_span_projector_holds_at_extreme_scales(scale):
+    # <v, v> overflows at 1e200, underflows to 0 at 1e-200 and is subnormal
+    # at 1e-160 when taken unscaled
+    P = span_projector([scale, scale])
+    np.testing.assert_allclose(P(np.ones(2)), [1.0, 1.0], rtol=4e-16, atol=0.0)
+    np.testing.assert_array_equal(P(np.array([1.0, -1.0])), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+def test_span_projector_keeps_the_bits_of_the_unscaled_formula(rng, weighted):
+    # scaling by a power of two is exact in the normal range
+    for _ in range(200):
+        d = int(rng.integers(1, 9))
+        v = rng.standard_normal(d) * 10.0 ** rng.uniform(-30, 30, size=d)
+        inner = InnerProduct(d, rng.uniform(0.5, 2.0, size=d)) if weighted else None
+        x = rng.standard_normal(d) * 10.0 ** rng.uniform(-5, 5)
+        ip = InnerProduct(d) if inner is None else inner
+        want = v * (ip.dot(v, x) / ip.dot(v, v))
+        assert np.array_equal(span_projector(v, inner)(x), want)
+
+
 def test_audit_projects_each_sample_four_times(rng):
     # one call each for x, y, Px and a x + y; the fields are those of the
     # formula that projected y twice
