@@ -94,14 +94,14 @@ def _fused_forward(B, V):
     and ``V`` an exactly symmetric matrix; None for any other pair.
 
     Both are read with ``getattr``, so wrappers that forward attributes fuse
-    as the objects they wrap do.  ``K`` is kept on the record of the content
-    ``Q`` was certified for (see :class:`monosplit.operators._Certified`),
-    which maps of equal matrices share, in one slot keyed by the identity of
-    ``V``'s own view of its matrix and emptied when that view is collected:
-    when the slot holds another projector, or none, the call digests ``Q``,
-    refuses a ``Q`` that changed since its map was built, and builds ``K``
-    with two d x d matrix products; later calls read neither.  ``P_V b``
-    costs one projection per call of this helper.
+    as the objects they wrap do.  ``Q`` is the read-only snapshot on the
+    record of its certified content (see
+    :class:`monosplit.operators._Certified`), which maps of equal matrices
+    share; ``K`` is kept there in one slot keyed by the identity of ``V``'s
+    own view of its matrix and emptied when that view is collected.  When
+    the slot holds another projector, or none, the call builds ``K`` with two
+    d x d matrix products; later calls read it.  ``P_V b`` costs one
+    projection per call of this helper.
 
     Every call fuses an eligible pair, whether or not ``K`` is cached, so a
     solve's bits depend on its inputs alone and not on what ran before it.
@@ -110,7 +110,7 @@ def _fused_forward(B, V):
     P = getattr(V, "_matrix", None)
     if affine is None or P is None:
         return None
-    K = affine.certified.sandwich(P, affine.Q)
+    K = affine.certified.sandwich(P)
     return _matvec(K, True, V(affine.b))
 
 

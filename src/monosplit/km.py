@@ -238,7 +238,7 @@ class ErrorSchedule:
                 raise ValueError(
                     f"error term at n={n} has shape {e.shape}, expected ({self.dim},)"
                 )
-            if norm(e) > self.bound(n) * (1.0 + 1e-9) + 1e-15:
+            if not norm(e) <= self.bound(n) * (1.0 + 1e-9) + 1e-15:  # NaN fails
                 raise ValueError(
                     f"error norm {norm(e):.3e} at n={n} exceeds the declared bound "
                     f"{self.bound(n):.3e}"

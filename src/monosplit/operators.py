@@ -9,17 +9,16 @@ cone, affine monotone, affine gradient) have closed-form resolvents or maps.
 
 The module keeps one piece of shared state, a slot holding the
 :class:`_Certified` record of the last symmetric positive semidefinite ``Q``
-that :func:`_symmetric_psd` certified: maps built from equal matrices share
-that record, and with it one eigendecomposition and the fused forward
-step's product ``K = P Q P``, which the record drops once the projector
-matrix ``P`` is collected.  One module lock guards the slot and every build
-of ``K``.  Digesting a matrix of 1 MiB or more starts one short-lived thread
-(see :func:`_digest`); no thread outlives the call that started it.
+that :func:`_symmetric_psd` certified: the record holds a read-only snapshot
+of ``Q``, which every map built from equal matrices applies, with one
+eigendecomposition and the fused forward step's product ``K = P Q P``, which
+the record drops once the projector matrix ``P`` is collected.  One module
+lock guards the slot and every build of ``K``.
 """
 
 from __future__ import annotations
 
-import hashlib
+import mmap
 import threading
 import weakref
 from typing import NamedTuple
@@ -63,7 +62,11 @@ class ResolventFamily:
     Evaluation must be reentrant: no mutable shared state across calls.
 
     Built-in families whose resolvent is an elementwise formula also carry it
-    as ``_kernel = (kernel, params)``; see :func:`_row_kernel_family`.
+    as ``_kernel = (kernel, params)``; see :func:`_row_kernel_family`.  The
+    product-space solvers read ``_kernel`` with ``getattr``, so a wrapper
+    that forwards attribute access is resolved by the kernel of the family
+    it wraps, not by a ``resolve`` of its own; a wrapper that changes the
+    resolvent must hide ``_kernel`` (set it to None).
     """
 
     __slots__ = ("_resolve", "dim", "label", "_kernel", "_built")
@@ -292,39 +295,30 @@ def linear_monotone(M, b=None):
     return _mark_built(ResolventFamily(res, dim, label="affine-monotone"))
 
 
-# a buffer of this many bytes or more is digested in two halves at once
-_SPLIT_BYTES = 1 << 20
-
-
-def _digest(M):
-    """Digest of the entries of the float array ``M`` in C order.
-
-    Arrays of equal entries share a digest whatever their memory layout.
-    The digest does not hold the shape; a square matrix's byte length fixes
-    it.  Below ``_SPLIT_BYTES`` it is the SHA-256 of the entries.  From there
-    on it is the SHA-256 of each half of them, the second half hashed by a
-    short-lived thread while this one hashes the first: ``hashlib`` releases
-    the interpreter lock on large buffers, so on 2 cores the two halves of a
-    d=1000 matrix take about 3.5 ms together where one pass takes about
-    6.3 ms.  Below the split the thread's start would cost more than it
-    saves.
-    """
-    flat = np.ascontiguousarray(M).reshape(-1)
-    if flat.nbytes < _SPLIT_BYTES:
-        return hashlib.sha256(flat).digest()
-    half = flat.size // 2
-    second = []
-    worker = threading.Thread(
-        target=lambda: second.append(hashlib.sha256(flat[half:]).digest()))
-    worker.start()
-    first = hashlib.sha256(flat[:half]).digest()
-    worker.join()
-    return first + second[0]
-
+# A snapshot of this many bytes or more (d >= 363) gets an anonymous mapping
+# of its own.  A heap copy of that size would be placed among the freed d x d
+# temporaries of a K build, which the allocator keeps resident, so the process
+# would hold both; a mapping of its own holds the snapshot alone and is
+# unmapped when the snapshot is collected.
+_MAPPED_BYTES = 1 << 20
 
 # guards _last and every build of a _Certified record's K
 _LOCK = threading.Lock()
 _last = None
+
+
+def _snapshot(Q):
+    """A read-only copy of the float matrix ``Q`` in its memory order (as
+    ``order="K"``: a Fortran-ordered ``Q`` stays Fortran-ordered), on a
+    mapping of its own from ``_MAPPED_BYTES`` on."""
+    order = "F" if abs(Q.strides[0]) < abs(Q.strides[1]) else "C"
+    if Q.nbytes < _MAPPED_BYTES:
+        snap = np.array(Q, order=order)
+    else:
+        snap = np.ndarray(Q.shape, buffer=mmap.mmap(-1, Q.nbytes), order=order)
+        snap[...] = Q
+    snap.flags.writeable = False
+    return snap
 
 
 def _releaser(record):
@@ -344,39 +338,35 @@ def _releaser(record):
 
 
 class _Certified:
-    """What :func:`_symmetric_psd` derives from one content of ``Q``: ``key``,
-    the digest of its entries, the read-only ``eigs`` in ``eigvalsh``'s
-    ascending order (``eigs[0]`` is lambda_min, ``eigs[-1]`` lambda_max),
-    whether ``Q`` is exactly ``symmetric``, and one slot holding ``K = P Q P``
-    for the last projector matrix ``P`` that ``Q`` was fused with (see
-    :meth:`sandwich`).  The slot refers to ``P`` weakly and is emptied when
-    ``P`` is collected.
+    """What :func:`_symmetric_psd` derives from one content of ``Q``: ``Q``,
+    the read-only snapshot that every map built from that content applies,
+    the read-only ``eigs`` of it in ``eigvalsh``'s ascending order
+    (``eigs[0]`` is lambda_min, ``eigs[-1]`` lambda_max), whether it is
+    exactly ``symmetric``, and one slot holding ``K = P Q P`` for the last
+    projector matrix ``P`` that it was fused with (see :meth:`sandwich`).
+    The slot refers to ``P`` weakly and is emptied when ``P`` is collected.
     """
 
-    __slots__ = ("key", "eigs", "symmetric", "_slot", "__weakref__")
+    __slots__ = ("Q", "eigs", "symmetric", "_slot", "__weakref__")
 
-    def __init__(self, key, eigs, symmetric):
+    def __init__(self, Q, eigs, symmetric):
         eigs.flags.writeable = False
-        self.key, self.eigs, self.symmetric = key, eigs, symmetric
+        self.Q, self.eigs, self.symmetric = Q, eigs, symmetric
         self._slot = (None, None)
 
-    def sandwich(self, P, Q):
+    def sandwich(self, P):
         """``K = P Q P`` for the projector matrix ``P``, compared by identity,
-        and a ``Q`` that this record certified, exactly symmetric and
-        Fortran-ordered so that :func:`monosplit.spaces._matvec` applies it
-        with ``dsymv`` and no copy.  ``K`` is built only once the digest of
-        ``Q`` is found to still equal ``key``: the map's ``beta`` was certified
-        for that content."""
+        exactly symmetric and Fortran-ordered so that
+        :func:`monosplit.spaces._matvec` applies it with ``dsymv`` and no
+        copy."""
         with _LOCK:
             ref, K = self._slot
             if ref is None or ref() is not P:
                 self._slot = (None, None)   # the last K goes before the next is built
-                if _digest(Q) != self.key:
-                    raise ValueError("Q changed after its map was built; rebuild the map")
                 # in place, so that the build holds at most two d x d arrays
                 # beside P and Q; K.T of the symmetric C-ordered K is the
                 # same matrix, Fortran-ordered
-                K = P @ (Q @ P)
+                K = P @ (self.Q @ P)
                 K += K.T
                 K *= 0.5
                 K = K.T
@@ -391,23 +381,24 @@ def _asymmetry(Q):
 
 
 def _symmetric_psd(Q):
-    """``Q`` as a float matrix checked square, finite, symmetric and positive
-    semidefinite (relative to its largest entry), with its :class:`_Certified`
-    record.
+    """The :class:`_Certified` record of ``Q``, checked square, finite,
+    symmetric and positive semidefinite (relative to its largest entry).
 
-    A square, nonempty ``Q`` is digested first.  One whose entries match
-    those of the last ``Q`` to pass takes that record with no further
-    check: equal entries are finite.  Any other is checked in full and its
-    record is kept only once it has passed.
+    A square, nonempty ``Q`` whose bits equal those of the last snapshot to
+    pass, in any memory layout, takes that record with no further check
+    (equal bits are finite; -0.0 does not match 0.0).  Any other is copied
+    (see :func:`_snapshot`) and the copy checked in full, so the content
+    certified is the content every map of the record applies; the record is
+    kept only once it has passed.
     """
     global _last
     Q = _square(Q, "Q")
-    key = _digest(Q)
     with _LOCK:
         last = _last
-    if last is not None and last.key == key:
-        return Q, last
-    Q, largest = _square_matrix(Q, "Q")
+    if (last is not None and last.Q.shape == Q.shape
+            and (Q.view(np.int64) == last.Q.view(np.int64)).all()):
+        return last
+    Q, largest = _square_matrix(_snapshot(Q), "Q")
     scale = max(1.0, largest)
     asymmetry = _asymmetry(Q)
     if asymmetry > PSD_TOL * scale:
@@ -415,19 +406,17 @@ def _symmetric_psd(Q):
     eigs = np.linalg.eigvalsh(Q)
     if float(eigs[0]) < -PSD_TOL * scale:
         raise ValueError(f"Q must be positive semidefinite (min eigenvalue {eigs[0]:.3e})")
-    certified = _Certified(key, eigs, asymmetry == 0.0)
+    certified = _Certified(Q, eigs, asymmetry == 0.0)
     with _LOCK:
         _last = certified
-    return Q, certified
+    return certified
 
 
 class _AffineData(NamedTuple):
-    """``Q`` and ``b`` of a map ``x -> Q x - b`` with an exactly symmetric
-    ``Q``, both kept by reference, and the :class:`_Certified` record of the
-    content ``Q`` had when the map was built, for the solvers' fused forward
-    step (see :func:`monosplit.fdr._fused_forward`)."""
+    """``b``, kept by reference, and the :class:`_Certified` record of a map
+    ``x -> Q x - b`` with an exactly symmetric ``Q``, for the solvers' fused
+    forward step (see :func:`monosplit.fdr._fused_forward`)."""
 
-    Q: np.ndarray
     b: np.ndarray
     certified: _Certified
 
@@ -435,22 +424,23 @@ class _AffineData(NamedTuple):
 def affine_gradient(Q, b=None):
     """Cocoercive map ``x -> Q x - b`` for symmetric PSD ``Q``.
 
-    The certified constant is ``beta = 1 / lambda_max(Q)``.  An exactly
+    The certified constant is ``beta = 1 / lambda_max(Q)``.  The map applies
+    the read-only snapshot of ``Q`` (see :func:`_symmetric_psd`), so changing
+    ``Q`` afterwards changes neither ``beta`` nor the map.  An exactly
     symmetric ``Q`` is applied with a one-triangle BLAS kernel (see
-    :func:`monosplit.spaces._matvec`) and exposed as ``_affine``; a ``Q``
-    symmetric only within ``PSD_TOL`` is applied as given, ``Q @ x - b``.
-    ``Q`` and ``b`` are kept by reference.
+    :func:`monosplit.spaces._matvec`) and its record exposed as ``_affine``;
+    any other as given, ``Q @ x - b``.  ``b`` is kept by reference.
     """
-    Q, certified = _symmetric_psd(Q)
-    dim = Q.shape[0]
+    certified = _symmetric_psd(Q)
+    dim = certified.Q.shape[0]
     lam_max = float(certified.eigs[-1])
     if lam_max <= 0.0:
         raise ValueError("Q must have a positive largest eigenvalue; "
                          "use zero_cocoercive for a vanishing forward map")
     b = np.zeros(dim) if b is None else as_vector(b, dim)
-    B = CocoerciveMap(_matvec(Q, certified.symmetric, b), 1.0 / lam_max, dim,
+    B = CocoerciveMap(_matvec(certified.Q, certified.symmetric, b), 1.0 / lam_max, dim,
                       label="affine-gradient")
-    B._affine = _AffineData(Q, b, certified) if certified.symmetric else None
+    B._affine = _AffineData(b, certified) if certified.symmetric else None
     return _mark_built(B)
 
 

@@ -75,8 +75,10 @@ def _block_plan(blocks):
     Consecutive blocks that carry the same row kernel form one run, each
     parameter stacked over the run; every other block is a run of one with
     ``kernel`` its ``resolve`` and ``params`` None.  Row kernels are looked
-    up by attribute, so wrappers that forward attribute access resolve
-    through the stacked path too.
+    up by attribute, so a wrapper that forwards attribute access is resolved
+    through the stacked path of the block it wraps, and a ``resolve`` of its
+    own is never called; a wrapper that hides ``_kernel`` is resolved through
+    its ``resolve``.
     """
     specs = [getattr(A, "_kernel", None) for A in blocks]
     plan = []

@@ -115,8 +115,10 @@ def _quadratic_value(Q, symmetric, b):
 def quadratic_function(Q, b=None):
     """``f(x) = x'Qx/2 - b'x`` for symmetric PSD ``Q``; prox solves
     ``(Id + gamma Q) z = x + gamma b`` with a factorization cached per gamma,
-    and the value applies ``Q`` as :func:`quadratic_smooth` does."""
-    Q, certified = _symmetric_psd(Q)
+    and the value applies ``Q`` as :func:`quadratic_smooth` does; both read
+    the read-only snapshot of ``Q``."""
+    certified = _symmetric_psd(Q)
+    Q = certified.Q
     dim = Q.shape[0]
     b = np.zeros(dim) if b is None else as_vector(b, dim)
     cache = _CachedAffineSolve(Q)
@@ -134,12 +136,14 @@ def zero_function(dim):
 def quadratic_smooth(Q, b=None):
     """``g(x) = x'Qx/2 - b'x`` with gradient ``Qx - b`` and ``L = lambda_max(Q)``.
 
-    The gradient and the value apply an exactly symmetric ``Q`` with a
-    one-triangle BLAS kernel (see :func:`monosplit.spaces._matvec`), and the
-    gradient exposes it as ``affine_gradient`` does; a ``Q`` symmetric only
-    within ``operators.PSD_TOL`` is applied as given.
+    The gradient and the value apply the read-only snapshot of ``Q`` as
+    ``affine_gradient`` does: an exactly symmetric one with a one-triangle
+    BLAS kernel (see :func:`monosplit.spaces._matvec`), exposed on the
+    gradient as there, and one symmetric only within ``operators.PSD_TOL``
+    as given.
     """
-    Q, certified = _symmetric_psd(Q)
+    certified = _symmetric_psd(Q)
+    Q = certified.Q
     dim = Q.shape[0]
     lam_max = float(certified.eigs[-1])
     if lam_max <= 0.0:
@@ -149,7 +153,7 @@ def quadratic_smooth(Q, b=None):
     symmetric = certified.symmetric
     g = SmoothFunction(_matvec(Q, symmetric, b), lam_max, dim,
                        value=_quadratic_value(Q, symmetric, b), label="quadratic")
-    g._affine = _AffineData(Q, b, certified) if symmetric else None
+    g._affine = _AffineData(b, certified) if symmetric else None
     return _mark_built(g)
 
 

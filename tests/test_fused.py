@@ -181,9 +181,12 @@ def test_a_matrix_changed_in_place_gets_its_own_product():
     assert C._affine.certified is not B._affine.certified
 
 
-def test_q_changed_before_its_first_fused_solve_is_refused():
-    # B's beta was certified for the content Q had when B was built, so the
-    # fused step checks that content before it builds K
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_q_changed_in_place_after_its_map_is_built_changes_nothing(when):
+    # B applies the snapshot of Q taken when it was built: beta, B(x) and the
+    # fused step keep the content beta was certified for, and the fused path
+    # and the unfused one solve the same problem, before or after the first
+    # fused solve
     rng = np.random.default_rng(13)
     dim = 7
     V = matrix_projector(random_subspace_matrix(rng, dim, 3))
@@ -191,24 +194,32 @@ def test_q_changed_before_its_first_fused_solve_is_refused():
     old = Q.copy()
     A = zero_operator(dim)
     B = affine_gradient(Q, b)
+    beta, x = B.beta, rng.standard_normal(dim)
+    Bx, S0 = B(x), build_S(B, V, B.beta)(x)
+    if when == "after":
+        fdr_solve(InclusionProblem(A, B, V), tol=1e-12)
     Q[...] = symmetric_spd(rng, dim)
-    for build in (lambda: fdr_solve(InclusionProblem(A, B, V)),
-                  lambda: build_S(B, V, B.beta)):
-        with pytest.raises(ValueError, match="^Q changed after its map was built; "
-                                             "rebuild the map$"):
-            build()
-    # a map of the old content shares B's record and solves the old problem
-    kept = fdr_solve(InclusionProblem(A, affine_gradient(old, b), V), tol=1e-12)
-    np.testing.assert_allclose(kept.x, kkt_solution(old, b, V), atol=1e-9)
+    assert B.beta == beta
+    np.testing.assert_array_equal(B(x), Bx)
+    np.testing.assert_array_equal(build_S(B, V, B.beta)(x), S0)
+    fused, plain = (fdr_solve(InclusionProblem(A, B, W), tol=1e-12)
+                    for W in (V, hidden(V)))
+    assert fused.status == plain.status == "converged"
+    assert relative_gap(fused.x, plain.x) <= 1e-10
+    np.testing.assert_allclose(fused.x, kkt_solution(old, b, V), atol=1e-9)
+    # a map built anew reads the new content
     rebuilt = fdr_solve(InclusionProblem(A, affine_gradient(Q, b), V), tol=1e-12)
     np.testing.assert_allclose(rebuilt.x, kkt_solution(Q, b, V), atol=1e-9)
 
 
-@pytest.mark.parametrize("dim", [362, 363])     # either side of the digest's split
+@pytest.mark.parametrize("dim", [362, 363])     # either side of the mapping size
 @pytest.mark.parametrize("where", ["first half", "second half", "last entry"])
-def test_q_changed_after_a_fused_solve_is_refused_for_another_projector(dim, where):
+def test_another_projector_fuses_the_certified_content(dim, where):
+    # Q changed after a fused solve: the K built for another projector comes
+    # from the snapshot, not from the changed array
     rng = np.random.default_rng(23)
     Q, b = symmetric_spd(rng, dim), rng.standard_normal(dim)
+    old = Q.copy()
     V, W = (matrix_projector(random_subspace_matrix(rng, dim, rank))
             for rank in (dim // 3, dim // 2))
     B = affine_gradient(Q, b)
@@ -216,9 +227,13 @@ def test_q_changed_after_a_fused_solve_is_refused_for_another_projector(dim, whe
     assert product(B) is not None
     k = {"first half": 1, "second half": dim - 2, "last entry": dim - 1}[where]
     Q[k, k] = np.nextafter(Q[k, k], np.inf)
-    with pytest.raises(ValueError, match="^Q changed after its map was built; "
-                                         "rebuild the map$"):
-        build_S(B, W, B.beta)
+    build_S(B, W, B.beta)
+    P = W._matrix
+    K = P @ (old @ P)
+    np.testing.assert_array_equal(product(B), 0.5 * (K + K.T))
+    # the old bits still name B's record; the new ones another
+    assert affine_gradient(old, b)._affine.certified is B._affine.certified
+    assert affine_gradient(Q, b)._affine.certified is not B._affine.certified
 
 
 def test_a_record_drops_its_product_with_the_projector():
@@ -252,14 +267,15 @@ def test_concurrent_fused_solves_build_each_product_once(monkeypatch):
     projectors = [matrix_projector(random_subspace_matrix(rng, dim, rank))
                   for rank in (10, 25)]
     A = normal_cone_box(-np.ones(dim), np.ones(dim))
-    digests = []
-    digest = operators._digest
+    products = []       # each K returned, held so that ids stay distinct
+    sandwich = operators._Certified.sandwich
 
-    def counted(M):
-        digests.append(M)
-        return digest(M)
+    def counted(record, P):
+        K = sandwich(record, P)
+        products.append(K)
+        return K
 
-    monkeypatch.setattr(operators, "_digest", counted)
+    monkeypatch.setattr(operators._Certified, "sandwich", counted)
     start_together = threading.Barrier(threads)
 
     def solve(V, B):
@@ -277,7 +293,8 @@ def test_concurrent_fused_solves_build_each_product_once(monkeypatch):
             for k, V in enumerate(projectors):
                 futures = [pool.submit(worker, V, B) for B in maps]
                 runs.append([f.result(timeout=120) for f in futures])
-                assert len(digests) == k + 1    # one K per (record, projector)
+                # one K per (record, projector)
+                assert len({id(K) for K in products}) == k + 1
     finally:
         sys.setswitchinterval(interval)
     for V, round_runs in zip(projectors, runs):

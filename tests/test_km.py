@@ -128,6 +128,16 @@ def test_error_schedule_bound_audit():
         lying.validate()
 
 
+@pytest.mark.parametrize("term, bound", [(np.nan, 1.0), (1.0, np.nan)],
+                         ids=["nan-term", "nan-bound"])
+def test_error_schedule_audit_refuses_nan(term, bound):
+    # a comparison with NaN is false either way round, so the audit asks for
+    # the norm to be within the bound rather than for it not to exceed it
+    sched = ErrorSchedule(lambda n: np.full(2, term), lambda n: bound, True, 2)
+    with pytest.raises(ValueError, match="exceeds the declared bound"):
+        sched.validate()
+
+
 def test_harmonic_errors_reject_zero_direction():
     with pytest.raises(ValueError, match="direction must be nonzero"):
         harmonic_errors(2, 0.1, direction=[0.0, 0.0])

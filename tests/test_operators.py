@@ -1,4 +1,5 @@
 import concurrent.futures
+import mmap
 import sys
 import threading
 
@@ -516,7 +517,7 @@ def test_zero_q_is_refused_on_every_call(eigvalsh_calls):
 def test_certified_eigenvalues_are_read_only(eigvalsh_calls, rng):
     Q = random_spd(rng, 5)
     for _ in range(2):       # a miss, then a hit
-        eigs = _symmetric_psd(Q)[1].eigs
+        eigs = _symmetric_psd(Q).eigs
         assert not eigs.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             eigs[0] = 0.0
@@ -568,24 +569,24 @@ def test_beta_from_a_hit_equals_a_cold_build(d, seed, low_rank, layout):
 
 
 # ---------------------------------------------------------------------------
-# the digest: taken once per build, in two halves from _SPLIT_BYTES on
+# the snapshot: a read-only copy of each certified Q, matched by exact bits
 # ---------------------------------------------------------------------------
 
-# the largest d whose d x d matrix is digested in one pass, and the smallest
-# split in two halves
+# the largest d whose snapshot is a plain copy, and the smallest whose
+# snapshot has a mapping of its own
 BELOW, ABOVE = 362, 363
 
 
 def test_split_dimensions_straddle_the_split_size():
-    assert 8 * BELOW**2 < operators._SPLIT_BYTES <= 8 * ABOVE**2
+    assert 8 * BELOW**2 < operators._MAPPED_BYTES <= 8 * ABOVE**2
 
 
 @pytest.mark.parametrize("d", [BELOW, ABOVE])
 def test_equal_entries_share_a_record_either_side_of_the_split(eigvalsh_calls, rng, d):
     Q = random_spd(rng, d)
-    record = _symmetric_psd(Q)[1]
+    record = _symmetric_psd(Q)
     for layout, Ql in matrix_layouts(Q).items():
-        assert _symmetric_psd(Ql)[1] is record, layout
+        assert _symmetric_psd(Ql) is record, layout
     assert len(eigvalsh_calls) == 1
 
 
@@ -593,12 +594,24 @@ def test_equal_entries_share_a_record_either_side_of_the_split(eigvalsh_calls, r
 @pytest.mark.parametrize("where", ["first half", "second half", "last entry"])
 def test_a_one_entry_change_misses_the_record(eigvalsh_calls, rng, d, where):
     Q = random_spd(rng, d)
-    record = _symmetric_psd(Q)[1]
+    record = _symmetric_psd(Q)
     # a diagonal entry one ulp larger keeps Q symmetric and definite
     k = {"first half": 1, "second half": d - 2, "last entry": d - 1}[where]
     Q[k, k] = np.nextafter(Q[k, k], np.inf)
-    changed = _symmetric_psd(Q)[1]
-    assert changed is not record and changed.key != record.key
+    changed = _symmetric_psd(Q)
+    assert changed is not record
+    assert changed.Q[k, k] == Q[k, k] != record.Q[k, k]
+    assert len(eigvalsh_calls) == 2
+
+
+def test_a_negative_zero_misses_the_record(eigvalsh_calls):
+    # -0.0 == 0.0 as values, but the match is by bits
+    Q = np.diag([1.0, 2.0, 3.0])
+    record = _symmetric_psd(Q)
+    Q[0, 1] = Q[1, 0] = -0.0
+    changed = _symmetric_psd(Q)
+    assert changed is not record
+    assert np.signbit(changed.Q[0, 1]) and not np.signbit(record.Q[0, 1])
     assert len(eigvalsh_calls) == 2
 
 
@@ -617,27 +630,43 @@ def test_non_finite_q_of_the_certified_shape_is_refused(eigvalsh_calls, rng, d, 
 
 
 @pytest.mark.parametrize("d", [8, ABOVE])
-def test_each_build_digests_q_once(eigvalsh_calls, monkeypatch, rng, d):
-    digests = []
-    digest = operators._digest
+def test_each_build_copies_q_on_a_miss_only(eigvalsh_calls, monkeypatch, rng, d):
+    copies = []
+    snapshot = operators._snapshot
 
     def counted(M):
-        digests.append(M)
-        return digest(M)
+        copies.append(M)
+        return snapshot(M)
 
-    monkeypatch.setattr(operators, "_digest", counted)
+    monkeypatch.setattr(operators, "_snapshot", counted)
     Q = random_spd(rng, d)
     for build in (affine_gradient, quadratic_smooth, quadratic_function):
         monkeypatch.setattr(operators, "_last", None)
-        for _ in range(2):      # a miss, then a hit
-            digests.clear()
+        for copied in (1, 0):      # a miss, then a hit
+            copies.clear()
             build(Q)
-            assert len(digests) == 1, build.__name__
+            assert len(copies) == copied, build.__name__
     assert len(eigvalsh_calls) == 3     # one miss per builder
 
 
-@pytest.mark.parametrize("d, threads", [(BELOW, 0), (ABOVE, 1)])
-def test_a_build_leaves_no_thread_running(eigvalsh_calls, monkeypatch, rng, d, threads):
+@pytest.mark.parametrize("d", [BELOW, ABOVE])
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_the_snapshot_is_read_only_in_the_callers_order(eigvalsh_calls, rng, d, layout):
+    Q = random_spd(rng, d)
+    Ql = matrix_layouts(Q)[layout]
+    snap = _symmetric_psd(Ql).Q
+    assert snap is not Ql and not np.shares_memory(snap, Ql)
+    assert not snap.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        snap[0, 0] = 0.0
+    np.testing.assert_array_equal(snap, Q)
+    # F stays F; C and a C-ordered strided view become C-contiguous
+    assert snap.flags.f_contiguous if layout == "F" else snap.flags.c_contiguous
+    assert isinstance(snap.base, mmap.mmap) == (d == ABOVE)
+
+
+@pytest.mark.parametrize("d", [BELOW, ABOVE])
+def test_a_build_starts_no_thread(eigvalsh_calls, monkeypatch, rng, d):
     started = []
 
     class Recorded(threading.Thread):
@@ -648,12 +677,10 @@ def test_a_build_leaves_no_thread_running(eigvalsh_calls, monkeypatch, rng, d, t
     monkeypatch.setattr(threading, "Thread", Recorded)
     Q = random_spd(rng, d)
     before = threading.active_count()
-    for _ in range(2):          # a miss, then a hit
-        started.clear()
-        affine_gradient(Q)
-        assert len(started) == threads
-        assert not any(t.is_alive() for t in started)
-        assert threading.active_count() == before
+    for build in (affine_gradient, quadratic_smooth, quadratic_function) * 2:
+        build(Q)                # a miss, then hits
+    assert started == []
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("d", [1, 2, 8, 33])
@@ -665,7 +692,7 @@ def test_eigenvalue_ends_are_the_extremes(d, rng):
     repeated = (U * np.repeat([3.0, 1.0], [d // 2, d - d // 2])) @ U.T
     for Q in (G @ G.T + np.eye(d), repeated, G @ G.T):
         Q = (Q + Q.T) / 2.0
-        eigs = _symmetric_psd(Q)[1].eigs
+        eigs = _symmetric_psd(Q).eigs
         assert eigs[0] == eigs.min() and eigs[-1] == eigs.max()
         assert affine_gradient(Q).beta == 1.0 / eigs.max()
         g = quadratic_smooth(Q)

@@ -151,6 +151,44 @@ def test_resolve_blocks_matches_per_block(layout, rng):
         assert A.calls == (0 if kind in KERNEL_KINDS else draws), kind
 
 
+class _ShiftedBlock:
+    """Forwards attribute access to a block, and resolves through its own
+    ``resolve``, which moves the block's result by 0.25."""
+
+    def __init__(self, target):
+        self.target = target
+
+    def __getattr__(self, name):
+        return getattr(self.target, name)
+
+    def resolve(self, gamma, x):
+        return self.target.resolve(gamma, x) + 0.25
+
+
+class _ShiftedKernelLessBlock(_ShiftedBlock):
+    _kernel = None
+
+
+@pytest.mark.parametrize("wrapper, shift, expected",
+                         [(_ShiftedBlock, 0.0, 0.0),
+                          (_ShiftedKernelLessBlock, 0.25, 1.25)],
+                         ids=["forwards-kernel", "hides-kernel"])
+def test_a_forwarded_row_kernel_is_used_over_the_wrappers_resolve(wrapper, shift,
+                                                                  expected):
+    # the block plan reads _kernel through the wrapper, by design, so that a
+    # proxy which forwards attributes takes the stacked path of the block it
+    # wraps; a wrapper that changes the resolvent is called only once it
+    # hides _kernel
+    box = normal_cone_box(np.zeros(2), np.ones(2))
+    prob = ProductProblem([wrapper(box), wrapper(box)])
+    S = np.array([[2.0, -1.0], [0.5, 0.5]])
+    np.testing.assert_array_equal(prob.resolve_blocks(np.ones(2), S),
+                                  np.clip(S, 0.0, 1.0) + shift)
+    run = sum_splitting_solve(prob, tol=1e-12)
+    assert run.status == "converged"
+    np.testing.assert_allclose(run.final, [expected, expected], atol=1e-12)
+
+
 def test_lifted_forward_map_preserves_diagonal(rng):
     # applying the lifted map to a lifted point lifts the base image, so the
     # diagonal is invariant and the cocoercivity constant carries over
