@@ -6,13 +6,17 @@ and describing the operators, schedules, initialization and stopping rule
 from the built-in constructors (field-by-field schema in the README).  One
 row per algorithm (``_ALGORITHMS``) declares its top-level fields, and one
 vocabulary table (family -> kind -> constructor and fields) those of every
-descriptor; every admissible range is checked by the library's own
-validators.  A field set to JSON null is a missing field: an optional one
-takes its default and a required one is reported missing.  A key that no
-row or kind declares is an unknown field and makes the spec invalid (exit
-64), unless it is null: a null key is a missing one, known or not.  All
-validation errors are collected and reported together, each citing the
-admissible range it violates, before any iteration runs.
+descriptor.  Each field is checked by its constructor as it is read; the
+ranges that cross fields come from the private plan of the algorithm's
+solver, which checks what the solver itself checks and collects every
+refusal, each reported under its spec field (``_FIELDS``), and a valid
+spec's launch runs that plan with no second check.  A field set to JSON
+null is a missing field: an optional one takes its default and a required
+one is reported missing.  A key that no row or kind declares is an unknown
+field and makes the spec invalid (exit 64), unless it is null: a null key
+is a missing one, known or not.  All validation errors are collected and
+reported together, each citing the admissible range it violates, before
+any iteration runs.
 
 Output: a CSV with the fixed columns ``n,lambda,residual,dx,dy,objective``
 (one row per logged iteration) and a summary line on stdout.  Sequential
@@ -312,13 +316,8 @@ def _list_of(read, what):
 
 
 def _schedule(desc, dim, errors, path):
-    """Error schedule (None when null), audited for summability."""
-    if desc is None:
-        return None
-    sched = _build("error-schedule", desc, dim, errors, path)
-    if sched is not None:
-        _check(errors, path, sched.validate)
-    return sched
+    """Error schedule, None when null; the solver's plan audits it."""
+    return None if desc is None else _build("error-schedule", desc, dim, errors, path)
 
 
 def _km_operator(desc, dim, errors, path):
@@ -396,127 +395,105 @@ def _blocks(value, shape, errors, path):
     return v
 
 
-def _forward_ranges(B, gamma, relax, errors, closed=False):
-    """``gamma`` in ]0, 2 beta[ (default beta), then the relaxations in
-    ]0, 1/alpha[, or in [epsilon, 1] for the partial-inverse forms."""
-    if B is None:
-        return
-    g = B.beta if gamma is None else gamma
-    if _check(errors, "gamma", fdr.check_gamma, g, B.beta) is None or relax is None:
-        return
-    if closed:
-        _check(errors, "lambda", relax.validate_closed, fpi.EPSILON, 1.0)
-    else:
-        _check(errors, "lambda", relax.validate_open, fdr.averagedness(g, B.beta))
-
-
 # ---------------------------------------------------------------------------
 # algorithms: a builder takes the row's fields ``v`` (a dict), the ``init``
-# descriptor, the dimension, the error list and the row's solver; it checks
-# what crosses fields, reads the start and returns ``launch(seed, **stop)``
+# descriptor, the dimension and the error list; it reads the start, plans
+# its solver on the fields, each refusal of the plan recorded under its
+# field, and returns ``launch(seed, **stop)``, which runs the plan
 # ---------------------------------------------------------------------------
 
-def _build_fdr(v, init, dim, errors, solve):
+# the spec field of each parameter that a plan refuses, where the two names
+# differ; an indexed parameter, such as ``b_errors[1]``, keeps its index
+_FIELDS = {"relaxation": "lambda", "steps": "delta", "a_errors": "errors.a",
+           "b_errors": "errors.b", "b1_errors": "errors.b1", "b2_errors": "errors.b2",
+           "x0": "init.x", "y0": "init.y"}
+
+
+def _plan(plan, errors):
+    """The run of a solver's ``plan``, a ``(run, refusals)`` pair, with each
+    refusal recorded in ``errors`` under its spec field."""
+    run, refusals = plan
+    for parameter, e in refusals:
+        name, bracket, index = parameter.partition("[")
+        errors.append(f"{_FIELDS.get(name, name)}{bracket}{index}: {e}")
+    return run
+
+
+def _build_fdr(v, init, dim, errors):
     """fdr, and variational: FDR on the prox of ``f`` and the gradient of ``g``."""
     V, g = v["subspace"], v.get("g")
     B = v["B"] if "B" in v else (None if g is None else g.as_cocoercive())
     start = _init(init, (dim,), ("z",), errors)
-    _forward_ranges(B, v["gamma"], v["lambda"], errors)
+    run = _plan(fdr._fdr_plan(B, v["gamma"], v["lambda"], v["errors"]["a"],
+                              v["errors"]["b"], dim, None if V is None else V.inner.norm),
+                errors)
     if errors:
         return None
-    args = (v["f"], g, V) if "g" in v else (fdr.InclusionProblem(v["A"], B, V),)
-    return lambda seed, **stop: solve(
-        *args, gamma=v["gamma"], relaxation=v["lambda"], a_errors=v["errors"]["a"],
-        b_errors=v["errors"]["b"], z0=start(seed), **stop)
+    prob, objective = (variational._problem(v["f"], g, V) if "g" in v
+                       else (fdr.InclusionProblem(v["A"], B, V), None))
+    return lambda seed, **stop: run(prob, start(seed), objective=objective, **stop)
 
 
-def _build_fpi(v, init, dim, errors, solve):
+def _build_fpi(v, init, dim, errors):
     """fpi, which declares ``delta``, and fpi-explicit, its closed form for
-    delta = 1."""
-    V, B, gamma, relax = v["subspace"], v["B"], v["gamma"], v["lambda"]
-    x_start = _init(init, (dim,), ("x",), errors, ("y",))
+    delta = 1.  The plan checks a ``value`` start, which it then runs from."""
+    V, B = v["subspace"], v["B"]
+    start = _init(init, (dim,), ("x",), errors, ("y",))
     kind = init.get("kind") if isinstance(init, dict) else None
-    y0 = _field(init, "y", "vec?", dim, errors, "init") if kind == "value" else None
-    if kind == "random" and V is not None and x_start is not None:
-        draw = x_start  # a random start must still lie in the subspace
-        x_start = lambda seed: V(draw(seed))
-    if kind == "value" and V is not None:
-        x0 = None if x_start is None else x_start(None)  # a value ignores the seed
-        _check(errors, "init.x", fpi._start, V, x0, None)
-        _check(errors, "init.y", fpi._start, V, None, y0)
-    if "delta" not in v:
-        _forward_ranges(B, gamma, relax, errors, closed=True)
-    else:
-        steps = v["delta"]
-        gamma_ok = gamma is None or _check(errors, "gamma", fdr._check_finite_gamma, gamma)
-        if relax is not None:
-            _check(errors, "lambda", relax.validate_closed, fpi.EPSILON, 1.0)
-        if steps is not None and B is not None and gamma_ok:
-            g = B.beta if gamma is None else gamma
-            _check(errors, "delta", steps.validate, g, B.beta)
-            if steps.constant_value != 1.0:
-                errors.append("delta: the harness only runs the built-in delta = 1 "
-                              "closed form; varying steps need the library oracle API")
+    x0 = y0 = None
+    if kind == "value":
+        y0 = _field(init, "y", "vec?", dim, errors, "init")
+        x0 = None if start is None else start(None)  # a value ignores the seed
+    run = _plan(fpi._fpi_plan(B, v["gamma"], v.get("delta"), v["lambda"], None, V, x0, y0,
+                              explicit="delta" not in v), errors)
     if errors:
         return None
     prob = fdr.InclusionProblem(v["A"], B, V)
-    kw = {"steps": v["delta"]} if "delta" in v else {}
-    return lambda seed, **stop: solve(prob, gamma=gamma, relaxation=relax,
-                                      x0=x_start(seed), y0=y0, **kw, **stop)
+    if kind != "random":
+        return lambda seed, **stop: run(prob, **stop)
+    # a random start must still lie in the subspace
+    return lambda seed, **stop: run(prob, x=V(start(seed)), **stop)
 
 
-def _build_km(v, init, dim, errors, solve):
-    ops, relax, schedules = v["ops"], v["lambda"], v["errors"]
+def _build_km(v, init, dim, errors):
+    ops = v["ops"]
     start = _init(init, (dim,), ("z",), errors)
-    if ops is not None and schedules is not None and len(schedules) != len(ops):
-        errors.append(f"errors: expected a list of {len(ops)} schedules")
-    if ops is not None and None not in ops and relax is not None:
-        alpha = km.composed_alpha([T.alpha for T in ops])
-        _check(errors, "lambda", relax.validate_open, alpha)
+    alphas = None if ops is None or None in ops else [T.alpha for T in ops]
+    run = _plan(km._km_plan(alphas, v["lambda"], v["errors"], dim), errors)
     if errors:
         return None
-    return lambda seed, **stop: solve(ops, relaxation=relax, errors=schedules,
-                                      z0=start(seed), **stop)
+    return lambda seed, **stop: run(ops, start(seed), **stop)
 
 
-def _build_product(v, init, dim, errors, solve):
+def _build_product(v, init, dim, errors):
     """product, which declares ``errors`` and runs on one block per operator,
     and pi-sum, its partial-inverse form on the base space."""
-    blocks, lifted = v["blocks"], "errors" in v
-    _forward_ranges(v["B"], v["gamma"], v["lambda"], errors, closed=not lifted)
+    blocks, B, weights, lifted = v["blocks"], v["B"], v["weights"], "errors" in v
+    # the block count is missing to the plan while any weight is
+    m = None if blocks is None or weights is not None and None in weights else len(blocks)
+    schedules = v.get("errors", {})
+    run = _plan(productspace._sum_plan(
+        B, m, weights, v["gamma"], v["lambda"], schedules.get("a"),
+        schedules.get("b"), dim, closed=not lifted), errors)
     if blocks is None:
         return None
-    b_errors = v["errors"]["b"] if lifted else None
-    if b_errors is not None and len(b_errors) != len(blocks):
-        errors.append(f"errors.b: expected a list of {len(blocks)} schedules")
     start = _init(init, (len(blocks), dim) if lifted else (dim,),
                   ("z",) if lifted else ("x",), errors)
     if errors:
         return None
-    prob = _check(errors, "weights", productspace.ProductProblem, blocks, v["B"],
-                  v["weights"])
-    if prob is None:
-        return None
-    if not lifted:
-        return lambda seed, **stop: solve(prob, gamma=v["gamma"], relaxation=v["lambda"],
-                                          x0=start(seed), **stop)
-    return lambda seed, **stop: solve(
-        prob, gamma=v["gamma"], relaxation=v["lambda"], a_errors=v["errors"]["a"],
-        b_errors=b_errors, z0=start(seed), **stop)
+    prob = productspace.ProductProblem(blocks, B, weights)
+    if lifted:
+        return lambda seed, **stop: run(prob, start(seed), **stop)
+    return lambda seed, **stop: run(prob, start(seed), np.zeros((prob.m, dim)), **stop)
 
 
-def _build_dr2(v, init, dim, errors, solve):
-    gamma, relax = v["gamma"], v["lambda"]
+def _build_dr2(v, init, dim, errors):
     start = _init(init, (2, dim), ("z1", "z2"), errors)
-    if gamma is not None:
-        _check(errors, "gamma", fdr._check_finite_gamma, gamma)
-    if relax is not None:
-        _check(errors, "lambda", productspace.dr2_relaxation, relax)
+    run = _plan(productspace._dr2_plan(v["gamma"], v["lambda"], v["errors"]["b1"],
+                                       v["errors"]["b2"], dim), errors)
     if errors:
         return None
-    return lambda seed, **stop: solve(
-        v["A1"], v["A2"], gamma=gamma, relaxation=relax, b1_errors=v["errors"]["b1"],
-        b2_errors=v["errors"]["b2"], z0=start(seed), **stop)
+    return lambda seed, **stop: run(v["A1"], v["A2"], start(seed), **stop)
 
 
 _B = ("B", ("forward-map", {"kind": "zero", "beta": 1.0}))
@@ -527,29 +504,24 @@ _SCHEDULE = (_schedule, None)
 _SCHEDULES = (_list_of(_schedule, "schedules"), None)
 _ERRORS = ("errors", ([("a", _SCHEDULE), ("b", _SCHEDULE)], {}))
 _BLOCKS = ("blocks", _list_of(partial(_build, "operator"), "operator descriptors"))
-_WEIGHTS = ("weights", (_list_of(_num, "weights"), None))  # counted by ProductProblem
+_WEIGHTS = ("weights", (_list_of(_num, "weights"), None))  # counted by the plan
 
-# One row per algorithm: its top-level fields, its builder and its solver.
+# One row per algorithm: its top-level fields and its builder.
 # Every algorithm also takes the fields of ``_COMMON`` and an ``init``, which
 # its builder reads; a spec may hold no other top-level key.
 _ALGORITHMS = {
-    "fdr": (_INCLUSION + [_ERRORS], _build_fdr, fdr.fdr_solve),
-    "fpi": (_INCLUSION + [("delta", ("step", fpi.constant_steps(1.0)))], _build_fpi,
-            fpi.fpi_solve),
-    "fpi-explicit": (_INCLUSION, _build_fpi, fpi.fpi_explicit_solve),
+    "fdr": (_INCLUSION + [_ERRORS], _build_fdr),
+    "fpi": (_INCLUSION + [("delta", ("step", fpi.constant_steps(1.0)))], _build_fpi),
+    "fpi-explicit": (_INCLUSION, _build_fpi),
     "km": ([("ops", _list_of(_km_operator, "operator descriptors")), _LAMBDA,
-            ("errors", _SCHEDULES)], _build_km, km.km_solve),
+            ("errors", _SCHEDULES)], _build_km),
     "product": ([_BLOCKS, _B, _WEIGHTS, _GAMMA, _LAMBDA,
-                 ("errors", ([("a", _SCHEDULE), ("b", _SCHEDULES)], {}))],
-                _build_product, productspace.sum_splitting_solve),
+                 ("errors", ([("a", _SCHEDULE), ("b", _SCHEDULES)], {}))], _build_product),
     "dr2": ([("A1", "operator"), ("A2", "operator"), ("gamma", 1.0), _LAMBDA,
-             ("errors", ([("b1", _SCHEDULE), ("b2", _SCHEDULE)], {}))],
-            _build_dr2, productspace.parallel_dr2),
+             ("errors", ([("b1", _SCHEDULE), ("b2", _SCHEDULE)], {}))], _build_dr2),
     "variational": ([("subspace", "subspace"), ("f", "prox"), ("g", "smooth"), _GAMMA,
-                     _LAMBDA, _ERRORS],
-                    _build_fdr, variational.min_over_subspace),
-    "pi-sum": ([_BLOCKS, _B, _WEIGHTS, _GAMMA, _LAMBDA], _build_product,
-               productspace.sum_splitting_pi),
+                     _LAMBDA, _ERRORS], _build_fdr),
+    "pi-sum": ([_BLOCKS, _B, _WEIGHTS, _GAMMA, _LAMBDA], _build_product),
 }
 ALGORITHMS = tuple(_ALGORITHMS)
 _COMMON = [("stop", ([("tol", km.DEFAULT_TOL),
@@ -593,13 +565,13 @@ def parse_spec(text, overrides=None):
                       f"known algorithms: {', '.join(ALGORITHMS)}")
         raise SpecValidationError(errors)
 
-    fields, build, solve = _ALGORITHMS[algorithm]
+    fields, build = _ALGORITHMS[algorithm]
     common = _read(data, _COMMON, None, errors, known=(
         "schema_version", "algorithm", *(key for key, _ in fields), "init"))
     dim = common["dim"]
     launch = None if dim is None else build(
         {key: _field(data, key, how, dim, errors) for key, how in fields},
-        data.get("init"), dim, errors, solve)
+        data.get("init"), dim, errors)
     if errors:
         raise SpecValidationError(errors)
     stop = common["stop"]

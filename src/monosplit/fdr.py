@@ -15,11 +15,12 @@ and the primal-dual pair is read off the fixed point ``z`` of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, _bind, _iterate, as_relaxation,
-                 check_errors)
+from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, _bind, _check_schedule, _iterate,
+                 _planned, _refuse, as_relaxation)
 from .operators import AveragedOperator, _check_finite_gamma
 from .spaces import _mark_built, _matvec, as_vector
 
@@ -204,26 +205,50 @@ def fdr_solve(prob, gamma=None, relaxation=1.0, a_errors=None, b_errors=None,
         ``membership_violation`` the relative distances of the returned
         ``x`` to V and ``y`` to its complement.
     """
-    dim = prob.dim
-    gamma = prob.beta if gamma is None else float(gamma)
-    check_gamma(gamma, prob.beta)
-    lam_at = as_relaxation(relaxation).validate_open(averagedness(gamma, prob.beta))
-    check_errors([a_errors, b_errors], dim, prob.V.inner.norm)
-    z = np.zeros(dim) if z0 is None else as_vector(z0, dim).copy()
-    return _fdr_run(prob, gamma, lam_at, z, tol, max_iters, log_every, trace,
-                    objective, a_errors, b_errors)
+    run = _planned(*_fdr_plan(prob.B, gamma, relaxation, a_errors, b_errors,
+                              prob.dim, prob.V.inner.norm))
+    z = np.zeros(prob.dim) if z0 is None else as_vector(z0, prob.dim).copy()
+    return run(prob, z, tol, max_iters, log_every, trace, objective)
 
 
-def _fdr_run(prob, gamma, lam_at, z, tol, max_iters, log_every, trace,
-             objective=None, a_errors=None, b_errors=None):
-    """The iteration of :func:`fdr_solve` from ``z``, with ``gamma``, the
-    relaxations ``lam_at`` and the error schedules already checked.  An
+def _ranges(refusals, B, gamma, relaxation, closed=None):
+    """``gamma`` (``beta`` of ``B`` when None) checked in ``]0, 2 beta[``,
+    and the relaxations in ``]0, 1/alpha[``, or in the interval ``closed``:
+    each None when missing or refused (see :func:`monosplit.km._refuse`)."""
+    lam_at = None
+    gamma = None if B is None else _refuse(
+        refusals, "gamma", check_gamma, B.beta if gamma is None else float(gamma), B.beta)
+    if relaxation is not None and closed:
+        lam_at = _refuse(refusals, "relaxation",
+                         lambda: as_relaxation(relaxation).validate_closed(*closed))
+    elif relaxation is not None and gamma is not None:
+        lam_at = _refuse(refusals, "relaxation", lambda: as_relaxation(
+            relaxation).validate_open(averagedness(gamma, B.beta)))
+    return gamma, lam_at
+
+
+def _fdr_plan(B, gamma=None, relaxation=1.0, a_errors=None, b_errors=None,
+              dim=None, norm=None):
+    """:func:`fdr_solve`'s plan for the forward map ``B``, of which it reads
+    ``beta`` alone: ``(run, refusals)`` with ``run(prob, z, tol, max_iters,
+    log_every, trace, objective)`` (see :func:`monosplit.km._refuse`)."""
+    refusals = []
+    gamma, lam_at = _ranges(refusals, B, gamma, relaxation)
+    for name, e in (("a_errors", a_errors), ("b_errors", b_errors)):
+        _refuse(refusals, name, _check_schedule, e, dim, norm)
+    return partial(_fdr_run, gamma=gamma, lam_at=lam_at, a_errors=a_errors,
+                   b_errors=b_errors), refusals
+
+
+def _fdr_run(prob, z, tol, max_iters, log_every, trace=False, objective=None, *,
+             gamma, lam_at, a_errors=None, b_errors=None):
+    """:func:`fdr_solve`'s iteration from ``z`` on checked parameters; an
     affine ``B`` and a matrix ``V`` take ``P_V B x`` fused (see
     :func:`_fused_forward`)."""
     A, B, V = prob.A, prob.B, prob.V
     inner = V.inner
     fused = _fused_forward(B, V)
-    project, apply_B, resolve = _bind((V, B, A.resolve), [gamma], (a_errors, b_errors))
+    project, apply_B, resolve = _bind((V, B, A.resolve), (a_errors, b_errors))
 
     def step(n, z):
         x = project(z)

@@ -21,11 +21,13 @@ recursion on the traces of :func:`fpi_explicit_solve`.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, ScalarSchedule, _bind,
-                 _constant_schedule, _iterate, as_relaxation)
-from .fdr import _fdr_run, _primal_dual_result, check_gamma
+                 _constant_schedule, _iterate, _planned, _refuse, as_relaxation)
+from .fdr import _fdr_run, _primal_dual_result, _ranges
 from .operators import _check_finite_gamma
 from .spaces import as_vector
 
@@ -77,21 +79,55 @@ def constant_steps(value):
     return _constant_schedule(StepSchedule, value)
 
 
-def _start(V, x0, y0):
-    """The starting pair, each point the origin when not given; a given
-    ``x0`` outside V or ``y0`` outside its complement is rejected."""
-    dim, inner = V.dim, V.inner
-    x = np.zeros(dim) if x0 is None else as_vector(x0, dim)
-    y = np.zeros(dim) if y0 is None else as_vector(y0, dim)
-    if x0 is not None:
-        vx = inner.norm(x - V(x))
-        if vx > 1e-9 * (1.0 + inner.norm(x)):
-            raise ValueError(f"x0 must lie in the subspace (violation {vx:.3e})")
-    if y0 is not None:
-        vy = inner.norm(V(y))
-        if vy > 1e-9 * (1.0 + inner.norm(y)):
-            raise ValueError(f"y0 must lie in the orthogonal complement (violation {vy:.3e})")
-    return x, y
+def _start(V, point, complement=False):
+    """``point`` as a vector of V's space, the origin when None; a given
+    point must lie in V (``x0``), or with ``complement`` in its orthogonal
+    complement (``y0``)."""
+    if point is None:
+        return np.zeros(V.dim)
+    p = as_vector(point, V.dim)
+    violation = V.inner.norm(V(p) if complement else p - V(p))
+    if violation > 1e-9 * (1.0 + V.inner.norm(p)):
+        where = ("y0 must lie in the orthogonal complement" if complement
+                 else "x0 must lie in the subspace")
+        raise ValueError(f"{where} (violation {violation:.3e})")
+    return p
+
+
+def _fpi_plan(B, gamma=None, steps=1.0, relaxation=1.0, oracle=None, V=None,
+              x0=None, y0=None, explicit=False):
+    """:func:`fpi_solve`'s plan for the forward map ``B``, of which it reads
+    ``beta`` alone, or with ``explicit`` that of :func:`fpi_explicit_solve`,
+    which checks ``gamma`` in ``]0, 2 beta[`` and takes no ``steps``:
+    ``(run, refusals)`` with ``run(prob, tol, max_iters, log_every, trace)``
+    from the checked starts in ``V``, or from the ``x`` it is given (see
+    :func:`monosplit.km._refuse`)."""
+    refusals, delta_at, beta = [], None, None if B is None else B.beta
+    if explicit:
+        gamma, steps = _ranges(refusals, B, gamma, None)[0], None
+    elif beta is not None or gamma is not None:
+        gamma = _refuse(refusals, "gamma", _check_finite_gamma,
+                        beta if gamma is None else gamma)
+    if steps is not None:
+        steps = _refuse(refusals, "steps", lambda: steps if isinstance(
+            steps, StepSchedule) else constant_steps(steps))
+    if steps is not None and gamma is not None and beta is not None:
+        delta_at = _refuse(refusals, "steps", steps.validate, gamma, beta)
+        steps = steps if delta_at else None
+    if oracle is None and steps is not None and steps.constant_value != 1.0:
+        refusals.append(("steps", ValueError(
+            "varying or non-unit step schedules require a user oracle; "
+            "the built-in closed form covers delta = 1 only")))
+    lam_at = None if relaxation is None else _refuse(
+        refusals, "relaxation",
+        lambda: as_relaxation(relaxation).validate_closed(EPSILON, 1.0))
+    x = y = None
+    if V is not None:
+        x = _refuse(refusals, "x0", _start, V, x0)
+        y = _refuse(refusals, "y0", _start, V, y0, True)
+    run = _explicit_run if oracle is None else partial(_oracle_run, delta_at=delta_at,
+                                                        oracle=oracle)
+    return partial(run, x=x, y=y, gamma=gamma, lam_at=lam_at), refusals
 
 
 def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
@@ -129,22 +165,16 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
     -------
     PrimalDualResult
     """
+    run = _planned(*_fpi_plan(prob.B, gamma, steps, relaxation, oracle, prob.V, x0, y0))
+    return run(prob, tol, max_iters, log_every, trace)
+
+
+def _oracle_run(prob, tol, max_iters, log_every, trace=False, *, x, y, gamma,
+                lam_at, delta_at, oracle):
+    """:func:`fpi_solve`'s iteration with a user ``oracle`` from the pair
+    ``(x, y)`` on checked parameters."""
     A, B, V = prob.A, prob.B, prob.V
     inner = V.inner
-    beta = prob.beta
-    gamma = _check_finite_gamma(beta if gamma is None else gamma)
-    step_sched = steps if isinstance(steps, StepSchedule) else constant_steps(steps)
-    delta_at = step_sched.validate(gamma, beta)
-    if oracle is None:
-        if step_sched.constant_value != 1.0:
-            raise ValueError(
-                "varying or non-unit step schedules require a user oracle; "
-                "the built-in closed form covers delta = 1 only"
-            )
-        return fpi_explicit_solve(prob, gamma=gamma, relaxation=relaxation,
-                                  x0=x0, y0=y0, tol=tol, max_iters=max_iters,
-                                  log_every=log_every, trace=trace)
-    lam_at = as_relaxation(relaxation).validate_closed(EPSILON, 1.0)
     # the oracle's pair is user data: V and A see it through their public calls
     project, apply_B = _bind((V, B))
 
@@ -170,8 +200,8 @@ def fpi_solve(prob, gamma=None, steps=1.0, relaxation=1.0, oracle=None,
         residual = float(np.sqrt(inner.norm(rx) ** 2 + (gamma * inner.norm(ry)) ** 2))
         return residual, x, y, np.stack((rx, ry))
 
-    run = _iterate(np.stack(_start(V, x0, y0)), step, lam_at, tol, max_iters,
-                   log_every, trace, inner.norm, log_dy=True)
+    run = _iterate(np.stack((x, y)), step, lam_at, tol, max_iters, log_every, trace,
+                   inner.norm, log_dy=True)
     return _primal_dual_result(V, run)
 
 
@@ -196,9 +226,13 @@ def fpi_explicit_solve(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
     With ``V`` the whole space this collapses to the forward-backward
     iteration ``x_{n+1} = x_n + lambda_n (J_{gamma A}(x_n - gamma B x_n) - x_n)``.
     """
-    gamma = prob.beta if gamma is None else float(gamma)
-    check_gamma(gamma, prob.beta)
-    lam_at = as_relaxation(relaxation).validate_closed(EPSILON, 1.0)
-    x, y = _start(prob.V, x0, y0)
-    return _fdr_run(prob, gamma, lam_at, x - gamma * y, tol, max_iters,
-                    log_every, trace)
+    run = _planned(*_fpi_plan(prob.B, gamma, None, relaxation, None, prob.V, x0, y0,
+                              explicit=True))
+    return run(prob, tol, max_iters, log_every, trace)
+
+
+def _explicit_run(prob, tol, max_iters, log_every, trace=False, *, x, y, gamma, lam_at):
+    """:func:`fpi_explicit_solve`'s run from the pair ``(x, y)``: the FDR
+    iteration from ``z_0 = x - gamma y``."""
+    return _fdr_run(prob, x - gamma * y, tol, max_iters, log_every, trace,
+                    gamma=gamma, lam_at=lam_at)

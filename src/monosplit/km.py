@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .operators import (AveragedOperator, CocoerciveMap, ResolventFamily,
-                        _check_finite_gamma)
+from .operators import AveragedOperator, CocoerciveMap, ResolventFamily
 from .spaces import InnerProduct, SubspaceProjector, as_vector
 
 __all__ = [
@@ -245,15 +245,32 @@ class ErrorSchedule:
                 )
 
 
-def check_errors(schedules, dim, norm=None):
-    """Reject any schedule of ``schedules`` (None entries are skipped) that
-    does not live in ``R^dim`` or fails :meth:`ErrorSchedule.validate` under
-    ``norm``."""
-    for e in schedules:
-        if e is not None:
-            if e.dim != dim:
-                raise ValueError("error schedule dimension mismatch")
-            e.validate(norm=norm)
+def _refuse(refusals, parameter, check, *args):
+    """``check(*args)``, or None once its ``ValueError`` (or an arithmetic
+    error) is kept in ``refusals`` as ``(parameter, error)``.  A solver's plan
+    checks its parameters so, in the order the solver refuses them, and
+    skips a check whose input is refused or missing (None): the solver
+    raises the first refusal (:func:`_planned`), the CLI reports them all."""
+    try:
+        return check(*args)
+    except (ValueError, ArithmeticError) as e:
+        refusals.append((parameter, e))
+
+
+def _planned(run, refusals):
+    """A plan's ``run``, unless it met a refusal: then the first is raised."""
+    if refusals:
+        raise refusals[0][1]
+    return run
+
+
+def _check_schedule(e, dim, norm=None):
+    """Reject an error schedule ``e`` (None passes) that does not live in
+    ``R^dim`` or fails :meth:`ErrorSchedule.validate` under ``norm``."""
+    if e is not None and e.dim != dim:
+        raise ValueError("error schedule dimension mismatch")
+    if e is not None:
+        e.validate(norm=norm)
 
 
 def _mark_scaled(schedule):
@@ -360,14 +377,15 @@ _KERNELS = {SubspaceProjector.__call__: "_apply", CocoerciveMap.__call__: "_func
             AveragedOperator.__call__: "_func", ResolventFamily.resolve: "_resolve"}
 
 
-def _bind(entries, gammas=(), errors=()):
+def _bind(entries, errors=()):
     """What a solve calls for ``entries``, the public entry points of its
     objects (a map, or a family's ``resolve``), each found on the class.
     If each is a library class's own, on an object the library built (see
     :func:`monosplit.spaces._mark_built`), and each of ``errors`` is None or
-    built in, every argument comes from the loop, of the right shape: the
-    entries give way to their unchecked kernels (``_KERNELS``) once the
-    resolvent parameters ``gammas`` are checked.  Otherwise they stay."""
+    built in, every argument comes from the loop, of the right shape, and
+    every resolvent parameter was checked by the solver's plan: the entries
+    give way to their unchecked kernels (``_KERNELS``).  Otherwise they
+    stay."""
     objs = [getattr(f, "__self__", f) for f in entries]
     names = [_KERNELS.get(getattr(f, "__func__", None) or type(f).__call__)
              for f in entries]
@@ -375,8 +393,6 @@ def _bind(entries, gammas=(), errors=()):
             and all(e is None or type(e) is ErrorSchedule
                     and e._scaled == (e.generator, e.bound) for e in errors)):
         return list(entries)
-    for gamma in gammas:
-        _check_finite_gamma(gamma, "resolvent parameter")
     return [getattr(obj, name) for obj, name in zip(objs, names)]
 
 
@@ -482,21 +498,36 @@ def km_solve(ops, relaxation=1.0, errors=None, z0=None, tol=DEFAULT_TOL,
     for T in ops:
         if T.dim != dim:
             raise ValueError("all operators must share the same dimension")
-    m = len(ops)
+    run = _planned(*_km_plan([T.alpha for T in ops], relaxation, errors, dim, inner))
+    z = np.zeros(dim) if z0 is None else as_vector(z0, dim).copy()
+    return run(ops, z, tol, max_iters, log_every, trace)
 
-    alpha = composed_alpha([T.alpha for T in ops])
-    lam_at = as_relaxation(relaxation).validate_open(alpha)
 
-    if errors is None:
-        errors = [None] * m
-    else:
-        errors = list(errors)
-        if len(errors) != m:
-            raise ValueError(f"expected {m} error schedules, got {len(errors)}")
+def _km_plan(alphas, relaxation=1.0, errors=None, dim=None, inner=None):
+    """:func:`km_solve`'s plan on operators of averagedness ``alphas``:
+    ``(run, refusals)`` with ``run(ops, z, tol, max_iters, log_every, trace)``
+    (see :func:`_refuse`)."""
+    refusals, lam_at = [], None
+    alpha = None if alphas is None else _refuse(refusals, "ops", composed_alpha, alphas)
+    if alpha is not None and relaxation is not None:
+        lam_at = _refuse(refusals, "relaxation",
+                         lambda: as_relaxation(relaxation).validate_open(alpha))
+    errors = [None] * len(alphas or ()) if errors is None else list(errors)
+    if alphas is not None and len(errors) != len(alphas):
+        refusals.append(("errors", ValueError(
+            f"expected {len(alphas)} error schedules, got {len(errors)}")))
     inner = InnerProduct(dim) if inner is None else inner
     if getattr(inner, "dim", dim) != dim:  # a duck-typed product may omit dim
-        raise ValueError("inner product dimension does not match the operators")
-    check_errors(errors, dim, inner.norm)
+        refusals.append(("inner", ValueError(
+            "inner product dimension does not match the operators")))
+    for i, e in enumerate(errors):
+        _refuse(refusals, f"errors[{i}]", _check_schedule, e, dim, inner.norm)
+    return partial(_km_run, lam_at=lam_at, errors=errors, inner=inner), refusals
+
+
+def _km_run(ops, z, tol, max_iters, log_every, trace=False, *, lam_at, errors, inner):
+    """:func:`km_solve`'s iteration from ``z`` on checked parameters."""
+    m = len(ops)
     apply = _bind(ops, errors=errors)
 
     def step(n, z):
@@ -516,8 +547,6 @@ def km_solve(ops, relaxation=1.0, errors=None, z0=None, tol=DEFAULT_TOL,
         d_clean = d if v is None else v - z
         return inner.norm(d_clean), z, None, d
 
-    z = np.zeros(dim) if z0 is None else as_vector(z0, dim).copy()
     run = _iterate(z, step, lam_at, tol, max_iters, log_every, trace, inner.norm)
     return SolveResult(final=run.x, status=run.status, iterations=run.iterations,
                        history=run.history, trace=run.trace)
-

@@ -20,14 +20,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import groupby
 
 import numpy as np
 
-from .fdr import averagedness, check_gamma
+from .fdr import _ranges
 from .fpi import EPSILON
-from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, _bind, _iterate, as_relaxation,
-                 check_errors)
+from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, _bind, _check_schedule, _iterate,
+                 _planned, _refuse, as_relaxation)
 from .operators import _check_finite_gamma, zero_cocoercive
 from .spaces import InnerProduct, as_vector
 
@@ -41,16 +42,6 @@ __all__ = [
 ]
 
 SCALED_GAMMA_CAP = 1e12
-
-
-def _warn_scaled_gamma(gamma, weights):
-    worst = float(gamma / np.min(weights))
-    if worst > SCALED_GAMMA_CAP:
-        warnings.warn(
-            f"scaled resolvent parameter gamma/w_i reaches {worst:.3e}, beyond "
-            f"the cap {SCALED_GAMMA_CAP:.3e}; results may be inaccurate",
-            RuntimeWarning,
-        )
 
 
 def _check_weights(weights, m):
@@ -234,33 +225,57 @@ def sum_splitting_solve(prob, gamma=None, relaxation=1.0, a_errors=None,
     certificate assembles the block inclusions ``w_i q_i in A_i x`` and their
     sum against ``-B x``.
     """
-    m, d = prob.m, prob.base_dim
-    beta = prob.beta
-    gamma = check_gamma(beta if gamma is None else float(gamma), beta)
-    lam_at = as_relaxation(relaxation).validate_open(averagedness(gamma, beta))
-    if b_errors is not None:
-        b_errors = list(b_errors)
-        if len(b_errors) != m:
-            raise ValueError(f"expected {m} per-block error schedules, got {len(b_errors)}")
-    check_errors([a_errors, *(b_errors or ())], d)
-
-    Z = np.zeros((m, d)) if z0 is None else _as_blocks(z0, m, d)
-    return _sum_splitting_run(prob, gamma, lam_at, Z, tol, max_iters,
-                              log_every, trace, a_errors, b_errors)[0]
+    run = _planned(*_sum_plan(prob.B, prob.m, prob.weights, gamma, relaxation,
+                              a_errors, b_errors, prob.base_dim))
+    Z = np.zeros((prob.m, prob.base_dim)) if z0 is None else _as_blocks(
+        z0, prob.m, prob.base_dim)
+    return run(prob, Z, tol, max_iters, log_every, trace)
 
 
-def _sum_splitting_run(prob, gamma, lam_at, Z, tol, max_iters, log_every,
-                       trace, a_errors=None, b_errors=None):
-    """The loop of :func:`sum_splitting_solve` from the blocks ``Z``, with
-    ``gamma``, the relaxations ``lam_at`` and the error schedules already
-    checked (``b_errors`` a list of m); returns the result and the final
-    blocks."""
+def _sum_plan(B, m, weights=None, gamma=None, relaxation=1.0, a_errors=None,
+              b_errors=None, dim=None, closed=False):
+    """:func:`sum_splitting_solve`'s plan for the forward map ``B``, of which
+    it reads ``beta`` alone, and ``m`` blocks of ``weights``, or with
+    ``closed`` that of :func:`sum_splitting_pi`, whose relaxations lie in
+    ``[epsilon, 1]``: ``(run, refusals)`` with ``run(prob, Z, tol,
+    max_iters, log_every, trace)``, or ``run(prob, x, Y, ...)`` from the
+    partial-inverse pair (see :func:`monosplit.km._refuse`).  It checks
+    every resolvent parameter ``gamma / w_i`` of the run last, and warns when
+    one exceeds ``SCALED_GAMMA_CAP``."""
+    refusals = []
+    w = None if m is None else _refuse(refusals, "weights", _check_weights, weights, m)
+    gamma, lam_at = _ranges(refusals, B, gamma, relaxation, closed and (EPSILON, 1.0))
+    b_errors = None if b_errors is None else list(b_errors)
+    if b_errors is not None and m is not None and len(b_errors) != m:
+        refusals.append(("b_errors", ValueError(
+            f"expected {m} per-block error schedules, got {len(b_errors)}")))
+    for name, e in [("a_errors", a_errors)] + [
+            (f"b_errors[{i}]", e) for i, e in enumerate(b_errors or ())]:
+        _refuse(refusals, name, _check_schedule, e, dim)
+    if gamma is not None and w is not None:
+        worst = _refuse(refusals, "gamma", _check_finite_gamma, gamma / float(w.min()),
+                        "resolvent parameter")
+        if worst is not None and worst > SCALED_GAMMA_CAP:
+            warnings.warn(f"scaled resolvent parameter gamma/w_i reaches {worst:.3e}, "
+                          f"beyond the cap {SCALED_GAMMA_CAP:.3e}; results may be "
+                          "inaccurate", RuntimeWarning)
+    if closed:
+        return partial(_pi_run, gamma=gamma, lam_at=lam_at), refusals
+    return partial(_sum_splitting_run, gamma=gamma, lam_at=lam_at, a_errors=a_errors,
+                   b_errors=b_errors), refusals
+
+
+def _sum_splitting_run(prob, Z, tol, max_iters, log_every, trace=False, *, gamma,
+                       lam_at, a_errors=None, b_errors=None, duals=False):
+    """:func:`sum_splitting_solve`'s loop from the blocks ``Z`` on checked
+    parameters (``b_errors`` a list of m); with ``duals`` the result reports
+    ``y_i = (x - z_i) / gamma`` in ``duals`` and the trace, as
+    :func:`sum_splitting_pi` does."""
     d, w = prob.base_dim, prob.weights
     b_errors = [(i, e) for i, e in enumerate(b_errors or ()) if e is not None]
-    _warn_scaled_gamma(gamma, w)
     gammas = gamma / w
     solo = [r for r in prob._runs if r[3] is None]   # blocks resolved one at a time
-    apply_B, *kernels = _bind([prob.B] + [r[2] for r in solo], gammas[[r[0] for r in solo]],
+    apply_B, *kernels = _bind([prob.B] + [r[2] for r in solo],
                               [a_errors] + [e for _, e in b_errors])
     kernels = iter(kernels)
     plan = [r if r[3] is not None else r[:2] + (next(kernels), None) for r in prob._runs]
@@ -284,10 +299,21 @@ def _sum_splitting_run(prob, gamma, lam_at, Z, tol, max_iters, log_every,
     # assemble the final certificate from an exact (error-free) block step
     x, Z = run.x, run.y
     Bx = prob.B(x)
-    return ProductSolveResult(final=x, status=run.status, iterations=run.iterations,
-                              history=run.history, trace=run.trace,
-                              **_certificate(prob, x, Bx, gamma,
-                                             2.0 * x - gamma * Bx - Z)), Z
+    res = ProductSolveResult(final=x, status=run.status, iterations=run.iterations,
+                             history=run.history, trace=run.trace,
+                             **_certificate(prob, x, Bx, gamma, 2.0 * x - gamma * Bx - Z))
+    if duals:
+        res.duals = (x - Z) / gamma
+        if res.trace is not None:
+            res.trace = [(xn, (xn - Zn) / gamma) for xn, Zn in res.trace]
+    return res
+
+
+def _pi_run(prob, x, Y, tol, max_iters, log_every, trace=False, *, gamma, lam_at):
+    """:func:`sum_splitting_pi`'s run from ``x`` and the duals ``Y``: the
+    loop from ``z_i = x - gamma y_i``."""
+    return _sum_splitting_run(prob, x - gamma * Y, tol, max_iters, log_every, trace,
+                              gamma=gamma, lam_at=lam_at, duals=True)
 
 
 def parallel_dr2(A1, A2, gamma=1.0, relaxation=1.0, b1_errors=None,
@@ -307,13 +333,35 @@ def parallel_dr2(A1, A2, gamma=1.0, relaxation=1.0, b1_errors=None,
     """
     if A1.dim != A2.dim:
         raise ValueError("operator dimensions differ")
-    d = A1.dim
-    _check_finite_gamma(gamma)
-    lam_at = dr2_relaxation(relaxation)
-    check_errors([b1_errors, b2_errors], d)
+    run = _planned(*_dr2_plan(gamma, relaxation, b1_errors, b2_errors, A1.dim))
+    Z = np.zeros((2, A1.dim)) if z0 is None else _as_blocks(z0, 2, A1.dim)
+    return run(A1, A2, Z, tol, max_iters, log_every, trace)
 
+
+def _dr2_plan(gamma=1.0, relaxation=1.0, b1_errors=None, b2_errors=None, dim=None):
+    """:func:`parallel_dr2`'s plan, which checks the resolvent parameter
+    ``2 gamma`` last: ``(run, refusals)`` with ``run(A1, A2, Z, tol,
+    max_iters, log_every, trace)`` (see :func:`monosplit.km._refuse`)."""
+    refusals = []
+    if gamma is not None:
+        gamma = _refuse(refusals, "gamma", _check_finite_gamma, gamma)
+    lam_at = None if relaxation is None else _refuse(
+        refusals, "relaxation", dr2_relaxation, relaxation)
+    for name, e in (("b1_errors", b1_errors), ("b2_errors", b2_errors)):
+        _refuse(refusals, name, _check_schedule, e, dim)
+    if gamma is not None:
+        _refuse(refusals, "gamma", _check_finite_gamma, 2.0 * gamma, "resolvent parameter")
+    return partial(_dr2_run, gamma=gamma, lam_at=lam_at, b1_errors=b1_errors,
+                   b2_errors=b2_errors), refusals
+
+
+def _dr2_run(A1, A2, Z, tol, max_iters, log_every, trace=False, *, gamma, lam_at,
+             b1_errors=None, b2_errors=None):
+    """:func:`parallel_dr2`'s iteration from the blocks ``Z`` on checked
+    parameters."""
+    d = A1.dim
     errors = [(i, e) for i, e in enumerate((b1_errors, b2_errors)) if e is not None]
-    J1, J2 = _bind((A1.resolve, A2.resolve), [2.0 * gamma], (b1_errors, b2_errors))
+    J1, J2 = _bind((A1.resolve, A2.resolve), (b1_errors, b2_errors))
 
     def step(n, Z):
         x = 0.5 * (Z[0] + Z[1])
@@ -326,7 +374,6 @@ def parallel_dr2(A1, A2, gamma=1.0, relaxation=1.0, b1_errors=None,
             D = P - x
         return residual, x, Z, D
 
-    Z = np.zeros((2, d)) if z0 is None else _as_blocks(z0, 2, d)
     run = _iterate(Z, step, lam_at, tol, max_iters, log_every, trace,
                    InnerProduct(d).norm)
 
@@ -377,10 +424,7 @@ def sum_splitting_pi(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
     ``sqrt(||pbar_n - x_n||^2 + sum_i w_i ||pbar_n - p_{i,n}||^2)``.
     """
     m, d, w = prob.m, prob.base_dim, prob.weights
-    beta = prob.beta
-    gamma = check_gamma(beta if gamma is None else float(gamma), beta)
-    lam_at = as_relaxation(relaxation).validate_closed(EPSILON, 1.0)
-
+    run = _planned(*_sum_plan(prob.B, m, w, gamma, relaxation, closed=True))
     x = np.zeros(d) if x0 is None else as_vector(x0, d)
     if y0 is None:
         Y = np.zeros((m, d))
@@ -392,9 +436,4 @@ def sum_splitting_pi(prob, gamma=None, relaxation=1.0, x0=None, y0=None,
                 f"dual initialization must satisfy sum_i w_i y_i = 0 "
                 f"(violation {drift:.3e})"
             )
-    res, Z = _sum_splitting_run(prob, gamma, lam_at, x - gamma * Y, tol,
-                                max_iters, log_every, trace)
-    res.duals = (res.final - Z) / gamma
-    if res.trace is not None:
-        res.trace = [(xn, (xn - Zn) / gamma) for xn, Zn in res.trace]
-    return res
+    return run(prob, x, Y, tol, max_iters, log_every, trace)

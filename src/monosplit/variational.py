@@ -186,11 +186,17 @@ def min_over_subspace(f, g, V, gamma=None, relaxation=1.0, a_errors=None,
     ``x`` minimizes ``f + g`` over the subspace (fixed-point residual
     certificate at ``tol``).
     """
-    prob = InclusionProblem(f.as_resolvent(), g.as_cocoercive(), V)
-    objective = None
-    if f.value is not None and g.value is not None:
-        objective = lambda x: float(f.value(x)) + float(g.value(x))
+    prob, objective = _problem(f, g, V)
     return fdr_solve(prob, gamma=gamma, relaxation=relaxation,
                      a_errors=a_errors, b_errors=b_errors, z0=z0, tol=tol,
                      max_iters=max_iters, log_every=log_every,
                      objective=objective)
+
+
+def _problem(f, g, V):
+    """The inclusion that :func:`min_over_subspace` solves, and its objective
+    ``f + g`` (None unless both functions are evaluable)."""
+    objective = None
+    if f.value is not None and g.value is not None:
+        objective = lambda x: float(f.value(x)) + float(g.value(x))
+    return InclusionProblem(f.as_resolvent(), g.as_cocoercive(), V), objective

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monosplit import cli, fdr, km, productspace
+from monosplit import cli, fdr, fpi, km, operators, productspace, spaces
 from monosplit.cli import (EXIT_CONVERGED, EXIT_DIVERGED, EXIT_INVALID,
                            EXIT_MAX_ITERS, SpecValidationError, emit_csv, main,
                            parse_spec, run)
@@ -533,6 +533,170 @@ def test_cli_range_messages_come_from_the_library():
     with pytest.raises(ValueError) as lib:
         productspace.dr2_relaxation(1.6)
     assert e.value.errors == [f"lambda: {lib.value}"]
+
+
+def _fdr_problem(beta=1.0):
+    """The problem of ``fdr_spec()`` (``ALL_ALGORITHM_SPECS["fpi"]`` too),
+    with ``B`` the zero map of ``beta`` unless ``beta`` is 1."""
+    B = cli._identity_map(2) if beta == 1.0 else operators.zero_cocoercive(2, beta=beta)
+    return fdr.InclusionProblem(operators.normal_cone_box([1, 1], [2, 2]), B,
+                                spaces.span_projector([1, 1]))
+
+
+def _zero_mean_problem():
+    """The problem of ``ALL_ALGORITHM_SPECS["fpi-explicit"]``."""
+    return fdr.InclusionProblem(operators.subdifferential_abs(2), cli._identity_map(2),
+                                spaces.zero_mean_projector(2))
+
+
+def _abs_blocks(centers):
+    return [operators.subdifferential_abs(1, [c]) for c in centers]
+
+
+def _product_problem(centers=(0.0, 1.0, 2.0), beta=1.0, weights=None):
+    return productspace.ProductProblem(_abs_blocks(centers),
+                                       operators.zero_cocoercive(1, beta=beta), weights)
+
+
+def _km_ops():
+    """The operators of ``ALL_ALGORITHM_SPECS["km"]``."""
+    return [spaces._mark_built(operators.AveragedOperator(
+        spaces.span_projector(v), 0.5, 2, label="projection")) for v in ([1, 1], [1, 0])]
+
+
+def _dr2_pair():
+    return (operators.linear_monotone([[1.0]], [-4.0]),
+            operators.linear_monotone([[1.0]], [2.0]))
+
+
+HARMONIC = {"kind": "harmonic", "magnitude": 1.0}
+ZERO_BETA_HUGE = {"kind": "zero", "beta": 1e308}
+# (algorithm, spec fields, the field refused, the library call that refuses
+# the same parameter): one case per range refusal of each solver
+RANGE_REFUSALS = [
+    ("fdr", {"gamma": 2.0}, "gamma", lambda: fdr.fdr_solve(_fdr_problem(), gamma=2.0)),
+    ("fdr", {"lambda": {"kind": "constant", "value": 1.6}}, "lambda",
+     lambda: fdr.fdr_solve(_fdr_problem(), gamma=1.0, relaxation=1.6)),
+    ("fdr", {"errors": {"b": HARMONIC}}, "errors.b",
+     lambda: fdr.fdr_solve(_fdr_problem(), b_errors=km.harmonic_errors(2, 1.0))),
+    ("variational", {"lambda": {"kind": "polynomial", "c": 1.0, "p": 2.0}}, "lambda",
+     lambda: fdr.fdr_solve(_fdr_problem(), relaxation=km.polynomial_relaxation(1.0, 2.0))),
+    ("fpi", {"gamma": 0.0}, "gamma", lambda: fpi.fpi_solve(_fdr_problem(), gamma=0.0)),
+    ("fpi", {"delta": {"kind": "constant", "value": 5.0}}, "delta",
+     lambda: fpi.fpi_solve(_fdr_problem(), gamma=1.0, steps=5.0)),
+    ("fpi", {"delta": {"kind": "constant", "value": 0.5}}, "delta",
+     lambda: fpi.fpi_solve(_fdr_problem(), gamma=1.0, steps=0.5)),
+    ("fpi", {"lambda": {"kind": "constant", "value": 0.0}}, "lambda",
+     lambda: fpi.fpi_solve(_fdr_problem(), gamma=1.0, relaxation=0.0)),
+    ("fpi-explicit", {"gamma": 2.0}, "gamma",
+     lambda: fpi.fpi_explicit_solve(_zero_mean_problem(), gamma=2.0)),
+    ("fpi-explicit", {"init": {"kind": "value", "x": [1.0, 0.0]}}, "init.x",
+     lambda: fpi.fpi_explicit_solve(_zero_mean_problem(), gamma=1.0, x0=[1.0, 0.0])),
+    ("fpi-explicit", {"init": {"kind": "value", "x": [0.0, 0.0], "y": [1.0, -3.0]}},
+     "init.y", lambda: fpi.fpi_explicit_solve(_zero_mean_problem(), gamma=1.0,
+                                              y0=[1.0, -3.0])),
+    ("km", {"lambda": {"kind": "constant", "value": 1.5}}, "lambda",
+     lambda: km.km_solve(_km_ops(), relaxation=1.5)),
+    ("km", {"errors": [None]}, "errors", lambda: km.km_solve(_km_ops(), errors=[None])),
+    ("km", {"errors": [None, HARMONIC]}, "errors[1]",
+     lambda: km.km_solve(_km_ops(), errors=[None, km.harmonic_errors(2, 1.0)])),
+    ("product", {"gamma": 2.0}, "gamma",
+     lambda: productspace.sum_splitting_solve(_product_problem(), gamma=2.0)),
+    ("product", {"weights": [0.5, 0.25, 0.5]}, "weights",
+     lambda: _product_problem(weights=[0.5, 0.25, 0.5])),
+    ("product", {"errors": {"b": [None, None]}}, "errors.b",
+     lambda: productspace.sum_splitting_solve(_product_problem(), b_errors=[None, None])),
+    ("product", {"errors": {"b": [None, HARMONIC, None]}}, "errors.b[1]",
+     lambda: productspace.sum_splitting_solve(
+         _product_problem(), b_errors=[None, km.harmonic_errors(1, 1.0), None])),
+    ("product", {"blocks": [{"kind": "abs"}, {"kind": "abs"}, {"kind": "zero"}],
+                 "B": ZERO_BETA_HUGE, "gamma": None}, "gamma",
+     lambda: productspace.sum_splitting_solve(productspace.ProductProblem(
+         _abs_blocks([0.0, 0.0]) + [operators.zero_operator(1)],
+         operators.zero_cocoercive(1, beta=1e308)))),
+    ("pi-sum", {"lambda": {"kind": "constant", "value": 1.2}}, "lambda",
+     lambda: productspace.sum_splitting_pi(_product_problem(), relaxation=1.2)),
+    ("pi-sum", {"blocks": [{"kind": "abs"}, {"kind": "abs"}], "B": ZERO_BETA_HUGE,
+                "weights": [0.25, 0.75], "gamma": None}, "gamma",
+     lambda: productspace.sum_splitting_pi(_product_problem(
+         (0.0, 0.0), beta=1e308, weights=[0.25, 0.75]))),
+    ("dr2", {"gamma": -1.0}, "gamma",
+     lambda: productspace.parallel_dr2(*_dr2_pair(), gamma=-1.0)),
+    ("dr2", {"gamma": 1e308}, "gamma",
+     lambda: productspace.parallel_dr2(*_dr2_pair(), gamma=1e308)),
+    ("dr2", {"lambda": {"kind": "constant", "value": 1.6}}, "lambda",
+     lambda: productspace.parallel_dr2(*_dr2_pair(), relaxation=1.6)),
+    ("dr2", {"errors": {"b2": HARMONIC}}, "errors.b2",
+     lambda: productspace.parallel_dr2(*_dr2_pair(), b2_errors=km.harmonic_errors(1, 1.0))),
+]
+
+
+@pytest.mark.parametrize("algorithm, fields, field, solve", RANGE_REFUSALS,
+                         ids=[f"{a}-{f}" for a, _, f, _ in RANGE_REFUSALS])
+def test_cli_range_refusals_are_the_solvers(tmp_path, capsys, algorithm, fields, field,
+                                            solve):
+    # the CLI refuses a spec through the solver's own plan: its one line is
+    # the solver's ValueError under the field, and no run starts
+    spec = {k: v for k, v in dict(ALL_ALGORITHM_SPECS[algorithm], **fields).items()
+            if v is not None}
+    if algorithm == "variational":
+        spec["g"] = {"kind": "quadratic", "Q": [[1, 0], [0, 1]]}
+    with pytest.raises(ValueError) as lib:
+        solve()
+    path = write_spec(tmp_path, spec)
+    assert main([str(path), "-o", str(tmp_path / "out.csv")]) == EXIT_INVALID
+    assert capsys.readouterr().err.splitlines() == [f"{path}: {field}: {lib.value}"]
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_fpi_refuses_non_unit_steps_with_the_library_text():
+    spec = dict(ALL_ALGORITHM_SPECS["fpi"], delta={"kind": "constant", "value": 0.5})
+    with pytest.raises(SpecValidationError) as e:
+        parse_spec(json.dumps(spec))
+    assert e.value.errors == [
+        "delta: varying or non-unit step schedules require a user oracle; "
+        "the built-in closed form covers delta = 1 only"]
+
+
+def _grid_specs():
+    """Specs of every algorithm over a grid of gamma, beta, lambda and, for
+    fpi, delta; each top-level field only where the algorithm declares it."""
+    for algorithm, base in ALL_ALGORITHM_SPECS.items():
+        declared = [key for key, _ in cli._ALGORITHMS[algorithm][0]]
+        for gamma in ([1e-300, 0.5, 1.99, 2.0, 1e308] if "gamma" in declared else [None]):
+            for beta in ([1.0, 1e308] if "B" in declared or "g" in declared else [None]):
+                for lam in (0.5, 1.0, 1.49):
+                    for delta in ([0.5, 1.0] if "delta" in declared else [None]):
+                        spec = dict(base, stop={"max_iters": 30},
+                                    **{"lambda": {"kind": "constant", "value": lam}})
+                        if gamma is not None:
+                            spec["gamma"] = gamma
+                        if beta is not None and "B" in declared:
+                            spec["B"] = {"kind": "zero", "beta": beta}
+                        elif beta is not None:
+                            spec["g"] = {"kind": "zero", "lipschitz": 1.0 / beta}
+                        if delta is not None:
+                            spec["delta"] = {"kind": "constant", "value": delta}
+                        yield spec
+
+
+def test_an_accepted_spec_never_fails_its_run_on_a_range():
+    # a spec that parses runs: every range the solver would refuse was
+    # refused at parse, the resolvent parameters of its run included
+    accepted = failed = 0
+    for spec in _grid_specs():
+        try:
+            parsed = parse_spec(json.dumps(spec))
+        except SpecValidationError:
+            continue
+        accepted += 1
+        try:
+            run(parsed)
+        except ValueError as e:
+            failed += 1
+            print(spec["algorithm"], spec.get("gamma"), spec.get("B"), e)
+    assert accepted > 100
+    assert failed == 0
 
 
 def test_readme_lists_every_descriptor_kind():
