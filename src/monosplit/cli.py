@@ -469,8 +469,7 @@ def _build_product(v, init, dim, errors):
     """product, which declares ``errors`` and runs on one block per operator,
     and pi-sum, its partial-inverse form on the base space."""
     blocks, B, weights, lifted = v["blocks"], v["B"], v["weights"], "errors" in v
-    # the block count is missing to the plan while any weight is
-    m = None if blocks is None or weights is not None and None in weights else len(blocks)
+    m = None if blocks is None else len(blocks)
     schedules = v.get("errors", {})
     run = _plan(productspace._sum_plan(
         B, m, weights, v["gamma"], v["lambda"], schedules.get("a"),

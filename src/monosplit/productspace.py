@@ -241,9 +241,10 @@ def _sum_plan(B, m, weights=None, gamma=None, relaxation=1.0, a_errors=None,
     max_iters, log_every, trace)``, or ``run(prob, x, Y, ...)`` from the
     partial-inverse pair (see :func:`monosplit.km._refuse`).  It checks
     every resolvent parameter ``gamma / w_i`` of the run last, and warns when
-    one exceeds ``SCALED_GAMMA_CAP``."""
+    one exceeds ``SCALED_GAMMA_CAP``; a weight of None skips both weight checks."""
     refusals = []
-    w = None if m is None else _refuse(refusals, "weights", _check_weights, weights, m)
+    w = None if m is None or isinstance(weights, list) and None in weights else _refuse(
+        refusals, "weights", _check_weights, weights, m)
     gamma, lam_at = _ranges(refusals, B, gamma, relaxation, closed and (EPSILON, 1.0))
     b_errors = None if b_errors is None else list(b_errors)
     if b_errors is not None and m is not None and len(b_errors) != m:

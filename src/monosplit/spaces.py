@@ -5,12 +5,13 @@ Vectors are plain 1-d numpy arrays.  The ambient geometry is carried by
 are represented by their orthogonal projectors.  Objects keep the arrays
 they are given by reference (``span_projector`` keeps a rescaled copy), so an
 array changed after construction changes the object built from it.  The
-module keeps no mutable state and its objects hold none, so each is safe to
-share across threads.
+module keeps read-only audit samples per dimension and its objects hold no
+mutable state, so each is safe to share across threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,8 +54,8 @@ class InnerProduct:
     """Diagonal inner product ``<x, y> = sum_k w_k x_k y_k``.
 
     With no weight vector the product is the uniform Euclidean one.  Weights
-    must be strictly positive, which makes the form symmetric, bilinear and
-    positive definite.
+    must be strictly positive and finite, which makes the form symmetric,
+    bilinear and positive definite.
     """
 
     __slots__ = ("dim", "weights")
@@ -72,6 +73,8 @@ class InnerProduct:
                 raise ValueError(f"weights must have shape ({dim},), got {w.shape}")
             if not (w > 0).all():
                 raise ValueError("inner product weights must be strictly positive")
+            if not (w < math.inf).all():
+                raise ValueError("inner product weights must be finite")
             self.weights = w
 
     @property
@@ -239,18 +242,22 @@ def matrix_projector(M, inner=None):
 
     The matrix is audited for idempotence, self-adjointness (w.r.t.
     ``inner``) and linearity on the 8 seeded samples of :func:`audit_projector`,
-    blocked (see :func:`_audit_matrix`), and rejected if it fails or a
-    violation overflows.  An exactly symmetric matrix is applied with a
-    one-triangle BLAS kernel (see :func:`_matvec`) and carries a view of it
-    as ``_matrix``; any other, such as a projector self-adjoint only under a
-    weighted ``inner``, is applied as ``M @ x``.  ``M`` is kept by reference.
+    blocked (see :func:`_audit_matrix`), and refused if it fails, as it does
+    on a non-finite entry (diagnosed only then), or a violation overflows.  An
+    exactly symmetric matrix is applied with a one-triangle BLAS kernel (see
+    :func:`_matvec`) and carries a view of it as ``_matrix``; any other (say,
+    self-adjoint only under weights) as ``M @ x``; ``M`` is kept by reference.
     """
-    M, _ = _square_matrix(M, "projector matrix")
-    symmetric = np.array_equal(M, M.T)
-    P = SubspaceProjector(_matvec(M, symmetric), M.shape[0], inner, label="matrix")
-    audit = _audit_matrix(M, P.inner)
-    if not audit.passed:
+    M = _square(M, "projector matrix")
+    d = M.shape[0]
+    inner = InnerProduct(d) if inner is None else inner
+    audit = _audit_matrix(M, inner) if inner.dim == d else None
+    if audit is None or not audit.passed:   # finiteness, inner's dimension, the audit
+        _square_matrix(M, "projector matrix")
+        SubspaceProjector(None, d, inner)
         raise ValueError(f"matrix is not an orthogonal projector: {audit}")
+    symmetric = np.array_equal(M, M.T)
+    P = SubspaceProjector(_matvec(M, symmetric), d, inner, label="matrix")
     if symmetric:
         P._matrix = M.view()
     return _mark_built(P)
@@ -297,18 +304,30 @@ def audit_projector(P, samples=32, tol=_AUDIT_TOL):
     return ProjectorAudit(all(w <= tol for w in worst), *worst)
 
 
+@functools.lru_cache(maxsize=8)
+def _audit_samples(d):
+    """``(X, Y, a, S)``, read-only: row i of ``default_rng(0)``'s 8 x (2d + 1)
+    draw holds sample i's ``x``, ``y``, ``a`` as :func:`audit_projector` draws
+    them; ``S = [X; Y; a X + Y]``.  Kept for 8 dimensions, 320 d bytes each."""
+    Z = np.random.default_rng(0).standard_normal((_MATRIX_AUDIT_SAMPLES, 2 * d + 1))
+    Z.flags.writeable = False   # before slicing: the views are read-only too
+    X, Y, a = Z[:, :d], Z[:, d:-1], Z[:, -1:]
+    S = np.concatenate((X, Y, a * X + Y))
+    S.flags.writeable = False
+    return X, Y, a, S
+
+
 def _audit_matrix(M, inner):
-    """:func:`audit_projector` of ``x -> M @ x`` under ``inner``, blocked:
-    row i of one seeded draw holds sample i's ``x``, ``y`` and ``a`` in the
-    order it draws them, one product projects every ``x``, ``y`` and
-    ``a x + y`` and a second every ``M x``; the violations agree to rounding.
+    """:func:`audit_projector` of ``x -> M @ x`` under ``inner``, blocked on
+    the samples of :func:`_audit_samples`: one product projects every ``x``,
+    ``y`` and ``a x + y`` and a second every ``M x``; the violations agree
+    to rounding; a non-finite entry of ``M`` makes them NaN or infinite.
     Audits ``_MATRIX_AUDIT_SAMPLES`` samples within ``_AUDIT_TOL``."""
     d, samples = M.shape[0], _MATRIX_AUDIT_SAMPLES
-    Z = np.random.default_rng(0).standard_normal((samples, 2 * d + 1))
-    X, Y, a = Z[:, :d], Z[:, d:-1], Z[:, -1:]
+    X, Y, a, S = _audit_samples(d)
     w = np.ones(d) if inner.is_uniform else inner.weights
     with np.errstate(over="ignore", invalid="ignore"):
-        B = np.concatenate((X, Y, a * X + Y)) @ M.T
+        B = S @ M.T
         PX, PY, PZ = B[:samples], B[samples:-samples], B[-samples:]
         D, L = PX @ M.T - PX, PZ - a * PX - PY
         idem = np.sqrt((D * D) @ w)

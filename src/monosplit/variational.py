@@ -70,7 +70,7 @@ class SmoothFunction(CocoerciveMap):
     __slots__ = ("lipschitz", "value")
 
     def __init__(self, grad, lipschitz, dim, value=None, label=""):
-        if not (np.isfinite(lipschitz) and lipschitz > 0):
+        if not 0 < lipschitz < np.inf:   # NaN fails too
             raise ValueError(f"lipschitz must be a positive finite number, got {lipschitz}")
         self.lipschitz = float(lipschitz)
         super().__init__(grad, 1.0 / self.lipschitz, dim, label)

@@ -78,6 +78,17 @@ def test_parse_collects_all_errors():
     assert "unknown subspace kind" in joined
 
 
+def test_a_malformed_weight_keeps_the_error_schedule_count():
+    # the block count reaches the plan, which skips only the checks that
+    # need the weights: their range and gamma / w_i
+    spec = dict(ALL_ALGORITHM_SPECS["product"], weights=[0.5, "x", 0.25],
+                errors={"b": [None]})
+    with pytest.raises(SpecValidationError) as e:
+        parse_spec(json.dumps(spec))
+    assert e.value.errors == ["weights[1]: expected a number, got 'x'",
+                              "errors.b: expected 3 per-block error schedules, got 1"]
+
+
 def test_parse_rejects_unknown_algorithm():
     with pytest.raises(SpecValidationError) as e:
         parse_spec(json.dumps({"schema_version": 1, "algorithm": "magic"}))

@@ -615,6 +615,33 @@ def test_a_negative_zero_misses_the_record(eigvalsh_calls):
     assert len(eigvalsh_calls) == 2
 
 
+# the largest d whose Q is matched by its bytes, and the smallest matched
+# through int64 views
+BYTES, VIEWS = 64, 65
+
+
+def test_match_dimensions_straddle_the_switch():
+    assert BYTES**2 <= operators._BYTES_MATCH < VIEWS**2
+
+
+@pytest.mark.parametrize("d", [BYTES, VIEWS])
+def test_byte_and_view_matches_follow_one_rule(eigvalsh_calls, rng, d):
+    # equal bits hit in any layout; -0.0 for 0.0, or one ulp, misses
+    Q = random_spd(rng, d)
+    Q[0, 1] = Q[1, 0] = 0.0
+    Q += np.diag(np.abs(Q).sum(1))   # diagonally dominant: still definite
+    for layout, Ql in matrix_layouts(Q).items():
+        record = _symmetric_psd(Q)
+        assert _symmetric_psd(Ql) is record, layout
+        for change in ("-0.0", "ulp"):
+            other = matrix_layouts(Q.copy())[layout]
+            if change == "-0.0":
+                other[0, 1] = other[1, 0] = -0.0
+            else:
+                other[d - 1, d - 1] = np.nextafter(other[d - 1, d - 1], np.inf)
+            assert _symmetric_psd(other) is not record, (layout, change)
+
+
 @pytest.mark.parametrize("d", [2, ABOVE])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_q_of_the_certified_shape_is_refused(eigvalsh_calls, rng, d, bad):

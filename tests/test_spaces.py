@@ -1,4 +1,7 @@
+import concurrent.futures
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -25,6 +28,12 @@ def test_as_vector_rejects_bad_input():
 def test_inner_product_weights_validation():
     with pytest.raises(ValueError, match="strictly positive"):
         InnerProduct(2, [1.0, 0.0])
+    with pytest.raises(ValueError, match="^inner product weights must be strictly positive$"):
+        InnerProduct(2, [1.0, np.nan])
+    for bad in (np.inf, -np.inf):   # -inf is not positive: refused as such
+        message = "finite" if bad > 0 else "strictly positive"
+        with pytest.raises(ValueError, match=f"^inner product weights must be {message}$"):
+            InnerProduct(2, [1.0, bad])
     w = InnerProduct(2, [2.0, 3.0])
     assert w.dot([1.0, 1.0], [1.0, 1.0]) == pytest.approx(5.0)
     assert InnerProduct(2).is_uniform
@@ -248,6 +257,33 @@ def test_matrix_projector_rejects_non_finite_entries(bad):
         matrix_projector([[bad, 0.0], [0.0, 1.0]])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(1, 1), (0, 2)], ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+def test_a_non_finite_entry_fails_the_audit_and_keeps_its_message(bad, where, weighted):
+    # finiteness is not checked before the audit: a non-finite entry fails it
+    # and is then diagnosed with the message it had when checked first
+    rng = np.random.default_rng(5)
+    M, inner = (weighted_projector(rng, 4) if weighted
+                else (random_subspace_matrix(rng, 4, 2), InnerProduct(4)))
+    M[where] = bad
+    assert not ms.spaces._audit_matrix(M, inner).passed
+    with pytest.raises(ValueError, match="^projector matrix has non-finite entries$"):
+        matrix_projector(M, inner)
+
+
+@pytest.mark.parametrize("finite, message", [
+    (False, "^projector matrix has non-finite entries$"),
+    (True, "^inner product dimension does not match the projector$")])
+def test_two_faults_are_refused_in_the_order_of_the_checks(rng, finite, message):
+    M = random_subspace_matrix(rng, 3, 1)
+    if not finite:
+        M[0, 0] = np.nan
+    with pytest.raises(ValueError, match=message):
+        matrix_projector(M, InnerProduct(4))
+
+
 def test_audit_fails_on_a_nan_violation():
     # max(worst, nan) would keep worst: a NaN must fail the audit instead
     P = ms.SubspaceProjector(lambda x: np.where(x > 0.0, np.nan, x), 3)
@@ -328,6 +364,79 @@ def test_matrix_audit_block_rows_are_the_per_sample_draws(d):
         a = draws.standard_normal()
         assert np.array_equal(row[:d], x) and np.array_equal(row[d:2 * d], y)
         assert row[2 * d] == a
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 33])
+def test_audit_samples_are_one_read_only_fresh_draw(d):
+    samples = ms.spaces._MATRIX_AUDIT_SAMPLES
+    Z = np.random.default_rng(0).standard_normal((samples, 2 * d + 1))
+    X, Y, a, S = ms.spaces._audit_samples(d)
+    assert np.array_equal(X, Z[:, :d]) and np.array_equal(Y, Z[:, d:-1])
+    assert np.array_equal(a, Z[:, -1:])
+    assert np.array_equal(S, np.concatenate((Z[:, :d], Z[:, d:-1],
+                                             Z[:, -1:] * Z[:, :d] + Z[:, d:-1])))
+    for block in (X, Y, a, S):
+        assert not block.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 1.0
+    # a zero entry would not matter (an infinite entry times it is NaN), but
+    # none occurs
+    assert (Z != 0.0).all() and (S != 0.0).all()
+    assert ms.spaces._audit_samples(d) is ms.spaces._audit_samples(d)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Empty the audit-sample cache and count the draws of ``default_rng``
+    made while the test runs; returns the list of seeds drawn."""
+    ms.spaces._audit_samples.cache_clear()
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counted(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    yield seeds
+    ms.spaces._audit_samples.cache_clear()
+
+
+def test_projectors_of_one_dimension_draw_the_samples_once(rng, draws):
+    for _ in range(50):
+        matrix_projector(random_subspace_matrix(rng, 5, 2))
+    assert draws == [0]
+    # the cache is bounded: 8 more dimensions push the first out
+    for d in range(6, 14):
+        ms.spaces._audit_samples(d)
+    assert ms.spaces._audit_samples.cache_info().currsize == 8
+    ms.spaces._audit_samples(5)
+    assert len(draws) == 10
+
+
+def test_projectors_built_from_threads_get_the_same_audit(rng, draws):
+    M = random_subspace_matrix(rng, 7, 3)
+    inner = InnerProduct(7)
+    start_together = threading.Barrier(4)
+
+    def worker(_):
+        start_together.wait(timeout=60)
+        matrix_projector(M)
+        return [ms.spaces._audit_matrix(M, inner) for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(worker, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert set(draws) == {0} and len(draws) <= 4   # at most one draw per thread
+    assert len(results) == 4
+    ms.spaces._audit_samples.cache_clear()
+    fresh = ms.spaces._audit_matrix(M, inner)
+    assert fresh.passed
+    assert all(audit == fresh for audits in results for audit in audits)
 
 
 def weighted_projector(rng, d):
