@@ -337,7 +337,7 @@ def _km_operator(desc, dim, errors, path):
     g = _field(desc, "gamma", 1.0, dim, errors, path)
     A = _build("operator", desc, dim, errors, path, ("type", "gamma"))
     if A is None or g is None or not _check(
-            errors, f"{path}.gamma", fdr._check_finite_gamma, g):
+            errors, f"{path}.gamma", operators._check_finite_gamma, g):
         return None
     return spaces._mark_built(operators.AveragedOperator(lambda x: A.resolve(g, x),
                                                          0.5, dim, label="resolvent"))

@@ -377,23 +377,27 @@ _KERNELS = {SubspaceProjector.__call__: "_apply", CocoerciveMap.__call__: "_func
             AveragedOperator.__call__: "_func", ResolventFamily.resolve: "_resolve"}
 
 
+def _kernel_of(entry):
+    """The unchecked kernel (``_KERNELS``) of ``entry``, the public entry point
+    of an object (a map, or a family's ``resolve``) found on its class, if it
+    is a library class's own on an object the library built (see
+    :func:`monosplit.spaces._mark_built`); None otherwise, as for a wrapper."""
+    obj = getattr(entry, "__self__", entry)
+    name = _KERNELS.get(getattr(entry, "__func__", None) or type(entry).__call__)
+    return getattr(obj, name) if name and getattr(obj, "_built", False) else None
+
+
 def _bind(entries, errors=()):
-    """What a solve calls for ``entries``, the public entry points of its
-    objects (a map, or a family's ``resolve``), each found on the class.
-    If each is a library class's own, on an object the library built (see
-    :func:`monosplit.spaces._mark_built`), and each of ``errors`` is None or
-    built in, every argument comes from the loop, of the right shape, and
-    every resolvent parameter was checked by the solver's plan: the entries
-    give way to their unchecked kernels (``_KERNELS``).  Otherwise they
+    """What a solve calls for ``entries``.  If :func:`_kernel_of` accepts each
+    and each of ``errors`` is None or built in, every argument comes from the
+    loop, of the right shape, and every resolvent parameter was checked by
+    the solver's plan: the entries give way to their kernels.  Otherwise they
     stay."""
-    objs = [getattr(f, "__self__", f) for f in entries]
-    names = [_KERNELS.get(getattr(f, "__func__", None) or type(f).__call__)
-             for f in entries]
-    if not (all(names) and all(getattr(obj, "_built", False) for obj in objs)
-            and all(e is None or type(e) is ErrorSchedule
-                    and e._scaled == (e.generator, e.bound) for e in errors)):
+    kernels = [_kernel_of(f) for f in entries]
+    if None in kernels or not all(e is None or type(e) is ErrorSchedule
+                                  and e._scaled == (e.generator, e.bound) for e in errors):
         return list(entries)
-    return [getattr(obj, name) for obj, name in zip(objs, names)]
+    return kernels
 
 
 def _iterate(state, step, lam_at, tol, max_iters, log_every, trace, norm,

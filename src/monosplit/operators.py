@@ -62,11 +62,7 @@ class ResolventFamily:
     Evaluation must be reentrant: no mutable shared state across calls.
 
     Built-in families whose resolvent is an elementwise formula also carry it
-    as ``_kernel = (kernel, params)``; see :func:`_row_kernel_family`.  The
-    product-space solvers read ``_kernel`` with ``getattr``, so a wrapper
-    that forwards attribute access is resolved by the kernel of the family
-    it wraps, not by a ``resolve`` of its own; a wrapper that changes the
-    resolvent must hide ``_kernel`` (set it to None).
+    as ``_kernel = (kernel, params)``; see :func:`_row_kernel_family`.
     """
 
     __slots__ = ("_resolve", "dim", "label", "_kernel", "_built")

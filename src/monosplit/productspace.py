@@ -11,8 +11,8 @@ iteration written blockwise; its partial-inverse form
 
 The direct loop resolves all blocks through
 :meth:`ProductProblem.resolve_blocks`, which evaluates each run of
-consecutive built-in blocks sharing a row kernel (boxes, soft thresholds)
-in one stacked call and any other block on its own.
+consecutive library-built blocks sharing a row kernel (boxes, soft
+thresholds) in one stacked call and any other block on its own.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .fdr import _ranges
 from .fpi import EPSILON
 from .km import (DEFAULT_MAX_ITERS, DEFAULT_TOL, _bind, _check_schedule, _iterate,
-                 _planned, _refuse, as_relaxation)
+                 _kernel_of, _planned, _refuse, as_relaxation)
 from .operators import _check_finite_gamma, zero_cocoercive
 from .spaces import InnerProduct, as_vector
 
@@ -44,15 +44,18 @@ __all__ = [
 SCALED_GAMMA_CAP = 1e12
 
 
-def _check_weights(weights, m):
+def _check_weights(weights, m, count_only=False):
     """``weights`` as ``m`` floats in ]0, 1[ (1 when ``m`` is 1) summing to 1
     within 1e-12, equal ones when None; the range is read from ``w.min()``
-    and ``w.max()``, through which a NaN propagates and is refused."""
+    and ``w.max()``, through which a NaN propagates and is refused; with
+    ``count_only``, None once the count is checked."""
     if weights is None:
         return np.full(m, 1.0 / m)
     w = np.asarray(weights, dtype=float)
     if w.shape != (m,):
         raise ValueError(f"expected {m} weights, got shape {w.shape}")
+    if count_only:
+        return None
     if not (w.min() > 0.0 and (m == 1 or w.max() < 1.0)):
         raise ValueError("each weight must lie in ]0, 1[")
     if abs(float(w.sum()) - 1.0) > 1e-12:
@@ -63,17 +66,13 @@ def _check_weights(weights, m):
 def _block_plan(blocks):
     """Runs ``(start, stop, kernel, params)`` covering the blocks in order.
 
-    Consecutive blocks that carry the same row kernel form one run, each
-    parameter stacked over the run; every other block is a run of one with
-    ``kernel`` its ``resolve`` and ``params`` None.  Row kernels are looked
-    up by attribute, so a wrapper that forwards attribute access is resolved
-    through the stacked path of the block it wraps, and a ``resolve`` of its
-    own is never called; a wrapper that hides ``_kernel`` is resolved through
-    its ``resolve``.
+    Consecutive blocks that carry the same row kernel, and whose ``resolve``
+    :func:`monosplit.km._kernel_of` accepts, form one run, each parameter
+    stacked over the run; every other block, a wrapper included, is a run of
+    one with ``kernel`` its ``resolve`` and ``params`` None.
     """
-    specs = [getattr(A, "_kernel", None) for A in blocks]
-    plan = []
-    start = 0
+    specs = [A._kernel if _kernel_of(A.resolve) is not None else None for A in blocks]
+    plan, start = [], 0
     for kernel, run in groupby(specs, key=lambda s: None if s is None else s[0]):
         run = list(run)
         stop = start + len(run)
@@ -129,10 +128,11 @@ class ProductProblem:
     def resolve_blocks(self, gammas, S):
         """Rows ``J_{gammas[i] A_i} S[i]`` for all blocks, as an ``(m, d)`` array.
 
-        A run of consecutive blocks sharing a row kernel is resolved in one
-        stacked call, bit-identical to resolving its rows one by one; other
-        blocks go through their own ``resolve``.  ``gammas`` must be positive
-        and ``S`` of shape ``(m, d)``: the callers check both once per solve.
+        A run of consecutive library-built blocks sharing a row kernel is
+        resolved in one stacked call, bit-identical to resolving its rows one
+        by one; other blocks, wrappers included, go through their own
+        ``resolve``.  ``gammas`` must be positive and ``S`` of shape
+        ``(m, d)``: the callers check both once per solve.
         """
         return _resolve_runs(self._runs, gammas, S)
 
@@ -241,10 +241,10 @@ def _sum_plan(B, m, weights=None, gamma=None, relaxation=1.0, a_errors=None,
     max_iters, log_every, trace)``, or ``run(prob, x, Y, ...)`` from the
     partial-inverse pair (see :func:`monosplit.km._refuse`).  It checks
     every resolvent parameter ``gamma / w_i`` of the run last, and warns when
-    one exceeds ``SCALED_GAMMA_CAP``; a weight of None skips both weight checks."""
+    one exceeds ``SCALED_GAMMA_CAP``; a weight of None leaves only the count."""
     refusals = []
-    w = None if m is None or isinstance(weights, list) and None in weights else _refuse(
-        refusals, "weights", _check_weights, weights, m)
+    w = None if m is None else _refuse(refusals, "weights", _check_weights, weights, m,
+                                       isinstance(weights, list) and None in weights)
     gamma, lam_at = _ranges(refusals, B, gamma, relaxation, closed and (EPSILON, 1.0))
     b_errors = None if b_errors is None else list(b_errors)
     if b_errors is not None and m is not None and len(b_errors) != m:
@@ -275,8 +275,8 @@ def _sum_splitting_run(prob, Z, tol, max_iters, log_every, trace=False, *, gamma
     d, w = prob.base_dim, prob.weights
     b_errors = [(i, e) for i, e in enumerate(b_errors or ()) if e is not None]
     gammas = gamma / w
-    solo = [r for r in prob._runs if r[3] is None]   # blocks resolved one at a time
-    apply_B, *kernels = _bind([prob.B] + [r[2] for r in solo],
+    # B and the blocks resolved one at a time
+    apply_B, *kernels = _bind([prob.B] + [r[2] for r in prob._runs if r[3] is None],
                               [a_errors] + [e for _, e in b_errors])
     kernels = iter(kernels)
     plan = [r if r[3] is not None else r[:2] + (next(kernels), None) for r in prob._runs]
@@ -360,7 +360,6 @@ def _dr2_run(A1, A2, Z, tol, max_iters, log_every, trace=False, *, gamma, lam_at
              b1_errors=None, b2_errors=None):
     """:func:`parallel_dr2`'s iteration from the blocks ``Z`` on checked
     parameters."""
-    d = A1.dim
     errors = [(i, e) for i, e in enumerate((b1_errors, b2_errors)) if e is not None]
     J1, J2 = _bind((A1.resolve, A2.resolve), (b1_errors, b2_errors))
 
@@ -376,7 +375,7 @@ def _dr2_run(A1, A2, Z, tol, max_iters, log_every, trace=False, *, gamma, lam_at
         return residual, x, Z, D
 
     run = _iterate(Z, step, lam_at, tol, max_iters, log_every, trace,
-                   InnerProduct(d).norm)
+                   InnerProduct(A1.dim).norm)
 
     # the product certificate at equal weights (gamma / w_i = 2 gamma) and
     # B = 0, with each block resolved on the other one: s_1 = z_2, s_2 = z_1
@@ -384,7 +383,7 @@ def _dr2_run(A1, A2, Z, tol, max_iters, log_every, trace=False, *, gamma, lam_at
     return ProductSolveResult(final=x, status=run.status, iterations=run.iterations,
                               history=run.history, trace=run.trace,
                               **_certificate(ProductProblem([A1, A2]), x,
-                                             np.zeros(d), gamma, Z[::-1]))
+                                             np.zeros(A1.dim), gamma, Z[::-1]))
 
 
 def dr2_relaxation(relaxation):

@@ -7,10 +7,11 @@ import re
 import numpy as np
 import pytest
 
-from monosplit import (ErrorSchedule, InclusionProblem, SubspaceProjector,
-                       affine_gradient, build_S, build_T, fdr_solve,
-                       fpi_explicit_solve, km_solve, linear_monotone,
-                       normal_cone_box, parallel_dr2, zero_mean_projector)
+from monosplit import (ErrorSchedule, InclusionProblem, ProductProblem,
+                       SubspaceProjector, affine_gradient, build_S, build_T,
+                       fdr_solve, fpi_explicit_solve, km_solve, linear_monotone,
+                       normal_cone_box, parallel_dr2, subdifferential_abs,
+                       sum_splitting_solve, zero_mean_projector)
 
 D = 5
 
@@ -100,9 +101,27 @@ def test_traced_dr2_run_sees_every_call():
     res = parallel_dr2(T1, T2, max_iters=200)
     assert_same_run(res, parallel_dr2(A1, A2, max_iters=200))
     steps = res.iterations + 1
-    # the certificate resolves the box blocks stacked, through their row
-    # kernel, and the linear block twice through its resolve
-    assert (T1.calls, T2.calls) == (steps, steps + 2)
+    # the certificate resolves each block twice, through its own resolve
+    assert (T1.calls, T2.calls) == (steps + 2, steps + 2)
+
+
+def test_traced_sum_run_sees_every_call():
+    rng = np.random.default_rng(9)
+    G = rng.standard_normal((D, D))
+    blocks = [normal_cone_box(-np.ones(D), np.ones(D)), subdifferential_abs(D),
+              normal_cone_box(-2 * np.ones(D), np.ones(D)),
+              linear_monotone(np.eye(D) + G - G.T, rng.standard_normal(D))]
+    B = affine_gradient(G @ G.T / D + np.eye(D), rng.standard_normal(D))
+    traced = ProductProblem([TracedFamily(A) for A in blocks], TracedMap(B))
+    res = sum_splitting_solve(traced, max_iters=200)
+    plain = sum_splitting_solve(ProductProblem(blocks, B), max_iters=200)
+    assert_same_run(res, plain)
+    assert np.array_equal(res.block_residuals, plain.block_residuals)
+    steps = res.iterations + 1
+    # per step: B once and every block's resolve once; the certificate
+    # applies B once and resolves each block twice
+    assert [T.calls for T in traced.blocks] == [steps + 2] * len(blocks)
+    assert traced.B.calls == steps + 1
 
 
 def test_dr2_checks_the_doubled_gamma_before_any_iteration():

@@ -89,6 +89,16 @@ def test_a_malformed_weight_keeps_the_error_schedule_count():
                               "errors.b: expected 3 per-block error schedules, got 1"]
 
 
+def test_a_malformed_weight_keeps_the_weight_count():
+    # an unread weight skips the range, the sum and gamma / w_i, not the count
+    spec = dict(ALL_ALGORITHM_SPECS["pi-sum"], blocks=[{"kind": "abs"}] * 4,
+                weights=[0.5, "x", 0.25])
+    with pytest.raises(SpecValidationError) as e:
+        parse_spec(json.dumps(spec))
+    assert e.value.errors == ["weights[1]: expected a number, got 'x'",
+                              "weights: expected 4 weights, got shape (3,)"]
+
+
 def test_parse_rejects_unknown_algorithm():
     with pytest.raises(SpecValidationError) as e:
         parse_spec(json.dumps({"schema_version": 1, "algorithm": "magic"}))

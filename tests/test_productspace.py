@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import groupby
+
 import numpy as np
 import pytest
 
@@ -93,7 +96,31 @@ class _CountingBlock:
         return self.target.resolve(gamma, x)
 
 
-KERNEL_KINDS = ("box", "abs", "abs_c")
+# the row kernel of each block kind that carries one
+ROW_KERNELS = {"box": "_clamp", "abs": "_soft_threshold",
+               "abs_c": "_soft_threshold_centered"}
+
+
+def _count_stacked_calls(blocks):
+    """Give each block's row kernel a counting stand-in, shared by the blocks
+    of one kernel, so that runs are grouped as before; only the stacked path
+    calls it, since a block's own ``resolve`` keeps the kernel it was built
+    with.  Returns the calls per kernel name."""
+    calls, counting = Counter(), {}
+
+    def counted(kernel):
+        def count(*args):
+            calls[kernel.__name__] += 1
+            return kernel(*args)
+        return count
+
+    for A in blocks:
+        if A._kernel is not None:
+            kernel, params = A._kernel
+            if kernel not in counting:
+                counting[kernel] = counted(kernel)
+            A._kernel = (counting[kernel], params)
+    return calls
 
 
 def _block_of_kind(rng, kind, d):
@@ -131,24 +158,30 @@ BLOCK_LAYOUTS = {
 
 @pytest.mark.parametrize("layout", sorted(BLOCK_LAYOUTS))
 def test_resolve_blocks_matches_per_block(layout, rng):
-    # runs of built-in blocks are resolved in one stacked call that must agree
-    # exactly with resolving every block on its own at gamma / w_i
+    # runs of consecutive built-in blocks are resolved in one stacked call
+    # that must agree exactly with resolving every block on its own at
+    # gamma / w_i; the same blocks behind wrappers are each resolved through
+    # the wrapper's resolve, with the same result
     kinds = BLOCK_LAYOUTS[layout]
     m, d = len(kinds), 3
     blocks = [_block_of_kind(rng, k, d) for k in kinds]
+    stacked = _count_stacked_calls(blocks)
     w = rng.dirichlet(np.ones(m)) if m > 1 else np.ones(1)
-    prob = ProductProblem([_CountingBlock(A) for A in blocks], weights=w)
+    plain = ProductProblem(blocks, weights=w)
+    wrapped = ProductProblem([_CountingBlock(A) for A in blocks], weights=w)
     draws = 5
     for _ in range(draws):
         gamma = rng.uniform(0.1, 2.0)
         S = 3.0 * rng.standard_normal((m, d))
         want = np.array([A.resolve(gamma / w[i], S[i])
                          for i, A in enumerate(blocks)])
-        assert np.array_equal(prob.resolve_blocks(gamma / prob.weights, S), want)
-    # built-in blocks are found through the wrapper and never resolved one
-    # by one; every other block is
-    for kind, A in zip(kinds, prob.blocks):
-        assert A.calls == (0 if kind in KERNEL_KINDS else draws), kind
+        for prob in (plain, wrapped):
+            assert np.array_equal(prob.resolve_blocks(gamma / prob.weights, S), want)
+    # each run of built-in blocks of one kind is one stacked kernel call per
+    # draw, made for the plain problem alone; no wrapper is bypassed
+    runs = Counter(ROW_KERNELS[k] for k, _ in groupby(kinds) if k in ROW_KERNELS)
+    assert stacked == Counter({name: n * draws for name, n in runs.items()})
+    assert [A.calls for A in wrapped.blocks] == [draws] * m
 
 
 class _ShiftedBlock:
@@ -169,24 +202,23 @@ class _ShiftedKernelLessBlock(_ShiftedBlock):
     _kernel = None
 
 
-@pytest.mark.parametrize("wrapper, shift, expected",
-                         [(_ShiftedBlock, 0.0, 0.0),
-                          (_ShiftedKernelLessBlock, 0.25, 1.25)],
+@pytest.mark.parametrize("wrapper", [_ShiftedBlock, _ShiftedKernelLessBlock],
                          ids=["forwards-kernel", "hides-kernel"])
-def test_a_forwarded_row_kernel_is_used_over_the_wrappers_resolve(wrapper, shift,
-                                                                  expected):
-    # the block plan reads _kernel through the wrapper, by design, so that a
-    # proxy which forwards attributes takes the stacked path of the block it
-    # wraps; a wrapper that changes the resolvent is called only once it
-    # hides _kernel
-    box = normal_cone_box(np.zeros(2), np.ones(2))
-    prob = ProductProblem([wrapper(box), wrapper(box)])
+def test_a_wrapper_is_resolved_through_its_own_resolve(wrapper):
+    # a block is stacked only where _bind would take its kernel, so a
+    # wrapper's resolve is called whether it forwards _kernel or hides it: in
+    # the sum loop, its partial-inverse form and dr2, and in dr2's certificate
+    W = wrapper(normal_cone_box(np.zeros(2), np.ones(2)))
+    prob = ProductProblem([W, W])
     S = np.array([[2.0, -1.0], [0.5, 0.5]])
     np.testing.assert_array_equal(prob.resolve_blocks(np.ones(2), S),
-                                  np.clip(S, 0.0, 1.0) + shift)
-    run = sum_splitting_solve(prob, tol=1e-12)
-    assert run.status == "converged"
-    np.testing.assert_allclose(run.final, [expected, expected], atol=1e-12)
+                                  np.clip(S, 0.0, 1.0) + 0.25)
+    runs = [sum_splitting_solve(prob, tol=1e-12), sum_splitting_pi(prob, tol=1e-12),
+            parallel_dr2(W, W, tol=1e-12)]
+    for run in runs:
+        assert run.status == "converged"
+        np.testing.assert_allclose(run.final, [1.25, 1.25], atol=1e-12)
+    assert runs[-1].certificate_residual == 0.0
 
 
 def test_lifted_forward_map_preserves_diagonal(rng):
